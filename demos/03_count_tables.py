@@ -25,7 +25,7 @@ def main():
               % (c, a, tables[c].values[a], a, c, tables[a].values[c]))
 
     print()
-    print("=== memoization over cycle indices ===")
+    print("=== graphs reduce to few cycle indices ===")
     for c in range(2, 7):
         _, stats = rank3.count_lattices_stats(c, 12)
         print("c = %d: %5d graphs share %3d distinct cycle indices "

@@ -2,8 +2,10 @@
 
 For a fixed coatom count the counts eventually follow a quasipolynomial:
 one polynomial per residue class of the atom count modulo a fixed period.
-Interpolating on the exact table and then verifying every remaining entry
-recovers the published formulas, coefficient for coefficient.
+A class of the exact table is a polynomial of degree d exactly when its
+(d+1)-th forward differences vanish; the Newton form of its leading
+differences then gives the coefficients, which are the published
+formulas, coefficient for coefficient.
 """
 
 import json

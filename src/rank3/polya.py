@@ -24,7 +24,7 @@ class CycleIndex:
     compare and hash equal and instances serve as memo keys.
     """
 
-    __slots__ = ("degree", "terms")
+    __slots__ = ("degree", "terms", "_hash")
 
     def __init__(self, degree: int, terms):
         items = []
@@ -38,6 +38,8 @@ class CycleIndex:
         items.sort()
         self.degree = degree
         self.terms = tuple(items)
+        # profile keys are hashed for every graph, and hashing Fractions is slow
+        self._hash = hash((degree, self.terms))
 
     def __eq__(self, other):
         if not isinstance(other, CycleIndex):
@@ -45,7 +47,7 @@ class CycleIndex:
         return self.degree == other.degree and self.terms == other.terms
 
     def __hash__(self):
-        return hash((self.degree, self.terms))
+        return self._hash
 
     def __repr__(self):
         parts = []

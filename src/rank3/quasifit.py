@@ -2,10 +2,13 @@
 
 For fixed coatom count c the counts R(c, a) eventually agree with a
 quasipolynomial of degree c - 1 whose coefficients repeat with period
-lcm(1..c), starting no later than a = c(c-1)/2.  Fitting is pure linear
-algebra over the rationals: solve a Vandermonde system per residue class
-on the first degree+1 usable table entries, then insist that every
-remaining entry agrees exactly.  No floating point is involved anywhere.
+lcm(1..c), starting no later than a = c(c-1)/2.  Each residue class of
+the table from that threshold on is a polynomial sequence of degree d
+exactly when its (d+1)-th forward differences vanish (Stanley,
+Enumerative Combinatorics I, 4.4), so the fit takes integer differences
+per class, rejects the table at the first nonzero (d+1)-th difference,
+and reads each constituent off the Newton form of the leading
+differences.  No floating point is involved anywhere.
 """
 
 import json
@@ -76,21 +79,25 @@ def default_fit_parameters(coatom_count: int) -> tuple[int, int, int]:
     return lcm(*range(1, c + 1)), c - 1, c * (c - 1) // 2
 
 
-def _solve_vandermonde(xs, ys) -> tuple:
-    """Coefficients, constant first, of the polynomial through (xs, ys)."""
-    n = len(xs)
-    rows = [[Fraction(x) ** j for j in range(n)] + [Fraction(y)]
-            for x, y in zip(xs, ys)]
-    for col in range(n):
-        pivot = next(i for i in range(col, n) if rows[i][col] != 0)
-        rows[col], rows[pivot] = rows[pivot], rows[col]
-        inv = 1 / rows[col][col]
-        rows[col] = [v * inv for v in rows[col]]
-        for i in range(n):
-            if i != col and rows[i][col] != 0:
-                factor = rows[i][col]
-                rows[i] = [v - factor * w for v, w in zip(rows[i], rows[col])]
-    return tuple(row[-1] for row in rows)
+def _newton_constituent(ys, start: int, period: int, degree: int):
+    """(coefficients, first position of ``ys`` they disagree with, or None).
+
+    ``ys`` are the entries at start, start + period, ...; the fit
+    interpolates the first degree+1 of them.
+    """
+    leading, row = [], list(ys)
+    for _ in range(degree + 1):
+        leading.append(row[0])
+        row = [b - a for a, b in zip(row, row[1:])]
+    bad = next((j + degree + 1 for j, d in enumerate(row) if d), None)
+    # sum_i leading[i] * binomial((x - start) / period, i), expanded in x
+    coeffs = [Fraction(leading[degree])]
+    for i in range(degree - 1, -1, -1):
+        root, scale = start + i * period, (i + 1) * period
+        coeffs = [(lower - root * same) / scale
+                  for lower, same in zip([0] + coeffs, coeffs + [0])]
+        coeffs[0] += leading[i]
+    return tuple(coeffs), bad
 
 
 def fit_quasipolynomial(values, period: int, degree: int, threshold: int) -> Quasipolynomial:
@@ -99,9 +106,10 @@ def fit_quasipolynomial(values, period: int, degree: int, threshold: int) -> Qua
     ``values`` is a CountTable or a plain sequence indexed by atom count
     starting at 0.  Each class is interpolated on its first degree+1
     entries at indices >= threshold; every remaining entry of the class
-    must match exactly or the fit is rejected.  The returned threshold is
-    the guaranteed one; the observed threshold is lowered greedily while
-    the evaluations keep matching the table.
+    must match exactly or the fit is rejected at the smallest atom count
+    that does not.  The returned threshold is the guaranteed one; the
+    observed threshold is lowered greedily while the evaluations keep
+    matching the table.
     """
     vals = list(getattr(values, "values", values))
     a_max = len(vals) - 1
@@ -110,17 +118,17 @@ def fit_quasipolynomial(values, period: int, degree: int, threshold: int) -> Qua
         raise FitArityError(
             "need a_max >= %d for period %d, degree %d, threshold %d (got %d)"
             % (required, period, degree, threshold, a_max), required)
-    constituents = []
+    constituents, failures = [], []
     for k in range(period):
         start = threshold + (k - threshold) % period
-        xs = [start + period * i for i in range(degree + 1)]
-        coeffs = _solve_vandermonde(xs, [vals[x] for x in xs])
+        coeffs, bad = _newton_constituent(vals[start::period], start, period, degree)
         constituents.append(coeffs)
+        if bad is not None:
+            failures.append(start + period * bad)
+    if failures:
+        a = min(failures)
+        raise FitRejectedError("fitted polynomial disagrees with table at a = %d" % a, a)
     fit = Quasipolynomial(period, threshold, tuple(constituents))
-    for a in range(threshold, a_max + 1):
-        if fit.value_at(a) != vals[a]:
-            raise FitRejectedError(
-                "fitted polynomial disagrees with table at a = %d" % a, a)
     observed = threshold
     while observed > 0 and fit.value_at(observed - 1) == vals[observed - 1]:
         observed -= 1
@@ -352,12 +360,17 @@ def quasipolynomial_to_json(quasipoly: Quasipolynomial, coatom_count: int) -> di
 
 
 def quasipolynomial_from_json(data) -> tuple[int, Quasipolynomial]:
+    """(coatom count, fit) from quasipolynomial_to_json output; ValueError if malformed."""
     if isinstance(data, (str, bytes)):
         data = json.loads(data)
-    constituents = tuple(tuple(Fraction(v) for v in cs) for cs in data["constituents"])
-    if len(constituents) != data["period"]:
-        raise ValueError("expected %d constituents, got %d"
-                         % (data["period"], len(constituents)))
-    q = Quasipolynomial(data["period"], data["n0_guaranteed"], constituents,
-                        data.get("n0_observed"))
-    return data["c"], q
+    try:
+        constituents = tuple(tuple(Fraction(v) for v in cs) for cs in data["constituents"])
+        c, period, threshold = data["c"], data["period"], data["n0_guaranteed"]
+        observed = data.get("n0_observed")
+    except (KeyError, TypeError, ZeroDivisionError) as exc:
+        raise ValueError("malformed quasipolynomial (%s: %s)" % (type(exc).__name__, exc)) from None
+    if not all(type(v) is int for v in (c, period, threshold, observed or 0)) or period < 1:
+        raise ValueError("c, period and thresholds must be integers, the period positive")
+    if len(constituents) != period:
+        raise ValueError("expected %d constituents, got %d" % (period, len(constituents)))
+    return c, Quasipolynomial(period, threshold, constituents, observed)

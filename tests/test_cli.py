@@ -113,6 +113,29 @@ class TestFitEval:
         assert code == cli.EXIT_INPUT
 
 
+class TestMalformedInput:
+    @pytest.mark.parametrize("text", ["a,R\n0,0\n1\n", "a,R\n"],
+                             ids=["one-field-row", "no-rows"])
+    def test_fit_rejects_table(self, tmp_path, capsys, text):
+        path = tmp_path / "bad.csv"
+        path.write_text(text)
+        assert run_cli("fit", "--coatoms", 3, "--values", path) == cli.EXIT_INPUT
+        assert "error" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("key, value", [("constituents", None), ("coefficient", "1/0")],
+                             ids=["no-constituents", "zero-denominator"])
+    def test_eval_rejects_fit(self, tmp_path, capsys, key, value):
+        data = rank3.quasipolynomial_to_json(rank3.reference_quasipolynomial(3), 3)
+        if key == "constituents":
+            del data["constituents"]
+        else:
+            data["constituents"][0][0] = value
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps(data))
+        assert run_cli("eval", "--quasipoly", path, "--atoms", 10) == cli.EXIT_INPUT
+        assert "error" in capsys.readouterr().err
+
+
 class TestVerify:
     def test_small_run_passes(self, capsys):
         assert run_cli("verify", "--max-total", 6) == 0

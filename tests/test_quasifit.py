@@ -114,6 +114,23 @@ class TestFitting:
             rank3.fit_quasipolynomial(values, 6, 2, 3)
         assert info.value.index == 40
 
+    @pytest.mark.parametrize("corrupt, index", [
+        ((150, 101), 101),  # class of 101 is fitted after the class of 150
+        ((5,), 23),  # an interpolation point: the class fails at its next entry
+    ])
+    def test_rejection_reports_smallest_index(self, tables_to_1000, corrupt, index):
+        values = list(tables_to_1000[3].values)
+        for a in corrupt:
+            values[a] += 1
+        with pytest.raises(rank3.FitRejectedError) as info:
+            rank3.fit_quasipolynomial(values, 6, 2, 3)
+        assert info.value.index == index
+
+    def test_lower_degree_table_pads_with_zeros(self):
+        fit = rank3.fit_quasipolynomial([3 * n + 1 for n in range(30)], 2, 3, 0)
+        assert fit.constituents == ((Fraction(1), Fraction(3), Fraction(0), Fraction(0)),) * 2
+        assert all(type(v) is Fraction for cs in fit.constituents for v in cs)
+
     def test_padded_period_gives_same_values(self, tables_to_1000):
         base = rank3.fit_for_coatoms(tables_to_1000[3], 3)
         padded = rank3.fit_quasipolynomial(tables_to_1000[3], 12, 2, 3)
