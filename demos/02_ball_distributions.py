@@ -48,9 +48,9 @@ def main():
     print("=== the averaging stays exact ===")
     # coefficients are rationals with the group order in the denominator;
     # the orbit counts themselves must come out integral
-    series = rank3.function_counting_series(z, 6)
-    print("series coefficients:", series.coeffs)
-    print("coefficient type:   ", type(series.coeffs[0]).__name__)
+    counts = rank3.group_balls(z, 4, 6)
+    print("series coefficients:", counts)
+    print("coefficient type:   ", type(counts[0]).__name__)
     print("sum of cycle-index coefficients:",
           sum(Fraction(c) for _, c in z.terms))
 

@@ -41,9 +41,7 @@ from .pipeline import (
 )
 from .polya import (
     CycleIndex,
-    Series,
     cycle_index,
-    function_counting_series,
     group_balls,
 )
 from .quasifit import (
@@ -84,7 +82,6 @@ __all__ = [
     "NonIntegerValueError",
     "PermGroup",
     "Quasipolynomial",
-    "Series",
     "SizeMismatchError",
     "TheoremReport",
     "UnsupportedSizeError",
@@ -102,7 +99,6 @@ __all__ = [
     "expand_period",
     "fit_for_coatoms",
     "fit_quasipolynomial",
-    "function_counting_series",
     "generate_connection_graphs",
     "graph6_decode",
     "graph6_encode",

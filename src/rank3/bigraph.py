@@ -6,9 +6,9 @@ Coatoms are labelled 0..c-1 and every connector is identified with its
 coatom neighbourhood, stored as a bitmask over the coatom labels.
 
 The module provides the graph type itself, validity checking for the
-connection-graph invariants, a colour-respecting canonical form, the
-automorphism action restricted to the coatoms, and graph6 interchange
-with other tools.
+connection-graph invariants, a colour-respecting canonical form and the
+automorphism action restricted to the coatoms (both from one search over
+coatom relabellings), and graph6 interchange with other tools.
 """
 
 import itertools
@@ -168,9 +168,13 @@ def validate_connection_graph(graph: BicoloredGraph) -> None:
 #
 # Coatoms are first split into classes that no colour-preserving
 # isomorphism can mix, by iterated neighbourhood refinement over the
-# bipartite incidence.  Canonical labellings and automorphisms are then
-# searched only within those classes, which keeps the search spaces tiny
-# for all but the most symmetric graphs.
+# bipartite incidence.  One search then tries every relabelling that
+# sends each class onto its run of positions (tiny for all but the most
+# symmetric graphs) and keeps the least sorted mask tuple, which is the
+# canonical form, with every relabelling that attains it.  Those
+# relabellings form a coset p0 Aut: an automorphism s fixes each class
+# setwise, so p0 s attains the minimum too, and q(M) = p0(M) gives
+# p0^-1 q(M) = M.  So the same search also yields the automorphisms.
 
 
 def _partition_coatoms(c: int, masks) -> list[list[int]]:
@@ -232,17 +236,24 @@ def _block_bijections(blocks):
         yield tuple(perm)
 
 
+def _coatom_search(c: int, masks) -> tuple[tuple[int, ...], list[Permutation]]:
+    """The least sorted mapped mask tuple over the block bijections, and
+    every bijection that attains it, in enumeration order."""
+    best, winners = None, []
+    for perm in _block_bijections(_partition_coatoms(c, masks)):
+        mapped = sorted(_map_mask(m, perm) for m in masks)
+        if best is None or mapped < best:
+            best, winners = mapped, [perm]
+        elif mapped == best:
+            winners.append(perm)
+    return tuple(best), winners
+
+
 def _canonical_masks(c: int, masks) -> tuple[int, ...]:
     """Lexicographically least sorted mask tuple over the class bijections."""
     if not masks:
         return ()
-    blocks = _partition_coatoms(c, masks)
-    best = None
-    for perm in _block_bijections(blocks):
-        mapped = sorted(_map_mask(m, perm) for m in masks)
-        if best is None or mapped < best:
-            best = mapped
-    return tuple(best)
+    return _coatom_search(c, masks)[0]
 
 
 def canonicalize(graph: BicoloredGraph) -> BicoloredGraph:
@@ -270,20 +281,16 @@ def automorphism_group_on_coatoms(graph: BicoloredGraph) -> PermGroup:
     A coatom permutation extends iff it maps the multiset of connector
     neighbourhoods onto itself; the connector images are then induced by
     neighbourhood matching and carry no extra freedom worth recording.
+    The group is read off the canonical search: with p0 the first
+    bijection attaining the minimum, the automorphisms are p0^-1 q for
+    every attaining q, the identity first.
     """
-    c = graph.coatom_count
-    masks = graph.connector_masks
-    target = sorted(masks)
-    blocks = _partition_coatoms(c, masks)
-    elements = []
-    for choice in itertools.product(*(itertools.permutations(b) for b in blocks)):
-        perm = [0] * c
-        for block, image in zip(blocks, choice):
-            for member, img in zip(block, image):
-                perm[member] = img
-        if sorted(_map_mask(m, perm) for m in masks) == target:
-            elements.append(tuple(perm))
-    return PermGroup(c, elements)
+    _, winners = _coatom_search(graph.coatom_count, graph.connector_masks)
+    inverse = [0] * graph.coatom_count
+    for i, image in enumerate(winners[0]):
+        inverse[image] = i
+    return PermGroup(graph.coatom_count,
+                     [tuple(inverse[image] for image in q) for q in winners])
 
 
 # -- graph6 ------------------------------------------------------------------

@@ -73,6 +73,8 @@ def write_graph_files(directory, coatom_count: int, graphs=None) -> list[int]:
     Returns the per-r counts.
     """
     c = coatom_count
+    if c < 1:
+        raise ValueError("coatom count must be positive")
     os.makedirs(directory, exist_ok=True)
     max_r = c * (c - 1) // 2
     counts = [0] * (max_r + 1)

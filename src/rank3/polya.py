@@ -10,6 +10,7 @@ artifact.
 """
 
 from fractions import Fraction
+from itertools import accumulate
 from math import lcm
 
 from .bigraph import PermGroup
@@ -85,110 +86,15 @@ def cycle_index(group: PermGroup, degree: int | None = None) -> CycleIndex:
     return CycleIndex(degree, {expo: Fraction(n, order) for expo, n in counts.items()})
 
 
-class Series:
-    """Power series truncated at degree n_max with integer coefficients."""
+def _geometric_mul(coeffs: list[int], stride: int) -> None:
+    """Multiply a truncated series, in place, by 1 + x^stride + x^(2 stride) + ...
 
-    __slots__ = ("n_max", "coeffs")
-
-    def __init__(self, n_max: int, coeffs):
-        coeffs = list(coeffs)[:n_max + 1]
-        coeffs += [0] * (n_max + 1 - len(coeffs))
-        self.n_max = n_max
-        self.coeffs = coeffs
-
-    @classmethod
-    def one(cls, n_max: int) -> "Series":
-        return cls(n_max, [1])
-
-    @classmethod
-    def geometric(cls, stride: int, n_max: int) -> "Series":
-        """Truncation of 1 + x^stride + x^(2 stride) + ... (occupancy series)."""
-        if stride < 1:
-            raise ValueError("stride must be positive")
-        coeffs = [0] * (n_max + 1)
-        for k in range(0, n_max + 1, stride):
-            coeffs[k] = 1
-        return cls(n_max, coeffs)
-
-    def __add__(self, other):
-        self._check(other)
-        return Series(self.n_max, [a + b for a, b in zip(self.coeffs, other.coeffs)])
-
-    def __mul__(self, other):
-        """Schoolbook product, truncated at n_max."""
-        if isinstance(other, int):
-            return Series(self.n_max, [other * a for a in self.coeffs])
-        self._check(other)
-        n = self.n_max
-        out = [0] * (n + 1)
-        for i, a in enumerate(self.coeffs):
-            if a == 0:
-                continue
-            for j in range(n + 1 - i):
-                b = other.coeffs[j]
-                if b:
-                    out[i + j] += a * b
-        return Series(n, out)
-
-    __rmul__ = __mul__
-
-    def exact_div(self, k: int) -> "Series":
-        out = []
-        for a in self.coeffs:
-            q, rem = divmod(a, k)
-            if rem:
-                raise ArithmeticError("coefficient %d not divisible by %d" % (a, k))
-            out.append(q)
-        return Series(self.n_max, out)
-
-    def geometric_mul(self, stride: int) -> "Series":
-        """Product with the occupancy series of one cycle of length ``stride``.
-
-        Multiplying by 1 + x^s + x^(2s) + ... is a running sum with step s,
-        which keeps the cycle-index substitution linear in n_max instead of
-        quadratic.  Agrees with __mul__ against Series.geometric by
-        construction; the test suite checks that.
-        """
-        if stride < 1:
-            raise ValueError("stride must be positive")
-        out = list(self.coeffs)
-        for k in range(stride, self.n_max + 1):
-            out[k] += out[k - stride]
-        return Series(self.n_max, out)
-
-    def _check(self, other):
-        if not isinstance(other, Series) or other.n_max != self.n_max:
-            raise ValueError("series truncation orders differ")
-
-    def __eq__(self, other):
-        if not isinstance(other, Series):
-            return NotImplemented
-        return self.n_max == other.n_max and self.coeffs == other.coeffs
-
-    def __repr__(self):
-        return "Series(%d, %r%s)" % (self.n_max, self.coeffs[:8],
-                                     "..." if self.n_max > 7 else "")
-
-
-def function_counting_series(zindex: CycleIndex, max_degree: int) -> Series:
-    """Substitute the occupancy series into a cycle index.
-
-    Evaluates Z(A(x), A(x^2), ..., A(x^c)) with A(x) = 1 + x + x^2 + ...
-    truncated at max_degree.  The rational average is accumulated as an
-    integer combination scaled by the common denominator and divided back
-    out at the end, asserting exact divisibility.
+    That product is a running sum with step ``stride``, which keeps the
+    cycle-index substitution linear in the truncation order instead of
+    quadratic.  Each residue class modulo ``stride`` is summed on its own.
     """
-    denom = lcm(*(coeff.denominator for _, coeff in zindex.terms)) if zindex.terms else 1
-    total = Series(max_degree, [])
-    for expo, coeff in zindex.terms:
-        term = Series.one(max_degree)
-        for i, m in enumerate(expo):
-            for _ in range(m):
-                term = term.geometric_mul(i + 1)
-        weight = coeff * denom
-        assert weight.denominator == 1
-        total = total + term * int(weight)
-    return total.exact_div(denom)
+    for start in range(stride):
+        coeffs[start::stride] = accumulate(coeffs[start::stride])
 
 
 def group_balls(zindex: CycleIndex, boxes: int, max_balls: int) -> list[int]:
@@ -196,8 +102,27 @@ def group_balls(zindex: CycleIndex, boxes: int, max_balls: int) -> list[int]:
 
     Entry k counts the ways to distribute k unlabelled balls into the
     boxes, two distributions identified when some group element (via the
-    cycle index) carries one to the other.
+    cycle index) carries one to the other.  This is the substitution
+    Z(A(x), A(x^2), ..., A(x^c)) with A(x) = 1 + x + x^2 + ..., truncated
+    at max_balls.  The rational average is accumulated as an integer
+    combination scaled by the common denominator and divided back out at
+    the end, asserting exact divisibility.
     """
     if zindex.degree != boxes:
         raise ValueError("cycle index has degree %d, not %d" % (zindex.degree, boxes))
-    return list(function_counting_series(zindex, max_balls).coeffs)
+    denom = lcm(*(coeff.denominator for _, coeff in zindex.terms))
+    total = [0] * (max_balls + 1)
+    for expo, coeff in zindex.terms:
+        term = [1] + [0] * max_balls
+        for i, m in enumerate(expo):
+            for _ in range(m):
+                _geometric_mul(term, i + 1)
+        weight = coeff.numerator * (denom // coeff.denominator)
+        total = [t + weight * x for t, x in zip(total, term)]
+    out = []
+    for value in total:
+        q, rem = divmod(value, denom)
+        if rem:
+            raise ArithmeticError("coefficient %d not divisible by %d" % (value, denom))
+        out.append(q)
+    return out

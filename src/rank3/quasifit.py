@@ -2,13 +2,15 @@
 
 For fixed coatom count c the counts R(c, a) eventually agree with a
 quasipolynomial of degree c - 1 whose coefficients repeat with period
-lcm(1..c), starting no later than a = c(c-1)/2.  Each residue class of
-the table from that threshold on is a polynomial sequence of degree d
-exactly when its (d+1)-th forward differences vanish (Stanley,
-Enumerative Combinatorics I, 4.4), so the fit takes integer differences
-per class, rejects the table at the first nonzero (d+1)-th difference,
-and reads each constituent off the Newton form of the leading
-differences.  No floating point is involved anywhere.
+lcm(1..c), starting no later than a = c(c-1)/2 and, since R(c, 0) = 0
+follows no constituent, no earlier than a = 1 (which only matters for
+c = 1).  Each residue class of the table from that threshold on is a
+polynomial sequence of degree d exactly when its (d+1)-th forward
+differences vanish (Stanley, Enumerative Combinatorics I, 4.4), so the
+fit takes integer differences per class, rejects the table at the first
+nonzero (d+1)-th difference, and reads each constituent off the Newton
+form of the leading differences.  No floating point is involved
+anywhere.
 """
 
 import json
@@ -76,7 +78,7 @@ def default_fit_parameters(coatom_count: int) -> tuple[int, int, int]:
     c = coatom_count
     if c < 1:
         raise ValueError("coatom count must be positive")
-    return lcm(*range(1, c + 1)), c - 1, c * (c - 1) // 2
+    return lcm(*range(1, c + 1)), c - 1, max(1, c * (c - 1) // 2)
 
 
 def _newton_constituent(ys, start: int, period: int, degree: int):

@@ -40,6 +40,13 @@ class TestGenerate:
         lines = (tmp_path / files[0]).read_bytes().splitlines()
         assert lines == [rank3.graph6_encode(rank3.BicoloredGraph(1, [])).rstrip(b"\n")]
 
+    @pytest.mark.parametrize("coatoms", [0, -2])
+    def test_nonpositive_coatoms_write_nothing(self, tmp_path, capsys, coatoms):
+        out = tmp_path / "graphs"
+        assert run_cli("generate", "--coatoms", coatoms, "--out", out) == cli.EXIT_INPUT
+        assert "error" in capsys.readouterr().err
+        assert not out.exists() or not any(out.iterdir())
+
 
 class TestCount:
     def test_csv_matches_published_values(self, tmp_path, capsys):
@@ -91,6 +98,15 @@ class TestFitEval:
         assert run_cli("eval", "--quasipoly", fit_path, "--atoms", 1000) == 0
         out = capsys.readouterr().out
         assert out.strip().splitlines()[-1] == str(R_TABLE[3][1000])
+
+    def test_single_coatom_count_fit_eval(self, tmp_path, capsys):
+        csv_path, fit_path = tmp_path / "c1.csv", tmp_path / "c1.json"
+        assert run_cli("count", "--coatoms", 1, "--max-atoms", 20, "--out", csv_path) == 0
+        assert run_cli("fit", "--coatoms", 1, "--values", csv_path,
+                       "--out", fit_path) == 0
+        capsys.readouterr()
+        assert run_cli("eval", "--quasipoly", fit_path, "--atoms", 5) == 0
+        assert capsys.readouterr().out.strip() == "1"
 
     def test_short_table_exits_arity_code(self, tmp_path, capsys):
         short = tmp_path / "short.csv"

@@ -1,7 +1,9 @@
 """Isomorph-free generation and the independent brute-force oracle."""
 
 import itertools
+import math
 import random
+from fractions import Fraction
 
 import pytest
 
@@ -13,19 +15,18 @@ from reference_values import GRAPH_CENSUS, PER_R_COUNTS, R_TABLE
 
 
 def labeled_connection_families(c):
-    """Every set of pairwise-compatible connector masks on c labeled coatoms."""
-    pool = [m for m in range(1 << c) if m.bit_count() >= 2]
-    families = [()]
-    for size in range(1, c * (c - 1) // 2 + 1):
-        found_any = False
-        for combo in itertools.combinations(pool, size):
-            if all((x & y).bit_count() <= 1
-                   for x, y in itertools.combinations(combo, 2)):
-                families.append(combo)
-                found_any = True
-        if not found_any:
-            break
-    return families
+    """Every set of pairwise-compatible connector masks on c labeled coatoms.
+
+    A depth-first search over the mask pool: each family is extended only
+    by larger masks that share at most one coatom with all of its members.
+    """
+    def extend(family, candidates):
+        yield family
+        for k, m in enumerate(candidates):
+            yield from extend(family + (m,), [x for x in candidates[k + 1:]
+                                              if (x & m).bit_count() <= 1])
+
+    return extend((), [m for m in range(1 << c) if m.bit_count() >= 2])
 
 
 class TestGeneration:
@@ -60,6 +61,17 @@ class TestGeneration:
             }
             generated = {rank3.canonical_form(g) for g in graphs_by_c[c]}
             assert generated == all_forms
+
+    def test_orbit_stabiliser_against_labeled_count(self, graphs_by_c):
+        # a class G has c!/|Aut(G)| labelled copies, so the classes and their
+        # groups must add up to the labelled families; no published numbers
+        # are needed, and this covers the automorphism groups up to c = 6
+        for c, labeled in zip(range(1, 7), [1, 2, 9, 97, 2625, 185521]):
+            assert sum(1 for _ in labeled_connection_families(c)) == labeled
+            copies = sum(Fraction(math.factorial(c),
+                                  rank3.automorphism_group_on_coatoms(g).order)
+                         for g in graphs_by_c[c])
+            assert copies == labeled
 
     def test_deterministic_order(self):
         first = list(rank3.generate_connection_graphs(4))

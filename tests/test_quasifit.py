@@ -168,6 +168,9 @@ class TestEvaluation:
             rank3.expand_period(ref, 8)  # not a multiple of 6
 
     def test_default_parameters(self):
+        # R(c, 0) = 0 follows no constituent, so the threshold is at least 1
+        assert rank3.default_fit_parameters(1) == (1, 0, 1)
+        assert rank3.default_fit_parameters(2) == (2, 1, 1)
         assert rank3.default_fit_parameters(3) == (6, 2, 3)
         assert rank3.default_fit_parameters(4) == (12, 3, 6)
         assert rank3.default_fit_parameters(5) == (60, 4, 10)
