@@ -51,7 +51,6 @@ from .quasifit import (
     NonIntegerValueError,
     Quasipolynomial,
     TheoremReport,
-    closed_form_p,
     default_fit_parameters,
     eval_quasipolynomial,
     expand_period,
@@ -89,7 +88,6 @@ __all__ = [
     "brute_force_count",
     "canonical_form",
     "canonicalize",
-    "closed_form_p",
     "count_lattices",
     "count_lattices_stats",
     "count_r_s",

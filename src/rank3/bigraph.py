@@ -8,9 +8,12 @@ coatom neighbourhood, stored as a bitmask over the coatom labels.
 The module provides the graph type itself, validity checking for the
 connection-graph invariants, a colour-respecting canonical form and the
 automorphism action restricted to the coatoms (both from one search over
-coatom relabellings), and graph6 interchange with other tools.
+coatom relabellings, which reads each connector once as the tuple of
+coatoms it covers), and graph6 interchange with other tools (coded
+through a "0"/"1" string of the adjacency matrix's upper triangle).
 """
 
+import functools
 import itertools
 
 Permutation = tuple[int, ...]
@@ -112,7 +115,7 @@ class BicoloredGraph:
         return len(self.connector_masks)
 
     def neighborhood(self, j: int) -> frozenset:
-        return frozenset(_bits(self.connector_masks[j]))
+        return frozenset(_members(self.connector_masks[j]))
 
     def neighborhoods(self) -> tuple:
         return tuple(self.neighborhood(j) for j in range(len(self.connector_masks)))
@@ -130,16 +133,8 @@ class BicoloredGraph:
         return (BicoloredGraph.from_masks, (self.coatom_count, self.connector_masks))
 
     def __repr__(self):
-        nbs = [tuple(sorted(_bits(m))) for m in self.connector_masks]
+        nbs = [_members(m) for m in self.connector_masks]
         return "BicoloredGraph(%d, %r)" % (self.coatom_count, nbs)
-
-
-def _bits(mask: int):
-    """Indices of the set bits of ``mask``, ascending."""
-    while mask:
-        low = mask & -mask
-        yield low.bit_length() - 1
-        mask ^= low
 
 
 def validate_connection_graph(graph: BicoloredGraph) -> None:
@@ -166,86 +161,69 @@ def validate_connection_graph(graph: BicoloredGraph) -> None:
 
 # -- isomorphism machinery ---------------------------------------------------
 #
-# Coatoms are first split into classes that no colour-preserving
-# isomorphism can mix, by iterated neighbourhood refinement over the
-# bipartite incidence.  One search then tries every relabelling that
-# sends each class onto its run of positions (tiny for all but the most
-# symmetric graphs) and keeps the least sorted mask tuple, which is the
-# canonical form, with every relabelling that attains it.  Those
-# relabellings form a coset p0 Aut: an automorphism s fixes each class
-# setwise, so p0 s attains the minimum too, and q(M) = p0(M) gives
-# p0^-1 q(M) = M.  So the same search also yields the automorphisms.
+# Each connector is read once as its member tuple, the coatoms it covers.
+# Refinement over that incidence splits the coatoms into classes that no
+# colour-preserving isomorphism can mix.  One search then tries every
+# relabelling that sends each class onto its run of positions (tiny for
+# all but the most symmetric graphs), maps the member tuples through the
+# relabelling's powers of two, and keeps the least sorted mask tuple, the
+# canonical form, with every relabelling that attains it.  Those form a
+# coset p0 Aut: an automorphism s fixes each class setwise, so p0 s
+# attains the minimum too, and q(M) = p0(M) gives p0^-1 q(M) = M.  So the
+# same search also yields the automorphisms.
 
 
-def _partition_coatoms(c: int, masks) -> list[list[int]]:
-    """Partition coatoms into refinement classes, in label-independent order.
+@functools.cache
+def _members(mask: int) -> tuple[int, ...]:
+    """Indices of the set bits of ``mask``, ascending (cached: immutable, and a
+    census on c coatoms has at most 2^c distinct masks)."""
+    return tuple(i for i in range(mask.bit_length()) if mask >> i & 1)
 
-    The returned blocks are ordered by class signature, so isomorphic
-    graphs produce blocks that correspond under any isomorphism.
-    """
+
+def _coatom_search(c: int, masks) -> tuple[tuple[int, ...], list[Permutation]]:
+    """The least sorted mapped mask tuple over the class bijections, and every
+    bijection (old label -> new label) attaining it, in enumeration order."""
+    members = [_members(m) for m in masks]
+    incident = [[] for _ in range(c)]
+    for j, mem in enumerate(members):
+        for i in mem:
+            incident[i].append(j)
+    # refine integer colours until the class counts stop growing; ranking
+    # by sorted signature keeps the class order label-independent
     coat = [0] * c
-    conn = [m.bit_count() for m in masks]
+    conn = [len(mem) for mem in members]
     n_classes = (1, len(set(conn)))
     while True:
-        coat_sig = []
-        for i in range(c):
-            bit = 1 << i
-            incident = sorted(conn[j] for j, m in enumerate(masks) if m & bit)
-            coat_sig.append((coat[i], tuple(incident)))
+        coat_sig = [(coat[i], tuple(sorted([conn[j] for j in incident[i]])))
+                    for i in range(c)]
         rank = {s: k for k, s in enumerate(sorted(set(coat_sig)))}
         coat = [rank[s] for s in coat_sig]
-        conn_sig = []
-        for j, m in enumerate(masks):
-            conn_sig.append((conn[j], tuple(sorted(coat[i] for i in _bits(m)))))
+        conn_sig = [(conn[j], tuple(sorted([coat[i] for i in mem])))
+                    for j, mem in enumerate(members)]
         rank = {s: k for k, s in enumerate(sorted(set(conn_sig)))}
         conn = [rank[s] for s in conn_sig]
         now = (len(set(coat)), len(set(conn)))
         if now == n_classes:
             break
         n_classes = now
-    blocks: dict[int, list[int]] = {}
-    for i, cls in enumerate(coat):
-        blocks.setdefault(cls, []).append(i)
-    return [blocks[k] for k in sorted(blocks)]
-
-
-def _map_mask(mask: int, perm) -> int:
-    out = 0
-    for i in _bits(mask):
-        out |= 1 << perm[i]
-    return out
-
-
-def _block_bijections(blocks):
-    """All relabellings that send the k-th block onto the k-th position run.
-
-    Yields permutations in array form (old label -> new label).  Their
-    number is the product of the block-size factorials, typically 1.
-    """
-    starts = []
-    p = 0
-    for b in blocks:
-        starts.append(p)
-        p += len(b)
-    c = p
-    for choice in itertools.product(*(itertools.permutations(range(len(b))) for b in blocks)):
-        perm = [0] * c
-        for block, start, order in zip(blocks, starts, choice):
-            for offset, member in zip(order, block):
-                perm[member] = start + offset
-        yield tuple(perm)
-
-
-def _coatom_search(c: int, masks) -> tuple[tuple[int, ...], list[Permutation]]:
-    """The least sorted mapped mask tuple over the block bijections, and
-    every bijection that attains it, in enumeration order."""
+    # the k-th class goes onto the k-th run of positions, in every order
+    order = sorted(range(c), key=coat.__getitem__)
+    runs, start = [], 0
+    for k in sorted(set(coat)):
+        size = coat.count(k)
+        runs.append(itertools.permutations(range(start, start + size)))
+        start += size
     best, winners = None, []
-    for perm in _block_bijections(_partition_coatoms(c, masks)):
-        mapped = sorted(_map_mask(m, perm) for m in masks)
+    for choice in itertools.product(*runs):
+        perm = [0] * c
+        for i, image in zip(order, itertools.chain.from_iterable(choice)):
+            perm[i] = image
+        power = [1 << image for image in perm]
+        mapped = sorted([sum([power[i] for i in mem]) for mem in members])
         if best is None or mapped < best:
-            best, winners = mapped, [perm]
+            best, winners = mapped, [tuple(perm)]
         elif mapped == best:
-            winners.append(perm)
+            winners.append(tuple(perm))
     return tuple(best), winners
 
 
@@ -300,7 +278,9 @@ def automorphism_group_on_coatoms(graph: BicoloredGraph) -> PermGroup:
 # (1,2), (0,3), ..., packed six bits per byte, each byte offset by 63,
 # zero-padded, newline-terminated.  Coatoms occupy vertex indices 0..c-1
 # and connectors c..c+r-1; the (c, r) split travels out of band, here via
-# the file naming convention conn_c{c}_r{r}.g6.
+# the file naming convention conn_c{c}_r{r}.g6.  Both directions work on
+# the upper triangle as a string of "0"/"1" characters, in which row v,
+# the pairs (0, v) .. (v-1, v), is the slice [v(v-1)/2, v(v+1)/2).
 
 
 def graph6_encode(graph: BicoloredGraph) -> bytes:
@@ -309,22 +289,13 @@ def graph6_encode(graph: BicoloredGraph) -> bytes:
     n = c + len(masks)
     if n > 62:
         raise UnsupportedSizeError("graph6 short form limited to 62 vertices, got %d" % n)
-    bits = []
-    for v in range(1, n):
-        for u in range(v):
-            if v >= c and u < c:
-                bits.append((masks[v - c] >> u) & 1)
-            else:
-                bits.append(0)
-    out = [63 + n]
-    for k in range(0, len(bits), 6):
-        group = bits[k:k + 6]
-        group += [0] * (6 - len(group))
-        val = 0
-        for b in group:
-            val = (val << 1) | b
-        out.append(63 + val)
-    return bytes(out) + b"\n"
+    # coatom rows are empty; connector row c + j is its mask, lowest bit
+    # first, then j zeros for the earlier connectors
+    bits = "0" * (c * (c - 1) // 2) + "".join(
+        [bin(m | 1 << c)[:2:-1] + "0" * j for j, m in enumerate(masks)])
+    bits += "0" * (-len(bits) % 6)
+    return bytes([63 + n] + [63 + int(bits[k:k + 6], 2)
+                             for k in range(0, len(bits), 6)]) + b"\n"
 
 
 def graph6_decode(line: bytes, coatom_count: int, connector_count: int) -> BicoloredGraph:
@@ -352,23 +323,22 @@ def graph6_decode(line: bytes, coatom_count: int, connector_count: int) -> Bicol
     nbytes = (nbits + 5) // 6
     if len(data) - 1 != nbytes:
         raise Graph6Error("expected %d payload bytes, got %d" % (nbytes, len(data) - 1))
-    bits = []
     for byte in data[1:]:
         if not 63 <= byte <= 126:
             raise Graph6Error("byte %r outside graph6 range" % bytes([byte]))
-        val = byte - 63
-        bits.extend((val >> shift) & 1 for shift in range(5, -1, -1))
-    if any(bits[nbits:]):
+    bits = "".join([format(byte - 63, "06b") for byte in data[1:]])
+    if "1" in bits[nbits:]:
         raise Graph6Error("nonzero padding bits")
     c = coatom_count
-    masks = [0] * connector_count
-    k = 0
-    for v in range(1, n):
-        for u in range(v):
-            if bits[k]:
-                if v < c or u >= c:
-                    raise ClassViolationError(
-                        "edge (%d, %d) lies inside one colour class" % (u, v))
-                masks[v - c] |= 1 << u
-            k += 1
+    masks = []
+    for v in range(n):
+        # row v holds the pairs (u, v) for u < v; an edge is allowed only
+        # from a connector row (v >= c) to a coatom column (u < c)
+        row = bits[v * (v - 1) // 2:v * (v + 1) // 2]
+        u = row.find("1", c if 0 <= c <= v else 0)
+        if u >= 0:
+            raise ClassViolationError(
+                "edge (%d, %d) lies inside one colour class" % (u, v))
+        if v >= c:
+            masks.append(int("0" + row[:c][::-1], 2))
     return BicoloredGraph.from_masks(c, masks)

@@ -19,7 +19,7 @@ from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from operator import add
 
-from .bigraph import automorphism_group_on_coatoms, graph6_decode
+from .bigraph import automorphism_group_on_coatoms, graph6_decode, validate_connection_graph
 from .genconn import count_r_s, generate_connection_graphs, graph_file_name
 from .polya import cycle_index, group_balls
 
@@ -140,18 +140,34 @@ def read_csv(path, coatom_count: int) -> CountTable:
 
 
 def iter_graph_dir(directory, coatom_count: int):
-    """Yield graphs from conn_c{c}_r{r}.g6 files, ascending in r."""
+    """Yield the graphs of a census written by write_graph_files, ascending in r.
+
+    Every stratum file conn_c{c}_r{r}.g6 must hold exactly as many graphs
+    as conn_c{c}.manifest lists for it, and every graph must be a valid
+    connection graph, so a damaged census raises GraphInputError instead
+    of counting a wrong table.  Line counts are checked before a
+    stratum's first graph is yielded.
+    """
     c = coatom_count
-    found = False
+    manifest = os.path.join(directory, "conn_c%d.manifest" % c)
+    try:
+        with open(manifest) as fh:
+            listed = dict(line.split() for line in fh)
+    except FileNotFoundError:
+        raise GraphInputError("no manifest %r for %d coatoms" % (manifest, c)) from None
+    except ValueError:
+        raise GraphInputError("malformed manifest %r" % manifest) from None
     for r in range(c * (c - 1) // 2 + 1):
-        path = os.path.join(directory, graph_file_name(c, r))
-        if not os.path.exists(path):
-            continue
-        found = True
-        with open(path, "rb") as fh:
-            for line in fh:
-                if line.strip():
-                    yield graph6_decode(line, c, r)
-    if not found:
-        raise GraphInputError("no %s files for %d coatoms in %r"
-                              % (graph_file_name(c, 0).replace("_r0", "_r*"), c, directory))
+        name = graph_file_name(c, r)
+        with open(os.path.join(directory, name), "rb") as fh:
+            lines = [line for line in fh if line.strip()]
+        if str(len(lines)) != listed.get(name):
+            raise GraphInputError("%s holds %d graphs, %r lists %s"
+                                  % (name, len(lines), manifest, listed.get(name)))
+        for k, line in enumerate(lines, 1):
+            graph = graph6_decode(line, c, r)
+            try:
+                validate_connection_graph(graph)
+            except ValueError as exc:
+                raise GraphInputError("%s line %d: %s" % (name, k, exc)) from None
+            yield graph

@@ -58,12 +58,9 @@ class CycleIndex:
         return "CycleIndex(%d, %s)" % (self.degree, " + ".join(parts) or "0")
 
 
-def cycle_index(group: PermGroup, degree: int | None = None) -> CycleIndex:
+def cycle_index(group: PermGroup) -> CycleIndex:
     """Cycle index (1/|G|) sum over g of t_1^m_1(g) ... t_c^m_c(g)."""
-    if degree is None:
-        degree = group.degree
-    if degree != group.degree:
-        raise ValueError("group acts on %d points, not %d" % (group.degree, degree))
+    degree = group.degree
     if len(group) == 0:
         raise ValueError("group must contain at least the identity")
     counts: dict[tuple, int] = {}

@@ -176,17 +176,6 @@ def p21(n: int) -> int:
     return (n + 2) ** 2 // 4 if n >= 0 else 0
 
 
-CLOSED_FORMS = {"p2": p2, "p3": p3, "p21": p21}
-
-
-def closed_form_p(kind: str, n: int) -> int:
-    try:
-        return CLOSED_FORMS[kind](n)
-    except KeyError:
-        raise ValueError("unknown closed form %r (one of %s)"
-                         % (kind, ", ".join(sorted(CLOSED_FORMS)))) from None
-
-
 # -- published reference forms ---------------------------------------------------
 #
 # Exact closed forms for small coatom counts, stated once here and used

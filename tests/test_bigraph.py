@@ -1,14 +1,48 @@
 """Bicolored graphs: construction, canonical forms, automorphisms, graph6."""
 
+import hashlib
 import itertools
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import rank3
-from rank3.bigraph import _canonical_masks, _map_mask
+from rank3.bigraph import _canonical_masks
 
 from reference_values import GRAPH_CENSUS
+
+# sha256 of the census as graph6 bytes, b"".join(graph6_encode(g) for g in
+# generate_connection_graphs(c)), recorded from the generator before its
+# search and codec were rewritten: any byte they move shows here
+CENSUS_SHA256 = {
+    1: "ecf5de1a2ecc66a1876a832804c64f6b5125784e94c82285d9720621c613ab46",
+    2: "3ebd7fe1ad9b16c3c1a4da758bcb89ff7ca7f06fde3dcaee7226a102dee0f185",
+    3: "a8cfec086c6ea41e8e4bfb09e30e18ca0a2f5637ab4b1f1be43623ce739788cf",
+    4: "34ef9804af988c340fefe1af4401a3130527c7eb7fbd74f561938a964363e7a7",
+    5: "3b3f9d370fecb275b137b7953585b6ce686500bab0b8cdbf2c8b0f25210e15f2",
+    6: "2f3432b33b09b5bc15e8a552166c8e1a272721f864c99ec75c46f41659ec7c8e",
+    7: "3719b507440be73a2411365ec6c4ab9a21dad47bc592b66bd02a09569eeaf0f0",
+}
+
+
+def census_sha256(graphs):
+    return hashlib.sha256(b"".join(rank3.graph6_encode(g) for g in graphs)).hexdigest()
+
+
+@st.composite
+def bicolored_graphs(draw):
+    """Any coatom/connector split of at most 62 vertices, any neighbourhoods."""
+    c = draw(st.integers(0, 62))
+    r = draw(st.integers(0, 62 - c))
+    masks = draw(st.lists(st.integers(0, (1 << c) - 1), min_size=r, max_size=r))
+    return rank3.BicoloredGraph.from_masks(c, masks)
+
+
+def map_mask(mask, perm):
+    """Oracle: the image of a coatom mask under a relabelling, bit by bit."""
+    return sum(1 << image for i, image in enumerate(perm) if mask >> i & 1)
 
 
 def all_coatom_perms(graph):
@@ -16,7 +50,7 @@ def all_coatom_perms(graph):
     target = sorted(graph.connector_masks)
     found = []
     for perm in itertools.permutations(range(graph.coatom_count)):
-        mapped = sorted(_map_mask(m, perm) for m in graph.connector_masks)
+        mapped = sorted(map_mask(m, perm) for m in graph.connector_masks)
         if mapped == target:
             found.append(perm)
     return set(found)
@@ -26,7 +60,7 @@ def relabeled(graph, rng):
     """A random coatom relabeling plus connector shuffle of the same graph."""
     perm = list(range(graph.coatom_count))
     rng.shuffle(perm)
-    masks = [_map_mask(m, perm) for m in graph.connector_masks]
+    masks = [map_mask(m, perm) for m in graph.connector_masks]
     rng.shuffle(masks)
     return rank3.BicoloredGraph(graph.coatom_count, masks)
 
@@ -139,7 +173,7 @@ class TestCanonicalForm:
                 ):
                     continue
                 full = min(
-                    tuple(sorted(_map_mask(m, p) for m in masks))
+                    tuple(sorted(map_mask(m, p) for m in masks))
                     for p in itertools.permutations(range(3))
                 ) if masks else ()
                 restricted = _canonical_masks(3, masks)
@@ -211,6 +245,32 @@ class TestGraph6:
                 line = rank3.graph6_encode(g)
                 back = rank3.graph6_decode(line, c, g.connector_count)
                 assert back == g
+
+    @settings(max_examples=300, deadline=None)
+    @given(bicolored_graphs(), st.data())
+    def test_roundtrip_and_edge_inside_class(self, g, data):
+        c, r = g.coatom_count, g.connector_count
+        line = rank3.graph6_encode(g)
+        assert rank3.graph6_decode(line, c, r) == g
+        # add one edge (u, v) within the coatoms or within the connectors
+        classes = [(start, size) for start, size in ((0, c), (c, r)) if size >= 2]
+        if not classes:
+            return
+        start, size = data.draw(st.sampled_from(classes))
+        u, v = sorted(data.draw(st.lists(st.integers(start, start + size - 1),
+                                         min_size=2, max_size=2, unique=True)))
+        k = v * (v - 1) // 2 + u
+        bad = bytearray(line)
+        bad[1 + k // 6] = 63 + ((bad[1 + k // 6] - 63) | 1 << (5 - k % 6))
+        with pytest.raises(rank3.ClassViolationError, match=r"edge \(%d, %d\)" % (u, v)):
+            rank3.graph6_decode(bytes(bad), c, r)
+
+    def test_census_bytes_unchanged(self, graphs_by_c):
+        for c, graphs in graphs_by_c.items():
+            assert census_sha256(graphs) == CENSUS_SHA256[c]
+
+    def test_seven_coatom_census_bytes_unchanged(self, graphs_c7):
+        assert census_sha256(graphs_c7) == CENSUS_SHA256[7]
 
     def test_decode_accepts_str_and_stripped(self):
         g = rank3.BicoloredGraph(2, [{0, 1}])

@@ -82,6 +82,43 @@ class TestCount:
         assert "error" in capsys.readouterr().err
 
 
+def _drop_last_line(directory):
+    path = directory / "conn_c5_r4.g6"
+    path.write_bytes(b"".join(path.read_bytes().splitlines(keepends=True)[:-1]))
+
+
+def _repeat_first_line(directory):
+    path = directory / "conn_c5_r4.g6"
+    path.write_bytes(path.read_bytes().splitlines(keepends=True)[0] + path.read_bytes())
+
+
+def _remove_manifest(directory):
+    (directory / "conn_c5.manifest").unlink()
+
+
+def _one_coatom_connector(directory):
+    # same line count, but a connector covering a single coatom
+    (directory / "conn_c5_r1.g6").write_bytes(
+        rank3.graph6_encode(rank3.BicoloredGraph(5, [{0}])))
+
+
+class TestDamagedCensus:
+    @pytest.mark.parametrize("damage", [_drop_last_line, _repeat_first_line,
+                                        _remove_manifest, _one_coatom_connector],
+                             ids=["truncated", "extra-line", "no-manifest", "invalid-graph"])
+    def test_count_exits_input_code(self, tmp_path, capsys, damage):
+        graphs = tmp_path / "graphs"
+        assert run_cli("generate", "--coatoms", 5, "--out", graphs) == 0
+        damage(graphs)
+        capsys.readouterr()
+        out = tmp_path / "c5.csv"
+        code = run_cli("count", "--coatoms", 5, "--max-atoms", 11,
+                       "--graphs", graphs, "--out", out)
+        assert code == cli.EXIT_INPUT
+        assert "error" in capsys.readouterr().err
+        assert not out.exists()
+
+
 class TestFitEval:
     @pytest.fixture()
     def c3_csv(self, tmp_path, tables_to_1000):

@@ -1,5 +1,6 @@
-"""Each narrative demo runs to completion as a script."""
+"""Each narrative demo runs to completion as a script; the README quickstart holds."""
 
+import doctest
 import os
 import subprocess
 import sys
@@ -18,3 +19,8 @@ def test_demo_exits_cleanly(demo):
                           text=True, timeout=300)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout
+
+
+def test_readme_quickstart():
+    result = doctest.testfile(str(ROOT / "README.md"), module_relative=False)
+    assert result.attempted and not result.failed

@@ -8,10 +8,20 @@ from fractions import Fraction
 import pytest
 
 import rank3
-from rank3.bigraph import _map_mask
 from rank3.genconn import _relabel_can_shrink
 
 from reference_values import GRAPH_CENSUS, PER_R_COUNTS, R_TABLE
+
+
+def map_mask(mask, perm):
+    """Oracle: the image of a coatom mask under a relabelling, bit by bit."""
+    return sum(1 << image for i, image in enumerate(perm) if mask >> i & 1)
+
+
+def labeled_copies(c, graphs):
+    """Sum over the classes of c!/|Aut|: the labelled families they stand for."""
+    return sum(Fraction(math.factorial(c), rank3.automorphism_group_on_coatoms(g).order)
+               for g in graphs)
 
 
 def labeled_connection_families(c):
@@ -68,10 +78,13 @@ class TestGeneration:
         # are needed, and this covers the automorphism groups up to c = 6
         for c, labeled in zip(range(1, 7), [1, 2, 9, 97, 2625, 185521]):
             assert sum(1 for _ in labeled_connection_families(c)) == labeled
-            copies = sum(Fraction(math.factorial(c),
-                                  rank3.automorphism_group_on_coatoms(g).order)
-                         for g in graphs_by_c[c])
-            assert copies == labeled
+            assert labeled_copies(c, graphs_by_c[c]) == labeled
+
+    @pytest.mark.slow
+    def test_orbit_stabiliser_at_seven_coatoms(self, graphs_c7):
+        # the same check on the c = 7 census; the labelled DFS takes about a minute
+        assert sum(1 for _ in labeled_connection_families(7)) == 35406319
+        assert labeled_copies(7, graphs_c7) == 35406319
 
     def test_deterministic_order(self):
         first = list(rank3.generate_connection_graphs(4))
@@ -154,7 +167,7 @@ class TestRelabelPruning:
             seq = sorted(rng.randint(1, (1 << c) - 1) for _ in range(length))
             target = tuple(seq)
             oracle = any(
-                tuple(sorted(_map_mask(m, p) for m in seq)) < target
+                tuple(sorted(map_mask(m, p) for m in seq)) < target
                 for p in itertools.permutations(range(c))
             )
             assert _relabel_can_shrink(c, seq) == oracle
@@ -163,7 +176,7 @@ class TestRelabelPruning:
         # lexicographically smallest relabelings must be fixed points
         for g in graphs_by_c[4]:
             best = min(
-                tuple(sorted(_map_mask(m, p) for m in g.connector_masks))
+                tuple(sorted(map_mask(m, p) for m in g.connector_masks))
                 for p in itertools.permutations(range(4))
             )
             assert not _relabel_can_shrink(4, list(best))

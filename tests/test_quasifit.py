@@ -47,11 +47,6 @@ class TestClosedForms:
             assert f(-1) == 0
             assert f(-5) == 0
 
-    def test_dispatch(self):
-        assert rank3.closed_form_p("p3", 6) == rank3.p3(6)
-        with pytest.raises(ValueError):
-            rank3.closed_form_p("p99", 1)
-
 
 class TestFitting:
     def test_two_coatoms_is_linear(self, tables_to_1000):
