@@ -63,14 +63,6 @@ class PermGroup:
     def __len__(self):
         return len(self.elements)
 
-    def __eq__(self, other):
-        if not isinstance(other, PermGroup):
-            return NotImplemented
-        return self.degree == other.degree and set(self.elements) == set(other.elements)
-
-    def __hash__(self):
-        return hash((self.degree, frozenset(self.elements)))
-
     def __repr__(self):
         return "PermGroup(degree=%d, order=%d)" % (self.degree, len(self.elements))
 
@@ -106,10 +98,6 @@ class BicoloredGraph:
         self.coatom_count = coatom_count
         self.connector_masks = tuple(masks)
 
-    @classmethod
-    def from_masks(cls, coatom_count: int, masks) -> "BicoloredGraph":
-        return cls(coatom_count, tuple(masks))
-
     @property
     def connector_count(self) -> int:
         return len(self.connector_masks)
@@ -130,7 +118,7 @@ class BicoloredGraph:
         return hash((self.coatom_count, self.connector_masks))
 
     def __reduce__(self):
-        return (BicoloredGraph.from_masks, (self.coatom_count, self.connector_masks))
+        return (BicoloredGraph, (self.coatom_count, self.connector_masks))
 
     def __repr__(self):
         nbs = [_members(m) for m in self.connector_masks]
@@ -164,13 +152,14 @@ def validate_connection_graph(graph: BicoloredGraph) -> None:
 # Each connector is read once as its member tuple, the coatoms it covers.
 # Refinement over that incidence splits the coatoms into classes that no
 # colour-preserving isomorphism can mix.  One search then tries every
-# relabelling that sends each class onto its run of positions (tiny for
-# all but the most symmetric graphs), maps the member tuples through the
-# relabelling's powers of two, and keeps the least sorted mask tuple, the
-# canonical form, with every relabelling that attains it.  Those form a
-# coset p0 Aut: an automorphism s fixes each class setwise, so p0 s
-# attains the minimum too, and q(M) = p0(M) gives p0^-1 q(M) = M.  So the
-# same search also yields the automorphisms.
+# order of every class (tiny for all but the most symmetric graphs),
+# chains the orders in colour order and relabels each coatom by its index
+# in the chain, so each class goes onto its own run of positions.  It maps
+# the member tuples through the relabelling's powers of two and keeps the
+# least sorted mask tuple, the canonical form, with every relabelling that
+# attains it.  Those form a coset p0 Aut: an automorphism s fixes each
+# class setwise, so p0 s attains the minimum too, and q(M) = p0(M) gives
+# p0^-1 q(M) = M.  So the same search also yields the automorphisms.
 
 
 @functools.cache
@@ -181,8 +170,8 @@ def _members(mask: int) -> tuple[int, ...]:
 
 
 def _coatom_search(c: int, masks) -> tuple[tuple[int, ...], list[Permutation]]:
-    """The least sorted mapped mask tuple over the class bijections, and every
-    bijection (old label -> new label) attaining it, in enumeration order."""
+    """The least sorted mapped mask tuple over the class orders, and every
+    relabelling (old label -> new label) attaining it, in enumeration order."""
     members = [_members(m) for m in masks]
     incident = [[] for _ in range(c)]
     for j, mem in enumerate(members):
@@ -206,17 +195,14 @@ def _coatom_search(c: int, masks) -> tuple[tuple[int, ...], list[Permutation]]:
         if now == n_classes:
             break
         n_classes = now
-    # the k-th class goes onto the k-th run of positions, in every order
-    order = sorted(range(c), key=coat.__getitem__)
-    runs, start = [], 0
-    for k in sorted(set(coat)):
-        size = coat.count(k)
-        runs.append(itertools.permutations(range(start, start + size)))
-        start += size
+    # the final colours are 0..K-1: classes[k] holds colour k in label order
+    classes = [[] for _ in range(n_classes[0])]
+    for i, k in enumerate(coat):
+        classes[k].append(i)
     best, winners = None, []
-    for choice in itertools.product(*runs):
+    for choice in itertools.product(*map(itertools.permutations, classes)):
         perm = [0] * c
-        for i, image in zip(order, itertools.chain.from_iterable(choice)):
+        for image, i in enumerate(itertools.chain.from_iterable(choice)):
             perm[i] = image
         power = [1 << image for image in perm]
         mapped = sorted([sum([power[i] for i in mem]) for mem in members])
@@ -236,7 +222,7 @@ def _canonical_masks(c: int, masks) -> tuple[int, ...]:
 
 def canonicalize(graph: BicoloredGraph) -> BicoloredGraph:
     """Isomorphic copy in canonical labelling, connectors sorted by mask."""
-    return BicoloredGraph.from_masks(
+    return BicoloredGraph(
         graph.coatom_count, _canonical_masks(graph.coatom_count, graph.connector_masks))
 
 
@@ -341,4 +327,4 @@ def graph6_decode(line: bytes, coatom_count: int, connector_count: int) -> Bicol
                 "edge (%d, %d) lies inside one colour class" % (u, v))
         if v >= c:
             masks.append(int("0" + row[:c][::-1], 2))
-    return BicoloredGraph.from_masks(c, masks)
+    return BicoloredGraph(c, masks)

@@ -145,8 +145,8 @@ def main(argv=None) -> int:
     except quasifit.FitRejectedError as exc:
         print("error: %s" % exc, file=sys.stderr)
         return EXIT_REJECTED
-    except (bigraph.Graph6Error, bigraph.UnsupportedSizeError,
-            pipeline.GraphInputError, OSError, ValueError) as exc:
+    except (bigraph.Graph6Error, bigraph.UnsupportedSizeError, pipeline.GraphInputError,
+            quasifit.NonIntegerValueError, OSError, ValueError) as exc:
         print("error: %s" % exc, file=sys.stderr)
         return EXIT_INPUT
 

@@ -12,6 +12,7 @@ multisets.  It shares no counting machinery with the generator or the
 cycle-index pipeline on purpose: it is the cross-check.
 """
 
+import contextlib
 import os
 
 from .bigraph import BicoloredGraph, _canonical_masks, graph6_encode
@@ -28,18 +29,19 @@ def count_r_s(graph: BicoloredGraph) -> tuple[int, int]:
 def generate_connection_graphs(coatom_count: int):
     """Yield one representative per isomorphism class of connection graphs.
 
-    Output comes in ascending connector count r, sorted by canonical form
-    within each stratum, each graph in its canonical labelling.  The
-    stratum for r+1 is built by extending every class of stratum r with
-    each compatible new neighbourhood and deduplicating up to isomorphism;
-    removing a connector never breaks validity, so this reaches every
-    class.  Two runs produce byte-identical output.
+    Output comes in ascending connector count r, each graph in its
+    canonical labelling.  The stratum for r+1 is built by extending every
+    class of stratum r with each compatible new neighbourhood and
+    deduplicating the canonical masks; removing a connector never breaks
+    validity, so this reaches every class.  Each stratum is sorted once by
+    graph6 bytes, and its masks seed the next, so two runs produce
+    byte-identical output.
     """
     c = coatom_count
     if c < 1:
         raise ValueError("coatom count must be positive")
     pool = [m for m in range(1 << c) if m.bit_count() >= 2]
-    yield BicoloredGraph.from_masks(c, ())
+    yield BicoloredGraph(c)
     level: list[tuple[int, ...]] = [()]
     for _r in range(1, c * (c - 1) // 2 + 1):
         seen = set()
@@ -48,17 +50,9 @@ def generate_connection_graphs(coatom_count: int):
                 if any((m & x).bit_count() > 1 for x in fam):
                     continue
                 seen.add(_canonical_masks(c, fam + (m,)))
-        ordered = []
-        for canon in seen:
-            g = BicoloredGraph.from_masks(c, canon)
-            ordered.append((graph6_encode(g), g, canon))
-        ordered.sort(key=lambda entry: entry[0])
-        level = []
-        for _, g, canon in ordered:
-            level.append(canon)
-            yield g
-        if not level:
-            break
+        graphs = sorted((BicoloredGraph(c, canon) for canon in seen), key=graph6_encode)
+        level = [g.connector_masks for g in graphs]
+        yield from graphs
 
 
 def graph_file_name(coatom_count: int, connector_count: int) -> str:
@@ -69,8 +63,13 @@ def write_graph_files(directory, coatom_count: int, graphs=None) -> list[int]:
     """Write per-stratum graph6 files conn_c{c}_r{r}.g6 plus a manifest.
 
     One file per r = 0..c(c-1)/2 (empty strata get empty files), and a
-    manifest listing the per-file counts with a final total line.
-    Returns the per-r counts.
+    manifest listing the per-file counts with a final total line.  Each
+    file streams to a temporary name (".tmp" appended); the strata are
+    renamed into place only after the last graph, the manifest last.  A
+    graph on other than c coatoms, or with more than c(c-1)/2
+    connectors, raises ValueError.  On any failure the temporary files
+    are removed and the previous census is left untouched.  Returns the
+    per-r counts.
     """
     c = coatom_count
     if c < 1:
@@ -78,20 +77,29 @@ def write_graph_files(directory, coatom_count: int, graphs=None) -> list[int]:
     os.makedirs(directory, exist_ok=True)
     max_r = c * (c - 1) // 2
     counts = [0] * (max_r + 1)
-    handles = [open(os.path.join(directory, graph_file_name(c, r)), "wb")
-               for r in range(max_r + 1)]
+    names = [graph_file_name(c, r) for r in range(max_r + 1)] + ["conn_c%d.manifest" % c]
+    paths = [os.path.join(directory, name) for name in names]
     try:
-        for g in (graphs if graphs is not None else generate_connection_graphs(c)):
-            r = g.connector_count
-            handles[r].write(graph6_encode(g))
-            counts[r] += 1
-    finally:
-        for h in handles:
-            h.close()
-    with open(os.path.join(directory, "conn_c%d.manifest" % c), "w") as fh:
-        for r, n in enumerate(counts):
-            fh.write("%s %d\n" % (graph_file_name(c, r), n))
-        fh.write("total %d\n" % sum(counts))
+        with contextlib.ExitStack() as stack:
+            handles = [stack.enter_context(open(path + ".tmp", "wb")) for path in paths[:-1]]
+            for g in (graphs if graphs is not None else generate_connection_graphs(c)):
+                r = g.connector_count
+                if g.coatom_count != c or r > max_r:
+                    raise ValueError("graph with %d coatoms and %d connectors does not "
+                                     "belong to a census on %d coatoms" % (g.coatom_count, r, c))
+                handles[r].write(graph6_encode(g))
+                counts[r] += 1
+        with open(paths[-1] + ".tmp", "w") as fh:
+            for r, n in enumerate(counts):
+                fh.write("%s %d\n" % (graph_file_name(c, r), n))
+            fh.write("total %d\n" % sum(counts))
+        for path in paths:
+            os.replace(path + ".tmp", path)
+    except BaseException:
+        for path in paths:
+            with contextlib.suppress(FileNotFoundError):
+                os.remove(path + ".tmp")
+        raise
     return counts
 
 

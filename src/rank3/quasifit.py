@@ -360,6 +360,8 @@ def quasipolynomial_from_json(data) -> tuple[int, Quasipolynomial]:
         observed = data.get("n0_observed")
     except (KeyError, TypeError, ZeroDivisionError) as exc:
         raise ValueError("malformed quasipolynomial (%s: %s)" % (type(exc).__name__, exc)) from None
+    if not all(type(v) in (int, str) for cs in data["constituents"] for v in cs):
+        raise ValueError("coefficients must be integers or exact \"p/q\" strings")
     if not all(type(v) is int for v in (c, period, threshold, observed or 0)) or period < 1:
         raise ValueError("c, period and thresholds must be integers, the period positive")
     if len(constituents) != period:

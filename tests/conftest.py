@@ -17,7 +17,7 @@ def graphs_by_c():
 
 @pytest.fixture(scope="session")
 def graphs_c7():
-    """The 7-coatom census (about ten seconds to build)."""
+    """The 7-coatom census (about twenty seconds to build)."""
     t0 = time.time()
     graphs = list(rank3.generate_connection_graphs(7))
     _c7_timing["seconds"] = time.time() - t0

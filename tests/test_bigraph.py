@@ -37,7 +37,7 @@ def bicolored_graphs(draw):
     c = draw(st.integers(0, 62))
     r = draw(st.integers(0, 62 - c))
     masks = draw(st.lists(st.integers(0, (1 << c) - 1), min_size=r, max_size=r))
-    return rank3.BicoloredGraph.from_masks(c, masks)
+    return rank3.BicoloredGraph(c, masks)
 
 
 def map_mask(mask, perm):
@@ -73,7 +73,7 @@ class TestConstruction:
         assert g.connector_masks == (0b011, 0b110)
 
     def test_from_masks(self):
-        g = rank3.BicoloredGraph.from_masks(3, (0b011, 0b110))
+        g = rank3.BicoloredGraph(3, (0b011, 0b110))
         assert g == rank3.BicoloredGraph(3, [{0, 1}, {1, 2}])
 
     def test_neighborhoods(self):
@@ -85,7 +85,7 @@ class TestConstruction:
         with pytest.raises(ValueError):
             rank3.BicoloredGraph(3, [{0, 3}])
         with pytest.raises(ValueError):
-            rank3.BicoloredGraph.from_masks(3, (0b1000,))
+            rank3.BicoloredGraph(3, (0b1000,))
 
     def test_rejects_negative_sizes(self):
         with pytest.raises(ValueError):
@@ -98,11 +98,12 @@ class TestConstruction:
         assert a == b and hash(a) == hash(b)
         assert a != c
 
-    def test_pickle_roundtrip(self):
+    def test_pickle_roundtrip(self, graphs_by_c):
         import pickle
 
-        g = rank3.BicoloredGraph(4, [{0, 1}, {1, 2}, {2, 3}])
-        assert pickle.loads(pickle.dumps(g)) == g
+        graphs = [rank3.BicoloredGraph(4, [{0, 1}, {1, 2}, {2, 3}]), rank3.BicoloredGraph(0)]
+        for g in graphs + [g for c in range(1, 5) for g in graphs_by_c[c]]:
+            assert pickle.loads(pickle.dumps(g)) == g
 
 
 class TestValidation:
@@ -222,6 +223,12 @@ class TestAutomorphisms:
             for p in elems:
                 for q in elems:
                     assert tuple(p[q[i]] for i in range(4)) in elems
+
+    def test_identity_first(self, graphs_by_c):
+        for c in range(1, 7):
+            for g in graphs_by_c[c]:
+                grp = rank3.automorphism_group_on_coatoms(g)
+                assert grp.elements[0] == tuple(range(c))
 
     def test_permgroup_rejects_non_permutation(self):
         with pytest.raises(ValueError):

@@ -175,14 +175,18 @@ class TestMalformedInput:
         assert run_cli("fit", "--coatoms", 3, "--values", path) == cli.EXIT_INPUT
         assert "error" in capsys.readouterr().err
 
-    @pytest.mark.parametrize("key, value", [("constituents", None), ("coefficient", "1/0")],
-                             ids=["no-constituents", "zero-denominator"])
+    @pytest.mark.parametrize("key, value", [
+        ("constituents", None), ("coefficient", "1/0"),
+        ("constituents", [["1/2", "1"]]), ("constituents", [[0.1, 1]]),
+    ], ids=["no-constituents", "zero-denominator", "non-integer-value", "float-coefficient"])
     def test_eval_rejects_fit(self, tmp_path, capsys, key, value):
         data = rank3.quasipolynomial_to_json(rank3.reference_quasipolynomial(3), 3)
-        if key == "constituents":
+        if key == "coefficient":
+            data["constituents"][0][0] = value
+        elif value is None:
             del data["constituents"]
         else:
-            data["constituents"][0][0] = value
+            data.update(constituents=value, period=1)
         path = tmp_path / "bad.json"
         path.write_text(json.dumps(data))
         assert run_cli("eval", "--quasipoly", path, "--atoms", 10) == cli.EXIT_INPUT

@@ -13,6 +13,11 @@ from rank3.genconn import _relabel_can_shrink
 from reference_values import GRAPH_CENSUS, PER_R_COUNTS, R_TABLE
 
 
+def census_bytes(directory):
+    """Every file of a census directory, name -> bytes."""
+    return {p.name: p.read_bytes() for p in directory.iterdir()}
+
+
 def map_mask(mask, perm):
     """Oracle: the image of a coatom mask under a relabelling, bit by bit."""
     return sum(1 << image for i, image in enumerate(perm) if mask >> i & 1)
@@ -66,7 +71,7 @@ class TestGeneration:
     def test_complete_against_labeled_enumeration(self, graphs_by_c):
         for c in range(1, 5):
             all_forms = {
-                rank3.canonical_form(rank3.BicoloredGraph.from_masks(c, masks))
+                rank3.canonical_form(rank3.BicoloredGraph(c, masks))
                 for masks in labeled_connection_families(c)
             }
             generated = {rank3.canonical_form(g) for g in graphs_by_c[c]}
@@ -123,6 +128,32 @@ class TestGraphFiles:
         assert "total 5" in manifest
         for r, n in enumerate(PER_R_COUNTS[3]):
             assert "%s %d" % (rank3.graph_file_name(3, r), n) in manifest
+
+    @pytest.mark.parametrize("c, foreign", [
+        (3, lambda graphs: graphs[4]),
+        (4, lambda graphs: graphs[3]),
+        (3, lambda graphs: [rank3.BicoloredGraph(3, (0b011, 0b101, 0b110, 0b111))]),
+    ], ids=["more-coatoms", "fewer-coatoms", "too-many-connectors"])
+    def test_foreign_graphs_leave_census(self, tmp_path, graphs_by_c, c, foreign):
+        rank3.write_graph_files(tmp_path, c, graphs_by_c[c])
+        before = census_bytes(tmp_path)
+        with pytest.raises(ValueError):
+            rank3.write_graph_files(tmp_path, c, foreign(graphs_by_c))
+        assert census_bytes(tmp_path) == before
+        assert not list(tmp_path.glob("*.tmp"))
+
+    def test_failing_graphs_leave_census(self, tmp_path, graphs_by_c):
+        rank3.write_graph_files(tmp_path, 4, graphs_by_c[4])
+        before = census_bytes(tmp_path)
+
+        def failing():
+            yield from graphs_by_c[4][:5]
+            raise RuntimeError("generator failed")
+
+        with pytest.raises(RuntimeError):
+            rank3.write_graph_files(tmp_path, 4, failing())
+        assert census_bytes(tmp_path) == before
+        assert not list(tmp_path.glob("*.tmp"))
 
     def test_generates_when_graphs_omitted(self, tmp_path, graphs_by_c):
         counts = rank3.write_graph_files(tmp_path, 3)

@@ -1,4 +1,4 @@
-"""Counting pipeline: aggregation, memoization, parallelism, interchange."""
+"""Counting pipeline: aggregation over profiles, parallelism, interchange."""
 
 import random
 
