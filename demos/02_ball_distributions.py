@@ -3,10 +3,11 @@
 Once a connection graph fixes the shared atoms, the remaining "loner"
 atoms are distributed freely over the coatoms — but two distributions
 related by a symmetry of the graph give the same lattice.  The classic
-cycle-index substitution counts the distinct distributions exactly.
+cycle-index substitution counts the distinct distributions exactly.  A
+cycle index is kept as integers: the group order |G| and, per cycle
+type, the number of group elements of that type, so each coefficient of
+the textbook formula is count/|G|.
 """
-
-from fractions import Fraction
 
 import rank3
 
@@ -18,11 +19,11 @@ def main():
     print("automorphisms:", sorted(group.elements))
 
     z = rank3.cycle_index(group)
-    print("cycle index terms:")
-    for exponents, coeff in z.terms:
+    print("cycle index terms, count/|G|:")
+    for exponents, count in z.counts:
         monomial = "*".join("t%d^%d" % (j + 1, m)
                             for j, m in enumerate(exponents) if m)
-        print("   %s * %s" % (coeff, monomial))
+        print("   %d/%d * %s" % (count, z.order, monomial))
 
     seq = rank3.group_balls(z, 4, 10)
     print("distributions of n extra atoms, n = 0..10:")
@@ -46,13 +47,13 @@ def main():
 
     print()
     print("=== the averaging stays exact ===")
-    # coefficients are rationals with the group order in the denominator;
-    # the orbit counts themselves must come out integral
+    # each cycle type's series is weighted by its element count and the sum
+    # divided by |G|; the orbit counts themselves must come out integral
     counts = rank3.group_balls(z, 4, 6)
     print("series coefficients:", counts)
     print("coefficient type:   ", type(counts[0]).__name__)
-    print("sum of cycle-index coefficients:",
-          sum(Fraction(c) for _, c in z.terms))
+    print("elements over all cycle types: %d, |G| = %d"
+          % (sum(count for _, count in z.counts), z.order))
 
 
 if __name__ == "__main__":

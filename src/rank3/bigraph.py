@@ -60,9 +60,6 @@ class PermGroup:
     def __iter__(self):
         return iter(self.elements)
 
-    def __len__(self):
-        return len(self.elements)
-
     def __repr__(self):
         return "PermGroup(degree=%d, order=%d)" % (self.degree, len(self.elements))
 
@@ -270,6 +267,7 @@ def automorphism_group_on_coatoms(graph: BicoloredGraph) -> PermGroup:
 
 
 def graph6_encode(graph: BicoloredGraph) -> bytes:
+    """Encode a graph as one newline-terminated graph6 line, coatoms first."""
     c = graph.coatom_count
     masks = graph.connector_masks
     n = c + len(masks)

@@ -57,7 +57,7 @@ def cmd_fit(args) -> int:
     table = pipeline.read_csv(args.values, c)
     fit = quasifit.fit_for_coatoms(table, c)
     out = args.out or os.path.join(os.environ.get("RANK3_OUT", "."), "fit_c%d.json" % c)
-    with open(out, "w") as fh:
+    with pipeline.atomic_open(out) as fh:
         json.dump(quasifit.quasipolynomial_to_json(fit, c), fh, indent=2)
         fh.write("\n")
     print("wrote %s" % out)

@@ -56,6 +56,7 @@ def generate_connection_graphs(coatom_count: int):
 
 
 def graph_file_name(coatom_count: int, connector_count: int) -> str:
+    """Name of the graph6 file holding the graphs with c coatoms and r connectors."""
     return "conn_c%d_r%d.g6" % (coatom_count, connector_count)
 
 

@@ -11,6 +11,7 @@ cycle indices).  The ball series of each distinct cycle index is then
 computed once and added at each of its shifts, scaled by the multiplicity.
 """
 
+import contextlib
 import csv
 import itertools
 import os
@@ -42,6 +43,7 @@ class CountTable:
 
 @dataclass(frozen=True)
 class MemoStats:
+    """Graphs counted, distinct cycle indices, and graphs with trivial Aut."""
     graphs_processed: int
     distinct_cycle_indices: int
     trivial_action_graphs: int
@@ -94,14 +96,14 @@ def count_lattices_stats(coatom_count: int, max_atoms: int, graphs=None,
         if multiplicity > 1:
             series = [multiplicity * b for b in series]
         values[shift:] = map(add, values[shift:], series)
-    # every other group adds a second cycle type to the identity's t_1^c
-    trivial = sum(n for (zindex, _shift), n in profile.items() if len(zindex.terms) == 1)
+    trivial = sum(n for (zindex, _shift), n in profile.items() if zindex.order == 1)
     return (CountTable(coatom_count, max_atoms, values),
             MemoStats(sum(profile.values()), len(balls), trivial))
 
 
 def count_lattices(coatom_count: int, max_atoms: int, graphs=None,
                    jobs: int = 1) -> CountTable:
+    """Count table R(c, a) for a = 0..max_atoms; see count_lattices_stats."""
     table, _stats = count_lattices_stats(coatom_count, max_atoms, graphs, jobs)
     return table
 
@@ -109,9 +111,23 @@ def count_lattices(coatom_count: int, max_atoms: int, graphs=None,
 # -- interchange ---------------------------------------------------------------
 
 
+@contextlib.contextmanager
+def atomic_open(path, newline=None):
+    """Write text to ``path`` + ".tmp", renamed over ``path`` on success, removed on failure."""
+    tmp = os.fspath(path) + ".tmp"
+    try:
+        with open(tmp, "w", newline=newline) as fh:
+            yield fh
+        os.replace(tmp, path)
+    except BaseException:
+        with contextlib.suppress(FileNotFoundError):
+            os.remove(tmp)
+        raise
+
+
 def write_csv(table: CountTable, path) -> None:
-    """Write an ``a,R`` table, one row per atom count 0..a_max."""
-    with open(path, "w", newline="") as fh:
+    """Write an ``a,R`` table, one row per atom count 0..a_max, atomically."""
+    with atomic_open(path, newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(["a", "R"])
         for a, v in enumerate(table.values):
@@ -119,6 +135,12 @@ def write_csv(table: CountTable, path) -> None:
 
 
 def read_csv(path, coatom_count: int) -> CountTable:
+    """Read an ``a,R`` table written by write_csv as a table for ``coatom_count``.
+
+    Every c >= 1 has R(c, 0) = 0, R(c, 1) = 1 and R(c, 2) = c, so a table
+    whose first rows disagree belongs to another coatom count and raises
+    ValueError; a table with a_max < 2 cannot be told apart this way.
+    """
     with open(path, newline="") as fh:
         reader = csv.reader(fh)
         header = next(reader, None)
@@ -136,6 +158,10 @@ def read_csv(path, coatom_count: int) -> CountTable:
             values.append(v)
     if not values:
         raise ValueError("table has no rows after the header")
+    expected = [0, 1, coatom_count][:len(values)]
+    if values[:3] != expected:
+        raise ValueError("table starts %r, but R(%d, 0..2) = %r"
+                         % (values[:3], coatom_count, expected))
     return CountTable(coatom_count, len(values) - 1, values)
 
 

@@ -144,6 +144,7 @@ def fit_for_coatoms(values, coatom_count: int) -> Quasipolynomial:
 
 
 def eval_quasipolynomial(quasipoly: Quasipolynomial, atoms: int) -> int:
+    """Value of a fitted form at a nonnegative atom count."""
     if atoms < 0:
         raise ValueError("atom count must be nonnegative")
     return quasipoly.evaluate(atoms)
@@ -238,6 +239,7 @@ class TheoremCheck:
 
 @dataclass(frozen=True)
 class TheoremReport:
+    """Outcome of verify_theorems: one check per published closed form."""
     checks: tuple
 
     @property

@@ -165,6 +165,28 @@ class TestFitEval:
         code = run_cli("fit", "--coatoms", 3, "--values", tmp_path / "no.csv")
         assert code == cli.EXIT_INPUT
 
+    @pytest.mark.parametrize("table_c, max_atoms, fit_c", [(1, 320, 5), (4, 200, 3)],
+                             ids=["c1-as-c5", "c4-as-c3"])
+    def test_table_of_other_coatom_count(self, tmp_path, capsys, table_c, max_atoms, fit_c):
+        csv_path, fit_path = tmp_path / "counts.csv", tmp_path / "fit.json"
+        assert run_cli("count", "--coatoms", table_c, "--max-atoms", max_atoms,
+                       "--out", csv_path) == 0
+        code = run_cli("fit", "--coatoms", fit_c, "--values", csv_path, "--out", fit_path)
+        assert code == cli.EXIT_INPUT
+        assert "R(%d, 0..2)" % fit_c in capsys.readouterr().err
+        assert not fit_path.exists()
+
+    def test_failing_write_leaves_fit(self, tmp_path, c3_csv, monkeypatch):
+        fit_path = tmp_path / "c3.json"
+        assert run_cli("fit", "--coatoms", 3, "--values", c3_csv, "--out", fit_path) == 0
+        before = fit_path.read_bytes()
+        monkeypatch.setattr(rank3.quasifit, "quasipolynomial_to_json",
+                            lambda fit, c: {"c": c, "constituents": object()})
+        with pytest.raises(TypeError):
+            run_cli("fit", "--coatoms", 3, "--values", c3_csv, "--out", fit_path)
+        assert fit_path.read_bytes() == before
+        assert list(tmp_path.glob("*.tmp")) == []
+
 
 class TestMalformedInput:
     @pytest.mark.parametrize("text", ["a,R\n0,0\n1\n", "a,R\n"],

@@ -33,6 +33,13 @@ class TestCounting:
             assert (stats.graphs_processed, stats.distinct_cycle_indices,
                     stats.trivial_action_graphs) == MEMO_STATS[c]
 
+    def test_trivial_action_graphs(self, graphs_by_c):
+        for c in range(1, 7):
+            _, stats = rank3.count_lattices_stats(c, 3, graphs_by_c[c])
+            rigid = sum(rank3.automorphism_group_on_coatoms(g).order == 1
+                        for g in graphs_by_c[c])
+            assert stats.trivial_action_graphs == rigid
+
     def test_graph_order_irrelevant(self, graphs_by_c):
         shuffled = list(graphs_by_c[5])
         random.Random(7).shuffle(shuffled)
@@ -103,6 +110,20 @@ class TestCountTable:
         path.write_text("a,R\n0,0\n2,3\n")
         with pytest.raises(ValueError):
             rank3.read_csv(path, 3)
+
+    def test_csv_write_is_atomic(self, tmp_path):
+        class Unprintable:
+            def __str__(self):
+                raise RuntimeError("unprintable value")
+
+        path = tmp_path / "c4.csv"
+        rank3.write_csv(rank3.count_lattices(4, 5), path)
+        before = path.read_bytes()
+        bad = rank3.CountTable(4, 5, [0, 1, 4, Unprintable(), 0, 0])
+        with pytest.raises(RuntimeError):
+            rank3.write_csv(bad, path)
+        assert path.read_bytes() == before
+        assert list(tmp_path.glob("*.tmp")) == []
 
 
 class TestGraphDir:
