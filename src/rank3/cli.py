@@ -14,7 +14,7 @@ import json
 import os
 import sys
 
-from . import bigraph, genconn, pipeline, quasifit
+from . import genconn, pipeline, quasifit
 
 EXIT_INPUT = 2
 EXIT_ARITY = 3
@@ -57,7 +57,7 @@ def cmd_fit(args) -> int:
     table = pipeline.read_csv(args.values, c)
     fit = quasifit.fit_for_coatoms(table, c)
     out = args.out or os.path.join(os.environ.get("RANK3_OUT", "."), "fit_c%d.json" % c)
-    with pipeline.atomic_open(out) as fh:
+    with genconn.atomic_open(out) as fh:
         json.dump(quasifit.quasipolynomial_to_json(fit, c), fh, indent=2)
         fh.write("\n")
     print("wrote %s" % out)
@@ -145,8 +145,7 @@ def main(argv=None) -> int:
     except quasifit.FitRejectedError as exc:
         print("error: %s" % exc, file=sys.stderr)
         return EXIT_REJECTED
-    except (bigraph.Graph6Error, bigraph.UnsupportedSizeError, pipeline.GraphInputError,
-            quasifit.NonIntegerValueError, OSError, ValueError) as exc:
+    except (ValueError, OSError, quasifit.NonIntegerValueError) as exc:
         print("error: %s" % exc, file=sys.stderr)
         return EXIT_INPUT
 

@@ -1,4 +1,4 @@
-"""Isomorph-free generation of connection graphs, and a brute-force oracle.
+"""Connection graphs: isomorph-free generation, census files, a brute-force oracle.
 
 Connection graphs on c coatoms are families of connector neighbourhoods:
 distinct coatom subsets of size at least two, any two sharing at most one
@@ -60,17 +60,36 @@ def graph_file_name(coatom_count: int, connector_count: int) -> str:
     return "conn_c%d_r%d.g6" % (coatom_count, connector_count)
 
 
+@contextlib.contextmanager
+def atomic_open(path, mode="w", newline=None):
+    """Open ``path`` + ".tmp" for writing in ``mode`` ("w" text, "wb" bytes).
+
+    On a clean exit the file is closed and renamed over ``path``; on any
+    failure after the open it is removed and ``path`` is left untouched.
+    """
+    tmp = os.fspath(path) + ".tmp"
+    fh = open(tmp, mode, newline=newline)
+    try:
+        with fh:
+            yield fh
+        os.replace(tmp, path)
+    except BaseException:
+        with contextlib.suppress(FileNotFoundError):
+            os.remove(tmp)
+        raise
+
+
 def write_graph_files(directory, coatom_count: int, graphs=None) -> list[int]:
     """Write per-stratum graph6 files conn_c{c}_r{r}.g6 plus a manifest.
 
     One file per r = 0..c(c-1)/2 (empty strata get empty files), and a
-    manifest listing the per-file counts with a final total line.  Each
-    file streams to a temporary name (".tmp" appended); the strata are
-    renamed into place only after the last graph, the manifest last.  A
-    graph on other than c coatoms, or with more than c(c-1)/2
-    connectors, raises ValueError.  On any failure the temporary files
-    are removed and the previous census is left untouched.  Returns the
-    per-r counts.
+    manifest listing the per-file counts with a final total line.  Every
+    file is an atomic_open on one ExitStack, the manifest entered first:
+    the strata are renamed into place only after the last graph, the
+    manifest last.  A graph on other than c coatoms, or with more than
+    c(c-1)/2 connectors, raises ValueError.  On any failure the
+    temporary files are removed and the previous census is left
+    untouched.  Returns the per-r counts.
     """
     c = coatom_count
     if c < 1:
@@ -78,29 +97,21 @@ def write_graph_files(directory, coatom_count: int, graphs=None) -> list[int]:
     os.makedirs(directory, exist_ok=True)
     max_r = c * (c - 1) // 2
     counts = [0] * (max_r + 1)
-    names = [graph_file_name(c, r) for r in range(max_r + 1)] + ["conn_c%d.manifest" % c]
-    paths = [os.path.join(directory, name) for name in names]
-    try:
-        with contextlib.ExitStack() as stack:
-            handles = [stack.enter_context(open(path + ".tmp", "wb")) for path in paths[:-1]]
-            for g in (graphs if graphs is not None else generate_connection_graphs(c)):
-                r = g.connector_count
-                if g.coatom_count != c or r > max_r:
-                    raise ValueError("graph with %d coatoms and %d connectors does not "
-                                     "belong to a census on %d coatoms" % (g.coatom_count, r, c))
-                handles[r].write(graph6_encode(g))
-                counts[r] += 1
-        with open(paths[-1] + ".tmp", "w") as fh:
-            for r, n in enumerate(counts):
-                fh.write("%s %d\n" % (graph_file_name(c, r), n))
-            fh.write("total %d\n" % sum(counts))
-        for path in paths:
-            os.replace(path + ".tmp", path)
-    except BaseException:
-        for path in paths:
-            with contextlib.suppress(FileNotFoundError):
-                os.remove(path + ".tmp")
-        raise
+    with contextlib.ExitStack() as stack:
+        manifest = stack.enter_context(
+            atomic_open(os.path.join(directory, "conn_c%d.manifest" % c)))
+        paths = (os.path.join(directory, graph_file_name(c, r)) for r in range(max_r + 1))
+        handles = [stack.enter_context(atomic_open(path, "wb")) for path in paths]
+        for g in (graphs if graphs is not None else generate_connection_graphs(c)):
+            r = g.connector_count
+            if g.coatom_count != c or r > max_r:
+                raise ValueError("graph with %d coatoms and %d connectors does not "
+                                 "belong to a census on %d coatoms" % (g.coatom_count, r, c))
+            handles[r].write(graph6_encode(g))
+            counts[r] += 1
+        for r, n in enumerate(counts):
+            manifest.write("%s %d\n" % (graph_file_name(c, r), n))
+        manifest.write("total %d\n" % sum(counts))
     return counts
 
 

@@ -11,7 +11,6 @@ cycle indices).  The ball series of each distinct cycle index is then
 computed once and added at each of its shifts, scaled by the multiplicity.
 """
 
-import contextlib
 import csv
 import itertools
 import os
@@ -21,7 +20,7 @@ from dataclasses import dataclass, field
 from operator import add
 
 from .bigraph import automorphism_group_on_coatoms, graph6_decode, validate_connection_graph
-from .genconn import count_r_s, generate_connection_graphs, graph_file_name
+from .genconn import atomic_open, count_r_s, generate_connection_graphs, graph_file_name
 from .polya import cycle_index, group_balls
 
 
@@ -109,20 +108,6 @@ def count_lattices(coatom_count: int, max_atoms: int, graphs=None,
 
 
 # -- interchange ---------------------------------------------------------------
-
-
-@contextlib.contextmanager
-def atomic_open(path, newline=None):
-    """Write text to ``path`` + ".tmp", renamed over ``path`` on success, removed on failure."""
-    tmp = os.fspath(path) + ".tmp"
-    try:
-        with open(tmp, "w", newline=newline) as fh:
-            yield fh
-        os.replace(tmp, path)
-    except BaseException:
-        with contextlib.suppress(FileNotFoundError):
-            os.remove(tmp)
-        raise
 
 
 def write_csv(table: CountTable, path) -> None:

@@ -271,34 +271,20 @@ def verify_theorems(tables) -> TheoremReport:
     a = 3 on; at a = 0, 1, 2 it is known to give 35, 9, 6 instead of the
     true 0, 1, 5, and that fixed discrepancy is itself checked.
     """
-    checks = []
-    if 2 in tables:
-        vals = tables[2].values
-        checks.append(_run_check(
-            "two_coatom_linear",
-            ((a, a, vals[a]) for a in range(1, len(vals)))))
-    if 3 in tables:
-        vals = tables[3].values
-        checks.append(_run_check(
-            "three_coatom_floor",
-            ((a, (9 * a * a + 4 * a + 3) // 12, vals[a]) for a in range(1, len(vals)))))
-        checks.append(_run_check(
-            "three_coatom_partition_identity",
-            ((a, 2 * p3(a - 3) + p3(a - 1) + 2 * p21(a - 2), vals[a])
-             for a in range(1, len(vals)))))
-    if 4 in tables:
-        vals = tables[4].values
-        ref = reference_quasipolynomial(4)
-        checks.append(_run_check(
-            "four_coatom_quasipolynomial",
-            ((a, ref.evaluate(a), vals[a]) for a in range(len(vals)))))
+    ref5 = reference_quasipolynomial(5).evaluate
+    forms = (
+        (2, "two_coatom_linear", 1, lambda a: a),
+        (3, "three_coatom_floor", 1, lambda a: (9 * a * a + 4 * a + 3) // 12),
+        (3, "three_coatom_partition_identity", 1,
+         lambda a: 2 * p3(a - 3) + p3(a - 1) + 2 * p21(a - 2)),
+        (4, "four_coatom_quasipolynomial", 0, reference_quasipolynomial(4).evaluate),
+        (5, "five_coatom_quasipolynomial", 3, ref5),
+    )
+    checks = [_run_check(name, ((a, form(a), tables[c].values[a])
+                                for a in range(first, len(tables[c].values))))
+              for c, name, first, form in forms if c in tables]
     if 5 in tables:
-        vals = tables[5].values
-        ref = reference_quasipolynomial(5)
-        checks.append(_run_check(
-            "five_coatom_quasipolynomial",
-            ((a, ref.evaluate(a), vals[a]) for a in range(3, len(vals)))))
-        small = [(a, ref.evaluate(a), vals[a]) for a in range(min(3, len(vals)))]
+        small = [(a, ref5(a), tables[5].values[a]) for a in range(min(3, len(tables[5].values)))]
         checks.append(_run_check(
             "five_coatom_small_a_exception",
             ((a, (35, 9, 6)[a], got_poly) for a, got_poly, _true in small)))
@@ -357,13 +343,15 @@ def quasipolynomial_from_json(data) -> tuple[int, Quasipolynomial]:
     if isinstance(data, (str, bytes)):
         data = json.loads(data)
     try:
-        constituents = tuple(tuple(Fraction(v) for v in cs) for cs in data["constituents"])
+        rows = data["constituents"]
+        if type(rows) is not list or not all(
+                type(cs) is list and cs and all(type(v) in (int, str) for v in cs) for cs in rows):
+            raise ValueError("constituents must be nonempty lists of integers or \"p/q\" strings")
+        constituents = tuple(tuple(Fraction(v) for v in cs) for cs in rows)
         c, period, threshold = data["c"], data["period"], data["n0_guaranteed"]
         observed = data.get("n0_observed")
     except (KeyError, TypeError, ZeroDivisionError) as exc:
         raise ValueError("malformed quasipolynomial (%s: %s)" % (type(exc).__name__, exc)) from None
-    if not all(type(v) in (int, str) for cs in data["constituents"] for v in cs):
-        raise ValueError("coefficients must be integers or exact \"p/q\" strings")
     if not all(type(v) is int for v in (c, period, threshold, observed or 0)) or period < 1:
         raise ValueError("c, period and thresholds must be integers, the period positive")
     if len(constituents) != period:

@@ -200,7 +200,10 @@ class TestMalformedInput:
     @pytest.mark.parametrize("key, value", [
         ("constituents", None), ("coefficient", "1/0"),
         ("constituents", [["1/2", "1"]]), ("constituents", [[0.1, 1]]),
-    ], ids=["no-constituents", "zero-denominator", "non-integer-value", "float-coefficient"])
+        ("constituents", ["12"]), ("constituents", [{"5": 0}]),
+        ("constituents", [[]]), ("constituents", [[1e400]]),
+    ], ids=["no-constituents", "zero-denominator", "non-integer-value", "float-coefficient",
+            "string-constituent", "dict-constituent", "empty-constituent", "overflowing-float"])
     def test_eval_rejects_fit(self, tmp_path, capsys, key, value):
         data = rank3.quasipolynomial_to_json(rank3.reference_quasipolynomial(3), 3)
         if key == "coefficient":

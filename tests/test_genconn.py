@@ -2,6 +2,7 @@
 
 import itertools
 import math
+import os
 import random
 from fractions import Fraction
 
@@ -154,6 +155,39 @@ class TestGraphFiles:
             rank3.write_graph_files(tmp_path, 4, failing())
         assert census_bytes(tmp_path) == before
         assert not list(tmp_path.glob("*.tmp"))
+
+    def test_failing_open_leaves_census(self, tmp_path, graphs_by_c):
+        rank3.write_graph_files(tmp_path, 4, graphs_by_c[4])
+        before = census_bytes(tmp_path)
+        squatter = tmp_path / (rank3.graph_file_name(4, 2) + ".tmp")
+        squatter.mkdir()
+        with pytest.raises(OSError):
+            rank3.write_graph_files(tmp_path, 4, graphs_by_c[4])
+        squatter.rmdir()
+        assert census_bytes(tmp_path) == before
+        assert not list(tmp_path.glob("*.tmp"))
+
+    def test_renames_after_last_graph_manifest_last(self, tmp_path, graphs_by_c, monkeypatch):
+        exhausted = False
+
+        def graphs():
+            nonlocal exhausted
+            yield from graphs_by_c[4]
+            exhausted = True
+
+        renames = []
+        replace = os.replace
+
+        def recording_replace(src, dst):
+            renames.append((os.path.basename(dst), exhausted))
+            replace(src, dst)
+
+        monkeypatch.setattr(os, "replace", recording_replace)
+        rank3.write_graph_files(tmp_path, 4, graphs())
+        names = [name for name, _after in renames]
+        assert all(after for _name, after in renames)
+        assert sorted(names) == sorted(p.name for p in tmp_path.iterdir())
+        assert names[-1] == "conn_c4.manifest"
 
     def test_generates_when_graphs_omitted(self, tmp_path, graphs_by_c):
         counts = rank3.write_graph_files(tmp_path, 3)
