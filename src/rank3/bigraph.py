@@ -236,6 +236,16 @@ def canonical_form(graph: BicoloredGraph) -> bytes:
     return bytes([63 + graph.coatom_count]) + graph6_encode(canon).rstrip(b"\n")
 
 
+def _canonical_masks_and_group(graph: BicoloredGraph) -> tuple[tuple[int, ...], PermGroup]:
+    """Canonical masks and automorphism_group_on_coatoms, from one search."""
+    best, winners = _coatom_search(graph.coatom_count, graph.connector_masks)
+    inverse = [0] * graph.coatom_count
+    for i, image in enumerate(winners[0]):
+        inverse[image] = i
+    return best, PermGroup(graph.coatom_count,
+                           [tuple(inverse[image] for image in q) for q in winners])
+
+
 def automorphism_group_on_coatoms(graph: BicoloredGraph) -> PermGroup:
     """Coatom permutations that extend to automorphisms of the graph.
 
@@ -246,12 +256,7 @@ def automorphism_group_on_coatoms(graph: BicoloredGraph) -> PermGroup:
     bijection attaining the minimum, the automorphisms are p0^-1 q for
     every attaining q, the identity first.
     """
-    _, winners = _coatom_search(graph.coatom_count, graph.connector_masks)
-    inverse = [0] * graph.coatom_count
-    for i, image in enumerate(winners[0]):
-        inverse[image] = i
-    return PermGroup(graph.coatom_count,
-                     [tuple(inverse[image] for image in q) for q in winners])
+    return _canonical_masks_and_group(graph)[1]
 
 
 # -- graph6 ------------------------------------------------------------------

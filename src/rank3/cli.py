@@ -26,13 +26,12 @@ EXIT_MISMATCH = 5
 _DIRECT_LIMIT = 7
 
 
-def _out_dir(args) -> str:
-    return args.out if args.out else os.environ.get("RANK3_OUT", ".")
+def _default_out_dir() -> str:
+    return os.environ.get("RANK3_OUT", ".")
 
 
 def cmd_generate(args) -> int:
-    directory = _out_dir(args)
-    counts = genconn.write_graph_files(directory, args.coatoms)
+    counts = genconn.write_graph_files(args.out or _default_out_dir(), args.coatoms)
     for r, n in enumerate(counts):
         print("%s %d" % (genconn.graph_file_name(args.coatoms, r), n))
     print("total %d" % sum(counts))
@@ -43,7 +42,7 @@ def cmd_count(args) -> int:
     c = args.coatoms
     graphs = pipeline.iter_graph_dir(args.graphs, c) if args.graphs else None
     table, stats = pipeline.count_lattices_stats(c, args.max_atoms, graphs, jobs=args.jobs)
-    out = args.out or os.path.join(os.environ.get("RANK3_OUT", "."), "counts_c%d.csv" % c)
+    out = args.out or os.path.join(_default_out_dir(), "counts_c%d.csv" % c)
     pipeline.write_csv(table, out)
     print("wrote %s" % out)
     print("graphs=%d cycle_indices=%d trivial=%d"
@@ -56,7 +55,7 @@ def cmd_fit(args) -> int:
     c = args.coatoms
     table = pipeline.read_csv(args.values, c)
     fit = quasifit.fit_for_coatoms(table, c)
-    out = args.out or os.path.join(os.environ.get("RANK3_OUT", "."), "fit_c%d.json" % c)
+    out = args.out or os.path.join(_default_out_dir(), "fit_c%d.json" % c)
     with genconn.atomic_open(out) as fh:
         json.dump(quasifit.quasipolynomial_to_json(fit, c), fh, indent=2)
         fh.write("\n")

@@ -4,28 +4,30 @@ Each connection graph contributes the number of ways to distribute the
 leftover atoms (those not forced by its connectors and bare coatoms) into
 its coatoms up to the graph's own symmetry; summing over all graphs gives
 R(c, a), the number of rank-3 lattices with c coatoms and a atoms.  A
-graph enters that sum only through its cycle index and its shift r + s,
-so the graphs are first reduced to a profile, Counter{(cycle index,
-shift): multiplicity} (10808 graphs at c = 7 give 365 entries over 38
-cycle indices).  The ball series of each distinct cycle index is then
+graph enters that sum only through its cycle index and its shift r + s, so
+the graphs are first reduced to a profile, Counter{(cycle index, shift):
+multiplicity} (10808 graphs at c = 7 give 365 entries over 38 cycle
+indices); the canonical forms found with the groups check the list is
+isomorph-free.  The ball series of each distinct cycle index is then
 computed once and added at each of its shifts, scaled by the multiplicity.
 """
 
+import contextlib
 import csv
-import itertools
+import functools
 import os
 from collections import Counter
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from operator import add
 
-from .bigraph import automorphism_group_on_coatoms, graph6_decode, validate_connection_graph
+from .bigraph import _canonical_masks_and_group, graph6_decode, validate_connection_graph
 from .genconn import atomic_open, count_r_s, generate_connection_graphs, graph_file_name
 from .polya import cycle_index, group_balls
 
 
 class GraphInputError(ValueError):
-    """Graph input inconsistent with the requested coatom count."""
+    """Graph input that is not an isomorph-free census for the requested coatom count."""
 
 
 @dataclass
@@ -48,16 +50,16 @@ class MemoStats:
     trivial_action_graphs: int
 
 
-def _profile(coatom_count: int, graphs) -> Counter:
-    """Counter{(cycle index, r + s): multiplicity}, one graph at a time."""
-    profile = Counter()
-    for g in graphs:
-        if g.coatom_count != coatom_count:
-            raise GraphInputError("graph has %d coatoms, expected %d"
-                                  % (g.coatom_count, coatom_count))
-        r, s = count_r_s(g)
-        profile[cycle_index(automorphism_group_on_coatoms(g)), r + s] += 1
-    return profile
+def _reduce(coatom_count: int, graph) -> tuple:
+    """(canonical masks, cycle index of Aut, r + s) of one graph; the masks are the
+    graph's own tuple when it is canonical, so keeping them makes no second copy."""
+    if graph.coatom_count != coatom_count:
+        raise GraphInputError("graph has %d coatoms, expected %d"
+                              % (graph.coatom_count, coatom_count))
+    canon, group = _canonical_masks_and_group(graph)
+    r, s = count_r_s(graph)
+    return (graph.connector_masks if canon == graph.connector_masks else canon,
+            cycle_index(group), r + s)
 
 
 def count_lattices_stats(coatom_count: int, max_atoms: int, graphs=None,
@@ -65,10 +67,10 @@ def count_lattices_stats(coatom_count: int, max_atoms: int, graphs=None,
     """Count table plus memo statistics for one pipeline run.
 
     ``graphs`` is any iterable of connection graphs forming a complete
-    isomorph-free list for ``coatom_count`` (default: generate them).
-    With jobs > 1 worker processes reduce blocks of graphs to profiles
-    and the profiles are merged; counting a multiset does not depend on
-    scheduling, so the result is identical to a sequential run.
+    isomorph-free list for ``coatom_count`` (default: generate them); a
+    graph isomorphic to an earlier one raises GraphInputError.  ``jobs``
+    only decides where the per-graph search runs, in this process or in
+    that many workers; one loop folds the results in input order.
     """
     if coatom_count < 1:
         raise ValueError("coatom count must be positive")
@@ -78,14 +80,15 @@ def count_lattices_stats(coatom_count: int, max_atoms: int, graphs=None,
         graphs = generate_connection_graphs(coatom_count)
     if jobs < 1:
         raise ValueError("jobs must be positive")
-    if jobs == 1:
-        profile = _profile(coatom_count, graphs)
-    else:
-        graphs, profile = list(graphs), Counter()
-        blocks = (graphs[i:i + 512] for i in range(0, len(graphs), 512))
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
-            for part in pool.map(_profile, itertools.repeat(coatom_count), blocks):
-                profile.update(part)
+    reduce = functools.partial(_reduce, coatom_count)
+    seen, profile = set(), Counter()
+    with ProcessPoolExecutor(max_workers=jobs) if jobs > 1 else contextlib.nullcontext() as pool:
+        for k, (canon, zindex, shift) in enumerate(
+                pool.map(reduce, graphs, chunksize=512) if pool else map(reduce, graphs), 1):
+            if canon in seen:
+                raise GraphInputError("graph %d is isomorphic to an earlier graph" % k)
+            seen.add(canon)
+            profile[zindex, shift] += 1
     values = [0] * (max_atoms + 1)
     balls = {}
     for (zindex, shift), multiplicity in profile.items():
@@ -153,31 +156,36 @@ def read_csv(path, coatom_count: int) -> CountTable:
 def iter_graph_dir(directory, coatom_count: int):
     """Yield the graphs of a census written by write_graph_files, ascending in r.
 
-    Every stratum file conn_c{c}_r{r}.g6 must hold exactly as many graphs
-    as conn_c{c}.manifest lists for it, and every graph must be a valid
-    connection graph, so a damaged census raises GraphInputError instead
-    of counting a wrong table.  Line counts are checked before a
-    stratum's first graph is yielded.
+    Before any graph, conn_c{c}.manifest must list the strata
+    conn_c{c}_r{r}.g6 for r = 0..c(c-1)/2 in order, then their total; each
+    stratum must hold as many graphs as listed (checked before its first
+    graph), and each line must decode to a valid connection graph, so a
+    damaged census raises GraphInputError naming the file and line
+    instead of counting a wrong table.
     """
     c = coatom_count
     manifest = os.path.join(directory, "conn_c%d.manifest" % c)
     try:
         with open(manifest) as fh:
-            listed = dict(line.split() for line in fh)
+            listed = [(name, int(n)) for name, n in map(str.split, fh)]
     except FileNotFoundError:
         raise GraphInputError("no manifest %r for %d coatoms" % (manifest, c)) from None
     except ValueError:
         raise GraphInputError("malformed manifest %r" % manifest) from None
-    for r in range(c * (c - 1) // 2 + 1):
-        name = graph_file_name(c, r)
+    strata = [graph_file_name(c, r) for r in range(c * (c - 1) // 2 + 1)]
+    if [name for name, _n in listed] != strata + ["total"]:
+        raise GraphInputError("%r must list the %d strata, then total" % (manifest, len(strata)))
+    *listed, (_total, total) = listed
+    if total != sum(n for _name, n in listed):
+        raise GraphInputError("%r: total %d is not the sum of the strata" % (manifest, total))
+    for r, (name, n) in enumerate(listed):
         with open(os.path.join(directory, name), "rb") as fh:
-            lines = [line for line in fh if line.strip()]
-        if str(len(lines)) != listed.get(name):
-            raise GraphInputError("%s holds %d graphs, %r lists %s"
-                                  % (name, len(lines), manifest, listed.get(name)))
-        for k, line in enumerate(lines, 1):
-            graph = graph6_decode(line, c, r)
+            lines = [(k, line) for k, line in enumerate(fh, 1) if line.strip()]
+        if len(lines) != n:
+            raise GraphInputError("%s holds %d graphs, the manifest %d" % (name, len(lines), n))
+        for k, line in lines:
             try:
+                graph = graph6_decode(line, c, r)
                 validate_connection_graph(graph)
             except ValueError as exc:
                 raise GraphInputError("%s line %d: %s" % (name, k, exc)) from None

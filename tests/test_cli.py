@@ -102,20 +102,59 @@ def _one_coatom_connector(directory):
         rank3.graph6_encode(rank3.BicoloredGraph(5, [{0}])))
 
 
+def _relabelled_copy(directory):
+    # same line count, but line 2 is line 1 with its coatoms rotated
+    path = directory / "conn_c5_r4.g6"
+    lines = path.read_bytes().splitlines(keepends=True)
+    first = rank3.graph6_decode(lines[0], 5, 4)
+    lines[1] = rank3.graph6_encode(rank3.BicoloredGraph(
+        5, [{(i + 1) % 5 for i in nb} for nb in first.neighborhoods()]))
+    assert lines[1] != lines[0]
+    path.write_bytes(b"".join(lines))
+    return "isomorphic"
+
+
+def _corrupt_line(directory):
+    # line 3 loses its last payload byte
+    path = directory / "conn_c5_r4.g6"
+    lines = path.read_bytes().splitlines(keepends=True)
+    lines[2] = lines[2][:-2] + b"\n"
+    path.write_bytes(b"".join(lines))
+    return "conn_c5_r4.g6 line 3"
+
+
+def _wrong_total(directory):
+    path = directory / "conn_c5.manifest"
+    *strata, _total = path.read_text().splitlines()
+    path.write_text("\n".join(strata + ["total 99"]) + "\n")
+    return "total 99"
+
+
+def _extra_stratum(directory):
+    path = directory / "conn_c5.manifest"
+    path.write_text(path.read_text().replace("total", "conn_c5_r11.g6 0\ntotal"))
+    return "strata"
+
+
 class TestDamagedCensus:
     @pytest.mark.parametrize("damage", [_drop_last_line, _repeat_first_line,
-                                        _remove_manifest, _one_coatom_connector],
-                             ids=["truncated", "extra-line", "no-manifest", "invalid-graph"])
+                                        _remove_manifest, _one_coatom_connector,
+                                        _relabelled_copy, _corrupt_line, _wrong_total,
+                                        _extra_stratum],
+                             ids=["truncated", "extra-line", "no-manifest", "invalid-graph",
+                                  "relabelled-copy", "corrupt-line", "wrong-total",
+                                  "extra-stratum"])
     def test_count_exits_input_code(self, tmp_path, capsys, damage):
         graphs = tmp_path / "graphs"
         assert run_cli("generate", "--coatoms", 5, "--out", graphs) == 0
-        damage(graphs)
+        hint = damage(graphs) or "error"
         capsys.readouterr()
         out = tmp_path / "c5.csv"
         code = run_cli("count", "--coatoms", 5, "--max-atoms", 11,
                        "--graphs", graphs, "--out", out)
         assert code == cli.EXIT_INPUT
-        assert "error" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert "error" in err and hint in err
         assert not out.exists()
 
 

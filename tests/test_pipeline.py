@@ -9,6 +9,14 @@ import rank3
 from reference_values import MEMO_STATS, R_TABLE
 
 
+def _rotated(graph):
+    """The graph with every coatom label i replaced by i + 1 mod c."""
+    c = graph.coatom_count
+    copy = rank3.BicoloredGraph(c, [{(i + 1) % c for i in nb} for nb in graph.neighborhoods()])
+    assert copy != graph
+    return copy
+
+
 class TestCounting:
     def test_two_coatoms(self):
         table = rank3.count_lattices(2, 5)
@@ -63,6 +71,12 @@ class TestCounting:
         with pytest.raises(rank3.GraphInputError):
             rank3.count_lattices(3, 5, graphs)
 
+    def test_isomorphic_copy_rejected(self, graphs_by_c):
+        graphs = list(graphs_by_c[5])
+        graphs.insert(7, _rotated(graphs[6]))
+        with pytest.raises(rank3.GraphInputError, match="graph 8 is isomorphic"):
+            rank3.count_lattices(5, 10, graphs)
+
     def test_bad_arguments(self):
         with pytest.raises(ValueError):
             rank3.count_lattices(0, 5)
@@ -78,6 +92,13 @@ class TestParallel:
         par, par_stats = rank3.count_lattices_stats(6, 60, graphs_by_c[6], jobs=3)
         assert par.values == seq.values
         assert par_stats == seq_stats
+
+    def test_isomorphic_copy_in_another_chunk_rejected(self, graphs_by_c):
+        # 592 graphs at c = 6: the copy at index 592 is in the second
+        # chunk of 512, its original in the first
+        graphs = graphs_by_c[6] + [_rotated(graphs_by_c[6][6])]
+        with pytest.raises(rank3.GraphInputError, match="graph 593 is isomorphic"):
+            rank3.count_lattices(6, 10, graphs, jobs=2)
 
     def test_worker_errors_propagate(self, graphs_by_c):
         graphs = graphs_by_c[3] + graphs_by_c[4]
