@@ -10,6 +10,13 @@ multiplicity} (10808 graphs at c = 7 give 365 entries over 38 cycle
 indices); the canonical forms found with the groups check the list is
 isomorph-free.  The ball series of each distinct cycle index is then
 computed once and added at each of its shifts, scaled by the multiplicity.
+
+The profile of c is the same for every a, so the profiles of generated
+graphs are kept in a small per-process cache (at most PROFILE_CACHE_SIZE,
+least recently used dropped first): repeated counts for one c generate
+and reduce its graphs once.  Only the profile is cached; every call
+builds its ball series and table afresh.  Graphs passed in explicitly
+bypass the cache.
 """
 
 import contextlib
@@ -62,24 +69,13 @@ def _reduce(coatom_count: int, graph) -> tuple:
             cycle_index(group), r + s)
 
 
-def count_lattices_stats(coatom_count: int, max_atoms: int, graphs=None,
-                         jobs: int = 1) -> tuple[CountTable, MemoStats]:
-    """Count table plus memo statistics for one pipeline run.
+# Generated profiles one process keeps.  Each is a few hundred entries
+# (365 at c = 7), and no c above 8 can be generated in practice.
+PROFILE_CACHE_SIZE = 8
 
-    ``graphs`` is any iterable of connection graphs forming a complete
-    isomorph-free list for ``coatom_count`` (default: generate them); a
-    graph isomorphic to an earlier one raises GraphInputError.  ``jobs``
-    only decides where the per-graph search runs, in this process or in
-    that many workers; one loop folds the results in input order.
-    """
-    if coatom_count < 1:
-        raise ValueError("coatom count must be positive")
-    if max_atoms < 0:
-        raise ValueError("maximum atom count must be nonnegative")
-    if graphs is None:
-        graphs = generate_connection_graphs(coatom_count)
-    if jobs < 1:
-        raise ValueError("jobs must be positive")
+
+def _fold_profile(coatom_count: int, graphs, jobs: int) -> tuple:
+    """The graphs' profile as ((cycle index, shift), multiplicity) items."""
     reduce = functools.partial(_reduce, coatom_count)
     seen, profile = set(), Counter()
     with ProcessPoolExecutor(max_workers=jobs) if jobs > 1 else contextlib.nullcontext() as pool:
@@ -89,18 +85,50 @@ def count_lattices_stats(coatom_count: int, max_atoms: int, graphs=None,
                 raise GraphInputError("graph %d is isomorphic to an earlier graph" % k)
             seen.add(canon)
             profile[zindex, shift] += 1
+    return tuple(profile.items())
+
+
+@functools.lru_cache(maxsize=PROFILE_CACHE_SIZE)
+def _generated_profile(coatom_count: int, jobs: int) -> tuple:
+    """Profile of the generated graphs.  ``jobs`` is part of the key only
+    because lru_cache keys on every argument; it does not change the result."""
+    return _fold_profile(coatom_count, generate_connection_graphs(coatom_count), jobs)
+
+
+def count_lattices_stats(coatom_count: int, max_atoms: int, graphs=None,
+                         jobs: int = 1) -> tuple[CountTable, MemoStats]:
+    """Count table plus memo statistics for one pipeline run.
+
+    ``graphs`` is any iterable of connection graphs forming a complete
+    isomorph-free list for ``coatom_count``; a graph isomorphic to an
+    earlier one raises GraphInputError.  Without ``graphs`` the graphs
+    are generated, and their profile is cached per process (bounded by
+    PROFILE_CACHE_SIZE; explicit graphs are always reduced afresh), so a
+    later call for the same coatom count skips generation and reduction.
+    ``jobs`` only decides where the per-graph search runs, in this
+    process or in that many workers; one loop folds the results in input
+    order.  The returned table and its values are new on every call.
+    """
+    if coatom_count < 1:
+        raise ValueError("coatom count must be positive")
+    if max_atoms < 0:
+        raise ValueError("maximum atom count must be nonnegative")
+    if jobs < 1:
+        raise ValueError("jobs must be positive")
+    profile = (_generated_profile(coatom_count, jobs) if graphs is None
+               else _fold_profile(coatom_count, graphs, jobs))
     values = [0] * (max_atoms + 1)
     balls = {}
-    for (zindex, shift), multiplicity in profile.items():
+    for (zindex, shift), multiplicity in profile:
         if zindex not in balls:
             balls[zindex] = group_balls(zindex, coatom_count, max_atoms)
         series = balls[zindex]
         if multiplicity > 1:
             series = [multiplicity * b for b in series]
         values[shift:] = map(add, values[shift:], series)
-    trivial = sum(n for (zindex, _shift), n in profile.items() if zindex.order == 1)
+    trivial = sum(n for (zindex, _shift), n in profile if zindex.order == 1)
     return (CountTable(coatom_count, max_atoms, values),
-            MemoStats(sum(profile.values()), len(balls), trivial))
+            MemoStats(sum(n for _key, n in profile), len(balls), trivial))
 
 
 def count_lattices(coatom_count: int, max_atoms: int, graphs=None,

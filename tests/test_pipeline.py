@@ -1,6 +1,8 @@
-"""Counting pipeline: aggregation over profiles, parallelism, interchange."""
+"""Counting pipeline: aggregation over profiles, parallelism, caching, interchange."""
 
+import itertools
 import random
+from collections import Counter
 
 import pytest
 
@@ -104,6 +106,62 @@ class TestParallel:
         graphs = graphs_by_c[3] + graphs_by_c[4]
         with pytest.raises(rank3.GraphInputError):
             rank3.count_lattices(3, 5, graphs, jobs=2)
+
+
+@pytest.fixture
+def generations(monkeypatch):
+    """Empty the profile cache and count the generator's calls per coatom count."""
+    rank3.pipeline._generated_profile.cache_clear()
+    calls = Counter()
+    generate = rank3.pipeline.generate_connection_graphs
+
+    def counting(c):
+        calls[c] += 1
+        return generate(c)
+
+    monkeypatch.setattr(rank3.pipeline, "generate_connection_graphs", counting)
+    yield calls
+    rank3.pipeline._generated_profile.cache_clear()
+
+
+class TestProfileCache:
+    def test_cached_equals_explicit_graphs(self, graphs_by_c, generations):
+        for c in range(1, 7):
+            explicit = rank3.count_lattices_stats(c, 1000, graphs_by_c[c])
+            assert rank3.count_lattices_stats(c, 1000) == explicit    # miss
+            assert rank3.count_lattices_stats(c, 1000) == explicit    # hit
+        assert generations == {c: 1 for c in range(1, 7)}
+
+    def test_one_generation_per_coatom_count(self, generations):
+        for a in (300, 3, 0, 100, 300):
+            values = rank3.count_lattices(5, a).values
+            assert len(values) == a + 1
+            assert all(values[n] == want for n, want in R_TABLE[5].items() if n <= a)
+        assert generations == {5: 1}
+
+    def test_mutating_a_table_changes_no_later_answer(self, generations):
+        want = rank3.count_lattices(4, 30).values
+        first = rank3.count_lattices(4, 30)
+        first.values[7] += 1
+        first.values.append(99)
+        second = rank3.count_lattices(4, 30)
+        assert second.values == want
+        assert rank3.count_lattices(4, 31).values[:31] == want
+        assert generations == {4: 1}
+
+    def test_failed_generation_is_not_cached(self, monkeypatch, generations):
+        generate = rank3.pipeline.generate_connection_graphs
+
+        def fails_once(c):
+            monkeypatch.setattr(rank3.pipeline, "generate_connection_graphs", generate)
+            yield from itertools.islice(generate(c), 2)
+            raise RuntimeError("generation interrupted")
+
+        monkeypatch.setattr(rank3.pipeline, "generate_connection_graphs", fails_once)
+        with pytest.raises(RuntimeError, match="interrupted"):
+            rank3.count_lattices(3, 8)
+        assert rank3.count_lattices(3, 8).values == [0, 1, 3, 8, 13, 20, 29, 39, 50]
+        assert generations == {3: 2}    # the failed run, then a full one
 
 
 class TestCountTable:
