@@ -114,9 +114,6 @@ class BicoloredGraph:
     def __hash__(self):
         return hash((self.coatom_count, self.connector_masks))
 
-    def __reduce__(self):
-        return (BicoloredGraph, (self.coatom_count, self.connector_masks))
-
     def __repr__(self):
         nbs = [_members(m) for m in self.connector_masks]
         return "BicoloredGraph(%d, %r)" % (self.coatom_count, nbs)

@@ -41,7 +41,7 @@ def cmd_generate(args) -> int:
 def cmd_count(args) -> int:
     c = args.coatoms
     graphs = pipeline.iter_graph_dir(args.graphs, c) if args.graphs else None
-    table, stats = pipeline.count_lattices_stats(c, args.max_atoms, graphs, jobs=args.jobs)
+    table, stats = pipeline.count_lattices_stats(c, args.max_atoms, graphs)
     out = args.out or os.path.join(_default_out_dir(), "counts_c%d.csv" % c)
     pipeline.write_csv(table, out)
     print("wrote %s" % out)
@@ -112,7 +112,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--max-atoms", type=int, required=True)
     p.add_argument("--graphs", help="directory of pre-generated graph6 files")
     p.add_argument("--out", help="output CSV path")
-    p.add_argument("--jobs", type=int, default=1, help="worker processes")
     p.set_defaults(func=cmd_count)
 
     p = sub.add_parser("fit", help="fit the closed quasipolynomial form of a table")

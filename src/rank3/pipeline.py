@@ -11,20 +11,17 @@ indices); the canonical forms found with the groups check the list is
 isomorph-free.  The ball series of each distinct cycle index is then
 computed once and added at each of its shifts, scaled by the multiplicity.
 
-The profile of c is the same for every a, so the profiles of generated
-graphs are kept in a small per-process cache (at most PROFILE_CACHE_SIZE,
-least recently used dropped first): repeated counts for one c generate
-and reduce its graphs once.  Only the profile is cached; every call
-builds its ball series and table afresh.  Graphs passed in explicitly
-bypass the cache.
+The profile of c is the same for every a, so the profile of generated
+graphs is cached per process, one entry per coatom count: repeated
+counts for one c generate and reduce its graphs once.  Only the profile
+is cached; every call builds its ball series and table afresh.  Graphs
+passed in explicitly bypass the cache.
 """
 
-import contextlib
 import csv
 import functools
 import os
 from collections import Counter
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from operator import add
 
@@ -57,66 +54,48 @@ class MemoStats:
     trivial_action_graphs: int
 
 
-def _reduce(coatom_count: int, graph) -> tuple:
-    """(canonical masks, cycle index of Aut, r + s) of one graph; the masks are the
-    graph's own tuple when it is canonical, so keeping them makes no second copy."""
-    if graph.coatom_count != coatom_count:
-        raise GraphInputError("graph has %d coatoms, expected %d"
-                              % (graph.coatom_count, coatom_count))
-    canon, group = _canonical_masks_and_group(graph)
-    r, s = count_r_s(graph)
-    return (graph.connector_masks if canon == graph.connector_masks else canon,
-            cycle_index(group), r + s)
-
-
-# Generated profiles one process keeps.  Each is a few hundred entries
-# (365 at c = 7), and no c above 8 can be generated in practice.
-PROFILE_CACHE_SIZE = 8
-
-
-def _fold_profile(coatom_count: int, graphs, jobs: int) -> tuple:
+def _fold_profile(coatom_count: int, graphs) -> tuple:
     """The graphs' profile as ((cycle index, shift), multiplicity) items."""
-    reduce = functools.partial(_reduce, coatom_count)
     seen, profile = set(), Counter()
-    with ProcessPoolExecutor(max_workers=jobs) if jobs > 1 else contextlib.nullcontext() as pool:
-        for k, (canon, zindex, shift) in enumerate(
-                pool.map(reduce, graphs, chunksize=512) if pool else map(reduce, graphs), 1):
-            if canon in seen:
-                raise GraphInputError("graph %d is isomorphic to an earlier graph" % k)
-            seen.add(canon)
-            profile[zindex, shift] += 1
+    for k, graph in enumerate(graphs, 1):
+        if graph.coatom_count != coatom_count:
+            raise GraphInputError("graph has %d coatoms, expected %d"
+                                  % (graph.coatom_count, coatom_count))
+        canon, group = _canonical_masks_and_group(graph)
+        if canon in seen:
+            raise GraphInputError("graph %d is isomorphic to an earlier graph" % k)
+        # the graph's own tuple when it is canonical, so keeping it makes no second copy
+        seen.add(graph.connector_masks if canon == graph.connector_masks else canon)
+        r, s = count_r_s(graph)
+        profile[cycle_index(group), r + s] += 1
     return tuple(profile.items())
 
 
-@functools.lru_cache(maxsize=PROFILE_CACHE_SIZE)
-def _generated_profile(coatom_count: int, jobs: int) -> tuple:
-    """Profile of the generated graphs.  ``jobs`` is part of the key only
-    because lru_cache keys on every argument; it does not change the result."""
-    return _fold_profile(coatom_count, generate_connection_graphs(coatom_count), jobs)
+@functools.cache
+def _generated_profile(coatom_count: int) -> tuple:
+    """Profile of the generated graphs."""
+    return _fold_profile(coatom_count, generate_connection_graphs(coatom_count))
 
 
 def count_lattices_stats(coatom_count: int, max_atoms: int, graphs=None,
-                         jobs: int = 1) -> tuple[CountTable, MemoStats]:
+                         jobs=None) -> tuple[CountTable, MemoStats]:
     """Count table plus memo statistics for one pipeline run.
 
     ``graphs`` is any iterable of connection graphs forming a complete
     isomorph-free list for ``coatom_count``; a graph isomorphic to an
     earlier one raises GraphInputError.  Without ``graphs`` the graphs
-    are generated, and their profile is cached per process (bounded by
-    PROFILE_CACHE_SIZE; explicit graphs are always reduced afresh), so a
-    later call for the same coatom count skips generation and reduction.
-    ``jobs`` only decides where the per-graph search runs, in this
-    process or in that many workers; one loop folds the results in input
-    order.  The returned table and its values are new on every call.
+    are generated, and their profile is cached per process (explicit
+    graphs are always reduced afresh), so a later call for the same
+    coatom count skips generation and reduction.  The returned table and
+    its values are new on every call.  ``jobs`` is accepted and ignored,
+    because the benchmark's traced replay still passes ``jobs=2``.
     """
     if coatom_count < 1:
         raise ValueError("coatom count must be positive")
     if max_atoms < 0:
         raise ValueError("maximum atom count must be nonnegative")
-    if jobs < 1:
-        raise ValueError("jobs must be positive")
-    profile = (_generated_profile(coatom_count, jobs) if graphs is None
-               else _fold_profile(coatom_count, graphs, jobs))
+    profile = (_generated_profile(coatom_count) if graphs is None
+               else _fold_profile(coatom_count, graphs))
     values = [0] * (max_atoms + 1)
     balls = {}
     for (zindex, shift), multiplicity in profile:
@@ -131,10 +110,9 @@ def count_lattices_stats(coatom_count: int, max_atoms: int, graphs=None,
             MemoStats(sum(n for _key, n in profile), len(balls), trivial))
 
 
-def count_lattices(coatom_count: int, max_atoms: int, graphs=None,
-                   jobs: int = 1) -> CountTable:
+def count_lattices(coatom_count: int, max_atoms: int, graphs=None) -> CountTable:
     """Count table R(c, a) for a = 0..max_atoms; see count_lattices_stats."""
-    table, _stats = count_lattices_stats(coatom_count, max_atoms, graphs, jobs)
+    table, _stats = count_lattices_stats(coatom_count, max_atoms, graphs)
     return table
 
 
@@ -186,10 +164,10 @@ def iter_graph_dir(directory, coatom_count: int):
 
     Before any graph, conn_c{c}.manifest must list the strata
     conn_c{c}_r{r}.g6 for r = 0..c(c-1)/2 in order, then their total; each
-    stratum must hold as many graphs as listed (checked before its first
-    graph), and each line must decode to a valid connection graph, so a
-    damaged census raises GraphInputError naming the file and line
-    instead of counting a wrong table.
+    stratum must exist and hold as many graphs as listed (checked before
+    its first graph), and each line must decode to a valid connection
+    graph, so a damaged census raises GraphInputError naming the file and
+    line instead of counting a wrong table.
     """
     c = coatom_count
     manifest = os.path.join(directory, "conn_c%d.manifest" % c)
@@ -207,8 +185,11 @@ def iter_graph_dir(directory, coatom_count: int):
     if total != sum(n for _name, n in listed):
         raise GraphInputError("%r: total %d is not the sum of the strata" % (manifest, total))
     for r, (name, n) in enumerate(listed):
-        with open(os.path.join(directory, name), "rb") as fh:
-            lines = [(k, line) for k, line in enumerate(fh, 1) if line.strip()]
+        try:
+            with open(os.path.join(directory, name), "rb") as fh:
+                lines = [(k, line) for k, line in enumerate(fh, 1) if line.strip()]
+        except FileNotFoundError:
+            raise GraphInputError("missing stratum %s listed in %r" % (name, manifest)) from None
         if len(lines) != n:
             raise GraphInputError("%s holds %d graphs, the manifest %d" % (name, len(lines), n))
         for k, line in lines:

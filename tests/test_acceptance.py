@@ -149,7 +149,7 @@ class TestCriterion06FitsRediscoverTheorems:
     def test_seven_coatom_fit(self, graphs_c7):
         period, degree, threshold = rank3.default_fit_parameters(7)
         needed = threshold + period * (degree + 1) - 1
-        table = rank3.count_lattices(7, needed, graphs_c7, jobs=4)
+        table = rank3.count_lattices(7, needed, graphs_c7)
         for a, want in R_TABLE[7].items():
             assert table.values[a] == want
         fit = rank3.fit_for_coatoms(table, 7)
@@ -217,15 +217,17 @@ class TestCriterion09EvaluationAtScale:
 
 
 class TestCriterion10Determinism:
-    def test_jobs_do_not_change_bytes(self, tmp_path):
-        one = tmp_path / "jobs1.csv"
-        many = tmp_path / "jobs3.csv"
-        # an empty profile cache, so each run generates and reduces its graphs
+    def test_input_paths_give_same_bytes(self, tmp_path):
+        generated = tmp_path / "generated.csv"
+        from_census = tmp_path / "census.csv"
+        graphs = str(tmp_path / "graphs")
+        # an empty profile cache, so the generated path generates and reduces its graphs
         rank3.pipeline._generated_profile.cache_clear()
         assert cli.main(["count", "--coatoms", "6", "--max-atoms", "300",
-                         "--out", str(one), "--jobs", "1"]) == 0
-        rank3.pipeline._generated_profile.cache_clear()
+                         "--out", str(generated)]) == 0
+        assert cli.main(["generate", "--coatoms", "6", "--out", graphs]) == 0
         assert cli.main(["count", "--coatoms", "6", "--max-atoms", "300",
-                         "--out", str(many), "--jobs", "3"]) == 0
-        assert one.read_bytes() == many.read_bytes()
-        report(10, "count output byte-identical across --jobs settings")
+                         "--graphs", graphs, "--out", str(from_census)]) == 0
+        assert generated.read_bytes() == from_census.read_bytes()
+        report(10, "count output byte-identical from generated graphs and from "
+                   "a census written by generate")

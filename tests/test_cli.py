@@ -65,17 +65,6 @@ class TestCount:
         table = rank3.read_csv(out, 4)
         assert table.values[1:] == [R_TABLE[4][a] for a in range(1, 9)]
 
-    def test_jobs_flag_changes_nothing(self, tmp_path, capsys):
-        one = tmp_path / "one.csv"
-        two = tmp_path / "two.csv"
-        # an empty profile cache, so each run generates and reduces its graphs
-        rank3.pipeline._generated_profile.cache_clear()
-        run_cli("count", "--coatoms", 5, "--max-atoms", 40, "--out", one)
-        rank3.pipeline._generated_profile.cache_clear()
-        run_cli("count", "--coatoms", 5, "--max-atoms", 40, "--out", two,
-                "--jobs", 2)
-        assert one.read_bytes() == two.read_bytes()
-
     def test_missing_graph_directory(self, tmp_path, capsys):
         empty = tmp_path / "nothing"
         empty.mkdir()

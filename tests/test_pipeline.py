@@ -1,4 +1,4 @@
-"""Counting pipeline: aggregation over profiles, parallelism, caching, interchange."""
+"""Counting pipeline: aggregation over profiles, isomorph checks, caching, interchange."""
 
 import itertools
 import random
@@ -73,39 +73,22 @@ class TestCounting:
         with pytest.raises(rank3.GraphInputError):
             rank3.count_lattices(3, 5, graphs)
 
-    def test_isomorphic_copy_rejected(self, graphs_by_c):
-        graphs = list(graphs_by_c[5])
-        graphs.insert(7, _rotated(graphs[6]))
-        with pytest.raises(rank3.GraphInputError, match="graph 8 is isomorphic"):
-            rank3.count_lattices(5, 10, graphs)
+    @pytest.mark.parametrize("c, position", [
+        (5, 7),      # right after its original, graph 7
+        (6, 592),    # after all 592 graphs of c = 6
+    ], ids=["adjacent", "far-apart"])
+    def test_isomorphic_copy_rejected(self, graphs_by_c, c, position):
+        graphs = list(graphs_by_c[c])
+        graphs.insert(position, _rotated(graphs[6]))
+        number = position + 1
+        with pytest.raises(rank3.GraphInputError, match="graph %d is isomorphic" % number):
+            rank3.count_lattices(c, 10, graphs)
 
     def test_bad_arguments(self):
         with pytest.raises(ValueError):
             rank3.count_lattices(0, 5)
         with pytest.raises(ValueError):
             rank3.count_lattices(3, -1)
-        with pytest.raises(ValueError):
-            rank3.count_lattices(3, 5, jobs=0)
-
-
-class TestParallel:
-    def test_workers_match_sequential(self, graphs_by_c):
-        seq, seq_stats = rank3.count_lattices_stats(6, 60, graphs_by_c[6], jobs=1)
-        par, par_stats = rank3.count_lattices_stats(6, 60, graphs_by_c[6], jobs=3)
-        assert par.values == seq.values
-        assert par_stats == seq_stats
-
-    def test_isomorphic_copy_in_another_chunk_rejected(self, graphs_by_c):
-        # 592 graphs at c = 6: the copy at index 592 is in the second
-        # chunk of 512, its original in the first
-        graphs = graphs_by_c[6] + [_rotated(graphs_by_c[6][6])]
-        with pytest.raises(rank3.GraphInputError, match="graph 593 is isomorphic"):
-            rank3.count_lattices(6, 10, graphs, jobs=2)
-
-    def test_worker_errors_propagate(self, graphs_by_c):
-        graphs = graphs_by_c[3] + graphs_by_c[4]
-        with pytest.raises(rank3.GraphInputError):
-            rank3.count_lattices(3, 5, graphs, jobs=2)
 
 
 @pytest.fixture
@@ -206,8 +189,14 @@ class TestCountTable:
 
 
 class TestGraphDir:
-    def test_missing_files_rejected(self, tmp_path):
-        with pytest.raises(rank3.GraphInputError):
+    @pytest.mark.parametrize("missing, match", [
+        ("conn_c4.manifest", "no manifest"),
+        ("conn_c4_r3.g6", "missing stratum conn_c4_r3.g6"),
+    ], ids=["no-manifest", "missing-stratum"])
+    def test_missing_files_rejected(self, tmp_path, missing, match):
+        rank3.write_graph_files(tmp_path, 4)
+        (tmp_path / missing).unlink()
+        with pytest.raises(rank3.GraphInputError, match=match):
             list(rank3.iter_graph_dir(tmp_path, 4))
 
     def test_feeds_pipeline(self, tmp_path, graphs_by_c):
