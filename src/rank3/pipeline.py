@@ -4,30 +4,29 @@ Each connection graph contributes the number of ways to distribute the
 leftover atoms (those not forced by its connectors and bare coatoms) into
 its coatoms up to the graph's own symmetry; summing over all graphs gives
 R(c, a), the number of rank-3 lattices with c coatoms and a atoms.  A
-graph enters that sum only through its cycle index and its shift r + s, so
-the graphs are first reduced to a profile, Counter{(cycle index, shift):
-multiplicity} (10808 graphs at c = 7 give 365 entries over 38 cycle
-indices); the canonical forms found with the groups check the list is
-isomorph-free.  The ball series of each distinct cycle index is then
-computed once and added at each of its shifts, scaled by the multiplicity.
+graph g adds x^(r+s) Z_g(A(x), A(x^2), ...) with A(x) = 1/(1 - x).  Swapped
+into a sum over cycle types lambda, R(c, .) is (1/c!) sum Q_lambda(x)
+prod_i (1 - x^i)^(-m_i), where Q_lambda[k] adds (c!/|Aut g|) times the
+elements of Aut g of type lambda over the graphs with r + s = k (10808
+graphs at c = 7 fold into 15 polynomials); the canonical forms found with
+the groups check the list is isomorph-free.
 
-The profile of c is the same for every a, so the profile of generated
-graphs is cached per process, one entry per coatom count: repeated
-counts for one c generate and reduce its graphs once.  Only the profile
-is cached; every call builds its ball series and table afresh.  Graphs
-passed in explicitly bypass the cache.
+The polynomials of c are the same for every a, so those of the generated
+graphs are cached per process, one entry per coatom count: repeated
+counts for one c generate and fold its graphs once.  Every call builds
+its table afresh.  Graphs passed in explicitly bypass the cache.
 """
 
 import csv
 import functools
+import math
 import os
-from collections import Counter
+from collections import defaultdict
 from dataclasses import dataclass, field
-from operator import add
 
 from .bigraph import _canonical_masks_and_group, graph6_decode, validate_connection_graph
 from .genconn import atomic_open, count_r_s, generate_connection_graphs, graph_file_name
-from .polya import cycle_index, group_balls
+from .polya import cycle_index, substitute_cycle_types
 
 
 class GraphInputError(ValueError):
@@ -55,25 +54,32 @@ class MemoStats:
 
 
 def _fold_profile(coatom_count: int, graphs) -> tuple:
-    """The graphs' profile as ((cycle index, shift), multiplicity) items."""
-    seen, profile = set(), Counter()
+    """The graphs' ((cycle type, Q), ...) as in the module docstring, and their MemoStats."""
+    c = coatom_count
+    c_factorial = math.factorial(c)
+    seen, indices, trivial, k = set(), set(), 0, 0
+    q = defaultdict(lambda: [0] * (c * (c + 1) // 2 + 1))    # r + s <= c(c-1)/2 + c
     for k, graph in enumerate(graphs, 1):
-        if graph.coatom_count != coatom_count:
-            raise GraphInputError("graph has %d coatoms, expected %d"
-                                  % (graph.coatom_count, coatom_count))
+        if graph.coatom_count != c:
+            raise GraphInputError("graph has %d coatoms, expected %d" % (graph.coatom_count, c))
         canon, group = _canonical_masks_and_group(graph)
         if canon in seen:
             raise GraphInputError("graph %d is isomorphic to an earlier graph" % k)
         # the graph's own tuple when it is canonical, so keeping it makes no second copy
         seen.add(graph.connector_masks if canon == graph.connector_masks else canon)
-        r, s = count_r_s(graph)
-        profile[cycle_index(group), r + s] += 1
-    return tuple(profile.items())
+        zindex = cycle_index(group)
+        indices.add(zindex)
+        trivial += zindex.order == 1
+        shift = sum(count_r_s(graph))
+        for expo, count in zindex.counts:
+            q[expo][shift] += c_factorial // zindex.order * count    # an integer by Lagrange
+    return (tuple((expo, tuple(row)) for expo, row in sorted(q.items())),
+            MemoStats(k, len(indices), trivial))
 
 
 @functools.cache
 def _generated_profile(coatom_count: int) -> tuple:
-    """Profile of the generated graphs."""
+    """Cycle-type polynomials and MemoStats of the generated graphs."""
     return _fold_profile(coatom_count, generate_connection_graphs(coatom_count))
 
 
@@ -83,31 +89,22 @@ def count_lattices_stats(coatom_count: int, max_atoms: int, graphs=None,
 
     ``graphs`` is any iterable of connection graphs forming a complete
     isomorph-free list for ``coatom_count``; a graph isomorphic to an
-    earlier one raises GraphInputError.  Without ``graphs`` the graphs
-    are generated, and their profile is cached per process (explicit
-    graphs are always reduced afresh), so a later call for the same
-    coatom count skips generation and reduction.  The returned table and
-    its values are new on every call.  ``jobs`` is accepted and ignored,
-    because the benchmark's traced replay still passes ``jobs=2``.
+    earlier one raises GraphInputError.  They fold into one polynomial Q
+    per cycle type, substituted once into (1/c!) sum Q prod (1 - x^i)^(-m_i).
+    Without ``graphs`` the graphs are generated and their polynomials
+    cached per process, so a later call for the same coatom count skips
+    generation and folding.  The returned table and its values are new on
+    every call.  ``jobs`` is accepted and ignored, because the benchmark's
+    traced replay still passes ``jobs=2``.
     """
     if coatom_count < 1:
         raise ValueError("coatom count must be positive")
     if max_atoms < 0:
         raise ValueError("maximum atom count must be nonnegative")
-    profile = (_generated_profile(coatom_count) if graphs is None
-               else _fold_profile(coatom_count, graphs))
-    values = [0] * (max_atoms + 1)
-    balls = {}
-    for (zindex, shift), multiplicity in profile:
-        if zindex not in balls:
-            balls[zindex] = group_balls(zindex, coatom_count, max_atoms)
-        series = balls[zindex]
-        if multiplicity > 1:
-            series = [multiplicity * b for b in series]
-        values[shift:] = map(add, values[shift:], series)
-    trivial = sum(n for (zindex, _shift), n in profile if zindex.order == 1)
-    return (CountTable(coatom_count, max_atoms, values),
-            MemoStats(sum(n for _key, n in profile), len(balls), trivial))
+    terms, stats = (_generated_profile(coatom_count) if graphs is None
+                    else _fold_profile(coatom_count, graphs))
+    values = substitute_cycle_types(terms, math.factorial(coatom_count), max_atoms + 1)
+    return CountTable(coatom_count, max_atoms, values), stats
 
 
 def count_lattices(coatom_count: int, max_atoms: int, graphs=None) -> CountTable:

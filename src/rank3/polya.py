@@ -3,10 +3,10 @@
 Distributing n unlabelled balls into c boxes, two fillings being equal
 when a permutation group G on the boxes maps one to the other, is counted
 by substituting the occupancy series 1 + x + x^2 + ... into the cycle
-index of G.  A cycle index is kept as integers, |G| and the number of
-elements of each cycle type, and the final division by |G| is checked to
-be exact, so any bug upstream surfaces as an integrality failure instead
-of a rounding artifact.
+index of G, kept as integers: |G| and the number of elements of each
+cycle type.  substitute_cycle_types is the one such substitution, for
+group_balls and the count tables alike; its division is checked exact,
+so a bug upstream surfaces as an integrality failure, not a rounding one.
 """
 
 from collections import Counter
@@ -65,6 +65,28 @@ def _geometric_mul(coeffs: list[int], stride: int) -> None:
         coeffs[start::stride] = accumulate(coeffs[start::stride])
 
 
+def substitute_cycle_types(terms, divisor: int, length: int) -> list[int]:
+    """(1/divisor) * sum of Q(x) * prod_i (1 - x^i)^(-m_i) over (cycle type, Q) ``terms``.
+
+    A cycle type is the exponent tuple (m_1, ..., m_c).  The sum is
+    truncated to ``length`` terms, and its division is checked exact.
+    """
+    total = [0] * length
+    for expo, coeffs in terms:
+        term = list(coeffs[:length]) + [0] * (length - len(coeffs))
+        for stride, m in enumerate(expo, 1):
+            for _ in range(m):
+                _geometric_mul(term, stride)
+        total = [t + x for t, x in zip(total, term)]
+    out = []
+    for value in total:
+        q, rem = divmod(value, divisor)
+        if rem:
+            raise ArithmeticError("coefficient %d not divisible by %d" % (value, divisor))
+        out.append(q)
+    return out
+
+
 def group_balls(zindex: CycleIndex, boxes: int, max_balls: int) -> list[int]:
     """Numbers of orbit-distinct fillings of ``boxes`` boxes with 0..max_balls balls.
 
@@ -77,19 +99,8 @@ def group_balls(zindex: CycleIndex, boxes: int, max_balls: int) -> list[int]:
     """
     if zindex.degree != boxes:
         raise ValueError("cycle index has degree %d, not %d" % (zindex.degree, boxes))
-    total = [0] * (max_balls + 1)
-    for expo, count in zindex.counts:
+    for expo, _count in zindex.counts:
         if len(expo) != boxes:
             raise ValueError("exponent tuple %r does not have degree %d" % (expo, boxes))
-        term = [1] + [0] * max_balls
-        for i, m in enumerate(expo):
-            for _ in range(m):
-                _geometric_mul(term, i + 1)
-        total = [t + count * x for t, x in zip(total, term)]
-    out = []
-    for value in total:
-        q, rem = divmod(value, zindex.order)
-        if rem:
-            raise ArithmeticError("coefficient %d not divisible by %d" % (value, zindex.order))
-        out.append(q)
-    return out
+    return substitute_cycle_types(((expo, [count]) for expo, count in zindex.counts),
+                                  zindex.order, max_balls + 1)

@@ -1,6 +1,7 @@
-"""Counting pipeline: aggregation over profiles, isomorph checks, caching, interchange."""
+"""Counting pipeline: cycle-type polynomials, isomorph checks, caching, interchange."""
 
 import itertools
+import math
 import random
 from collections import Counter
 
@@ -89,6 +90,30 @@ class TestCounting:
             rank3.count_lattices(0, 5)
         with pytest.raises(ValueError):
             rank3.count_lattices(3, -1)
+
+
+class TestCycleTypes:
+    def test_each_graph_adds_its_shifted_ball_series(self, graphs_by_c):
+        # the table of one graph is its group_balls series moved up by r + s,
+        # the per-graph reading of the cycle-type sum
+        for c in range(1, 6):
+            for graph in graphs_by_c[c]:
+                shift = sum(rank3.count_r_s(graph))
+                zindex = rank3.cycle_index(rank3.automorphism_group_on_coatoms(graph))
+                assert rank3.count_lattices(c, 40, [graph]).values == \
+                    [0] * shift + rank3.group_balls(zindex, c, 40 - shift)
+
+    @pytest.mark.parametrize("c, labeled", zip(range(1, 7), [1, 2, 9, 97, 2625, 185521]))
+    def test_burnside_structure(self, c, labeled):
+        # Q at type t_1^m_1 ... t_c^m_c is |C| times the labelled families
+        # fixed by one permutation of that type, |C| its conjugacy class size;
+        # the identity fixes every labelled family (counted in test_genconn)
+        terms, _stats = rank3.pipeline._generated_profile(c)
+        for expo, q in terms:
+            centraliser = math.prod(i ** m * math.factorial(m) for i, m in enumerate(expo, 1))
+            assert all(coeff % (math.factorial(c) // centraliser) == 0 for coeff in q)
+        identity = dict(terms)[(c,) + (0,) * (c - 1)]
+        assert sum(identity) == labeled
 
 
 @pytest.fixture
