@@ -30,7 +30,8 @@ from .polya import cycle_index, substitute_cycle_types
 
 
 class GraphInputError(ValueError):
-    """Graph input that is not an isomorph-free census for the requested coatom count."""
+    """Graph input that is not an isomorph-free census for the requested coatom
+    count: the count names a bad graph by position, iter_graph_dir a damaged file."""
 
 
 @dataclass
@@ -60,8 +61,12 @@ def _fold_profile(coatom_count: int, graphs) -> tuple:
     seen, indices, trivial, k = set(), set(), 0, 0
     q = defaultdict(lambda: [0] * (c * (c + 1) // 2 + 1))    # r + s <= c(c-1)/2 + c
     for k, graph in enumerate(graphs, 1):
-        if graph.coatom_count != c:
-            raise GraphInputError("graph has %d coatoms, expected %d" % (graph.coatom_count, c))
+        try:
+            if graph.coatom_count != c:
+                raise ValueError("%d coatoms, expected %d" % (graph.coatom_count, c))
+            validate_connection_graph(graph)
+        except ValueError as exc:
+            raise GraphInputError("graph %d %r: %s" % (k, graph, exc)) from None
         canon, group = _canonical_masks_and_group(graph)
         if canon in seen:
             raise GraphInputError("graph %d is isomorphic to an earlier graph" % k)
@@ -85,12 +90,14 @@ def _generated_profile(coatom_count: int) -> tuple:
 
 def count_lattices_stats(coatom_count: int, max_atoms: int, graphs=None,
                          jobs=None) -> tuple[CountTable, MemoStats]:
-    """Count table plus memo statistics for one pipeline run.
+    """Count table plus the MemoStats of its graphs for one pipeline run.
 
     ``graphs`` is any iterable of connection graphs forming a complete
-    isomorph-free list for ``coatom_count``; a graph isomorphic to an
-    earlier one raises GraphInputError.  They fold into one polynomial Q
-    per cycle type, substituted once into (1/c!) sum Q prod (1 - x^i)^(-m_i).
+    isomorph-free list for ``coatom_count``.  Every graph, passed in, read
+    or generated, is checked here: a wrong coatom count, a failed
+    validate_connection_graph or an isomorph of an earlier graph raises
+    GraphInputError naming its 1-based position.  The graphs fold into
+    one Q per cycle type, substituted once as in the module docstring.
     Without ``graphs`` the graphs are generated and their polynomials
     cached per process, so a later call for the same coatom count skips
     generation and folding.  The returned table and its values are new on
@@ -162,9 +169,8 @@ def iter_graph_dir(directory, coatom_count: int):
     Before any graph, conn_c{c}.manifest must list the strata
     conn_c{c}_r{r}.g6 for r = 0..c(c-1)/2 in order, then their total; each
     stratum must exist and hold as many graphs as listed (checked before
-    its first graph), and each line must decode to a valid connection
-    graph, so a damaged census raises GraphInputError naming the file and
-    line instead of counting a wrong table.
+    its first graph), and each line must decode, else GraphInputError names
+    the file (and line).  The count, not this reader, rejects invalid graphs.
     """
     c = coatom_count
     manifest = os.path.join(directory, "conn_c%d.manifest" % c)
@@ -192,7 +198,6 @@ def iter_graph_dir(directory, coatom_count: int):
         for k, line in lines:
             try:
                 graph = graph6_decode(line, c, r)
-                validate_connection_graph(graph)
             except ValueError as exc:
                 raise GraphInputError("%s line %d: %s" % (name, k, exc)) from None
             yield graph

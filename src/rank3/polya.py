@@ -23,7 +23,7 @@ class CycleIndex(NamedTuple):
     that type), a cycle type being the exponent tuple (m_1, ..., m_c), and
     ``order`` is |G|.  The fields are a normal form: only the identity has
     type t_1^c, so its coefficient 1/|G| fixes the order, and equal cycle
-    indices have equal fields.  Instances serve as memo keys.
+    indices have equal fields.
     """
 
     degree: int
@@ -100,7 +100,7 @@ def group_balls(zindex: CycleIndex, boxes: int, max_balls: int) -> list[int]:
     if zindex.degree != boxes:
         raise ValueError("cycle index has degree %d, not %d" % (zindex.degree, boxes))
     for expo, _count in zindex.counts:
-        if len(expo) != boxes:
-            raise ValueError("exponent tuple %r does not have degree %d" % (expo, boxes))
+        if len(expo) != boxes or sum(i * m for i, m in enumerate(expo, 1)) != boxes:
+            raise ValueError("exponent tuple %r is no cycle type of degree %d" % (expo, boxes))
     return substitute_cycle_types(((expo, [count]) for expo, count in zindex.counts),
                                   zindex.order, max_balls + 1)

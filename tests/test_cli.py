@@ -89,9 +89,12 @@ def _remove_manifest(directory):
 
 
 def _one_coatom_connector(directory):
-    # same line count, but a connector covering a single coatom
-    (directory / "conn_c5_r1.g6").write_bytes(
-        rank3.graph6_encode(rank3.BicoloredGraph(5, [{0}])))
+    # same line count, but line 1 has a connector covering a single coatom
+    path = directory / "conn_c5_r1.g6"
+    lines = path.read_bytes().splitlines(keepends=True)
+    lines[0] = rank3.graph6_encode(rank3.BicoloredGraph(5, [{0}]))
+    path.write_bytes(b"".join(lines))
+    return "covers fewer than two coatoms"
 
 
 def _relabelled_copy(directory):
@@ -261,6 +264,22 @@ class TestVerify:
                             lambda c, a: 10 ** 9)
         assert run_cli("verify", "--max-total", 4) == cli.EXIT_MISMATCH
         assert "MISMATCH" in capsys.readouterr().out
+
+    def test_duality_mismatch_exits_nonzero(self, monkeypatch, capsys):
+        # R(2, 3) is right, but its dual R(3, 2) is one too large
+        count = rank3.pipeline.count_lattices
+
+        def off_by_one(c, max_atoms, graphs=None):
+            table = count(c, max_atoms, graphs)
+            if c == 3:
+                table.values[2] += 1
+            return table
+
+        monkeypatch.setattr(rank3.pipeline, "count_lattices", off_by_one)
+        assert run_cli("verify", "--max-total", 5) == cli.EXIT_MISMATCH
+        out = capsys.readouterr().out
+        assert "c=2  a=3  pipeline=3            oracle=3            MISMATCH" in out.splitlines()
+        assert out.count("MISMATCH") == 2    # c=2 a=3 and c=3 a=2
 
     def test_range_checked(self, capsys):
         assert run_cli("verify", "--max-total", 40) == cli.EXIT_INPUT

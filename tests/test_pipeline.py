@@ -74,6 +74,23 @@ class TestCounting:
         with pytest.raises(rank3.GraphInputError):
             rank3.count_lattices(3, 5, graphs)
 
+    @pytest.mark.parametrize("c, graphs, position, reason", [
+        (2, lambda census: [rank3.BicoloredGraph(2), rank3.BicoloredGraph(2, [3]),
+                            rank3.BicoloredGraph(2, [3, 3, 3, 3])],
+         3, "4 connectors exceed the maximum 1 for 2 coatoms"),
+        (3, lambda census: census[3] + [rank3.BicoloredGraph(3, [{0}])],
+         6, "connector 0 covers fewer than two coatoms"),
+        (4, lambda census: census[4] + [rank3.BicoloredGraph(4, [0b0111, 0b1011])],
+         17, "connectors 0 and 1 share more than one coatom"),
+    ], ids=["too-many-connectors", "one-coatom-connector", "two-shared-coatoms"])
+    def test_invalid_graph_rejected(self, graphs_by_c, c, graphs, position, reason):
+        # each list ends in its one invalid graph, which must be named, not
+        # counted or left to fail on an index
+        graphs = graphs(graphs_by_c)
+        with pytest.raises(rank3.GraphInputError) as info:
+            rank3.count_lattices(c, 6, graphs)
+        assert str(info.value) == "graph %d %r: %s" % (position, graphs[-1], reason)
+
     @pytest.mark.parametrize("c, position", [
         (5, 7),      # right after its original, graph 7
         (6, 592),    # after all 592 graphs of c = 6

@@ -77,6 +77,10 @@ class TestCycleIndex:
         z = rank3.CycleIndex(3, 1, (((2, 0), 1),))
         with pytest.raises(ValueError):
             rank3.group_balls(z, 3, 4)
+        # right length, but the cycles cover one box of three
+        z = rank3.CycleIndex(3, 1, (((1, 0, 0), 1),))
+        with pytest.raises(ValueError):
+            rank3.group_balls(z, 3, 5)
 
 
 class TestGroupBalls:
