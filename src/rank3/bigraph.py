@@ -15,6 +15,7 @@ through a "0"/"1" string of the adjacency matrix's upper triangle).
 
 import functools
 import itertools
+import operator
 
 Permutation = tuple[int, ...]
 
@@ -145,15 +146,18 @@ def validate_connection_graph(graph: BicoloredGraph) -> None:
 #
 # Each connector is read once as its member tuple, the coatoms it covers.
 # Refinement over that incidence splits the coatoms into classes that no
-# colour-preserving isomorphism can mix.  One search then tries every
-# order of every class (tiny for all but the most symmetric graphs),
-# chains the orders in colour order and relabels each coatom by its index
-# in the chain, so each class goes onto its own run of positions.  It maps
-# the member tuples through the relabelling's powers of two and keeps the
-# least sorted mask tuple, the canonical form, with every relabelling that
-# attains it.  Those form a coset p0 Aut: an automorphism s fixes each
-# class setwise, so p0 s attains the minimum too, and q(M) = p0(M) gives
-# p0^-1 q(M) = M.  So the same search also yields the automorphisms.
+# colour-preserving isomorphism can mix; it stops early once the coatoms
+# are discrete, as every signature leads with the previous colour.  One
+# search then tries every order of every class (tiny for all but the most
+# symmetric graphs), chains the orders in colour order and relabels each
+# coatom by its index in the chain, so each class goes onto its own run of
+# positions.  A connector's image mask ORs one part per class: the bits of
+# the singleton classes sit in one base vector, and each order of a larger
+# class has its own contribution vector, all built once.  The search keeps
+# the least sorted mask tuple, the canonical form, with every relabelling
+# that attains it.  Those form a coset p0 Aut: an automorphism s fixes
+# each class setwise, so p0 s attains the minimum too, and q(M) = p0(M)
+# gives p0^-1 q(M) = M.  So the same search also yields the automorphisms.
 
 
 @functools.cache
@@ -165,44 +169,75 @@ def _members(mask: int) -> tuple[int, ...]:
 
 def _coatom_search(c: int, masks) -> tuple[tuple[int, ...], list[Permutation]]:
     """The least sorted mapped mask tuple over the class orders, and every
-    relabelling (old label -> new label) attaining it, in enumeration order."""
+    relabelling (old label -> new label) attaining it, in enumeration order.
+    An order costs one OR per larger class and connector and one sort; its
+    permutation is built only when it ties or beats the best so far."""
     members = [_members(m) for m in masks]
     incident = [[] for _ in range(c)]
     for j, mem in enumerate(members):
         for i in mem:
             incident[i].append(j)
-    # refine integer colours until the class counts stop growing; ranking
-    # by sorted signature keeps the class order label-independent
+    # refine integer colours until the class counts stop growing or the
+    # coatoms are discrete; ranking by sorted signature keeps the class
+    # order label-independent
     coat = [0] * c
     conn = [len(mem) for mem in members]
     n_classes = (1, len(set(conn)))
     while True:
         coat_sig = [(coat[i], tuple(sorted([conn[j] for j in incident[i]])))
                     for i in range(c)]
-        rank = {s: k for k, s in enumerate(sorted(set(coat_sig)))}
-        coat = [rank[s] for s in coat_sig]
+        coat_rank = {s: k for k, s in enumerate(sorted(set(coat_sig)))}
+        coat = [coat_rank[s] for s in coat_sig]
+        if len(coat_rank) == c:
+            break
         conn_sig = [(conn[j], tuple(sorted([coat[i] for i in mem])))
                     for j, mem in enumerate(members)]
         rank = {s: k for k, s in enumerate(sorted(set(conn_sig)))}
         conn = [rank[s] for s in conn_sig]
-        now = (len(set(coat)), len(set(conn)))
+        now = (len(coat_rank), len(rank))
         if now == n_classes:
             break
         n_classes = now
     # the final colours are 0..K-1: classes[k] holds colour k in label order
-    classes = [[] for _ in range(n_classes[0])]
+    classes = [[] for _ in range(len(coat_rank))]
     for i, k in enumerate(coat):
         classes[k].append(i)
+
+    def contribution(order, start, vec):
+        # OR into vec the image bits of the coatoms of order, run from start
+        for image, i in enumerate(order, start):
+            bit = 1 << image
+            for j in incident[i]:
+                vec[j] |= bit
+        return vec
+
+    # singletons: fixed images, bits in base; larger classes: one run of
+    # (start, order, contribution) options each
+    fixed = [0] * c
+    base = [0] * len(members)
+    runs = []
+    start = 0
+    for cls in classes:
+        if len(cls) == 1:
+            fixed[cls[0]] = start
+            contribution(cls, start, base)
+        else:
+            runs.append([(start, order, contribution(order, start, [0] * len(members)))
+                         for order in itertools.permutations(cls)])
+        start += len(cls)
     best, winners = None, []
-    for choice in itertools.product(*map(itertools.permutations, classes)):
-        perm = [0] * c
-        for image, i in enumerate(itertools.chain.from_iterable(choice)):
-            perm[i] = image
-        power = [1 << image for image in perm]
-        mapped = sorted([sum([power[i] for i in mem]) for mem in members])
-        if best is None or mapped < best:
-            best, winners = mapped, [tuple(perm)]
-        elif mapped == best:
+    for choice in itertools.product(*runs):
+        mapped = base
+        for _, _, vec in choice:
+            mapped = map(operator.or_, mapped, vec)
+        mapped = sorted(mapped)
+        if best is None or mapped <= best:
+            perm = fixed[:]
+            for start, order, _ in choice:
+                for image, i in enumerate(order, start):
+                    perm[i] = image
+            if best is None or mapped < best:
+                best, winners = mapped, []
             winners.append(tuple(perm))
     return tuple(best), winners
 

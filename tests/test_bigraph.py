@@ -9,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import rank3
-from rank3.bigraph import _canonical_masks
+from rank3.bigraph import _canonical_masks, _coatom_search
 
 from reference_values import GRAPH_CENSUS
 
@@ -54,6 +54,48 @@ def all_coatom_perms(graph):
         if mapped == target:
             found.append(perm)
     return set(found)
+
+
+def plain_coatom_search(c, masks):
+    """Oracle: the coatom search without its shortcuts.  Refine until the
+    class counts stop growing, then try every order of every class in
+    colour order and map each mask bit by bit."""
+    members = [[i for i in range(c) if m >> i & 1] for m in masks]
+    coat, conn = [0] * c, [len(mem) for mem in members]
+    n_classes = (1, len(set(conn)))
+    while True:
+        coat_sig = [(coat[i], tuple(sorted(conn[j] for j, mem in enumerate(members)
+                                           if i in mem))) for i in range(c)]
+        coat = [sorted(set(coat_sig)).index(s) for s in coat_sig]
+        conn_sig = [(conn[j], tuple(sorted(coat[i] for i in mem)))
+                    for j, mem in enumerate(members)]
+        conn = [sorted(set(conn_sig)).index(s) for s in conn_sig]
+        if (len(set(coat)), len(set(conn))) == n_classes:
+            break
+        n_classes = (len(set(coat)), len(set(conn)))
+    classes = [[i for i in range(c) if coat[i] == k] for k in range(len(set(coat)))]
+    best, winners = None, []
+    for choice in itertools.product(*map(itertools.permutations, classes)):
+        perm = [0] * c
+        for image, i in enumerate(itertools.chain.from_iterable(choice)):
+            perm[i] = image
+        mapped = tuple(sorted(map_mask(m, perm) for m in masks))
+        if best is None or mapped < best:
+            best, winners = mapped, [tuple(perm)]
+        elif mapped == best:
+            winners.append(tuple(perm))
+    return best, winners
+
+
+def labelled_connection_graphs(c):
+    """Every connection graph on coatoms 0..c-1, as ascending mask tuples."""
+    pool = [m for m in range(1 << c) if m.bit_count() >= 2]
+    level = [()]
+    while level:
+        yield from level
+        level = [masks + (m,) for masks in level for m in pool
+                 if m > max(masks, default=0)
+                 and all((m & x).bit_count() <= 1 for x in masks)]
 
 
 def relabeled(graph, rng):
@@ -164,22 +206,15 @@ class TestCanonicalForm:
     def test_exhaustive_agreement_with_full_scan(self):
         # on all labeled 3-coatom graphs the restricted search must pick
         # a form constant on, and separating, full-scan orbits
-        pool = [m for m in range(8) if m.bit_count() >= 2]
         seen = {}
-        for r in range(0, 4):
-            for masks in itertools.combinations(pool, r):
-                if any(
-                    (x & y).bit_count() > 1
-                    for x, y in itertools.combinations(masks, 2)
-                ):
-                    continue
-                full = min(
-                    tuple(sorted(map_mask(m, p) for m in masks))
-                    for p in itertools.permutations(range(3))
-                ) if masks else ()
-                restricted = _canonical_masks(3, masks)
-                assert restricted not in seen or seen[restricted] == full
-                seen[restricted] = full
+        for masks in labelled_connection_graphs(3):
+            full = min(
+                tuple(sorted(map_mask(m, p) for m in masks))
+                for p in itertools.permutations(range(3))
+            ) if masks else ()
+            restricted = _canonical_masks(3, masks)
+            assert restricted not in seen or seen[restricted] == full
+            seen[restricted] = full
         assert len(seen) == len(set(seen.values())) == GRAPH_CENSUS[3]
 
     def test_color_split_disambiguation(self):
@@ -195,6 +230,34 @@ class TestCanonicalForm:
         assert lines == {b"B?\n"}
         forms = {rank3.canonical_form(g) for g in splits}
         assert len(forms) == 3
+
+
+class TestCoatomSearch:
+    """The search returns the oracle's canonical masks and winners, in order."""
+
+    def test_all_labelled_graphs_to_five(self):
+        # inputs that do not come from the search: every labelling, in
+        # every class structure, with the connectors in mask order
+        for c, labelled in [(1, 1), (2, 2), (3, 9), (4, 97), (5, 2625)]:
+            graphs = list(labelled_connection_graphs(c))
+            assert len(graphs) == labelled
+            for masks in graphs:
+                assert _coatom_search(c, masks) == plain_coatom_search(c, masks), masks
+
+    def test_census_and_relabelings_to_six(self, graphs_by_c):
+        rng = random.Random(20261018)
+        for c in range(1, 7):
+            assert len(graphs_by_c[c]) == GRAPH_CENSUS[c]
+            for g in graphs_by_c[c]:
+                for h in [g] + [relabeled(g, rng) for _ in range(3)]:
+                    assert (_coatom_search(c, h.connector_masks)
+                            == plain_coatom_search(c, h.connector_masks)), h
+
+    def test_seven_coatom_census(self, graphs_c7):
+        assert len(graphs_c7) == GRAPH_CENSUS[7]
+        for g in graphs_c7:
+            assert (_coatom_search(7, g.connector_masks)
+                    == plain_coatom_search(7, g.connector_masks)), g
 
 
 class TestAutomorphisms:
