@@ -3,8 +3,10 @@
 Connection graphs on c coatoms are families of connector neighbourhoods:
 distinct coatom subsets of size at least two, any two sharing at most one
 coatom.  Families are generated stratum by stratum in the connector count
-r, deduplicating each stratum through the canonical form, so every
-isomorphism class appears exactly once.
+r.  Each class of stratum r is extended only by a largest connector,
+ranked by (size, sorted degrees of its coatoms), and the results are
+deduplicated through the canonical form, so every isomorphism class
+appears exactly once.
 
 brute_force_count answers the end question (how many rank-3 lattices with
 c coatoms and a atoms) by direct enumeration of atom-neighbourhood
@@ -26,28 +28,55 @@ def count_r_s(graph: BicoloredGraph) -> tuple[int, int]:
     return len(graph.connector_masks), graph.coatom_count - covered.bit_count()
 
 
+def _outranked(fam, deg, m: int) -> bool:
+    """True if a connector of ``fam`` the size of ``m`` has larger sorted
+    coatom degrees than ``m`` in fam + (m,); ``deg`` are fam's degrees."""
+    child = [d + (m >> i & 1) for i, d in enumerate(deg)]
+
+    def key(x):
+        return sorted(d for i, d in enumerate(child) if x >> i & 1)
+
+    size, top = m.bit_count(), key(m)
+    return any(x.bit_count() == size and key(x) > top for x in fam)
+
+
 def generate_connection_graphs(coatom_count: int):
     """Yield one representative per isomorphism class of connection graphs.
 
     Output comes in ascending connector count r, each graph in its
-    canonical labelling.  The stratum for r+1 is built by extending every
-    class of stratum r with each compatible new neighbourhood and
-    deduplicating the canonical masks; removing a connector never breaks
-    validity, so this reaches every class.  Each stratum is sorted once by
-    graph6 bytes, and its masks seed the next, so two runs produce
-    byte-identical output.
+    canonical labelling.  Stratum r+1 extends each class P of stratum r by
+    every mask m that shares no coatom pair with P and that no connector
+    of P + m outranks in (size, sorted coatom degrees), then deduplicates
+    the canonical masks.  No class is lost: G minus a top-ranked connector
+    d has its class P in stratum r, and P plus the image of d is
+    isomorphic to G and passes, the rank being an isomorphism invariant.
+    Each stratum is sorted once by graph6 bytes, and its masks seed the
+    next, so two runs produce byte-identical output.
     """
     c = coatom_count
     if c < 1:
         raise ValueError("coatom count must be positive")
-    pool = [m for m in range(1 << c) if m.bit_count() >= 2]
+    # largest masks first, so a parent's scan stops at its first smaller
+    # mask; pairs[m] has one bit per coatom pair that m covers
+    pool = sorted((m for m in range(1 << c) if m.bit_count() >= 2),
+                  key=int.bit_count, reverse=True)
+    pairs = {m: sum(1 << (i * c + j) for i in range(c) for j in range(i)
+                    if m >> i & m >> j & 1) for m in pool}
     yield BicoloredGraph(c)
     level: list[tuple[int, ...]] = [()]
     for _r in range(1, c * (c - 1) // 2 + 1):
         seen = set()
         for fam in level:
+            covered = 0
+            for x in fam:
+                covered |= pairs[x]
+            top = max((x.bit_count() for x in fam), default=0)
+            deg = [sum(x >> i & 1 for x in fam) for i in range(c)]
             for m in pool:
-                if any((m & x).bit_count() > 1 for x in fam):
+                size = m.bit_count()
+                if size < top:
+                    break
+                if pairs[m] & covered or size == top and _outranked(fam, deg, m):
                     continue
                 seen.add(_canonical_masks(c, fam + (m,)))
         graphs = sorted((BicoloredGraph(c, canon) for canon in seen), key=graph6_encode)

@@ -86,10 +86,10 @@ class TestCriterion03ValueTables:
 
 class TestCriterion04LargeCoatomSpotCheck:
     def test_duality_substitute(self, tables_to_1000):
-        # generating all 552251 graphs at c = 8 exceeds the desk budget
-        # (tens of minutes; see the slow extension below), so this uses
-        # the sanctioned substitute: R(8,a) = R(a,8) from the a-coatom
-        # pipelines, plus the independent oracle where it is affordable
+        # generating all 552251 graphs at c = 8 and counting them takes
+        # about 100 s on a 2.1 GHz Xeon core (the slow test below), so
+        # tier-1 uses the sanctioned substitute: R(8,a) = R(a,8) from the
+        # a-coatom pipelines, plus the independent oracle where affordable
         for a in range(2, 7):
             assert tables_to_1000[a].values[8] == R_TABLE[8][a]
         assert rank3.count_lattices(1, 8).values[8] == R_TABLE[8][1]
@@ -101,12 +101,14 @@ class TestCriterion04LargeCoatomSpotCheck:
     def test_direct_census_and_counts(self):
         graphs = list(rank3.generate_connection_graphs(8))
         assert len(graphs) == GRAPH_CENSUS[8]
-        table, stats = rank3.count_lattices_stats(8, 9, graphs)
+        table, stats = rank3.count_lattices_stats(8, 1000, graphs)
         assert (stats.graphs_processed, stats.distinct_cycle_indices,
                 stats.trivial_action_graphs) == MEMO_STATS[8]
-        for a in range(1, 10):
-            assert table.values[a] == R_TABLE[8][a]
-        report(4, "R(8,a) for a <= 9 from all %d generated graphs" % len(graphs))
+        assert len(R_TABLE[8]) == 40
+        for a, want in R_TABLE[8].items():
+            assert table.values[a] == want
+        report(4, "all %d published R(8,a) from all %d generated graphs"
+               % (len(R_TABLE[8]), len(graphs)))
 
 
 class TestCriterion05ClosedFormTheorems:

@@ -92,6 +92,23 @@ class TestGeneration:
         assert sum(1 for _ in labeled_connection_families(7)) == 35406319
         assert labeled_copies(7, graphs_c7) == 35406319
 
+    @pytest.mark.parametrize("c, searches", [(5, 161), (6, 1214)])
+    def test_extends_only_by_largest_connectors(self, monkeypatch, c, searches):
+        # a parent is extended only by a connector of largest (size, sorted
+        # coatom degrees), so far fewer candidates reach the canonical search
+        # than the 362 and 4356 compatible ones; a size-only rule still
+        # gives the right census but makes 2118 searches at c = 6
+        calls = []
+        search = rank3.genconn._canonical_masks
+
+        def counting(coatoms, masks):
+            calls.append(masks)
+            return search(coatoms, masks)
+
+        monkeypatch.setattr(rank3.genconn, "_canonical_masks", counting)
+        assert sum(1 for _ in rank3.generate_connection_graphs(c)) == GRAPH_CENSUS[c]
+        assert len(calls) == searches
+
     def test_deterministic_order(self):
         first = list(rank3.generate_connection_graphs(4))
         second = list(rank3.generate_connection_graphs(4))
