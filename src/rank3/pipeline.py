@@ -11,14 +11,17 @@ elements of Aut g of type lambda over the graphs with r + s = k (10808
 graphs at c = 7 fold into 15 polynomials); the canonical forms found with
 the groups check the list is isomorph-free.
 
-The polynomials of c are the same for every a, so those of the generated
-graphs are cached per process, one entry per coatom count: repeated
-counts for one c generate and fold its graphs once.  Every call builds
-its table afresh.  Graphs passed in explicitly bypass the cache.
+The polynomials of c are the same for every a, and the first n terms of
+their truncated series do not depend on where it is truncated.  So the
+generated graphs of c are cached per process in one entry: their
+polynomials, their MemoStats and the longest series substituted so far.
+Repeated counts for one c generate and fold its graphs once, and a count
+the series already covers is a copy of its first a + 1 terms; a longer
+one substitutes again to at least twice the old length.  Graphs passed in
+explicitly bypass the cache.
 """
 
 import csv
-import functools
 import math
 import os
 from collections import defaultdict
@@ -82,10 +85,8 @@ def _fold_profile(coatom_count: int, graphs) -> tuple:
             MemoStats(k, len(indices), trivial))
 
 
-@functools.cache
-def _generated_profile(coatom_count: int) -> tuple:
-    """Cycle-type polynomials and MemoStats of the generated graphs."""
-    return _fold_profile(coatom_count, generate_connection_graphs(coatom_count))
+# coatom count -> (Q terms, MemoStats, the longest series substituted so far)
+_generated = {}
 
 
 def count_lattices_stats(coatom_count: int, max_atoms: int, graphs=None,
@@ -98,20 +99,33 @@ def count_lattices_stats(coatom_count: int, max_atoms: int, graphs=None,
     validate_connection_graph or an isomorph of an earlier graph raises
     GraphInputError naming its 1-based position.  The graphs fold into
     one Q per cycle type, substituted once as in the module docstring.
-    Without ``graphs`` the graphs are generated and their polynomials
-    cached per process, so a later call for the same coatom count skips
-    generation and folding.  The returned table and its values are new on
-    every call.  ``jobs`` is accepted and ignored, because the benchmark's
-    traced replay still passes ``jobs=2``.
+    Without ``graphs`` the graphs are generated once per process and
+    coatom count, and the table is a slice of that count's cached series,
+    which is substituted again, to at least twice its length, only when a
+    longer table is asked for.  The returned table and its values are new
+    on every call; the cached series is never handed out.  ``jobs`` is
+    accepted and ignored, because the benchmark's traced replay still
+    passes ``jobs=2``.
     """
     if coatom_count < 1:
         raise ValueError("coatom count must be positive")
     if max_atoms < 0:
         raise ValueError("maximum atom count must be nonnegative")
-    terms, stats = (_generated_profile(coatom_count) if graphs is None
-                    else _fold_profile(coatom_count, graphs))
-    values = substitute_cycle_types(terms, math.factorial(coatom_count), max_atoms + 1)
-    return CountTable(coatom_count, max_atoms, values), stats
+    c = coatom_count
+    if graphs is not None:
+        terms, stats = _fold_profile(c, graphs)
+        values = substitute_cycle_types(terms, math.factorial(c), max_atoms + 1)
+        return CountTable(c, max_atoms, values), stats
+    if c in _generated:
+        terms, stats, series = _generated[c]
+    else:
+        (terms, stats), series = _fold_profile(c, generate_connection_graphs(c)), []
+    if len(series) <= max_atoms:
+        # stored once substituted, so a substitution that raises leaves the entry as it was
+        length = max(max_atoms + 1, 2 * len(series))
+        series = substitute_cycle_types(terms, math.factorial(c), length)
+        _generated[c] = terms, stats, series
+    return CountTable(c, max_atoms, series[:max_atoms + 1]), stats
 
 
 def count_lattices(coatom_count: int, max_atoms: int, graphs=None) -> CountTable:
@@ -167,10 +181,13 @@ def iter_graph_dir(directory, coatom_count: int):
     """Yield the graphs of a census written by write_graph_files, ascending in r.
 
     Before any graph, conn_c{c}.manifest must list the strata
-    conn_c{c}_r{r}.g6 for r = 0..c(c-1)/2 in order, then their total; each
-    stratum must exist and hold as many graphs as listed (checked before
-    its first graph), and each line must decode, else GraphInputError names
-    the file (and line).  The count, not this reader, rejects invalid graphs.
+    conn_c{c}_r{r}.g6 for r = 0..c(c-1)/2 in order, then their total, and
+    list the sizes every census has at r = 0, 1 and c(c-1)/2 (1, c - 1
+    and 1); each stratum must exist and hold as many graphs as listed
+    (checked before its first graph), and each line must decode, else
+    GraphInputError names the file (and line).  The count, not this
+    reader, rejects invalid graphs; a stratum in between truncated along
+    with its manifest line is not detected here.
     """
     c = coatom_count
     manifest = os.path.join(directory, "conn_c%d.manifest" % c)
@@ -187,6 +204,12 @@ def iter_graph_dir(directory, coatom_count: int):
     *listed, (_total, total) = listed
     if total != sum(n for _name, n in listed):
         raise GraphInputError("%r: total %d is not the sum of the strata" % (manifest, total))
+    # every census holds the bare coatoms, c - 1 single connectors (sizes 2..c)
+    # and one graph with all c(c-1)/2 coatom pairs as connectors
+    for r, want in {0: 1, 1: c - 1, len(listed) - 1: 1}.items():
+        if r < len(listed) and listed[r][1] != want:
+            raise GraphInputError("%r lists %d graphs in %s, every census has %d"
+                                  % (manifest, listed[r][1], listed[r][0], want))
     for r, (name, n) in enumerate(listed):
         try:
             with open(os.path.join(directory, name), "rb") as fh:

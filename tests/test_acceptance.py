@@ -223,8 +223,8 @@ class TestCriterion10Determinism:
         generated = tmp_path / "generated.csv"
         from_census = tmp_path / "census.csv"
         graphs = str(tmp_path / "graphs")
-        # an empty profile cache, so the generated path generates and reduces its graphs
-        rank3.pipeline._generated_profile.cache_clear()
+        # an empty series cache, so the generated path generates and reduces its graphs
+        rank3.pipeline._generated.clear()
         assert cli.main(["count", "--coatoms", "6", "--max-atoms", "300",
                          "--out", str(generated)]) == 0
         assert cli.main(["generate", "--coatoms", "6", "--out", graphs]) == 0

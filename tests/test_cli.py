@@ -131,14 +131,23 @@ def _extra_stratum(directory):
     return "strata"
 
 
+def _emptied_end_stratum(directory):
+    # r0 and its manifest line both emptied, the total lowered to match
+    (directory / "conn_c5_r0.g6").write_bytes(b"")
+    path = directory / "conn_c5.manifest"
+    path.write_text(path.read_text().replace("conn_c5_r0.g6 1\n", "conn_c5_r0.g6 0\n")
+                    .replace("total 72\n", "total 71\n"))
+    return "0 graphs in conn_c5_r0.g6"
+
+
 class TestDamagedCensus:
     @pytest.mark.parametrize("damage", [_drop_last_line, _repeat_first_line,
                                         _remove_manifest, _one_coatom_connector,
                                         _relabelled_copy, _corrupt_line, _wrong_total,
-                                        _extra_stratum],
+                                        _extra_stratum, _emptied_end_stratum],
                              ids=["truncated", "extra-line", "no-manifest", "invalid-graph",
                                   "relabelled-copy", "corrupt-line", "wrong-total",
-                                  "extra-stratum"])
+                                  "extra-stratum", "emptied-end-stratum"])
     def test_count_exits_input_code(self, tmp_path, capsys, damage):
         graphs = tmp_path / "graphs"
         assert run_cli("generate", "--coatoms", 5, "--out", graphs) == 0

@@ -125,7 +125,8 @@ class TestCycleTypes:
         # Q at type t_1^m_1 ... t_c^m_c is |C| times the labelled families
         # fixed by one permutation of that type, |C| its conjugacy class size;
         # the identity fixes every labelled family (counted in test_genconn)
-        terms, _stats = rank3.pipeline._generated_profile(c)
+        rank3.count_lattices(c, 0)
+        terms, _stats, _series = rank3.pipeline._generated[c]
         for expo, q in terms:
             centraliser = math.prod(i ** m * math.factorial(m) for i, m in enumerate(expo, 1))
             assert all(coeff % (math.factorial(c) // centraliser) == 0 for coeff in q)
@@ -135,8 +136,8 @@ class TestCycleTypes:
 
 @pytest.fixture
 def generations(monkeypatch):
-    """Empty the profile cache and count the generator's calls per coatom count."""
-    rank3.pipeline._generated_profile.cache_clear()
+    """Empty the series cache and count the generator's calls per coatom count."""
+    rank3.pipeline._generated.clear()
     calls = Counter()
     generate = rank3.pipeline.generate_connection_graphs
 
@@ -146,7 +147,21 @@ def generations(monkeypatch):
 
     monkeypatch.setattr(rank3.pipeline, "generate_connection_graphs", counting)
     yield calls
-    rank3.pipeline._generated_profile.cache_clear()
+    rank3.pipeline._generated.clear()
+
+
+@pytest.fixture
+def substitutions(monkeypatch, generations):
+    """The lengths of the substitutions the count makes, in order, from an empty cache."""
+    lengths = []
+    substitute = rank3.pipeline.substitute_cycle_types
+
+    def counting(terms, divisor, length):
+        lengths.append(length)
+        return substitute(terms, divisor, length)
+
+    monkeypatch.setattr(rank3.pipeline, "substitute_cycle_types", counting)
+    return lengths
 
 
 class TestProfileCache:
@@ -165,7 +180,7 @@ class TestProfileCache:
         assert generations == {5: 1}
 
     def test_mutating_a_table_changes_no_later_answer(self, generations):
-        want = rank3.count_lattices(4, 30).values
+        want = list(rank3.count_lattices(4, 30).values)
         first = rank3.count_lattices(4, 30)
         first.values[7] += 1
         first.values.append(99)
@@ -187,6 +202,55 @@ class TestProfileCache:
             rank3.count_lattices(3, 8)
         assert rank3.count_lattices(3, 8).values == [0, 1, 3, 8, 13, 20, 29, 39, 50]
         assert generations == {3: 2}    # the failed run, then a full one
+
+    def test_series_grows_geometrically(self, substitutions):
+        terms, _stats = rank3.pipeline._fold_profile(5, rank3.generate_connection_graphs(5))
+        for a in (100, 50, 100, 150, 300, 301, 20):
+            values = rank3.count_lattices(5, a).values
+            assert values == rank3.polya.substitute_cycle_types(terms, 120, a + 1)
+            assert all(values[n] == want for n, want in R_TABLE[5].items() if n <= a)
+        # 150 misses the first 101 terms and doubles them; 300 doubles again
+        assert substitutions == [101, 202, 404]
+
+    def test_one_shot_count_substitutes_once(self, substitutions):
+        values = rank3.count_lattices(6, 1000).values
+        assert all(values[n] == want for n, want in R_TABLE[6].items())
+        assert substitutions == [1001]
+
+    def test_failed_substitution_leaves_no_entry(self, monkeypatch, substitutions):
+        counting = rank3.pipeline.substitute_cycle_types
+
+        def fails_once(terms, divisor, length):
+            monkeypatch.setattr(rank3.pipeline, "substitute_cycle_types", counting)
+            raise ArithmeticError("substitution interrupted")
+
+        monkeypatch.setattr(rank3.pipeline, "substitute_cycle_types", fails_once)
+        with pytest.raises(ArithmeticError, match="interrupted"):
+            rank3.count_lattices(3, 8)
+        assert 3 not in rank3.pipeline._generated
+        assert rank3.count_lattices(3, 8).values == [0, 1, 3, 8, 13, 20, 29, 39, 50]
+        assert substitutions == [9]
+
+    def test_failed_extension_keeps_the_entry(self, monkeypatch, substitutions):
+        want = rank3.count_lattices(4, 30).values
+        entry = rank3.pipeline._generated[4]
+
+        def fails(terms, divisor, length):
+            raise ArithmeticError("substitution interrupted")
+
+        monkeypatch.setattr(rank3.pipeline, "substitute_cycle_types", fails)
+        with pytest.raises(ArithmeticError, match="interrupted"):
+            rank3.count_lattices(4, 31)
+        assert rank3.pipeline._generated[4] is entry
+        assert rank3.count_lattices(4, 30).values == want
+
+    def test_explicit_graphs_bypass_the_entry(self, graphs_by_c, substitutions):
+        want = rank3.count_lattices(5, 40).values
+        entry = rank3.pipeline._generated[5]
+        rank3.count_lattices(5, 100, [graphs_by_c[5][0]])
+        assert rank3.pipeline._generated == {5: entry}
+        assert rank3.count_lattices(5, 40).values == want
+        assert substitutions == [41, 101]
 
 
 class TestCountTable:
@@ -240,6 +304,26 @@ class TestGraphDir:
         (tmp_path / missing).unlink()
         with pytest.raises(rank3.GraphInputError, match=match):
             list(rank3.iter_graph_dir(tmp_path, 4))
+
+    @pytest.mark.parametrize("emptied, named", [
+        (range(4), "conn_c3_r0.g6"),
+        ([0], "conn_c3_r0.g6"),
+        ([1], "conn_c3_r1.g6"),
+        ([3], "conn_c3_r3.g6"),
+    ], ids=["every-stratum", "r0", "r1", "last"])
+    def test_emptied_end_stratum_rejected(self, tmp_path, emptied, named):
+        # each emptied stratum agrees with its manifest line, and the total
+        # with the strata; before the end strata were checked, r0 alone gave
+        # R(3, 3..6) = 7, 12, 18, 26 and every stratum a table of zeros
+        counts = rank3.write_graph_files(tmp_path, 3)
+        for r in emptied:
+            (tmp_path / rank3.graph_file_name(3, r)).write_bytes(b"")
+            counts[r] = 0
+        (tmp_path / "conn_c3.manifest").write_text("".join(
+            "%s %d\n" % (rank3.graph_file_name(3, r), n) for r, n in enumerate(counts))
+            + "total %d\n" % sum(counts))
+        with pytest.raises(rank3.GraphInputError, match="0 graphs in %s" % named):
+            next(rank3.iter_graph_dir(tmp_path, 3))
 
     def test_feeds_pipeline(self, tmp_path, graphs_by_c):
         rank3.write_graph_files(tmp_path, 5, graphs_by_c[5])
