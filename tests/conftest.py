@@ -39,5 +39,5 @@ def tables_to_1000(graphs_by_c):
 
 @pytest.fixture(scope="session")
 def table_c7(graphs_c7):
-    """Count table up to 30 atoms for 7 coatoms."""
-    return rank3.count_lattices(7, 30, graphs_c7)
+    """Count table up to 2960 atoms for 7 coatoms, the length its fit needs."""
+    return rank3.count_lattices(7, 2960, graphs_c7)
