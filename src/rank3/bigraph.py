@@ -9,12 +9,14 @@ The module provides the graph type itself, validity checking for the
 connection-graph invariants, a colour-respecting canonical form and the
 automorphism action restricted to the coatoms (both from one search over
 coatom relabellings, which reads each connector once as the tuple of
-coatoms it covers), and graph6 interchange with other tools (coded
-through a "0"/"1" string of the adjacency matrix's upper triangle).
+coatoms it covers), and graph6 interchange with other tools (encoded
+through a "0"/"1" string of the adjacency matrix's upper triangle,
+decoded through one integer holding that triangle).
 """
 
 import functools
 import itertools
+import math
 import operator
 
 Permutation = tuple[int, ...]
@@ -268,14 +270,13 @@ def canonical_form(graph: BicoloredGraph) -> bytes:
     return bytes([63 + graph.coatom_count]) + graph6_encode(canon).rstrip(b"\n")
 
 
-def _canonical_masks_and_group(graph: BicoloredGraph) -> tuple[tuple[int, ...], PermGroup]:
-    """Canonical masks and automorphism_group_on_coatoms, from one search."""
-    best, winners = _coatom_search(graph.coatom_count, graph.connector_masks)
-    inverse = [0] * graph.coatom_count
+def _group_of_winners(c: int, winners) -> PermGroup:
+    """The automorphisms p0^-1 q for every winner q of _coatom_search, p0 its
+    first winner: the identity first."""
+    inverse = [0] * c
     for i, image in enumerate(winners[0]):
         inverse[image] = i
-    return best, PermGroup(graph.coatom_count,
-                           [tuple(inverse[image] for image in q) for q in winners])
+    return PermGroup(c, [tuple(inverse[image] for image in q) for q in winners])
 
 
 def automorphism_group_on_coatoms(graph: BicoloredGraph) -> PermGroup:
@@ -288,7 +289,8 @@ def automorphism_group_on_coatoms(graph: BicoloredGraph) -> PermGroup:
     bijection attaining the minimum, the automorphisms are p0^-1 q for
     every attaining q, the identity first.
     """
-    return _canonical_masks_and_group(graph)[1]
+    c = graph.coatom_count
+    return _group_of_winners(c, _coatom_search(c, graph.connector_masks)[1])
 
 
 # -- graph6 ------------------------------------------------------------------
@@ -298,9 +300,23 @@ def automorphism_group_on_coatoms(graph: BicoloredGraph) -> PermGroup:
 # (1,2), (0,3), ..., packed six bits per byte, each byte offset by 63,
 # zero-padded, newline-terminated.  Coatoms occupy vertex indices 0..c-1
 # and connectors c..c+r-1; the (c, r) split travels out of band, here via
-# the file naming convention conn_c{c}_r{r}.g6.  Both directions work on
-# the upper triangle as a string of "0"/"1" characters, in which row v,
-# the pairs (0, v) .. (v-1, v), is the slice [v(v-1)/2, v(v+1)/2).
+# the file naming convention conn_c{c}_r{r}.g6.  Pair (u, v), u < v, is
+# bit v(v-1)/2 + u of the upper triangle.  The encoder writes the triangle
+# as a string of "0"/"1" characters.  The decoder reads the payload as one
+# integer z, lowest bit first (each byte's six bits reversed), so row v
+# of connector v - c is the c bits of z from v(v-1)/2 with no reversal;
+# padding and class checks are one mask each, the latter cached per (c, n).
+
+# the payload bytes 63..126, and each one's six bits reversed
+_GRAPH6_BYTES = bytes(range(63, 127))
+_REVERSED_SIX_BITS = bytes.maketrans(
+    _GRAPH6_BYTES, bytes(int(format(x, "06b")[::-1], 2) for x in range(64)))
+
+
+@functools.cache
+def _allowed_edges(c: int, n: int) -> int:
+    """The bits of z that may be set, for 0 < c < n: pairs (u, v) with u < c <= v."""
+    return sum(((1 << c) - 1) << v * (v - 1) // 2 for v in range(c, n))
 
 
 def graph6_encode(graph: BicoloredGraph) -> bytes:
@@ -344,22 +360,21 @@ def graph6_decode(line: bytes, coatom_count: int, connector_count: int) -> Bicol
     nbytes = (nbits + 5) // 6
     if len(data) - 1 != nbytes:
         raise Graph6Error("expected %d payload bytes, got %d" % (nbytes, len(data) - 1))
-    for byte in data[1:]:
-        if not 63 <= byte <= 126:
-            raise Graph6Error("byte %r outside graph6 range" % bytes([byte]))
-    bits = "".join([format(byte - 63, "06b") for byte in data[1:]])
-    if "1" in bits[nbits:]:
+    outside = data[1:].translate(None, _GRAPH6_BYTES)
+    if outside:
+        raise Graph6Error("byte %r outside graph6 range" % outside[:1])
+    z = 0
+    for six in reversed(data[1:].translate(_REVERSED_SIX_BITS)):
+        z = z << 6 | six
+    if z >> nbits:
         raise Graph6Error("nonzero padding bits")
     c = coatom_count
-    masks = []
-    for v in range(n):
-        # row v holds the pairs (u, v) for u < v; an edge is allowed only
-        # from a connector row (v >= c) to a coatom column (u < c)
-        row = bits[v * (v - 1) // 2:v * (v + 1) // 2]
-        u = row.find("1", c if 0 <= c <= v else 0)
-        if u >= 0:
-            raise ClassViolationError(
-                "edge (%d, %d) lies inside one colour class" % (u, v))
-        if v >= c:
-            masks.append(int("0" + row[:c][::-1], 2))
-    return BicoloredGraph(c, masks)
+    stray = z & ~_allowed_edges(c, n) if 0 < c < n else z    # else no edge may be set
+    if stray:
+        # the lowest stray bit is the first pair (u, v) the rows meet
+        k = (stray & -stray).bit_length() - 1
+        v = (1 + math.isqrt(8 * k + 1)) // 2
+        raise ClassViolationError("edge (%d, %d) lies inside one colour class"
+                                  % (k - v * (v - 1) // 2, v))
+    full = (1 << max(c, 0)) - 1
+    return BicoloredGraph(c, [z >> v * (v - 1) // 2 & full for v in range(c, n)])

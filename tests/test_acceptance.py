@@ -148,10 +148,11 @@ class TestCriterion06FitsRediscoverTheorems:
         report(6, "fits equal published coefficients for c = 2..5 "
                   "and leading terms for c = 6")
 
-    def test_seven_coatom_fit(self, graphs_c7):
+    def test_seven_coatom_fit(self, table_c7):
         period, degree, threshold = rank3.default_fit_parameters(7)
         needed = threshold + period * (degree + 1) - 1
-        table = rank3.count_lattices(7, needed, graphs_c7)
+        table = table_c7
+        assert table.a_max == needed
         for a, want in R_TABLE[7].items():
             assert table.values[a] == want
         fit = rank3.fit_for_coatoms(table, 7)

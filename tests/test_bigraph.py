@@ -87,6 +87,83 @@ def plain_coatom_search(c, masks):
     return best, winners
 
 
+def plain_graph6_decode(line, coatom_count, connector_count):
+    """Oracle: graph6 decoded through a "0"/"1" string of the upper triangle,
+    with the same checks in the same order."""
+    if isinstance(line, str):
+        line = line.encode("ascii")
+    data = line.rstrip(b"\r\n")
+    if not data:
+        raise rank3.Graph6Error("empty graph6 line")
+    if data[0] == 126:
+        raise rank3.Graph6Error("extended graph6 size forms are not supported")
+    n = data[0] - 63
+    if not 0 <= n <= 62:
+        raise rank3.Graph6Error("bad graph6 size byte %r" % data[0:1])
+    if n != coatom_count + connector_count:
+        raise rank3.SizeMismatchError("encoding has %d vertices, expected %d + %d"
+                                      % (n, coatom_count, connector_count))
+    nbits = n * (n - 1) // 2
+    nbytes = (nbits + 5) // 6
+    if len(data) - 1 != nbytes:
+        raise rank3.Graph6Error("expected %d payload bytes, got %d" % (nbytes, len(data) - 1))
+    for byte in data[1:]:
+        if not 63 <= byte <= 126:
+            raise rank3.Graph6Error("byte %r outside graph6 range" % bytes([byte]))
+    bits = "".join([format(byte - 63, "06b") for byte in data[1:]])
+    if "1" in bits[nbits:]:
+        raise rank3.Graph6Error("nonzero padding bits")
+    c = coatom_count
+    masks = []
+    for v in range(n):
+        # row v holds the pairs (u, v) for u < v; an edge is allowed only
+        # from a connector row (v >= c) to a coatom column (u < c)
+        row = bits[v * (v - 1) // 2:v * (v + 1) // 2]
+        u = row.find("1", c if 0 <= c <= v else 0)
+        if u >= 0:
+            raise rank3.ClassViolationError(
+                "edge (%d, %d) lies inside one colour class" % (u, v))
+        if v >= c:
+            masks.append(int("0" + row[:c][::-1], 2))
+    return rank3.BicoloredGraph(c, masks)
+
+
+def decode_outcome(decode, line, c, r):
+    """The decoded graph, or the class and message of the exception raised."""
+    try:
+        return decode(line, c, r)
+    except Exception as exc:
+        return type(exc), str(exc)
+
+
+@st.composite
+def damaged_graph6_lines(draw):
+    """A graph6 line with one or two byte or bit faults, most often a flipped
+    payload bit, declared with its own split or a moved or wrong one."""
+    g = draw(bicolored_graphs())
+    line = bytearray(rank3.graph6_encode(g).rstrip(b"\n"))
+    for _ in range(draw(st.integers(1, 2))):
+        fault = draw(st.sampled_from(["bit"] * 4 + ["byte", "padding", "long", "cut", "extend"]))
+        if fault == "extend" or not line:
+            line += bytes(draw(st.lists(st.integers(0, 255), min_size=1, max_size=3)))
+            continue
+        at = draw(st.integers(0, len(line) - 1))
+        if fault == "bit" and at > 0:
+            line[at] = (63 + ((line[at] - 63) ^ 1 << draw(st.integers(0, 5)))) % 256
+        elif fault == "byte":
+            line[at] = draw(st.integers(0, 255))
+        elif fault == "padding" and len(line) > 1:
+            line[-1] = (63 + ((line[-1] - 63) | 1)) % 256
+        elif fault == "long":
+            line[0] = 126
+        elif fault == "cut":
+            del line[at:]
+    dc, dr = draw(st.sampled_from([(0, 0)] * 4 + [(-2, 2), (-1, 1), (1, -1), (2, -2), (1, 0),
+                                                  (0, -1)]))
+    c, r = g.coatom_count + dc, g.connector_count + dr
+    return bytes(line) + draw(st.sampled_from([b"", b"\n", b"\r\n"])), c, r
+
+
 def labelled_connection_graphs(c):
     """Every connection graph on coatoms 0..c-1, as ascending mask tuples."""
     pool = [m for m in range(1 << c) if m.bit_count() >= 2]
@@ -334,6 +411,19 @@ class TestGraph6:
         bad[1 + k // 6] = 63 + ((bad[1 + k // 6] - 63) | 1 << (5 - k % 6))
         with pytest.raises(rank3.ClassViolationError, match=r"edge \(%d, %d\)" % (u, v)):
             rank3.graph6_decode(bytes(bad), c, r)
+
+    def test_decoder_equals_string_oracle_on_census(self, graphs_by_c):
+        for c, graphs in graphs_by_c.items():
+            for g in graphs:
+                line, r = rank3.graph6_encode(g), g.connector_count
+                assert rank3.graph6_decode(line, c, r) == plain_graph6_decode(line, c, r) == g
+
+    @settings(max_examples=500, deadline=None)
+    @given(damaged_graph6_lines())
+    def test_decoder_equals_string_oracle_on_damage(self, case):
+        line, c, r = case
+        assert (decode_outcome(rank3.graph6_decode, line, c, r)
+                == decode_outcome(plain_graph6_decode, line, c, r))
 
     def test_census_bytes_unchanged(self, graphs_by_c):
         for c, graphs in graphs_by_c.items():

@@ -109,6 +109,19 @@ class TestCounting:
             rank3.count_lattices(3, -1)
 
 
+def plain_fold(c, graphs):
+    """Oracle: {(cycle type, r + s): Q coefficient} and the MemoStats, from a
+    group and a cycle index built for every graph on its own."""
+    q, indices, trivial = Counter(), set(), 0
+    for graph in graphs:
+        zindex = rank3.cycle_index(rank3.automorphism_group_on_coatoms(graph))
+        indices.add(zindex)
+        trivial += zindex.order == 1
+        for expo, count in zindex.counts:
+            q[expo, sum(rank3.count_r_s(graph))] += math.factorial(c) * count // zindex.order
+    return dict(q), rank3.MemoStats(len(graphs), len(indices), trivial)
+
+
 class TestCycleTypes:
     def test_each_graph_adds_its_shifted_ball_series(self, graphs_by_c):
         # the table of one graph is its group_balls series moved up by r + s,
@@ -119,6 +132,14 @@ class TestCycleTypes:
                 zindex = rank3.cycle_index(rank3.automorphism_group_on_coatoms(graph))
                 assert rank3.count_lattices(c, 40, [graph]).values == \
                     [0] * shift + rank3.group_balls(zindex, c, 40 - shift)
+
+    def test_fold_equals_per_graph_fold(self, graphs_by_c, graphs_c7):
+        # the fold shares one cycle index among the graphs with the same
+        # group; the oracle builds both afresh for every graph
+        for c, graphs in {**graphs_by_c, 7: graphs_c7}.items():
+            terms, stats = rank3.pipeline._fold_profile(c, graphs)
+            folded = {(expo, k): x for expo, row in terms for k, x in enumerate(row) if x}
+            assert (folded, stats) == plain_fold(c, graphs)
 
     @pytest.mark.parametrize("c, labeled", zip(range(1, 7), [1, 2, 9, 97, 2625, 185521]))
     def test_burnside_structure(self, c, labeled):
