@@ -376,5 +376,5 @@ def graph6_decode(line: bytes, coatom_count: int, connector_count: int) -> Bicol
         v = (1 + math.isqrt(8 * k + 1)) // 2
         raise ClassViolationError("edge (%d, %d) lies inside one colour class"
                                   % (k - v * (v - 1) // 2, v))
-    full = (1 << max(c, 0)) - 1
+    full = (1 << max(c, 0)) - 1    # a negative c is left to BicoloredGraph to reject
     return BicoloredGraph(c, [z >> v * (v - 1) // 2 & full for v in range(c, n)])
