@@ -10,8 +10,8 @@ connection-graph invariants, a colour-respecting canonical form and the
 automorphism action restricted to the coatoms (both from one search over
 coatom relabellings, which reads each connector once as the tuple of
 coatoms it covers), and graph6 interchange with other tools (encoded
-through a "0"/"1" string of the adjacency matrix's upper triangle,
-decoded through one integer holding that triangle).
+and decoded through one integer holding the adjacency matrix's upper
+triangle).
 """
 
 import functools
@@ -244,17 +244,11 @@ def _coatom_search(c: int, masks) -> tuple[tuple[int, ...], list[Permutation]]:
     return tuple(best), winners
 
 
-def _canonical_masks(c: int, masks) -> tuple[int, ...]:
-    """Lexicographically least sorted mask tuple over the class bijections."""
-    if not masks:
-        return ()
-    return _coatom_search(c, masks)[0]
-
-
 def canonicalize(graph: BicoloredGraph) -> BicoloredGraph:
     """Isomorphic copy in canonical labelling, connectors sorted by mask."""
-    return BicoloredGraph(
-        graph.coatom_count, _canonical_masks(graph.coatom_count, graph.connector_masks))
+    c, masks = graph.coatom_count, graph.connector_masks
+    # the empty graph is its own canonical form: no need to try c! orders
+    return BicoloredGraph(c, _coatom_search(c, masks)[0] if masks else ())
 
 
 def canonical_form(graph: BicoloredGraph) -> bytes:
@@ -301,16 +295,17 @@ def automorphism_group_on_coatoms(graph: BicoloredGraph) -> PermGroup:
 # zero-padded, newline-terminated.  Coatoms occupy vertex indices 0..c-1
 # and connectors c..c+r-1; the (c, r) split travels out of band, here via
 # the file naming convention conn_c{c}_r{r}.g6.  Pair (u, v), u < v, is
-# bit v(v-1)/2 + u of the upper triangle.  The encoder writes the triangle
-# as a string of "0"/"1" characters.  The decoder reads the payload as one
-# integer z, lowest bit first (each byte's six bits reversed), so row v
-# of connector v - c is the c bits of z from v(v-1)/2 with no reversal;
-# padding and class checks are one mask each, the latter cached per (c, n).
+# bit v(v-1)/2 + u of the upper triangle.  Both directions hold the
+# triangle as one integer z, lowest bit first: payload byte k carries the
+# six bits of z from 6k, reversed.  So row v of connector v - c is the c
+# bits of z from v(v-1)/2 with no reversal.  In decoding, padding and class
+# checks are one mask each, the latter cached per (c, n).
 
-# the payload bytes 63..126, and each one's six bits reversed
+# the payload bytes 63..126, each one's six bits reversed, and back
 _GRAPH6_BYTES = bytes(range(63, 127))
-_REVERSED_SIX_BITS = bytes.maketrans(
-    _GRAPH6_BYTES, bytes(int(format(x, "06b")[::-1], 2) for x in range(64)))
+_REVERSED = bytes(int(format(x, "06b")[::-1], 2) for x in range(64))
+_REVERSED_SIX_BITS = bytes.maketrans(_GRAPH6_BYTES, _REVERSED)
+_SIX_BITS_TO_GRAPH6 = bytes.maketrans(_REVERSED, _GRAPH6_BYTES)
 
 
 @functools.cache
@@ -326,13 +321,10 @@ def graph6_encode(graph: BicoloredGraph) -> bytes:
     n = c + len(masks)
     if n > 62:
         raise UnsupportedSizeError("graph6 short form limited to 62 vertices, got %d" % n)
-    # coatom rows are empty; connector row c + j is its mask, lowest bit
-    # first, then j zeros for the earlier connectors
-    bits = "0" * (c * (c - 1) // 2) + "".join(
-        [bin(m | 1 << c)[:2:-1] + "0" * j for j, m in enumerate(masks)])
-    bits += "0" * (-len(bits) % 6)
-    return bytes([63 + n] + [63 + int(bits[k:k + 6], 2)
-                             for k in range(0, len(bits), 6)]) + b"\n"
+    # coatom rows are empty; the mask of connector v = c + j is row v
+    z = sum(m << v * (v - 1) // 2 for v, m in enumerate(masks, c))
+    six = bytes([z >> k & 63 for k in range(0, n * (n - 1) // 2, 6)])
+    return bytes([63 + n]) + six.translate(_SIX_BITS_TO_GRAPH6) + b"\n"
 
 
 def graph6_decode(line: bytes, coatom_count: int, connector_count: int) -> BicoloredGraph:

@@ -32,9 +32,7 @@ def _default_out_dir() -> str:
 
 def cmd_generate(args) -> int:
     counts = genconn.write_graph_files(args.out or _default_out_dir(), args.coatoms)
-    for r, n in enumerate(counts):
-        print("%s %d" % (genconn.graph_file_name(args.coatoms, r), n))
-    print("total %d" % sum(counts))
+    print(genconn.manifest_text(args.coatoms, counts), end="")
     return 0
 
 

@@ -17,7 +17,7 @@ cycle-index pipeline on purpose: it is the cross-check.
 import contextlib
 import os
 
-from .bigraph import BicoloredGraph, _canonical_masks, graph6_encode
+from .bigraph import BicoloredGraph, _coatom_search, graph6_encode
 
 
 def count_r_s(graph: BicoloredGraph) -> tuple[int, int]:
@@ -78,7 +78,7 @@ def generate_connection_graphs(coatom_count: int):
                     break
                 if pairs[m] & covered or size == top and _outranked(fam, deg, m):
                     continue
-                seen.add(_canonical_masks(c, fam + (m,)))
+                seen.add(_coatom_search(c, fam + (m,))[0])
         graphs = sorted((BicoloredGraph(c, canon) for canon in seen), key=graph6_encode)
         level = [g.connector_masks for g in graphs]
         yield from graphs
@@ -87,6 +87,12 @@ def generate_connection_graphs(coatom_count: int):
 def graph_file_name(coatom_count: int, connector_count: int) -> str:
     """Name of the graph6 file holding the graphs with c coatoms and r connectors."""
     return "conn_c%d_r%d.g6" % (coatom_count, connector_count)
+
+
+def manifest_text(coatom_count: int, counts) -> str:
+    """The census manifest: one "file count" line per stratum r, then "total n"."""
+    return "".join("%s %d\n" % (graph_file_name(coatom_count, r), n)
+                   for r, n in enumerate(counts)) + "total %d\n" % sum(counts)
 
 
 @contextlib.contextmanager
@@ -138,9 +144,7 @@ def write_graph_files(directory, coatom_count: int, graphs=None) -> list[int]:
                                  "belong to a census on %d coatoms" % (g.coatom_count, r, c))
             handles[r].write(graph6_encode(g))
             counts[r] += 1
-        for r, n in enumerate(counts):
-            manifest.write("%s %d\n" % (graph_file_name(c, r), n))
-        manifest.write("total %d\n" % sum(counts))
+        manifest.write(manifest_text(c, counts))
     return counts
 
 

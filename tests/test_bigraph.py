@@ -9,8 +9,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import rank3
-from rank3.bigraph import _canonical_masks, _coatom_search
+from rank3.bigraph import _coatom_search
 
+from oracles import labelled_connection_families, map_mask
 from reference_values import GRAPH_CENSUS
 
 # sha256 of the census as graph6 bytes, b"".join(graph6_encode(g) for g in
@@ -38,11 +39,6 @@ def bicolored_graphs(draw):
     r = draw(st.integers(0, 62 - c))
     masks = draw(st.lists(st.integers(0, (1 << c) - 1), min_size=r, max_size=r))
     return rank3.BicoloredGraph(c, masks)
-
-
-def map_mask(mask, perm):
-    """Oracle: the image of a coatom mask under a relabelling, bit by bit."""
-    return sum(1 << image for i, image in enumerate(perm) if mask >> i & 1)
 
 
 def all_coatom_perms(graph):
@@ -85,6 +81,22 @@ def plain_coatom_search(c, masks):
         elif mapped == best:
             winners.append(tuple(perm))
     return best, winners
+
+
+def plain_graph6_encode(graph):
+    """Oracle: graph6 encoded through a "0"/"1" string of the upper triangle."""
+    c = graph.coatom_count
+    masks = graph.connector_masks
+    n = c + len(masks)
+    if n > 62:
+        raise rank3.UnsupportedSizeError("graph6 short form limited to 62 vertices, got %d" % n)
+    # coatom rows are empty; connector row c + j is its mask, lowest bit
+    # first, then j zeros for the earlier connectors
+    bits = "0" * (c * (c - 1) // 2) + "".join(
+        [bin(m | 1 << c)[:2:-1] + "0" * j for j, m in enumerate(masks)])
+    bits += "0" * (-len(bits) % 6)
+    return bytes([63 + n] + [63 + int(bits[k:k + 6], 2)
+                             for k in range(0, len(bits), 6)]) + b"\n"
 
 
 def plain_graph6_decode(line, coatom_count, connector_count):
@@ -162,17 +174,6 @@ def damaged_graph6_lines(draw):
                                                   (0, -1)]))
     c, r = g.coatom_count + dc, g.connector_count + dr
     return bytes(line) + draw(st.sampled_from([b"", b"\n", b"\r\n"])), c, r
-
-
-def labelled_connection_graphs(c):
-    """Every connection graph on coatoms 0..c-1, as ascending mask tuples."""
-    pool = [m for m in range(1 << c) if m.bit_count() >= 2]
-    level = [()]
-    while level:
-        yield from level
-        level = [masks + (m,) for masks in level for m in pool
-                 if m > max(masks, default=0)
-                 and all((m & x).bit_count() <= 1 for x in masks)]
 
 
 def relabeled(graph, rng):
@@ -284,12 +285,12 @@ class TestCanonicalForm:
         # on all labeled 3-coatom graphs the restricted search must pick
         # a form constant on, and separating, full-scan orbits
         seen = {}
-        for masks in labelled_connection_graphs(3):
+        for masks in labelled_connection_families(3):
             full = min(
                 tuple(sorted(map_mask(m, p) for m in masks))
                 for p in itertools.permutations(range(3))
             ) if masks else ()
-            restricted = _canonical_masks(3, masks)
+            restricted = rank3.canonicalize(rank3.BicoloredGraph(3, masks)).connector_masks
             assert restricted not in seen or seen[restricted] == full
             seen[restricted] = full
         assert len(seen) == len(set(seen.values())) == GRAPH_CENSUS[3]
@@ -316,7 +317,7 @@ class TestCoatomSearch:
         # inputs that do not come from the search: every labelling, in
         # every class structure, with the connectors in mask order
         for c, labelled in [(1, 1), (2, 2), (3, 9), (4, 97), (5, 2625)]:
-            graphs = list(labelled_connection_graphs(c))
+            graphs = list(labelled_connection_families(c))
             assert len(graphs) == labelled
             for masks in graphs:
                 assert _coatom_search(c, masks) == plain_coatom_search(c, masks), masks
@@ -411,6 +412,26 @@ class TestGraph6:
         bad[1 + k // 6] = 63 + ((bad[1 + k // 6] - 63) | 1 << (5 - k % 6))
         with pytest.raises(rank3.ClassViolationError, match=r"edge \(%d, %d\)" % (u, v)):
             rank3.graph6_decode(bytes(bad), c, r)
+
+    def test_encoder_equals_string_oracle_on_census(self, graphs_by_c, graphs_c7):
+        for g in itertools.chain(*graphs_by_c.values(), graphs_c7):
+            assert rank3.graph6_encode(g) == plain_graph6_encode(g), g
+
+    @settings(max_examples=300, deadline=None)
+    @given(bicolored_graphs())
+    def test_encoder_equals_string_oracle(self, g):
+        assert rank3.graph6_encode(g) == plain_graph6_encode(g)
+
+    @pytest.mark.parametrize("c", [0, 1, 2, 7, 31, 61, 62])
+    def test_encoder_equals_string_oracle_at_size_limit(self, c):
+        # 62 vertices is the largest short form; both encoders refuse 63
+        rng = random.Random(c)
+        masks = [rng.randrange(1 << c) for _ in range(63 - c)]
+        largest = rank3.BicoloredGraph(c, masks[1:])
+        assert rank3.graph6_encode(largest) == plain_graph6_encode(largest)
+        for encode in (rank3.graph6_encode, plain_graph6_encode):
+            with pytest.raises(rank3.UnsupportedSizeError, match="got 63"):
+                encode(rank3.BicoloredGraph(c, masks))
 
     def test_decoder_equals_string_oracle_on_census(self, graphs_by_c):
         for c, graphs in graphs_by_c.items():

@@ -28,6 +28,12 @@ class TestGenerate:
             assert len(lines) == n
         assert (tmp_path / "conn_c4.manifest").exists()
 
+    @pytest.mark.parametrize("coatoms", range(1, 6))
+    def test_stdout_is_manifest(self, tmp_path, capsys, coatoms):
+        assert run_cli("generate", "--coatoms", coatoms, "--out", tmp_path) == 0
+        manifest = tmp_path / ("conn_c%d.manifest" % coatoms)
+        assert capsys.readouterr().out.encode() == manifest.read_bytes()
+
     def test_default_directory_from_environment(self, tmp_path, monkeypatch, capsys):
         monkeypatch.setenv("RANK3_OUT", str(tmp_path))
         assert run_cli("generate", "--coatoms", 3) == 0
@@ -97,6 +103,15 @@ def _one_coatom_connector(directory):
     return "covers fewer than two coatoms"
 
 
+def _shared_pair(directory):
+    # same line count, but line 1's two connectors share coatoms 0 and 1
+    path = directory / "conn_c5_r2.g6"
+    lines = path.read_bytes().splitlines(keepends=True)
+    lines[0] = rank3.graph6_encode(rank3.BicoloredGraph(5, [{0, 1, 2}, {0, 1, 3}]))
+    path.write_bytes(b"".join(lines))
+    return "share more than one coatom"
+
+
 def _relabelled_copy(directory):
     # same line count, but line 2 is line 1 with its coatoms rotated
     path = directory / "conn_c5_r4.g6"
@@ -143,11 +158,11 @@ def _emptied_end_stratum(directory):
 class TestDamagedCensus:
     @pytest.mark.parametrize("damage", [_drop_last_line, _repeat_first_line,
                                         _remove_manifest, _one_coatom_connector,
-                                        _relabelled_copy, _corrupt_line, _wrong_total,
-                                        _extra_stratum, _emptied_end_stratum],
+                                        _shared_pair, _relabelled_copy, _corrupt_line,
+                                        _wrong_total, _extra_stratum, _emptied_end_stratum],
                              ids=["truncated", "extra-line", "no-manifest", "invalid-graph",
-                                  "relabelled-copy", "corrupt-line", "wrong-total",
-                                  "extra-stratum", "emptied-end-stratum"])
+                                  "shared-pair", "relabelled-copy", "corrupt-line",
+                                  "wrong-total", "extra-stratum", "emptied-end-stratum"])
     def test_count_exits_input_code(self, tmp_path, capsys, damage):
         graphs = tmp_path / "graphs"
         assert run_cli("generate", "--coatoms", 5, "--out", graphs) == 0

@@ -11,6 +11,7 @@ import pytest
 import rank3
 from rank3.genconn import _relabel_can_shrink
 
+from oracles import labelled_connection_families, map_mask
 from reference_values import GRAPH_CENSUS, PER_R_COUNTS, R_TABLE
 
 
@@ -19,30 +20,10 @@ def census_bytes(directory):
     return {p.name: p.read_bytes() for p in directory.iterdir()}
 
 
-def map_mask(mask, perm):
-    """Oracle: the image of a coatom mask under a relabelling, bit by bit."""
-    return sum(1 << image for i, image in enumerate(perm) if mask >> i & 1)
-
-
 def labeled_copies(c, graphs):
     """Sum over the classes of c!/|Aut|: the labelled families they stand for."""
     return sum(Fraction(math.factorial(c), rank3.automorphism_group_on_coatoms(g).order)
                for g in graphs)
-
-
-def labeled_connection_families(c):
-    """Every set of pairwise-compatible connector masks on c labeled coatoms.
-
-    A depth-first search over the mask pool: each family is extended only
-    by larger masks that share at most one coatom with all of its members.
-    """
-    def extend(family, candidates):
-        yield family
-        for k, m in enumerate(candidates):
-            yield from extend(family + (m,), [x for x in candidates[k + 1:]
-                                              if (x & m).bit_count() <= 1])
-
-    return extend((), [m for m in range(1 << c) if m.bit_count() >= 2])
 
 
 class TestGeneration:
@@ -73,7 +54,7 @@ class TestGeneration:
         for c in range(1, 5):
             all_forms = {
                 rank3.canonical_form(rank3.BicoloredGraph(c, masks))
-                for masks in labeled_connection_families(c)
+                for masks in labelled_connection_families(c)
             }
             generated = {rank3.canonical_form(g) for g in graphs_by_c[c]}
             assert generated == all_forms
@@ -83,13 +64,13 @@ class TestGeneration:
         # groups must add up to the labelled families; no published numbers
         # are needed, and this covers the automorphism groups up to c = 6
         for c, labeled in zip(range(1, 7), [1, 2, 9, 97, 2625, 185521]):
-            assert sum(1 for _ in labeled_connection_families(c)) == labeled
+            assert sum(1 for _ in labelled_connection_families(c)) == labeled
             assert labeled_copies(c, graphs_by_c[c]) == labeled
 
     @pytest.mark.slow
     def test_orbit_stabiliser_at_seven_coatoms(self, graphs_c7):
         # the same check on the c = 7 census; the labelled DFS takes about a minute
-        assert sum(1 for _ in labeled_connection_families(7)) == 35406319
+        assert sum(1 for _ in labelled_connection_families(7)) == 35406319
         assert labeled_copies(7, graphs_c7) == 35406319
 
     @pytest.mark.parametrize("c, searches", [(5, 161), (6, 1214)])
@@ -99,13 +80,13 @@ class TestGeneration:
         # than the 362 and 4356 compatible ones; a size-only rule still
         # gives the right census but makes 2118 searches at c = 6
         calls = []
-        search = rank3.genconn._canonical_masks
+        search = rank3.genconn._coatom_search
 
         def counting(coatoms, masks):
             calls.append(masks)
             return search(coatoms, masks)
 
-        monkeypatch.setattr(rank3.genconn, "_canonical_masks", counting)
+        monkeypatch.setattr(rank3.genconn, "_coatom_search", counting)
         assert sum(1 for _ in rank3.generate_connection_graphs(c)) == GRAPH_CENSUS[c]
         assert len(calls) == searches
 
