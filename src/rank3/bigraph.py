@@ -18,6 +18,7 @@ import functools
 import itertools
 import math
 import operator
+import struct
 
 Permutation = tuple[int, ...]
 
@@ -35,7 +36,8 @@ class ClassViolationError(Graph6Error):
 
 
 class UnsupportedSizeError(ValueError):
-    """Graph too large for the short graph6 form (more than 62 vertices)."""
+    """Graph too large for the short graph6 form (more than 62 vertices) or
+    for the coatom search (more than 64 coatoms)."""
 
 
 class PermGroup:
@@ -135,31 +137,44 @@ def validate_connection_graph(graph: BicoloredGraph) -> None:
     if len(masks) > c * (c - 1) // 2:
         raise ValueError("%d connectors exceed the maximum %d for %d coatoms"
                          % (len(masks), c * (c - 1) // 2, c))
+    # one OR per connector; only an overlap looks for the earlier connector
+    covered = 0
     for j, m in enumerate(masks):
         if m.bit_count() < 2:
             raise ValueError("connector %d covers fewer than two coatoms" % j)
-        for k in range(j):
-            if (m & masks[k]).bit_count() > 1:
-                raise ValueError(
-                    "connectors %d and %d share more than one coatom" % (k, j))
+        pairs = _pairs(m)
+        if pairs & covered:
+            k = next(k for k in range(j) if _pairs(masks[k]) & pairs)
+            raise ValueError("connectors %d and %d share more than one coatom" % (k, j))
+        covered |= pairs
 
 
 # -- isomorphism machinery ---------------------------------------------------
 #
 # Each connector is read once as its member tuple, the coatoms it covers.
 # Refinement over that incidence splits the coatoms into classes that no
-# colour-preserving isomorphism can mix; it stops early once the coatoms
-# are discrete, as every signature leads with the previous colour.  One
-# search then tries every order of every class (tiny for all but the most
-# symmetric graphs), chains the orders in colour order and relabels each
-# coatom by its index in the chain, so each class goes onto its own run of
-# positions.  A connector's image mask ORs one part per class: the bits of
-# the singleton classes sit in one base vector, and each order of a larger
-# class has its own contribution vector, all built once.  The search keeps
-# the least sorted mask tuple, the canonical form, with every relabelling
-# that attains it.  Those form a coset p0 Aut: an automorphism s fixes
-# each class setwise, so p0 s attains the minimum too, and q(M) = p0(M)
-# gives p0^-1 q(M) = M.  So the same search also yields the automorphisms.
+# colour-preserving isomorphism can mix.  Both sides are kept as ordered
+# cells, a member's colour being the number of members in the cells before
+# its own, and a round re-sorts only cells of two or more members by the
+# multiset of the other side's colours.  As every signature leads with the
+# previous colour, this is the order of one global sort.  The first coatom
+# round sorts tuples of connector sizes, whose lengths differ; later rounds
+# key a member by the integer -Σ W^(c + r - colour), W a power of two above
+# every multiplicity, which inside a cell sorts as the colour tuple.  A
+# round that splits no cell ends it: the next, on the other side, could not.
+#
+# One search then tries every order of every class (tiny for all but the
+# most symmetric graphs), chains the orders in colour order and relabels
+# each coatom by its index in the chain, so each class goes onto its own
+# run of positions.  The relabelled masks are the byte lanes of one
+# integer, connector j in lane j, and a coatom sent to position p adds its
+# connectors' lane bits shifted by p.  The singletons make one base integer
+# and each order of a larger class one more, so an order costs an OR per
+# larger class and a sort of the unpacked lanes.  The search keeps the
+# least sorted mask tuple, the canonical form, with every relabelling that
+# attains it.  Those form a coset p0 Aut: an automorphism s fixes each
+# class setwise, so p0 s attains the minimum too, and q(M) = p0(M) gives
+# p0^-1 q(M) = M.  So the same search also yields the automorphisms.
 
 
 @functools.cache
@@ -169,76 +184,116 @@ def _members(mask: int) -> tuple[int, ...]:
     return tuple(i for i in range(mask.bit_length()) if mask >> i & 1)
 
 
+@functools.cache
+def _pairs(mask: int) -> int:
+    """One bit per coatom pair that ``mask`` covers, pair (i, k) with k < i at
+    bit i(i-1)/2 + k: two masks share two coatoms iff their pairs meet."""
+    mem = _members(mask)
+    return sum(1 << i * (i - 1) // 2 + k for a, i in enumerate(mem) for k in mem[:a])
+
+
+@functools.cache
+def _lanes(c: int, r: int):
+    """The lane width in bits for a search on c coatoms, the narrowest of 8,
+    16, 32 and 64 that holds c bits, and the unpacker of r such lanes."""
+    for lane, fmt in ((8, "B"), (16, "H"), (32, "I"), (64, "Q")):
+        if c <= lane:
+            return lane, struct.Struct("<%d%s" % (r, fmt)).unpack
+    raise UnsupportedSizeError("coatom search limited to 64 coatoms, got %d" % c)
+
+
+def _split(cells, key, weight, pw) -> list[list[int]]:
+    """Split each cell of two or more members by ascending key, label order
+    kept inside each part, and weigh each part's members pw[k], k the number
+    of members before the part.  Unsplit cells keep their weights."""
+    out = []
+    at = 0
+    for cell in cells:
+        if len(cell) > 1:
+            ranked = sorted(cell, key=key)
+            if key(ranked[0]) != key(ranked[-1]):
+                for _, part in itertools.groupby(ranked, key):
+                    part = list(part)
+                    for x in part:
+                        weight[x] = pw[at]
+                    at += len(part)
+                    out.append(part)
+                continue
+        at += len(cell)
+        out.append(cell)
+    return out
+
+
 def _coatom_search(c: int, masks) -> tuple[tuple[int, ...], list[Permutation]]:
     """The least sorted mapped mask tuple over the class orders, and every
     relabelling (old label -> new label) attaining it, in enumeration order.
-    An order costs one OR per larger class and connector and one sort; its
-    permutation is built only when it ties or beats the best so far."""
+    A permutation is built only for an order that ties or beats the best so
+    far.  More than 64 coatoms, the widest lane, raise UnsupportedSizeError."""
+    lane, unpack = _lanes(c, len(masks))
     members = [_members(m) for m in masks]
+    r = len(members)
+    sizes = [len(mem) for mem in members]
+    by_size = sorted(range(r), key=sizes.__getitem__)
+    # incident lists in ascending connector size; spread[i] has the lane-0
+    # bit of every connector on coatom i
     incident = [[] for _ in range(c)]
-    for j, mem in enumerate(members):
-        for i in mem:
+    spread = [0] * c
+    for j in by_size:
+        bit = 1 << lane * j
+        for i in members[j]:
             incident[i].append(j)
-    # refine integer colours until the class counts stop growing or the
-    # coatoms are discrete; ranking by sorted signature keeps the class
-    # order label-independent
-    coat = [0] * c
-    conn = [len(mem) for mem in members]
-    n_classes = (1, len(set(conn)))
-    while True:
-        coat_sig = [(coat[i], tuple(sorted([conn[j] for j in incident[i]])))
-                    for i in range(c)]
-        coat_rank = {s: k for k, s in enumerate(sorted(set(coat_sig)))}
-        coat = [coat_rank[s] for s in coat_sig]
-        if len(coat_rank) == c:
-            break
-        conn_sig = [(conn[j], tuple(sorted([coat[i] for i in mem])))
-                    for j, mem in enumerate(members)]
-        rank = {s: k for k, s in enumerate(sorted(set(conn_sig)))}
-        conn = [rank[s] for s in conn_sig]
-        now = (len(coat_rank), len(rank))
-        if now == n_classes:
-            break
-        n_classes = now
-    # the final colours are 0..K-1: classes[k] holds colour k in label order
-    classes = [[] for _ in range(len(coat_rank))]
-    for i, k in enumerate(coat):
-        classes[k].append(i)
-
-    def contribution(order, start, vec):
-        # OR into vec the image bits of the coatoms of order, run from start
-        for image, i in enumerate(order, start):
-            bit = 1 << image
-            for j in incident[i]:
-                vec[j] |= bit
-        return vec
-
-    # singletons: fixed images, bits in base; larger classes: one run of
-    # (start, order, contribution) options each
+            spread[i] |= bit
+    # colour k weighs W^(c + r - k), W = 2^b above every multiplicity, which
+    # is at most the length of a member tuple or a degree
+    b = max([c, *map(len, incident)]).bit_length()
+    pw = [1 << b * (c + r - k) for k in range(c + r)]
+    coat_w = [0] * c
+    size_sig = [tuple(map(sizes.__getitem__, inc)) for inc in incident]
+    coat = _split([list(range(c))], size_sig.__getitem__, coat_w, pw)
+    if len(coat) > 1:
+        conn_w = [pw[0]] * r
+        conn = _split([by_size], sizes.__getitem__, conn_w, pw)
+        while len(coat) < c:
+            keys = [-sum(map(coat_w.__getitem__, mem)) for mem in members]
+            new = _split(conn, keys.__getitem__, conn_w, pw)
+            if len(new) == len(conn):
+                break
+            conn = new
+            keys = [-sum(map(conn_w.__getitem__, inc)) for inc in incident]
+            new = _split(coat, keys.__getitem__, coat_w, pw)
+            if len(new) == len(coat):
+                break
+            coat = new
+    # coatom i sent to p adds spread[i] << p: singletons go into base, and
+    # each larger class gets one (start, order, integer) option per order,
+    # its integers summed from the same permutation of the class's spreads
     fixed = [0] * c
-    base = [0] * len(members)
+    base = 0
     runs = []
     start = 0
-    for cls in classes:
+    for cls in coat:
         if len(cls) == 1:
             fixed[cls[0]] = start
-            contribution(cls, start, base)
+            base |= spread[cls[0]] << start
         else:
-            runs.append([(start, order, contribution(order, start, [0] * len(members)))
-                         for order in itertools.permutations(cls)])
+            at = range(start, start + len(cls))
+            runs.append([(start, order, sum(map(operator.lshift, vals, at)))
+                         for order, vals in zip(itertools.permutations(cls),
+                                                itertools.permutations([spread[i] for i in cls]))])
         start += len(cls)
-    best, winners = None, []
+    nbytes = lane // 8 * r
+    best, winners = [1 << lane], []    # above every sorted mask list
     for choice in itertools.product(*runs):
-        mapped = base
+        z = base
         for _, _, vec in choice:
-            mapped = map(operator.or_, mapped, vec)
-        mapped = sorted(mapped)
-        if best is None or mapped <= best:
+            z |= vec
+        mapped = sorted(unpack(z.to_bytes(nbytes, "little")))
+        if mapped <= best:
             perm = fixed[:]
             for start, order, _ in choice:
                 for image, i in enumerate(order, start):
                     perm[i] = image
-            if best is None or mapped < best:
+            if mapped < best:
                 best, winners = mapped, []
             winners.append(tuple(perm))
     return tuple(best), winners

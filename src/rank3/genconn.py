@@ -17,7 +17,7 @@ cycle-index pipeline on purpose: it is the cross-check.
 import contextlib
 import os
 
-from .bigraph import BicoloredGraph, _coatom_search, graph6_encode
+from .bigraph import BicoloredGraph, _coatom_search, _pairs, graph6_encode
 
 
 def count_r_s(graph: BicoloredGraph) -> tuple[int, int]:
@@ -50,8 +50,8 @@ def generate_connection_graphs(coatom_count: int):
     the canonical masks.  No class is lost: G minus a top-ranked connector
     d has its class P in stratum r, and P plus the image of d is
     isomorphic to G and passes, the rank being an isomorphism invariant.
-    Each stratum is sorted once by graph6 bytes, and its masks seed the
-    next, so two runs produce byte-identical output.
+    Each stratum is sorted once in graph6 byte order, without encoding,
+    and its masks seed the next, so two runs produce byte-identical output.
     """
     c = coatom_count
     if c < 1:
@@ -60,8 +60,8 @@ def generate_connection_graphs(coatom_count: int):
     # mask; pairs[m] has one bit per coatom pair that m covers
     pool = sorted((m for m in range(1 << c) if m.bit_count() >= 2),
                   key=int.bit_count, reverse=True)
-    pairs = {m: sum(1 << (i * c + j) for i in range(c) for j in range(i)
-                    if m >> i & m >> j & 1) for m in pool}
+    pairs = {m: _pairs(m) for m in pool}
+    flipped = {m: int(format(m, "0%db" % c)[::-1], 2) for m in pool}
     yield BicoloredGraph(c)
     level: list[tuple[int, ...]] = [()]
     for _r in range(1, c * (c - 1) // 2 + 1):
@@ -79,9 +79,11 @@ def generate_connection_graphs(coatom_count: int):
                 if pairs[m] & covered or size == top and _outranked(fam, deg, m):
                     continue
                 seen.add(_coatom_search(c, fam + (m,))[0])
-        graphs = sorted((BicoloredGraph(c, canon) for canon in seen), key=graph6_encode)
-        level = [g.connector_masks for g in graphs]
-        yield from graphs
+        # for equal c and r, graph6 byte order is the order of the mask
+        # tuples with each mask's c bits reversed
+        level = sorted(seen, key=lambda fam: tuple(map(flipped.__getitem__, fam)))
+        for fam in level:
+            yield BicoloredGraph(c, fam)
 
 
 def graph_file_name(coatom_count: int, connector_count: int) -> str:

@@ -20,3 +20,20 @@ def labelled_connection_families(c):
                                               if (x & m).bit_count() <= 1])
 
     return extend((), [m for m in range(1 << c) if m.bit_count() >= 2])
+
+
+def plain_validate_connection_graph(graph):
+    """Oracle: the connection-graph checks with every connector pair compared
+    directly, raising the same first error as validate_connection_graph."""
+    c = graph.coatom_count
+    masks = graph.connector_masks
+    if len(masks) > c * (c - 1) // 2:
+        raise ValueError("%d connectors exceed the maximum %d for %d coatoms"
+                         % (len(masks), c * (c - 1) // 2, c))
+    for j, m in enumerate(masks):
+        if m.bit_count() < 2:
+            raise ValueError("connector %d covers fewer than two coatoms" % j)
+        for k in range(j):
+            if (m & masks[k]).bit_count() > 1:
+                raise ValueError(
+                    "connectors %d and %d share more than one coatom" % (k, j))

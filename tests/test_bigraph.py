@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 import rank3
 from rank3.bigraph import _coatom_search
 
-from oracles import labelled_connection_families, map_mask
+from oracles import labelled_connection_families, map_mask, plain_validate_connection_graph
 from reference_values import GRAPH_CENSUS
 
 # sha256 of the census as graph6 bytes, b"".join(graph6_encode(g) for g in
@@ -140,10 +140,10 @@ def plain_graph6_decode(line, coatom_count, connector_count):
     return rank3.BicoloredGraph(c, masks)
 
 
-def decode_outcome(decode, line, c, r):
-    """The decoded graph, or the class and message of the exception raised."""
+def outcome(fn, *args):
+    """What fn(*args) returns, or the class and message of the exception raised."""
     try:
-        return decode(line, c, r)
+        return fn(*args)
     except Exception as exc:
         return type(exc), str(exc)
 
@@ -174,6 +174,30 @@ def damaged_graph6_lines(draw):
                                                   (0, -1)]))
     c, r = g.coatom_count + dc, g.connector_count + dr
     return bytes(line) + draw(st.sampled_from([b"", b"\n", b"\r\n"])), c, r
+
+
+@st.composite
+def damaged_families(draw):
+    """A family of pairwise compatible connector masks on up to 8 coatoms
+    with up to two faults inserted anywhere: copies of its own masks or
+    arbitrary masks, which may be too small or share a coatom pair."""
+    c = draw(st.integers(0, 8))
+    family = []
+    for m in draw(st.lists(st.integers(0, (1 << c) - 1), max_size=40)):
+        if m.bit_count() >= 2 and all((m & x).bit_count() <= 1 for x in family):
+            family.append(m)
+    for _ in range(draw(st.integers(0, 2))):
+        copy = family and draw(st.booleans())
+        fault = draw(st.sampled_from(family) if copy else st.integers(0, (1 << c) - 1))
+        family.insert(draw(st.integers(0, len(family))), fault)
+    return rank3.BicoloredGraph(c, family)
+
+
+def asymmetric_family(c):
+    """A path on c coatoms with a triangle at one end, plus a 3-set and a
+    pair: every coatom covered, no nontrivial automorphism."""
+    path = [0b11 << i for i in range(c - 1)]
+    return path + [0b101, 1 | 1 << 3 | 1 << 6, 1 << 1 | 1 << 4]
 
 
 def relabeled(graph, rng):
@@ -249,6 +273,13 @@ class TestValidation:
         for graphs in graphs_by_c.values():
             for g in graphs:
                 rank3.validate_connection_graph(g)
+
+    @settings(max_examples=500, deadline=None)
+    @given(damaged_families())
+    def test_equals_pairwise_oracle_on_damage(self, g):
+        # the same first error, message included, as comparing every pair
+        assert (outcome(rank3.validate_connection_graph, g)
+                == outcome(plain_validate_connection_graph, g))
 
 
 class TestCanonicalForm:
@@ -336,6 +367,28 @@ class TestCoatomSearch:
         for g in graphs_c7:
             assert (_coatom_search(7, g.connector_masks)
                     == plain_coatom_search(7, g.connector_masks)), g
+
+    @pytest.mark.parametrize("c", [9, 16, 17, 32, 33, 62, 64])
+    def test_every_lane_width(self, c):
+        # either side of each lane width, 8, 16, 32 and 64 bits
+        g = rank3.BicoloredGraph(c, asymmetric_family(c))
+        rng = random.Random(c)
+        for h in [g] + [relabeled(g, rng) for _ in range(3)]:
+            assert (_coatom_search(c, h.connector_masks)
+                    == plain_coatom_search(c, h.connector_masks)), h
+
+    def test_repeated_and_small_connectors(self):
+        # canonical_form takes any graph; with repeats a colour's
+        # multiplicity can exceed c, and the refinement's integer keys
+        # must still order as the sorted colour tuples
+        for masks in ([38, 49, 26, 23, 38, 50, 29, 10, 10, 38, 63, 49, 38],
+                      [24, 5, 35, 3, 4, 4, 59, 32, 25, 21, 40, 24, 9, 59, 3, 3, 3, 58],
+                      [21, 21, 9, 21, 26, 35, 26, 38, 40, 1, 21, 1, 26, 1, 47]):
+            assert _coatom_search(6, masks) == plain_coatom_search(6, masks), masks
+
+    def test_more_than_64_coatoms_rejected(self):
+        with pytest.raises(rank3.UnsupportedSizeError):
+            _coatom_search(65, asymmetric_family(65))
 
 
 class TestAutomorphisms:
@@ -443,8 +496,8 @@ class TestGraph6:
     @given(damaged_graph6_lines())
     def test_decoder_equals_string_oracle_on_damage(self, case):
         line, c, r = case
-        assert (decode_outcome(rank3.graph6_decode, line, c, r)
-                == decode_outcome(plain_graph6_decode, line, c, r))
+        assert (outcome(rank3.graph6_decode, line, c, r)
+                == outcome(plain_graph6_decode, line, c, r))
 
     def test_census_bytes_unchanged(self, graphs_by_c):
         for c, graphs in graphs_by_c.items():
