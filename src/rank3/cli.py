@@ -22,7 +22,7 @@ EXIT_REJECTED = 4
 EXIT_MISMATCH = 5
 
 # verify counts above this c only through the coatom/atom symmetry: the
-# c = 8 census is 552,251 graphs and takes about 68 s on a 2.1 GHz Xeon core
+# c = 8 census is 552,251 graphs and takes minutes to generate, c = 7 seconds
 _DIRECT_LIMIT = 7
 
 

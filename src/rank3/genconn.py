@@ -4,9 +4,11 @@ Connection graphs on c coatoms are families of connector neighbourhoods:
 distinct coatom subsets of size at least two, any two sharing at most one
 coatom.  Families are generated stratum by stratum in the connector count
 r.  Each class of stratum r is extended only by a largest connector,
-ranked by (size, sorted degrees of its coatoms), and the results are
-deduplicated through the canonical form, so every isomorphism class
-appears exactly once.
+ranked by (size, sorted degrees of its coatoms), and of those only by
+the least mask in each orbit of the class's automorphism group (the
+orbit step of McKay, "Isomorph-free exhaustive generation", J.
+Algorithms 26, 1998).  The results are deduplicated through the
+canonical form, so every isomorphism class appears exactly once.
 
 brute_force_count answers the end question (how many rank-3 lattices with
 c coatoms and a atoms) by direct enumeration of atom-neighbourhood
@@ -17,7 +19,7 @@ cycle-index pipeline on purpose: it is the cross-check.
 import contextlib
 import os
 
-from .bigraph import BicoloredGraph, _coatom_search, _pairs, graph6_encode
+from .bigraph import BicoloredGraph, _coatom_search, _members, _pairs, graph6_encode
 
 
 def count_r_s(graph: BicoloredGraph) -> tuple[int, int]:
@@ -40,6 +42,21 @@ def _outranked(fam, deg, m: int) -> bool:
     return any(x.bit_count() == size and key(x) > top for x in fam)
 
 
+def _bit_images(winners) -> tuple[tuple[int, ...], ...]:
+    """The automorphisms of a canonical form other than the identity, read off
+    the winners of the coatom search that produced it: each is q∘p0⁻¹, p0 the
+    first winner, stored as bit images s[i] = 1 << s(i).  Empty for a trivial
+    group."""
+    p0 = winners[0]
+    images = []
+    for q in winners[1:]:
+        s = [0] * len(q)
+        for i, image in zip(p0, q):
+            s[i] = 1 << image
+        images.append(tuple(s))
+    return tuple(images)
+
+
 def generate_connection_graphs(coatom_count: int):
     """Yield one representative per isomorphism class of connection graphs.
 
@@ -50,8 +67,17 @@ def generate_connection_graphs(coatom_count: int):
     the canonical masks.  No class is lost: G minus a top-ranked connector
     d has its class P in stratum r, and P plus the image of d is
     isomorphic to G and passes, the rank being an isomorphism invariant.
-    Each stratum is sorted once in graph6 byte order, without encoding,
-    and its masks seed the next, so two runs produce byte-identical output.
+
+    Of those masks only the least of each Aut(P)-orbit is searched: m is
+    skipped if an automorphism of P maps it to a smaller mask.  This loses
+    nothing either: for s in Aut(P), P + s(m) is isomorphic to P + m, and
+    both filters above are Aut(P)-invariant, so the least mask of every
+    orbit still passes.  Each class keeps its group, read off the winners
+    of the search that found it (see _bit_images); the r = 0 parent keeps
+    the transpositions (i i+1), which leave exactly the least mask of each
+    size, as S_c would.  Each stratum is sorted once in graph6 byte order,
+    without encoding, and its masks seed the next, so two runs produce
+    byte-identical output.
     """
     c = coatom_count
     if c < 1:
@@ -63,26 +89,37 @@ def generate_connection_graphs(coatom_count: int):
     pairs = {m: _pairs(m) for m in pool}
     flipped = {m: int(format(m, "0%db" % c)[::-1], 2) for m in pool}
     yield BicoloredGraph(c)
-    level: list[tuple[int, ...]] = [()]
+    unit = [1 << i for i in range(c)]
+    swaps = tuple(tuple(unit[:i] + [unit[i + 1], unit[i]] + unit[i + 2:]) for i in range(c - 1))
+    level = [((), swaps)]
     for _r in range(1, c * (c - 1) // 2 + 1):
-        seen = set()
-        for fam in level:
+        seen = {}
+        for fam, group in level:
             covered = 0
+            deg = [0] * c
             for x in fam:
                 covered |= pairs[x]
+                for i in _members(x):
+                    deg[i] += 1
             top = max((x.bit_count() for x in fam), default=0)
-            deg = [sum(x >> i & 1 for x in fam) for i in range(c)]
             for m in pool:
                 size = m.bit_count()
                 if size < top:
                     break
-                if pairs[m] & covered or size == top and _outranked(fam, deg, m):
+                if pairs[m] & covered:
                     continue
-                seen.add(_coatom_search(c, fam + (m,))[0])
+                mem = _members(m)
+                if any(sum(map(s.__getitem__, mem)) < m for s in group):
+                    continue
+                if size == top and _outranked(fam, deg, m):
+                    continue
+                form, winners = _coatom_search(c, fam + (m,))
+                if form not in seen:
+                    seen[form] = _bit_images(winners)
         # for equal c and r, graph6 byte order is the order of the mask
         # tuples with each mask's c bits reversed
-        level = sorted(seen, key=lambda fam: tuple(map(flipped.__getitem__, fam)))
-        for fam in level:
+        level = sorted(seen.items(), key=lambda item: tuple(map(flipped.__getitem__, item[0])))
+        for fam, _group in level:
             yield BicoloredGraph(c, fam)
 
 

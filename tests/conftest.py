@@ -17,7 +17,7 @@ def graphs_by_c():
 
 @pytest.fixture(scope="session")
 def graphs_c7():
-    """The 7-coatom census (about 1.4 seconds to build on a 2.1 GHz Xeon core)."""
+    """The 7-coatom census, built once per session (c7_build_seconds times it)."""
     t0 = time.time()
     graphs = list(rank3.generate_connection_graphs(7))
     _c7_timing["seconds"] = time.time() - t0

@@ -20,6 +20,7 @@ from reference_values import (
     R5_AT_MILLION,
     R_TABLE,
 )
+from test_bigraph import CENSUS_SHA256, census_sha256
 
 
 def report(num, text):
@@ -87,9 +88,9 @@ class TestCriterion03ValueTables:
 class TestCriterion04LargeCoatomSpotCheck:
     def test_duality_substitute(self, tables_to_1000):
         # generating all 552251 graphs at c = 8 and counting them takes
-        # about 100 s on a 2.1 GHz Xeon core (the slow test below), so
-        # tier-1 uses the sanctioned substitute: R(8,a) = R(a,8) from the
-        # a-coatom pipelines, plus the independent oracle where affordable
+        # minutes (the slow test below), so tier-1 uses the sanctioned
+        # substitute: R(8,a) = R(a,8) from the a-coatom pipelines, plus the
+        # independent oracle where affordable
         for a in range(2, 7):
             assert tables_to_1000[a].values[8] == R_TABLE[8][a]
         assert rank3.count_lattices(1, 8).values[8] == R_TABLE[8][1]
@@ -101,13 +102,14 @@ class TestCriterion04LargeCoatomSpotCheck:
     def test_direct_census_and_counts(self):
         graphs = list(rank3.generate_connection_graphs(8))
         assert len(graphs) == GRAPH_CENSUS[8]
+        assert census_sha256(graphs) == CENSUS_SHA256[8]
         table, stats = rank3.count_lattices_stats(8, 1000, graphs)
         assert (stats.graphs_processed, stats.distinct_cycle_indices,
                 stats.trivial_action_graphs) == MEMO_STATS[8]
         assert len(R_TABLE[8]) == 40
         for a, want in R_TABLE[8].items():
             assert table.values[a] == want
-        report(4, "all %d published R(8,a) from all %d generated graphs"
+        report(4, "census bytes and all %d published R(8,a) from all %d generated graphs"
                % (len(R_TABLE[8]), len(graphs)))
 
 

@@ -16,7 +16,8 @@ from reference_values import GRAPH_CENSUS
 
 # sha256 of the census as graph6 bytes, b"".join(graph6_encode(g) for g in
 # generate_connection_graphs(c)), recorded from the generator before its
-# search and codec were rewritten: any byte they move shows here
+# search and codec were rewritten: any byte they move shows here; c = 8,
+# recorded before the orbit pruning, is checked by the slow census test
 CENSUS_SHA256 = {
     1: "ecf5de1a2ecc66a1876a832804c64f6b5125784e94c82285d9720621c613ab46",
     2: "3ebd7fe1ad9b16c3c1a4da758bcb89ff7ca7f06fde3dcaee7226a102dee0f185",
@@ -25,6 +26,7 @@ CENSUS_SHA256 = {
     5: "3b3f9d370fecb275b137b7953585b6ce686500bab0b8cdbf2c8b0f25210e15f2",
     6: "2f3432b33b09b5bc15e8a552166c8e1a272721f864c99ec75c46f41659ec7c8e",
     7: "3719b507440be73a2411365ec6c4ab9a21dad47bc592b66bd02a09569eeaf0f0",
+    8: "1dfb89458efd839726338966c8aba173a7546215ac76c2011165bc02bac7cc3f",
 }
 
 

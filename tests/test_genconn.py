@@ -9,7 +9,8 @@ from fractions import Fraction
 import pytest
 
 import rank3
-from rank3.genconn import _relabel_can_shrink
+from rank3.bigraph import _coatom_search
+from rank3.genconn import _bit_images, _relabel_can_shrink
 
 from oracles import labelled_connection_families, map_mask
 from reference_values import GRAPH_CENSUS, PER_R_COUNTS, R_TABLE
@@ -73,12 +74,15 @@ class TestGeneration:
         assert sum(1 for _ in labelled_connection_families(7)) == 35406319
         assert labeled_copies(7, graphs_c7) == 35406319
 
-    @pytest.mark.parametrize("c, searches", [(5, 161), (6, 1214)])
+    @pytest.mark.parametrize("c, searches", [(5, 74), (6, 634)])
     def test_extends_only_by_largest_connectors(self, monkeypatch, c, searches):
-        # a parent is extended only by a connector of largest (size, sorted
-        # coatom degrees), so far fewer candidates reach the canonical search
-        # than the 362 and 4356 compatible ones; a size-only rule still
-        # gives the right census but makes 2118 searches at c = 6
+        # a parent P is extended only by a connector of largest (size, sorted
+        # coatom degrees), and only by the least such mask of each
+        # Aut(P)-orbit, so far fewer candidates reach the canonical search
+        # than the 362 and 4356 compatible ones; the rank alone gives 161 and
+        # 1214 (17,637 at c = 7, against 12,018 with the orbits), and a
+        # size-only rule still gives the right census but makes 2118
+        # searches at c = 6
         calls = []
         search = rank3.genconn._coatom_search
 
@@ -89,6 +93,25 @@ class TestGeneration:
         monkeypatch.setattr(rank3.genconn, "_coatom_search", counting)
         assert sum(1 for _ in rank3.generate_connection_graphs(c)) == GRAPH_CENSUS[c]
         assert len(calls) == searches
+
+    def test_kept_groups_are_the_automorphisms(self, graphs_by_c):
+        # the group a class keeps is read off the winners of a search on any
+        # labelling of it, and acts on the canonical labels; a relabelled,
+        # shuffled copy makes the first winner differ from the identity
+        rng = random.Random(20261019)
+        for c, graphs in graphs_by_c.items():
+            for g in graphs:
+                want = set(rank3.automorphism_group_on_coatoms(g)) - {tuple(range(c))}
+                perm = rng.sample(range(c), c)
+                moved = [map_mask(m, perm) for m in g.connector_masks]
+                rng.shuffle(moved)
+                for masks in (g.connector_masks, moved):
+                    form, winners = _coatom_search(c, masks)
+                    assert form == g.connector_masks
+                    images = _bit_images(winners)
+                    assert all(len(s) == c for s in images)
+                    assert {tuple(s.bit_length() - 1 for s in img) for img in images} == want
+                    assert len(images) == len(want)
 
     def test_deterministic_order(self):
         first = list(rank3.generate_connection_graphs(4))
