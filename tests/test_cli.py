@@ -260,12 +260,16 @@ class TestMalformedInput:
         ("constituents", [["1/2", "1"]]), ("constituents", [[0.1, 1]]),
         ("constituents", ["12"]), ("constituents", [{"5": 0}]),
         ("constituents", [[]]), ("constituents", [[1e400]]),
+        ("n0_observed", ""), ("n0_observed", 0.0), ("n0_observed", False),
     ], ids=["no-constituents", "zero-denominator", "non-integer-value", "float-coefficient",
-            "string-constituent", "dict-constituent", "empty-constituent", "overflowing-float"])
+            "string-constituent", "dict-constituent", "empty-constituent", "overflowing-float",
+            "empty-string-observed", "float-observed", "false-observed"])
     def test_eval_rejects_fit(self, tmp_path, capsys, key, value):
         data = rank3.quasipolynomial_to_json(rank3.reference_quasipolynomial(3), 3)
         if key == "coefficient":
             data["constituents"][0][0] = value
+        elif key == "n0_observed":
+            data[key] = value
         elif value is None:
             del data["constituents"]
         else:

@@ -74,14 +74,14 @@ class TestGeneration:
         assert sum(1 for _ in labelled_connection_families(7)) == 35406319
         assert labeled_copies(7, graphs_c7) == 35406319
 
-    @pytest.mark.parametrize("c, searches", [(5, 74), (6, 634)])
+    @pytest.mark.parametrize("c, searches", [(5, 75), (6, 658)])
     def test_extends_only_by_largest_connectors(self, monkeypatch, c, searches):
-        # a parent P is extended only by a connector of largest (size, sorted
-        # coatom degrees), and only by the least such mask of each
-        # Aut(P)-orbit, so far fewer candidates reach the canonical search
-        # than the 362 and 4356 compatible ones; the rank alone gives 161 and
-        # 1214 (17,637 at c = 7, against 12,018 with the orbits), and a
-        # size-only rule still gives the right census but makes 2118
+        # a parent P is extended only by a connector of largest (size,
+        # number of other connectors met), and only by the least such mask
+        # of each Aut(P)-orbit, so far fewer candidates reach the canonical
+        # search than the 362 and 4356 compatible ones; the rank alone gives
+        # 162 and 1239 (18,450 at c = 7, against 12,782 with the orbits), and
+        # a size-only rule still gives the right census but makes 2118
         # searches at c = 6
         calls = []
         search = rank3.genconn._coatom_search

@@ -133,6 +133,13 @@ class TestFitting:
         for n in range(0, 120):
             assert padded.value_at(n) == base.value_at(n)
 
+    @pytest.mark.parametrize("period, degree, threshold", [
+        (0, 2, 3), (-6, 2, 3), (6, -1, 3), (6, 2, -1),
+    ], ids=["zero-period", "negative-period", "negative-degree", "negative-threshold"])
+    def test_rejects_out_of_range_parameters(self, tables_to_1000, period, degree, threshold):
+        with pytest.raises(ValueError, match="need period"):
+            rank3.fit_quasipolynomial(tables_to_1000[3], period, degree, threshold)
+
     def test_accepts_plain_sequence(self):
         fit = rank3.fit_quasipolynomial([n * n for n in range(10)], 1, 2, 0)
         assert fit.constituents == ((Fraction(0), Fraction(0), Fraction(1)),)
@@ -159,8 +166,9 @@ class TestEvaluation:
         assert wide.period == 18
         for n in range(0, 100):
             assert wide.value_at(n) == ref.value_at(n)
-        with pytest.raises(ValueError):
-            rank3.expand_period(ref, 8)  # not a multiple of 6
+        for period in (8, 0, -6):  # not a positive multiple of 6
+            with pytest.raises(ValueError):
+                rank3.expand_period(ref, period)
 
     def test_default_parameters(self):
         # R(c, 0) = 0 follows no constituent, so the threshold is at least 1
