@@ -1,4 +1,4 @@
-"""Connection graphs: isomorph-free generation, census files, a brute-force oracle.
+"""Connection graphs: isomorph-free generation, census files, labelled counts, an oracle.
 
 Connection graphs on c coatoms are families of connector neighbourhoods:
 distinct coatom subsets of size at least two, any two sharing at most one
@@ -8,7 +8,12 @@ ranked by (size, number of other connectors it meets), and of those
 only by the least mask in each orbit of the class's automorphism group
 (the orbit step of McKay, "Isomorph-free exhaustive generation", J.
 Algorithms 26, 1998).  The results are deduplicated through the
-canonical form, so every isomorphism class appears exactly once.
+canonical form, so every isomorphism class appears exactly once, with
+its automorphism group.
+
+labelled_family_counts counts the labelled families per connector count
+and uncovered coatoms without a census; by orbit-stabiliser, the classes
+must add up to it, which the count checks.
 
 brute_force_count answers the end question (how many rank-3 lattices with
 c coatoms and a atoms) by direct enumeration of atom-neighbourhood
@@ -16,8 +21,12 @@ multisets.  It shares no counting machinery with the generator or the
 cycle-index pipeline on purpose: it is the cross-check.
 """
 
+import collections
 import contextlib
+import functools
+import math
 import os
+import types
 
 from .bigraph import BicoloredGraph, _coatom_search, _members, _pairs, graph6_encode
 
@@ -45,19 +54,19 @@ def _bit_images(winners) -> tuple[tuple[int, ...], ...]:
     return tuple(images)
 
 
-def generate_connection_graphs(coatom_count: int):
-    """Yield one representative per isomorphism class of connection graphs.
+def _classes(coatom_count: int):
+    """Yield (canonical masks, kept group) for one class of connection graphs
+    per isomorphism class, the group as bit images (see _bit_images).
 
-    Output comes in ascending connector count r, each graph in its
-    canonical labelling.  Stratum r+1 extends each class P of stratum r by
-    every mask m that shares no coatom pair with P and that no connector
-    of P + m outranks in (size, number of other connectors met), then
-    deduplicates the canonical masks.  Each parent keeps its top-size
-    connectors x with met(x) = #{y in P : x & y} - 1; a top-size m loses
-    to x if met(x) + (x & m != 0) > #{x in P : x & m}.  No class is lost:
-    G minus a top-ranked connector d has its class P in stratum r, and
-    P plus the image of d is isomorphic to G and passes, the rank being
-    invariant under isomorphism.
+    Output comes in ascending connector count r.  Stratum r+1 extends each
+    class P of stratum r by every mask m that shares no coatom pair with P
+    and that no connector of P + m outranks in (size, number of other
+    connectors met), then deduplicates the canonical masks.  Each parent
+    keeps its top-size connectors x with met(x) = #{y in P : x & y} - 1; a
+    top-size m loses to x if met(x) + (x & m != 0) > #{x in P : x & m}.  No
+    class is lost: G minus a top-ranked connector d has its class P in
+    stratum r, and P plus the image of d is isomorphic to G and passes, the
+    rank being invariant under isomorphism.
 
     Of those masks only the least of each Aut(P)-orbit is searched: m is
     skipped if an automorphism of P maps it to a smaller mask.  This loses
@@ -65,11 +74,10 @@ def generate_connection_graphs(coatom_count: int):
     both filters above are Aut(P)-invariant, so the least mask of every
     orbit still passes; at c = 7, 12,782 masks reach the search.  Each
     class keeps its group, read off the winners of the search that found
-    it (see _bit_images); the r = 0 parent keeps the transpositions
-    (i i+1), which leave exactly the least mask of each size, as S_c
-    would.  Each stratum is sorted once in graph6 byte order, without
-    encoding, and its masks seed the next, so two runs produce
-    byte-identical output.
+    it; the r = 0 class keeps only the transpositions (i i+1), which leave
+    exactly the least mask of each size, as S_c would.  Each stratum is
+    sorted once in graph6 byte order, without encoding, and its masks seed
+    the next, so two runs produce byte-identical output.
     """
     c = coatom_count
     if c < 1:
@@ -80,10 +88,10 @@ def generate_connection_graphs(coatom_count: int):
                   key=int.bit_count, reverse=True)
     pairs = {m: _pairs(m) for m in pool}
     flipped = {m: int(format(m, "0%db" % c)[::-1], 2) for m in pool}
-    yield BicoloredGraph(c)
     unit = [1 << i for i in range(c)]
     swaps = tuple(tuple(unit[:i] + [unit[i + 1], unit[i]] + unit[i + 2:]) for i in range(c - 1))
     level = [((), swaps)]
+    yield level[0]
     for _r in range(1, c * (c - 1) // 2 + 1):
         seen = {}
         for fam, group in level:
@@ -112,8 +120,18 @@ def generate_connection_graphs(coatom_count: int):
         # for equal c and r, graph6 byte order is the order of the mask
         # tuples with each mask's c bits reversed
         level = sorted(seen.items(), key=lambda item: tuple(map(flipped.__getitem__, item[0])))
-        for fam, _group in level:
-            yield BicoloredGraph(c, fam)
+        yield from level
+
+
+def generate_connection_graphs(coatom_count: int):
+    """Yield one representative per isomorphism class of connection graphs.
+
+    Output comes in ascending connector count r, each graph in its
+    canonical labelling and each stratum in graph6 byte order; _classes
+    describes the generation.
+    """
+    for fam, _group in _classes(coatom_count):
+        yield BicoloredGraph(coatom_count, fam)
 
 
 def graph_file_name(coatom_count: int, connector_count: int) -> str:
@@ -178,6 +196,102 @@ def write_graph_files(directory, coatom_count: int, graphs=None) -> list[int]:
             counts[r] += 1
         manifest.write(manifest_text(c, counts))
     return counts
+
+
+# -- labelled families ---------------------------------------------------------
+#
+# A class G stands for c!/|Aut G| labelled families, so for each (r, s) the
+# classes with r connectors and s uncovered coatoms add up to L_c(r, s), the
+# labelled families of that kind (orbit-stabiliser; Harary & Palmer,
+# "Graphical Enumeration", 1973, ch. 1-2).  L_c needs no census.  A_n(r),
+# the labelled linear families of r connectors on n points, covering or
+# not, is counted by eliminating points: with H the graph of the point
+# pairs that connectors already cover, the connectors through a point v
+# are v plus disjoint H-independent sets of v's non-neighbours, and each
+# choice leaves v's neighbourhood sets as cliques in H on the points left.
+# Eliminating a v of largest degree keeps the choices few.  The count does
+# not depend on labels, so the points left are relabelled by degree before
+# each memo lookup: 70 states at c = 7, 152 at c = 8.  Then the families
+# covering all n points are N_n(r) = sum_j (-1)^(n-j) C(n, j) A_j(r), and
+# L_c(r, s) = C(c, s) N_(c-s)(r).
+
+
+def _point_sets(adj, free, k, out):
+    """Count into ``out[adj', k']`` every choice of disjoint H-independent sets
+    among the points ``free``, k' = k + the number of sets, adj' being H with
+    each set made a clique.  H is ``adj``, one neighbour mask per point."""
+    if not free:
+        out[adj, k] += 1
+        return
+    u = free & -free
+    rest = free ^ u
+    _point_sets(adj, rest, k, out)    # u in no set
+    # every H-independent set whose least point is u
+    stack = [(u, rest & ~adj[u.bit_length() - 1])]
+    while stack:
+        block, cand = stack.pop()
+        clique = tuple(m | block & ~(1 << i) if block >> i & 1 else m for i, m in enumerate(adj))
+        _point_sets(clique, free & ~block, k + 1, out)
+        while cand:
+            w = cand & -cand
+            cand ^= w
+            stack.append((block | w, cand & ~adj[w.bit_length() - 1]))
+
+
+def _by_degree(adj) -> tuple[int, ...]:
+    """The same graph with its points relabelled in ascending degree."""
+    order = sorted(range(len(adj)), key=lambda i: adj[i].bit_count())
+    where = [0] * len(adj)
+    for new, old in enumerate(order):
+        where[old] = new
+    return tuple(sum(1 << where[u] for u in _members(adj[old])) for old in order)
+
+
+def _linear_families(adj, memo, top) -> list[int]:
+    """A(H) by connector count r < ``top``: the labelled linear families on the
+    points of H that cover no pair joined in H."""
+    if adj in memo:
+        return memo[adj]
+    n = len(adj)
+    got = [0] * top
+    if n <= 1:
+        got[0] = 1
+    else:
+        v = max(range(n), key=lambda i: adj[i].bit_count())
+        choices = collections.Counter()
+        _point_sets(adj, (1 << n) - 1 & ~adj[v] & ~(1 << v), 0, choices)
+        low = (1 << v) - 1
+        for (after, k), ways in choices.items():
+            # point v removed, the points above it moved down by one
+            rest = after[:v] + after[v + 1:]
+            sub = _linear_families(_by_degree([m & low | m >> 1 & ~low for m in rest]),
+                                   memo, top)
+            for r in range(top - k):
+                got[r + k] += ways * sub[r]
+    memo[adj] = got
+    return got
+
+
+@functools.cache
+def labelled_family_counts(coatom_count: int):
+    """{(r, s): L_c(r, s)}, read-only: the labelled connection families on c
+    coatoms with r connectors and s coatoms covered by none, nonzero cells
+    only.  Computed on first use per c, without a census."""
+    c = coatom_count
+    if c < 1:
+        raise ValueError("coatom count must be positive")
+    top = c * (c - 1) // 2 + 1
+    memo = {}
+    any_cover = [_linear_families((0,) * n, memo, top) for n in range(c + 1)]
+    cells = {}
+    for s in range(c + 1):
+        n = c - s
+        for r in range(top):
+            covering = sum((-1) ** (n - j) * math.comb(n, j) * any_cover[j][r]
+                           for j in range(n + 1))
+            if covering:
+                cells[r, s] = math.comb(c, s) * covering
+    return types.MappingProxyType(cells)
 
 
 # -- brute-force oracle --------------------------------------------------------

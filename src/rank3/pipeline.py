@@ -8,10 +8,18 @@ graph g adds x^(r+s) Z_g(A(x), A(x^2), ...) with A(x) = 1/(1 - x).  Swapped
 into a sum over cycle types lambda, R(c, .) is (1/c!) sum Q_lambda(x)
 prod_i (1 - x^i)^(-m_i), where Q_lambda[k] adds (c!/|Aut g|) times the
 elements of Aut g of type lambda over the graphs with r + s = k (10808
-graphs at c = 7 fold into 15 polynomials); the canonical forms found with
-the groups check the list is isomorph-free.  One coatom search per graph
-gives both, and its winners fix the group, so the fold builds one cycle
+graphs at c = 7 fold into 15 polynomials).  The fold builds one cycle
 index per distinct automorphism group (182 for the 10808 graphs at c = 7).
+Graphs passed in or read from a census are checked and searched once
+each: the search gives the group and the canonical form that checks the
+list is isomorph-free.  Generated graphs are folded from the groups the
+generator keeps, with no second search.
+
+Every count is gated after its fold: a class G stands for c!/|Aut G|
+labelled families, so for each (r, s) the classes must add up to the
+labelled count L_c(r, s) of genconn.labelled_family_counts.  A missing
+class (a stratum truncated with its manifest line, a generator that loses
+one) or a wrong group breaks that sum.
 
 The polynomials of c are the same for every a, and the first n terms of
 their truncated series do not depend on where it is truncated.  So the
@@ -26,12 +34,13 @@ explicitly bypass the cache.
 import csv
 import math
 import os
-from collections import defaultdict
+from collections import Counter, defaultdict
 from dataclasses import dataclass, field
 
-from .bigraph import _coatom_search, _group_of_winners, graph6_decode, validate_connection_graph
-from .genconn import atomic_open, count_r_s, generate_connection_graphs, graph_file_name
-from .polya import cycle_index, substitute_cycle_types
+from .bigraph import (PermGroup, _coatom_search, _group_of_winners, graph6_decode,
+                      validate_connection_graph)
+from .genconn import _classes, atomic_open, count_r_s, graph_file_name, labelled_family_counts
+from .polya import cycle_index, substitute_cycle_types, symmetric_cycle_index
 
 
 class GraphInputError(ValueError):
@@ -59,12 +68,47 @@ class MemoStats:
     trivial_action_graphs: int
 
 
-def _fold_profile(coatom_count: int, graphs) -> tuple:
-    """The graphs' ((cycle type, Q), ...) as in the module docstring, and their MemoStats."""
+def _fold(coatom_count: int, classes, cycle_index_of) -> tuple:
+    """((cycle type, Q), ...) as in the module docstring, the MemoStats and
+    {(r, s): labelled families} of ``classes``: one (group key, r, s) per
+    class, cycle_index_of(key) being the cycle index of its group.  Each
+    distinct key gets one cycle index, and a class with group G stands
+    for c!/|G| labelled families."""
     c = coatom_count
     c_factorial = math.factorial(c)
-    seen, indices, trivial, k = set(), {}, 0, 0    # indices: winners -> cycle index
+    slots, profile, k = {}, Counter(), 0
+    for k, (key, r, s) in enumerate(classes, 1):
+        profile[slots.setdefault(key, len(slots)), r, s] += 1
+    indices = list(map(cycle_index_of, slots))
     q = defaultdict(lambda: [0] * (c * (c + 1) // 2 + 1))    # r + s <= c(c-1)/2 + c
+    labelled, trivial = Counter(), 0
+    for (slot, r, s), n in profile.items():
+        zindex = indices[slot]
+        trivial += n if zindex.order == 1 else 0
+        copies = n * (c_factorial // zindex.order)    # an integer by Lagrange
+        labelled[r, s] += copies
+        for expo, count in zindex.counts:
+            q[expo][r + s] += copies * count
+    return (tuple((expo, tuple(row)) for expo, row in sorted(q.items())),
+            MemoStats(k, len(set(indices)), trivial), dict(labelled))
+
+
+def _check_labelled(coatom_count: int, labelled) -> None:
+    """GraphInputError naming the first (r, s), and both numbers, where a
+    fold's labelled families differ from labelled_family_counts."""
+    want = labelled_family_counts(coatom_count)
+    for cell in sorted(want.keys() | labelled.keys()):
+        got, exist = labelled.get(cell, 0), want.get(cell, 0)
+        if got != exist:
+            raise GraphInputError("the graphs stand for %d labelled families with %d "
+                                  "connectors and %d uncovered coatoms, but there are %d"
+                                  % (got, *cell, exist))
+
+
+def _searched(c: int, graphs):
+    """(winners, r, s) per graph, after its checks: the coatom count,
+    validate_connection_graph and no isomorph of an earlier graph."""
+    seen = set()
     for k, graph in enumerate(graphs, 1):
         try:
             if graph.coatom_count != c:
@@ -77,16 +121,36 @@ def _fold_profile(coatom_count: int, graphs) -> tuple:
             raise GraphInputError("graph %d is isomorphic to an earlier graph" % k)
         # the graph's own tuple when it is canonical, so keeping it makes no second copy
         seen.add(graph.connector_masks if canon == graph.connector_masks else canon)
-        key = tuple(winners)
-        if key not in indices:
-            indices[key] = cycle_index(_group_of_winners(c, winners))
-        zindex = indices[key]
-        trivial += zindex.order == 1
-        shift = sum(count_r_s(graph))
-        for expo, count in zindex.counts:
-            q[expo][shift] += c_factorial // zindex.order * count    # an integer by Lagrange
-    return (tuple((expo, tuple(row)) for expo, row in sorted(q.items())),
-            MemoStats(k, len(set(indices.values())), trivial))
+        yield (tuple(winners), *count_r_s(graph))
+
+
+def _fold_profile(coatom_count: int, graphs) -> tuple:
+    """_fold of graphs passed in or read, each checked and searched."""
+    c = coatom_count
+    return _fold(c, _searched(c, graphs),
+                 lambda winners: cycle_index(_group_of_winners(c, winners)))
+
+
+def _fold_classes(coatom_count: int, classes) -> tuple:
+    """_fold of the generator's (masks, kept group) classes, with no search:
+    the r = 0 class keeps only transpositions and gets S_c's cycle index."""
+    c = coatom_count
+    identity = tuple(range(c))
+
+    def cycle_index_of(images):
+        if images is None:
+            return symmetric_cycle_index(c)
+        perms = [tuple(bit.bit_length() - 1 for bit in s) for s in images]
+        return cycle_index(PermGroup(c, [identity] + perms))
+
+    def keyed():
+        for fam, images in classes:
+            covered = 0
+            for m in fam:
+                covered |= m
+            yield images if fam else None, len(fam), c - covered.bit_count()
+
+    return _fold(c, keyed(), cycle_index_of)
 
 
 # coatom count -> (Q terms, MemoStats, the longest series substituted so far)
@@ -98,16 +162,20 @@ def count_lattices_stats(coatom_count: int, max_atoms: int, graphs=None,
     """Count table plus the MemoStats of its graphs for one pipeline run.
 
     ``graphs`` is any iterable of connection graphs forming a complete
-    isomorph-free list for ``coatom_count``.  Every graph, passed in, read
-    or generated, is checked here: a wrong coatom count, a failed
+    isomorph-free list for ``coatom_count``.  Every graph passed in or read
+    is checked here: a wrong coatom count, a failed
     validate_connection_graph or an isomorph of an earlier graph raises
-    GraphInputError naming its 1-based position.  The graphs fold into
-    one Q per cycle type, substituted once as in the module docstring.
-    Without ``graphs`` the graphs are generated once per process and
-    coatom count, and the table is a slice of that count's cached series,
-    which is substituted again, to at least twice its length, only when a
-    longer table is asked for.  The returned table and its values are new
-    on every call; the cached series is never handed out.  ``jobs`` is
+    GraphInputError naming its 1-based position, and its coatom search
+    gives its group.  Without ``graphs`` the classes are generated once per
+    process and coatom count, and folded from the groups the generator
+    keeps, with no check or search of their own.  Either way the graphs
+    fold into one Q per cycle type, substituted once as in the module
+    docstring, and the fold's labelled sums are gated on
+    labelled_family_counts: a cell that misses raises GraphInputError.  A
+    generated count is a slice of that count's cached series, which is
+    substituted again, to at least twice its length, only when a longer
+    table is asked for.  The returned table and its values are new on
+    every call; the cached series is never handed out.  ``jobs`` is
     accepted and ignored, because the benchmark's traced replay still
     passes ``jobs=2``.
     """
@@ -117,13 +185,16 @@ def count_lattices_stats(coatom_count: int, max_atoms: int, graphs=None,
         raise ValueError("maximum atom count must be nonnegative")
     c = coatom_count
     if graphs is not None:
-        terms, stats = _fold_profile(c, graphs)
+        terms, stats, labelled = _fold_profile(c, graphs)
+        _check_labelled(c, labelled)
         values = substitute_cycle_types(terms, math.factorial(c), max_atoms + 1)
         return CountTable(c, max_atoms, values), stats
     if c in _generated:
         terms, stats, series = _generated[c]
     else:
-        (terms, stats), series = _fold_profile(c, generate_connection_graphs(c)), []
+        terms, stats, labelled = _fold_classes(c, _classes(c))
+        _check_labelled(c, labelled)
+        series = []
     if len(series) <= max_atoms:
         # stored once substituted, so a substitution that raises leaves the entry as it was
         length = max(max_atoms + 1, 2 * len(series))
@@ -191,7 +262,8 @@ def iter_graph_dir(directory, coatom_count: int):
     (checked before its first graph), and each line must decode, else
     GraphInputError names the file (and line).  The count, not this
     reader, rejects invalid graphs; a stratum in between truncated along
-    with its manifest line is not detected here.
+    with its manifest line passes here, and the count's labelled gate
+    rejects it.
     """
     c = coatom_count
     manifest = os.path.join(directory, "conn_c%d.manifest" % c)

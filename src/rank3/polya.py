@@ -9,6 +9,7 @@ group_balls and the count tables alike; its division is checked exact,
 so a bug upstream surfaces as an integrality failure, not a rounding one.
 """
 
+import math
 from collections import Counter
 from itertools import accumulate
 from typing import NamedTuple
@@ -52,6 +53,27 @@ def cycle_index(group: PermGroup) -> CycleIndex:
             expo[length - 1] += 1
         counts[tuple(expo)] += 1
     return CycleIndex(degree, group.order, tuple(sorted(counts.items())))
+
+
+def _partitions(n: int, largest: int):
+    """The partitions of n into parts of at most ``largest``, largest part first."""
+    if n == 0:
+        yield ()
+    for part in range(min(n, largest), 0, -1):
+        for rest in _partitions(n - part, part):
+            yield (part,) + rest
+
+
+def symmetric_cycle_index(degree: int) -> CycleIndex:
+    """Cycle index of the full symmetric group on ``degree`` points, from the
+    class sizes n!/prod i^m_i m_i!, without listing the n! permutations."""
+    order = math.factorial(degree)
+    counts = []
+    for parts in _partitions(degree, degree):
+        expo = [parts.count(i) for i in range(1, degree + 1)]
+        centraliser = math.prod(i ** m * math.factorial(m) for i, m in enumerate(expo, 1))
+        counts.append((tuple(expo), order // centraliser))
+    return CycleIndex(degree, order, tuple(sorted(counts)))
 
 
 def _geometric_mul(coeffs: list[int], stride: int) -> None:

@@ -14,7 +14,7 @@ anywhere.
 """
 
 import json
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from math import lcm
 
@@ -48,12 +48,15 @@ class Quasipolynomial:
     ``threshold`` is the argument from which agreement with the source
     table is guaranteed; ``observed_threshold`` is the (possibly smaller)
     point from which agreement was actually seen.  Evaluation below the
-    threshold is defined but carries no guarantee.
+    threshold is defined but carries no guarantee.  evaluate keeps each
+    constituent it has used as integer numerators over one denominator,
+    outside comparison.
     """
     period: int
     threshold: int
     constituents: tuple
     observed_threshold: int | None = None
+    _integer: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     @property
     def degree(self) -> int:
@@ -67,10 +70,22 @@ class Quasipolynomial:
         return acc
 
     def evaluate(self, atoms: int) -> int:
-        val = self.value_at(atoms)
-        if val.denominator != 1:
-            raise NonIntegerValueError("value at %d is %s, not an integer" % (atoms, val))
-        return int(val)
+        """value_at as an int, by Horner's rule in integers and one exact
+        division; NonIntegerValueError if the value is no integer."""
+        k = atoms % self.period
+        if k not in self._integer:
+            coeffs = self.constituents[k]
+            den = lcm(*(x.denominator for x in coeffs))
+            self._integer[k] = [x.numerator * (den // x.denominator) for x in coeffs], den
+        nums, den = self._integer[k]
+        acc = 0
+        for num in reversed(nums):
+            acc = acc * atoms + num
+        val, rem = divmod(acc, den)
+        if rem:
+            raise NonIntegerValueError("value at %d is %s, not an integer"
+                                       % (atoms, Fraction(acc, den)))
+        return val
 
 
 def default_fit_parameters(coatom_count: int) -> tuple[int, int, int]:
@@ -358,6 +373,9 @@ def quasipolynomial_from_json(data) -> tuple[int, Quasipolynomial]:
     known = (c, period, threshold) + (() if observed is None else (observed,))
     if not all(type(v) is int for v in known) or period < 1:
         raise ValueError("c, period and thresholds must be integers, the period positive")
+    if c < 1 or threshold < 0 or observed is not None and not 0 <= observed <= threshold:
+        raise ValueError("need c >= 1 and 0 <= n0_observed <= n0_guaranteed (got c = %d, "
+                         "n0_observed = %r, n0_guaranteed = %d)" % (c, observed, threshold))
     if len(constituents) != period:
         raise ValueError("expected %d constituents, got %d" % (period, len(constituents)))
     return c, Quasipolynomial(period, threshold, constituents, observed)

@@ -16,16 +16,28 @@ def graphs_by_c():
 
 
 @pytest.fixture(scope="session")
-def graphs_c7():
-    """The 7-coatom census, built once per session (c7_build_seconds times it)."""
-    t0 = time.time()
-    graphs = list(rank3.generate_connection_graphs(7))
-    _c7_timing["seconds"] = time.time() - t0
-    return graphs
+def classes_by_c():
+    """The generator's (canonical masks, kept group) classes for coatom counts 1..6."""
+    return {c: list(rank3.genconn._classes(c)) for c in range(1, 7)}
 
 
 @pytest.fixture(scope="session")
-def c7_build_seconds(graphs_c7):
+def classes_c7():
+    """The generator's 7-coatom classes, built once per session (c7_build_seconds times it)."""
+    t0 = time.time()
+    classes = list(rank3.genconn._classes(7))
+    _c7_timing["seconds"] = time.time() - t0
+    return classes
+
+
+@pytest.fixture(scope="session")
+def graphs_c7(classes_c7):
+    """The 7-coatom census: the graphs of classes_c7, as generate_connection_graphs yields them."""
+    return [rank3.BicoloredGraph(7, masks) for masks, _group in classes_c7]
+
+
+@pytest.fixture(scope="session")
+def c7_build_seconds(classes_c7):
     """Wall-clock seconds the 7-coatom census took to build."""
     return _c7_timing["seconds"]
 

@@ -11,7 +11,8 @@ import time
 import pytest
 
 import rank3
-from rank3 import cli
+from rank3 import cli, pipeline
+from rank3.genconn import labelled_family_counts
 
 from reference_values import (
     GRAPH_CENSUS,
@@ -99,18 +100,26 @@ class TestCriterion04LargeCoatomSpotCheck:
         report(4, "R(8,a) via duality for a <= 6 and oracle for a <= 4")
 
     @pytest.mark.slow
-    def test_direct_census_and_counts(self):
-        graphs = list(rank3.generate_connection_graphs(8))
+    def test_direct_census_and_counts(self, monkeypatch):
+        classes = list(rank3.genconn._classes(8))
+        graphs = [rank3.BicoloredGraph(8, masks) for masks, _group in classes]
         assert len(graphs) == GRAPH_CENSUS[8]
         assert census_sha256(graphs) == CENSUS_SHA256[8]
-        table, stats = rank3.count_lattices_stats(8, 1000, graphs)
+        # the generated path, gated on all 85 labelled cells, from these classes
+        monkeypatch.setattr(pipeline, "_generated", {})
+        monkeypatch.setattr(pipeline, "_classes", lambda c: iter(classes))
+        table, stats = rank3.count_lattices_stats(8, 1000)
         assert (stats.graphs_processed, stats.distinct_cycle_indices,
                 stats.trivial_action_graphs) == MEMO_STATS[8]
         assert len(R_TABLE[8]) == 40
         for a, want in R_TABLE[8].items():
             assert table.values[a] == want
-        report(4, "census bytes and all %d published R(8,a) from all %d generated graphs"
-               % (len(R_TABLE[8]), len(graphs)))
+        # searching every graph again gives the same terms, cell by cell
+        terms, searched, labelled = pipeline._fold_profile(8, graphs)
+        assert (terms, searched) == pipeline._generated[8][:2]
+        assert labelled == labelled_family_counts(8) and len(labelled) == 85
+        report(4, "census bytes, 85 labelled cells and all %d published R(8,a) from all %d "
+               "generated graphs" % (len(R_TABLE[8]), len(graphs)))
 
 
 class TestCriterion05ClosedFormTheorems:

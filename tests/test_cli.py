@@ -155,14 +155,29 @@ def _emptied_end_stratum(directory):
     return "0 graphs in conn_c5_r0.g6"
 
 
+def _truncated_interior_stratum(directory):
+    # the last line of r4 dropped, its manifest line and the total lowered to
+    # match: every check of the reader passes, and only the labelled gate
+    # sees the missing class
+    _drop_last_line(directory)
+    path = directory / "conn_c5.manifest"
+    listed = dict(line.split() for line in path.read_text().splitlines())
+    listed["conn_c5_r4.g6"] = str(int(listed["conn_c5_r4.g6"]) - 1)
+    listed["total"] = "71"
+    path.write_text("".join("%s %s\n" % item for item in listed.items()))
+    return "labelled families with 4 connectors"
+
+
 class TestDamagedCensus:
     @pytest.mark.parametrize("damage", [_drop_last_line, _repeat_first_line,
                                         _remove_manifest, _one_coatom_connector,
                                         _shared_pair, _relabelled_copy, _corrupt_line,
-                                        _wrong_total, _extra_stratum, _emptied_end_stratum],
+                                        _wrong_total, _extra_stratum, _emptied_end_stratum,
+                                        _truncated_interior_stratum],
                              ids=["truncated", "extra-line", "no-manifest", "invalid-graph",
                                   "shared-pair", "relabelled-copy", "corrupt-line",
-                                  "wrong-total", "extra-stratum", "emptied-end-stratum"])
+                                  "wrong-total", "extra-stratum", "emptied-end-stratum",
+                                  "truncated-interior-stratum"])
     def test_count_exits_input_code(self, tmp_path, capsys, damage):
         graphs = tmp_path / "graphs"
         assert run_cli("generate", "--coatoms", 5, "--out", graphs) == 0
@@ -261,14 +276,18 @@ class TestMalformedInput:
         ("constituents", ["12"]), ("constituents", [{"5": 0}]),
         ("constituents", [[]]), ("constituents", [[1e400]]),
         ("n0_observed", ""), ("n0_observed", 0.0), ("n0_observed", False),
+        ("c", 0), ("c", -3), ("n0_guaranteed", -7), ("n0_observed", -2), ("n0_observed", 99),
     ], ids=["no-constituents", "zero-denominator", "non-integer-value", "float-coefficient",
             "string-constituent", "dict-constituent", "empty-constituent", "overflowing-float",
-            "empty-string-observed", "float-observed", "false-observed"])
+            "empty-string-observed", "float-observed", "false-observed",
+            "zero-coatoms", "negative-coatoms", "negative-guaranteed", "negative-observed",
+            "observed-above-guaranteed"])
     def test_eval_rejects_fit(self, tmp_path, capsys, key, value):
+        # the reference form of c = 3 has n0_guaranteed = n0_observed = 0
         data = rank3.quasipolynomial_to_json(rank3.reference_quasipolynomial(3), 3)
         if key == "coefficient":
             data["constituents"][0][0] = value
-        elif key == "n0_observed":
+        elif key in ("n0_observed", "n0_guaranteed", "c"):
             data[key] = value
         elif value is None:
             del data["constituents"]

@@ -4,13 +4,14 @@ import itertools
 import math
 import os
 import random
+from collections import Counter
 from fractions import Fraction
 
 import pytest
 
 import rank3
 from rank3.bigraph import _coatom_search
-from rank3.genconn import _bit_images, _relabel_can_shrink
+from rank3.genconn import _bit_images, _relabel_can_shrink, labelled_family_counts
 
 from oracles import labelled_connection_families, map_mask
 from reference_values import GRAPH_CENSUS, PER_R_COUNTS, R_TABLE
@@ -22,9 +23,25 @@ def census_bytes(directory):
 
 
 def labeled_copies(c, graphs):
-    """Sum over the classes of c!/|Aut|: the labelled families they stand for."""
-    return sum(Fraction(math.factorial(c), rank3.automorphism_group_on_coatoms(g).order)
-               for g in graphs)
+    """{(r, s): sum of c!/|Aut| over the classes with r connectors and s
+    uncovered coatoms}: the labelled families they stand for, per cell."""
+    cells = Counter()
+    for g in graphs:
+        cells[rank3.count_r_s(g)] += Fraction(math.factorial(c),
+                                              rank3.automorphism_group_on_coatoms(g).order)
+    return dict(cells)
+
+
+def labeled_cells(c):
+    """{(r, s): number of labelled families}, by the labelled DFS oracle."""
+    full = (1 << c) - 1
+    cells = Counter()
+    for masks in labelled_connection_families(c):
+        covered = 0
+        for m in masks:
+            covered |= m
+        cells[len(masks), (full & ~covered).bit_count()] += 1
+    return dict(cells)
 
 
 class TestGeneration:
@@ -61,18 +78,31 @@ class TestGeneration:
             assert generated == all_forms
 
     def test_orbit_stabiliser_against_labeled_count(self, graphs_by_c):
-        # a class G has c!/|Aut(G)| labelled copies, so the classes and their
-        # groups must add up to the labelled families; no published numbers
-        # are needed, and this covers the automorphism groups up to c = 6
+        # a class G has c!/|Aut(G)| labelled copies, so in every (r, s) the
+        # classes and their groups must add up to the labelled families;
+        # labelled_family_counts, the labelled DFS and the census agree cell
+        # by cell, with no published numbers, up to c = 6
         for c, labeled in zip(range(1, 7), [1, 2, 9, 97, 2625, 185521]):
-            assert sum(1 for _ in labelled_connection_families(c)) == labeled
-            assert labeled_copies(c, graphs_by_c[c]) == labeled
+            cells = labelled_family_counts(c)
+            assert cells == labeled_cells(c)
+            assert cells == labeled_copies(c, graphs_by_c[c])
+            assert sum(cells.values()) == labeled
+
+    def test_labelled_counts_at_seven_and_eight(self):
+        # the totals the census sums reach (the c = 8 ones under slow)
+        for c, cells, total in [(7, 57, 35406319), (8, 85, 18785639553)]:
+            counts = labelled_family_counts(c)
+            assert (len(counts), sum(counts.values())) == (cells, total)
+            assert min(counts.values()) > 0
+        with pytest.raises(TypeError):
+            counts[0, 8] = 2    # read-only: the cached cells cannot be changed
 
     @pytest.mark.slow
     def test_orbit_stabiliser_at_seven_coatoms(self, graphs_c7):
-        # the same check on the c = 7 census; the labelled DFS takes about a minute
+        # the same check on the c = 7 census, all 57 cells; the labelled DFS
+        # takes about a minute and is checked by its total
         assert sum(1 for _ in labelled_connection_families(7)) == 35406319
-        assert labeled_copies(7, graphs_c7) == 35406319
+        assert labeled_copies(7, graphs_c7) == labelled_family_counts(7)
 
     @pytest.mark.parametrize("c, searches", [(5, 75), (6, 658)])
     def test_extends_only_by_largest_connectors(self, monkeypatch, c, searches):
@@ -112,6 +142,10 @@ class TestGeneration:
                     assert all(len(s) == c for s in images)
                     assert {tuple(s.bit_length() - 1 for s in img) for img in images} == want
                     assert len(images) == len(want)
+
+    def test_graphs_are_the_classes(self, graphs_by_c, classes_by_c):
+        for c, classes in classes_by_c.items():
+            assert graphs_by_c[c] == [rank3.BicoloredGraph(c, masks) for masks, _group in classes]
 
     def test_deterministic_order(self):
         first = list(rank3.generate_connection_graphs(4))

@@ -63,10 +63,10 @@ def test_fit_json_bytes(tables, c):
     assert sha256(text.encode()) == FIT_SHA256[c]
 
 
-def test_verify_report_bytes(graphs_by_c, graphs_c7, monkeypatch, capsys):
-    # the generated path, fed the session's censuses instead of building them again
-    censuses = {**graphs_by_c, 7: graphs_c7}
+def test_verify_report_bytes(classes_by_c, classes_c7, monkeypatch, capsys):
+    # the generated path, fed the session's classes instead of building them again
+    classes = {**classes_by_c, 7: classes_c7}
     monkeypatch.setattr(pipeline, "_generated", {})
-    monkeypatch.setattr(pipeline, "generate_connection_graphs", lambda c: iter(censuses[c]))
+    monkeypatch.setattr(pipeline, "_classes", lambda c: iter(classes[c]))
     assert cli.main(["verify", "--max-total", "9"]) == 0
     assert sha256(capsys.readouterr().out.encode()) == VERIFY_SHA256

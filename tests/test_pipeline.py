@@ -8,6 +8,7 @@ from collections import Counter
 import pytest
 
 import rank3
+from rank3.genconn import labelled_family_counts
 
 from reference_values import MEMO_STATS, R_TABLE
 
@@ -125,21 +126,34 @@ def plain_fold(c, graphs):
 class TestCycleTypes:
     def test_each_graph_adds_its_shifted_ball_series(self, graphs_by_c):
         # the table of one graph is its group_balls series moved up by r + s,
-        # the per-graph reading of the cycle-type sum
+        # the per-graph reading of the cycle-type sum; one graph is no census,
+        # so it is folded and substituted here, below the count's labelled gate
         for c in range(1, 6):
             for graph in graphs_by_c[c]:
                 shift = sum(rank3.count_r_s(graph))
                 zindex = rank3.cycle_index(rank3.automorphism_group_on_coatoms(graph))
-                assert rank3.count_lattices(c, 40, [graph]).values == \
+                terms, _stats, _labelled = rank3.pipeline._fold_profile(c, [graph])
+                assert rank3.polya.substitute_cycle_types(terms, math.factorial(c), 41) == \
                     [0] * shift + rank3.group_balls(zindex, c, 40 - shift)
 
     def test_fold_equals_per_graph_fold(self, graphs_by_c, graphs_c7):
         # the fold shares one cycle index among the graphs with the same
         # group; the oracle builds both afresh for every graph
         for c, graphs in {**graphs_by_c, 7: graphs_c7}.items():
-            terms, stats = rank3.pipeline._fold_profile(c, graphs)
+            terms, stats, _labelled = rank3.pipeline._fold_profile(c, graphs)
             folded = {(expo, k): x for expo, row in terms for k, x in enumerate(row) if x}
             assert (folded, stats) == plain_fold(c, graphs)
+
+    def test_generated_fold_equals_searched_fold(self, classes_by_c, classes_c7):
+        # the generated path folds the groups the generator kept, S_c for the
+        # r = 0 class; searching its graphs again gives the same terms,
+        # MemoStats and labelled sums, and those sums are L_c in every cell
+        for c, classes in {**classes_by_c, 7: classes_c7}.items():
+            graphs = [rank3.BicoloredGraph(c, masks) for masks, _group in classes]
+            folded = rank3.pipeline._fold_classes(c, classes)
+            assert folded == rank3.pipeline._fold_profile(c, graphs)
+            assert folded[2] == labelled_family_counts(c)
+        assert folded[1].distinct_cycle_indices == 38
 
     @pytest.mark.parametrize("c, labeled", zip(range(1, 7), [1, 2, 9, 97, 2625, 185521]))
     def test_burnside_structure(self, c, labeled):
@@ -160,13 +174,13 @@ def generations(monkeypatch):
     """Empty the series cache and count the generator's calls per coatom count."""
     rank3.pipeline._generated.clear()
     calls = Counter()
-    generate = rank3.pipeline.generate_connection_graphs
+    generate = rank3.pipeline._classes
 
     def counting(c):
         calls[c] += 1
         return generate(c)
 
-    monkeypatch.setattr(rank3.pipeline, "generate_connection_graphs", counting)
+    monkeypatch.setattr(rank3.pipeline, "_classes", counting)
     yield calls
     rank3.pipeline._generated.clear()
 
@@ -211,21 +225,22 @@ class TestProfileCache:
         assert generations == {4: 1}
 
     def test_failed_generation_is_not_cached(self, monkeypatch, generations):
-        generate = rank3.pipeline.generate_connection_graphs
+        generate = rank3.pipeline._classes
 
         def fails_once(c):
-            monkeypatch.setattr(rank3.pipeline, "generate_connection_graphs", generate)
+            monkeypatch.setattr(rank3.pipeline, "_classes", generate)
             yield from itertools.islice(generate(c), 2)
             raise RuntimeError("generation interrupted")
 
-        monkeypatch.setattr(rank3.pipeline, "generate_connection_graphs", fails_once)
+        monkeypatch.setattr(rank3.pipeline, "_classes", fails_once)
         with pytest.raises(RuntimeError, match="interrupted"):
             rank3.count_lattices(3, 8)
         assert rank3.count_lattices(3, 8).values == [0, 1, 3, 8, 13, 20, 29, 39, 50]
         assert generations == {3: 2}    # the failed run, then a full one
 
     def test_series_grows_geometrically(self, substitutions):
-        terms, _stats = rank3.pipeline._fold_profile(5, rank3.generate_connection_graphs(5))
+        graphs = rank3.generate_connection_graphs(5)
+        terms, _stats, _labelled = rank3.pipeline._fold_profile(5, graphs)
         for a in (100, 50, 100, 150, 300, 301, 20):
             values = rank3.count_lattices(5, a).values
             assert values == rank3.polya.substitute_cycle_types(terms, 120, a + 1)
@@ -268,10 +283,62 @@ class TestProfileCache:
     def test_explicit_graphs_bypass_the_entry(self, graphs_by_c, substitutions):
         want = rank3.count_lattices(5, 40).values
         entry = rank3.pipeline._generated[5]
-        rank3.count_lattices(5, 100, [graphs_by_c[5][0]])
+        rank3.count_lattices(5, 100, graphs_by_c[5])
         assert rank3.pipeline._generated == {5: entry}
         assert rank3.count_lattices(5, 40).values == want
         assert substitutions == [41, 101]
+
+
+def _gate_message(c, graph, got_offset=0):
+    """The count's error for a census missing ``graph`` (got_offset added to its cell)."""
+    r, s = rank3.count_r_s(graph)
+    exist = labelled_family_counts(c)[r, s]
+    got = exist - math.factorial(c) // rank3.automorphism_group_on_coatoms(graph).order
+    return ("the graphs stand for %d labelled families with %d connectors and %d uncovered "
+            "coatoms, but there are %d" % (got + got_offset, r, s, exist))
+
+
+class TestLabelledGate:
+    @pytest.mark.parametrize("c, position", [(4, 0), (5, 40), (6, 591)],
+                             ids=["empty-graph", "interior", "complete-graph"])
+    def test_missing_graph_rejected(self, graphs_by_c, c, position):
+        # every graph is valid and no two are isomorphic, so only the
+        # labelled sum of the dropped graph's cell can tell
+        graphs = list(graphs_by_c[c])
+        dropped = graphs.pop(position)
+        with pytest.raises(rank3.GraphInputError) as info:
+            rank3.count_lattices(c, 10, graphs)
+        assert str(info.value) == _gate_message(c, dropped)
+
+    def test_lost_class_rejected_on_generated_path(self, monkeypatch, graphs_by_c, generations):
+        generate = rank3.pipeline._classes
+        lost = 30
+
+        def loses_one(c):
+            for k, item in enumerate(generate(c)):
+                if k != lost:
+                    yield item
+
+        monkeypatch.setattr(rank3.pipeline, "_classes", loses_one)
+        with pytest.raises(rank3.GraphInputError) as info:
+            rank3.count_lattices(5, 10)
+        assert str(info.value) == _gate_message(5, graphs_by_c[5][lost])
+        assert 5 not in rank3.pipeline._generated
+
+    def test_wrong_group_rejected_on_generated_path(self, monkeypatch, graphs_by_c, generations):
+        # the complete graph on 4 coatoms keeps all of S_4; kept as trivial
+        # it would stand for 4! labelled families instead of one
+        generate = rank3.pipeline._classes
+
+        def forgets_group(c):
+            *classes, (masks, _group) = generate(c)
+            yield from classes
+            yield masks, ()
+
+        monkeypatch.setattr(rank3.pipeline, "_classes", forgets_group)
+        with pytest.raises(rank3.GraphInputError) as info:
+            rank3.count_lattices(4, 10)
+        assert str(info.value) == _gate_message(4, graphs_by_c[4][-1], got_offset=24)
 
 
 class TestCountTable:

@@ -44,6 +44,11 @@ class TestCycleIndex:
         }
         assert coefficients(z) == expected
 
+    def test_symmetric_group_from_class_sizes(self):
+        # S_n's cycle index from n!/prod i^m_i m_i!, against all n! permutations
+        for n in range(1, 8):
+            assert rank3.polya.symmetric_cycle_index(n) == rank3.cycle_index(symmetric_group(n))
+
     def test_path_graph_group(self):
         g = rank3.BicoloredGraph(4, [{0, 1}, {1, 2}, {2, 3}])
         z = rank3.cycle_index(rank3.automorphism_group_on_coatoms(g))

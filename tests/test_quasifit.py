@@ -159,6 +159,20 @@ class TestEvaluation:
         q = rank3.Quasipolynomial(1, 0, ((Fraction(1, 2),),))
         with pytest.raises(rank3.NonIntegerValueError):
             q.evaluate(0)
+        # x/2: an integer at every even x, at no odd one
+        half = rank3.Quasipolynomial(2, 0, ((0, Fraction(1, 2)),) * 2)
+        assert half.evaluate(4) == 2
+        with pytest.raises(rank3.NonIntegerValueError, match="value at 3 is 3/2, not an integer"):
+            half.evaluate(3)
+
+    def test_integer_evaluation_equals_fraction_value(self, tables_to_1000):
+        # evaluate works in integers over one denominator per residue, value_at
+        # in Fractions; the integer constituents it keeps stay out of ==
+        fit = rank3.fit_for_coatoms(tables_to_1000[5], 5)
+        fresh = rank3.fit_for_coatoms(tables_to_1000[5], 5)
+        for a in [*range(0, 1000, 7), 10 ** 6, 10 ** 30 + 59]:
+            assert fit.evaluate(a) == fit.value_at(a)
+        assert fit == fresh and hash(fit) == hash(fresh)
 
     def test_expand_period(self):
         ref = rank3.reference_quasipolynomial(3)
