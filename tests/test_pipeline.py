@@ -1,8 +1,13 @@
 """Counting pipeline: cycle-type polynomials, isomorph checks, caching, interchange."""
 
 import itertools
+import marshal
 import math
+import os
 import random
+import signal
+import threading
+import types
 from collections import Counter
 
 import pytest
@@ -341,6 +346,179 @@ class TestLabelledGate:
         assert str(info.value) == _gate_message(4, graphs_by_c[4][-1], got_offset=24)
 
 
+def _usable_cpus(monkeypatch, n):
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(n)))
+
+
+@pytest.fixture
+def forks(monkeypatch):
+    """Two usable CPUs, and the pids os.fork returns in this process, in order."""
+    pids = []
+    fork = os.fork
+
+    def recording():
+        pid = fork()
+        if pid:
+            pids.append(pid)
+        return pid
+
+    monkeypatch.setattr(os, "fork", recording)
+    _usable_cpus(monkeypatch, 2)
+    return pids
+
+
+def _assert_reaped():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+def _error(c, graphs):
+    """The message of the count's GraphInputError on graphs."""
+    with pytest.raises(rank3.GraphInputError) as info:
+        rank3.count_lattices_stats(c, 10, graphs)
+    _assert_reaped()
+    return str(info.value)
+
+
+class TestForkedSearch:
+    """A chunk of graphs is dealt round-robin, graph k (0-based) to share
+    k mod n; share 0 is searched in this process, every other share in a
+    forked child.  At c = 6 with two CPUs the 592 graphs make one chunk and
+    two shares: even positions here, odd ones in the child."""
+
+    @pytest.mark.parametrize("c, cpus, shuffled, children", [
+        (6, 2, False, 1), (7, 2, False, 3), (7, 3, False, 6), (7, 2, True, 3),
+    ], ids=["c6", "c7", "c7-three-cpus", "c7-shuffled"])
+    def test_forked_fold_equals_in_process(self, monkeypatch, forks, graphs_by_c, graphs_c7,
+                                           c, cpus, shuffled, children):
+        graphs = list(graphs_c7 if c == 7 else graphs_by_c[c])
+        if shuffled:
+            random.Random(11).shuffle(graphs)
+        _usable_cpus(monkeypatch, cpus)
+        forked = rank3.pipeline._fold_profile(c, graphs)
+        _assert_reaped()
+        assert len(forks) == children    # one child per extra CPU and chunk of 4096
+        _usable_cpus(monkeypatch, 1)
+        assert rank3.pipeline._fold_profile(c, graphs) == forked
+        assert len(forks) == children
+
+    @pytest.mark.parametrize("index", [100, 101], ids=["parent-share", "child-share"])
+    @pytest.mark.parametrize("bad, reason", [
+        (rank3.BicoloredGraph(6, [0b000111, 0b001011]),
+         "connectors 0 and 1 share more than one coatom"),
+        (rank3.BicoloredGraph(5, [0b00011]), "5 coatoms, expected 6"),
+    ], ids=["invalid", "coatom-count"])
+    def test_bad_graph_named_as_in_process(self, monkeypatch, forks, graphs_by_c,
+                                           index, bad, reason):
+        graphs = list(graphs_by_c[6])
+        graphs[index] = bad
+        forked = _error(6, graphs)
+        assert forks
+        assert forked == "graph %d %r: %s" % (index + 1, bad, reason)
+        _usable_cpus(monkeypatch, 1)
+        assert _error(6, graphs) == forked
+
+    @pytest.mark.parametrize("original, index", [(6, 101), (7, 100)],
+                             ids=["copy-in-child-share", "copy-in-parent-share"])
+    def test_isomorphic_copy_across_shares(self, monkeypatch, forks, graphs_by_c,
+                                           original, index):
+        graphs = list(graphs_by_c[6])
+        graphs.insert(index, _rotated(graphs[original]))
+        forked = _error(6, graphs)
+        assert forks
+        assert forked == "graph %d is isomorphic to an earlier graph" % (index + 1)
+        _usable_cpus(monkeypatch, 1)
+        assert _error(6, graphs) == forked
+
+    @staticmethod
+    def _failing_children(monkeypatch, fail):
+        """Make every child call fail() before it searches."""
+        parent, share = os.getpid(), rank3.pipeline._share
+
+        def failing(c, graphs):
+            if os.getpid() != parent:
+                fail()
+            return share(c, graphs)
+
+        monkeypatch.setattr(rank3.pipeline, "_share", failing)
+
+    @pytest.mark.parametrize("failure", [None, "sigkill", "exit-1", "truncated",
+                                         "exit-1-after-sending"])
+    def test_failed_child_gives_the_same_table(self, monkeypatch, forks, graphs_by_c, failure):
+        # a child's whole share is searched again here unless it exits 0
+        # with all of its results sent
+        want = rank3.count_lattices_stats(6, 200, graphs_by_c[6])
+        _assert_reaped()
+        if failure == "sigkill":
+            self._failing_children(monkeypatch, lambda: os.kill(os.getpid(), signal.SIGKILL))
+        elif failure == "exit-1":
+            self._failing_children(monkeypatch, lambda: os._exit(1))
+        elif failure == "truncated":
+            def truncated(obj):
+                data = marshal.dumps(obj)
+                return data[:len(data) // 2]
+
+            monkeypatch.setattr(rank3.pipeline, "marshal",
+                                types.SimpleNamespace(dumps=truncated, loads=marshal.loads))
+        elif failure == "exit-1-after-sending":
+            exit_ = os._exit
+            monkeypatch.setattr(os, "_exit", lambda status: exit_(1))
+        parent, search, searched = os.getpid(), rank3.pipeline._search, []
+
+        def counting(c, graph):
+            if os.getpid() == parent:
+                searched.append(graph)
+            return search(c, graph)
+
+        monkeypatch.setattr(rank3.pipeline, "_search", counting)
+        assert rank3.count_lattices_stats(6, 200, graphs_by_c[6]) == want
+        _assert_reaped()
+        assert len(forks) == 2
+        assert len(searched) == (296 if failure is None else 592)
+
+    def test_children_reaped_after_interrupt(self, monkeypatch, forks, graphs_by_c):
+        # the parent is interrupted in its own share while the child searches
+        parent, search = os.getpid(), rank3.pipeline._search
+
+        def interrupted(c, graph):
+            if os.getpid() == parent:
+                raise KeyboardInterrupt
+            return search(c, graph)
+
+        monkeypatch.setattr(rank3.pipeline, "_search", interrupted)
+        with pytest.raises(KeyboardInterrupt):
+            rank3.count_lattices(6, 10, graphs_by_c[6])
+        _assert_reaped()
+        assert len(forks) == 1
+
+    def test_stays_in_process(self, monkeypatch, graphs_by_c):
+        calls = []
+        monkeypatch.setattr(os, "fork", lambda: calls.append(1))
+        _usable_cpus(monkeypatch, 2)
+        want = rank3.count_lattices_stats(5, 100)
+        # 72 graphs are below two shares of 256
+        assert rank3.count_lattices_stats(5, 100, graphs_by_c[5]) == want
+        # one usable CPU
+        _usable_cpus(monkeypatch, 1)
+        rank3.count_lattices_stats(6, 10, graphs_by_c[6])
+        # another thread alive
+        _usable_cpus(monkeypatch, 2)
+        release = threading.Event()
+        thread = threading.Thread(target=release.wait)
+        thread.start()
+        try:
+            rank3.count_lattices_stats(6, 10, graphs_by_c[6])
+        finally:
+            release.set()
+            thread.join(timeout=10)
+        assert not thread.is_alive()
+        assert calls == []
+        # no os.fork at all
+        monkeypatch.delattr(os, "fork")
+        rank3.count_lattices_stats(6, 10, graphs_by_c[6])
+        _assert_reaped()
+
+
 class TestCountTable:
     def test_length_checked(self):
         with pytest.raises(ValueError):
@@ -412,6 +590,31 @@ class TestGraphDir:
             + "total %d\n" % sum(counts))
         with pytest.raises(rank3.GraphInputError, match="0 graphs in %s" % named):
             next(rank3.iter_graph_dir(tmp_path, 3))
+
+    @pytest.mark.parametrize("min_share, children", [(256, 0), (64, 1)],
+                             ids=["in-process", "forked"])
+    def test_graphs_before_a_read_error_are_checked_first(self, monkeypatch, forks, tmp_path,
+                                                          min_share, children):
+        # graph 8 (line 2 of r2) copies graph 7 relabelled; the reader fails
+        # on line 1 of r9, graph 469, while the count still fills its first
+        # chunk: the 468 graphs taken are checked, in two shares of 234 when
+        # a share may be that small, before the reader's error is raised
+        monkeypatch.setattr(rank3.pipeline, "_MIN_SHARE", min_share)
+        rank3.write_graph_files(tmp_path, 6)
+        r2, r9 = tmp_path / "conn_c6_r2.g6", tmp_path / "conn_c6_r9.g6"
+        lines = r9.read_bytes().splitlines(keepends=True)
+        lines[0] = lines[0][:1] + b"!" + lines[0][2:]
+        r9.write_bytes(b"".join(lines))
+        with pytest.raises(rank3.GraphInputError, match="conn_c6_r9.g6 line 1: byte b'!' "):
+            rank3.count_lattices(6, 10, rank3.iter_graph_dir(tmp_path, 6))
+        lines = r2.read_bytes().splitlines(keepends=True)
+        lines[1] = rank3.graph6_encode(_rotated(rank3.graph6_decode(lines[0], 6, 2)))
+        r2.write_bytes(b"".join(lines))
+        with pytest.raises(rank3.GraphInputError) as info:
+            rank3.count_lattices(6, 10, rank3.iter_graph_dir(tmp_path, 6))
+        assert str(info.value) == "graph 8 is isomorphic to an earlier graph"
+        _assert_reaped()
+        assert len(forks) == 2 * children
 
     def test_feeds_pipeline(self, tmp_path, graphs_by_c):
         rank3.write_graph_files(tmp_path, 5, graphs_by_c[5])
