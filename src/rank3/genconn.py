@@ -11,6 +11,24 @@ Algorithms 26, 1998).  The results are deduplicated through the
 canonical form, so every isomorphism class appears exactly once, with
 its automorphism group.
 
+Each parent class is extended on its own, so the parents of a stratum
+are dealt round-robin into shares, one per CPU in the affinity mask,
+each of at least 256 parents.  This process extends share 0 and a
+forked child each other share, sending back through a pipe, by marshal,
+the classes found per parent.  This process then takes them in the
+order of the parents, the first found winning, so the classes, their
+kept groups and the census bytes are those of one process.  A share
+whose child died, exited non-zero or sent data that does not decode or
+has the wrong length is extended again here.  Every child is reaped
+before the stratum's first class is yielded, so none is alive while a
+caller holds the generator.  _in_shares is that split, and
+pipeline's search of graphs read or passed in is its other user.  All
+of it stays in this process without os.fork or os.sched_getaffinity,
+with one usable CPU, while another thread runs, and for strata below
+512 parents: every stratum up to c = 6, so a count for c <= 6 never
+forks here.  On two cores the c = 7 census takes 1.0-1.2 s against
+1.3-1.8 s in one process, and c = 8 47-51 s against 99 s.
+
 labelled_family_counts counts the labelled families per connector count
 and uncovered coatoms without a census; by orbit-stabiliser, the classes
 must add up to it, which the count checks.
@@ -24,8 +42,11 @@ cycle-index pipeline on purpose: it is the cross-check.
 import collections
 import contextlib
 import functools
+import marshal
 import math
 import os
+import signal
+import threading
 import types
 
 from .bigraph import BicoloredGraph, _coatom_search, _members, _pairs, graph6_encode
@@ -54,6 +75,40 @@ def _bit_images(winners) -> tuple[tuple[int, ...], ...]:
     return tuple(images)
 
 
+def _extended(c: int, pool, pairs, parents) -> list:
+    """Per (family, group) of parents, in order, the (canonical masks, kept
+    group) of each search that extends it (see _classes), leaving out the
+    forms this call already found for an earlier search."""
+    done, out = set(), []
+    for fam, group in parents:
+        covered = 0
+        for x in fam:
+            covered |= pairs[x]
+        top = max((x.bit_count() for x in fam), default=0)
+        # each top-size connector with the number of other connectors it meets
+        kept = [(x, sum(1 for y in fam if x & y) - 1) for x in fam if x.bit_count() == top]
+        found = []
+        for m in pool:
+            size = m.bit_count()
+            if size < top:
+                break
+            if pairs[m] & covered:
+                continue
+            mem = _members(m)
+            if any(sum(map(s.__getitem__, mem)) < m for s in group):
+                continue
+            if size == top:
+                met = sum(1 for x in fam if x & m)
+                if any(k + (x & m != 0) > met for x, k in kept):
+                    continue
+            form, winners = _coatom_search(c, fam + (m,))
+            if form not in done:
+                done.add(form)
+                found.append((form, _bit_images(winners)))
+        out.append(found)
+    return out
+
+
 def _classes(coatom_count: int):
     """Yield (canonical masks, kept group) for one class of connection graphs
     per isomorphism class, the group as bit images (see _bit_images).
@@ -78,6 +133,13 @@ def _classes(coatom_count: int):
     exactly the least mask of each size, as S_c would.  Each stratum is
     sorted once in graph6 byte order, without encoding, and its masks seed
     the next, so two runs produce byte-identical output.
+
+    The parents of a stratum are extended by _extended in the shares of
+    _in_shares, forked where the module docstring says; a share whose
+    child failed is extended again here.  Walking the parents in order
+    with the first form found winning gives the classes and kept groups
+    of one process: a share leaves out only forms that an earlier search
+    of its own found.  No child outlives the stratum's first yield.
     """
     c = coatom_count
     if c < 1:
@@ -92,31 +154,19 @@ def _classes(coatom_count: int):
     swaps = tuple(tuple(unit[:i] + [unit[i + 1], unit[i]] + unit[i + 2:]) for i in range(c - 1))
     level = [((), swaps)]
     yield level[0]
+    extend = functools.partial(_extended, c, pool, pairs)
     for _r in range(1, c * (c - 1) // 2 + 1):
+        shares = _in_shares(extend, level)
+        n = len(shares)
+        for p, found in enumerate(shares):
+            # a share whose child failed, or sent one list too few or many, is extended here
+            if found is None or len(found) != len(level[p::n]):
+                shares[p] = extend(level[p::n])
+        # parent i is parent i // n of share i % n; the first class found in level order wins
         seen = {}
-        for fam, group in level:
-            covered = 0
-            for x in fam:
-                covered |= pairs[x]
-            top = max((x.bit_count() for x in fam), default=0)
-            # each top-size connector with the number of other connectors it meets
-            kept = [(x, sum(1 for y in fam if x & y) - 1) for x in fam if x.bit_count() == top]
-            for m in pool:
-                size = m.bit_count()
-                if size < top:
-                    break
-                if pairs[m] & covered:
-                    continue
-                mem = _members(m)
-                if any(sum(map(s.__getitem__, mem)) < m for s in group):
-                    continue
-                if size == top:
-                    met = sum(1 for x in fam if x & m)
-                    if any(k + (x & m != 0) > met for x, k in kept):
-                        continue
-                form, winners = _coatom_search(c, fam + (m,))
-                if form not in seen:
-                    seen[form] = _bit_images(winners)
+        for i in range(len(level)):
+            for form, images in shares[i % n][i // n]:
+                seen.setdefault(form, images)
         # for equal c and r, graph6 byte order is the order of the mask
         # tuples with each mask's c bits reversed
         level = sorted(seen.items(), key=lambda item: tuple(map(flipped.__getitem__, item[0])))
@@ -162,6 +212,87 @@ def atomic_open(path, mode="w", newline=None):
         with contextlib.suppress(FileNotFoundError):
             os.remove(tmp)
         raise
+
+
+# the fewest items one process takes when work is dealt over forked children
+_MIN_SHARE = 256
+
+
+def _processes(n: int) -> int:
+    """The shares n items are dealt into: one per usable CPU, each of at least
+    _MIN_SHARE items; 1 without os.fork or CPU affinity, and while another
+    thread runs, since forking it is unsafe."""
+    most = n // _MIN_SHARE
+    if most < 2 or not hasattr(os, "fork") or not hasattr(os, "sched_getaffinity") \
+            or threading.active_count() > 1:
+        return 1
+    return min(len(os.sched_getaffinity(0)), most)
+
+
+def _child(work, share, read_end: int, write_end: int) -> None:
+    """In a forked child: send marshal(work(share)) down write_end and exit,
+    with status 0 once it is sent.  Writes nothing else, never returns."""
+    status = 1
+    try:
+        os.close(read_end)
+        with open(write_end, "wb") as pipe:
+            pipe.write(marshal.dumps(work(share)))
+        status = 0
+    finally:
+        os._exit(status)
+
+
+def _fork(work, share):
+    """(pid, read end) of a child running work(share), or None if none started."""
+    try:
+        read_end, write_end = os.pipe()
+    except OSError:
+        return None
+    try:
+        pid = os.fork()
+        if pid == 0:
+            _child(work, share, read_end, write_end)
+    except OSError:
+        os.close(read_end)
+        return None
+    finally:
+        os.close(write_end)
+    return pid, read_end
+
+
+def _in_shares(work, items) -> list:
+    """work(share) for each of the n = _processes(len(items)) shares of items,
+    share p holding positions p, p + n, ...  Share 0 runs in this process
+    and each other share in a forked child, whose result comes back through
+    a pipe by marshal; it is None where the child did not start, died,
+    exited non-zero or sent data that does not decode.  Every child is
+    reaped, and killed first if still running, before this returns or
+    raises."""
+    n = _processes(len(items))
+    results = [None] * n
+    children = []    # [pid or None once reaped, share, read end]
+    try:
+        for p in range(1, n):
+            started = _fork(work, items[p::n])
+            if started is not None:
+                children.append([started[0], p, started[1]])
+        results[0] = work(items[::n])
+        for child in children:
+            pid, p, read_end = child
+            with open(read_end, "rb", closefd=False) as pipe:
+                data = pipe.read()
+            status = os.waitpid(pid, 0)[1]
+            child[0] = None
+            if status == 0:
+                with contextlib.suppress(EOFError, ValueError, TypeError):
+                    results[p] = marshal.loads(data)
+    finally:
+        for pid, _p, read_end in children:
+            os.close(read_end)
+            if pid is not None:
+                os.kill(pid, signal.SIGKILL)
+                os.waitpid(pid, 0)
+    return results
 
 
 def write_graph_files(directory, coatom_count: int, graphs=None) -> list[int]:

@@ -18,14 +18,15 @@ generator keeps, with no second search.
 Graphs passed in or read are checked and searched on every usable CPU.
 The input is taken 4096 graphs at a time, and each chunk is dealt
 round-robin into shares of at least 256 graphs, one per CPU in the
-affinity mask at most.  This process searches the first share while a
-forked child searches each other one and sends back, through a pipe, the
-canonical masks and winners of its graphs up to its first failing one.
-Then one in-order loop here dedupes and raises; it checks and searches
-any graph whose result did not come back (after a share's first failure,
-or from a child that died, exited non-zero or sent short or undecodable
-data), so every answer and every error is that of a count in one
-process.  Each child is reaped before its results are used, and killed
+affinity mask at most, by genconn._in_shares, the helper that also
+splits the generator's strata.  This process searches the first share
+while a forked child searches each other one and sends back, through a
+pipe, the canonical masks and winners of its graphs up to its first
+failing one.  Then one in-order loop here dedupes and raises; it checks
+and searches any graph whose result did not come back (after a share's
+first failure, or from a child that died, exited non-zero or sent short
+or undecodable data), so every answer and every error is that of a
+count in one process.  Each child is reaped before its results are used, and killed
 first if the count raises.  The count stays in this process without
 os.fork or os.sched_getaffinity, with one usable CPU, while another
 thread runs (forking a threaded process is unsafe), and for a chunk
@@ -50,17 +51,16 @@ explicitly bypass the cache.
 """
 
 import csv
-import marshal
+import functools
 import math
 import os
-import signal
-import threading
 from collections import Counter, defaultdict
 from dataclasses import dataclass, field
 
 from .bigraph import (PermGroup, _coatom_search, _group_of_winners, graph6_decode,
                       validate_connection_graph)
-from .genconn import _classes, atomic_open, count_r_s, graph_file_name, labelled_family_counts
+from .genconn import (_classes, _in_shares, atomic_open, count_r_s, graph_file_name,
+                      labelled_family_counts)
 from .polya import cycle_index, substitute_cycle_types, symmetric_cycle_index
 
 
@@ -126,9 +126,8 @@ def _check_labelled(coatom_count: int, labelled) -> None:
                                   % (got, *cell, exist))
 
 
-# graphs taken from the input at a time, and the fewest one process searches
+# graphs taken from the input at a time
 _CHUNK = 4096
-_MIN_SHARE = 256
 
 
 def _check(c: int, graph) -> None:
@@ -159,80 +158,16 @@ def _share(c: int, graphs) -> list:
     return found
 
 
-def _processes(n: int) -> int:
-    """The processes that search a chunk of n graphs: one per usable CPU,
-    each with at least _MIN_SHARE graphs; 1 without os.fork or CPU
-    affinity, and while another thread runs, since forking it is unsafe."""
-    if not hasattr(os, "fork") or not hasattr(os, "sched_getaffinity") \
-            or threading.active_count() > 1:
-        return 1
-    return max(1, min(len(os.sched_getaffinity(0)), n // _MIN_SHARE))
-
-
-def _child(c: int, share, read_end: int, write_end: int) -> None:
-    """In a forked child: send marshal(_share(c, share)) down write_end and
-    exit, with status 0 once it is sent.  Writes nothing else, never returns."""
-    status = 1
-    try:
-        os.close(read_end)
-        with open(write_end, "wb") as pipe:
-            pipe.write(marshal.dumps(_share(c, share)))
-        status = 0
-    finally:
-        os._exit(status)
-
-
-def _fork(c: int, share):
-    """(pid, read end) of a child searching share, or None if none started."""
-    try:
-        read_end, write_end = os.pipe()
-    except OSError:
-        return None
-    try:
-        pid = os.fork()
-        if pid == 0:
-            _child(c, share, read_end, write_end)
-    except OSError:
-        os.close(read_end)
-        return None
-    finally:
-        os.close(write_end)
-    return pid, read_end
-
-
 def _presearched(c: int, chunk) -> list:
-    """Per graph of chunk, its _search result or None where none came back.
-    Of the n = _processes(len(chunk)) shares, share p holds positions p,
-    p + n, ...; share 0 is searched here and each other share in a forked
-    child.  Every child is reaped, and killed first if still running,
-    before this returns or raises."""
-    n = _processes(len(chunk))
+    """Per graph of chunk, its _search result or None where none came back:
+    each share of genconn._in_shares is _share of its graphs, searched here
+    or in a forked child."""
+    shares = _in_shares(functools.partial(_share, c), chunk)
+    n = len(shares)
     found = [None] * len(chunk)
-    children = []    # [pid or None once reaped, share, read end]
-    try:
-        for p in range(1, n):
-            started = _fork(c, chunk[p::n])
-            if started is not None:
-                children.append([started[0], p, started[1]])
-        mine = _share(c, chunk[::n])
-        found[:n * len(mine):n] = mine
-        for child in children:
-            pid, p, read_end = child
-            with open(read_end, "rb", closefd=False) as pipe:
-                data = pipe.read()
-            status = os.waitpid(pid, 0)[1]
-            child[0] = None
-            try:
-                theirs = marshal.loads(data) if status == 0 else []
-            except (EOFError, ValueError, TypeError):
-                theirs = []
-            found[p:p + n * len(theirs):n] = theirs
-    finally:
-        for pid, _p, read_end in children:
-            os.close(read_end)
-            if pid is not None:
-                os.kill(pid, signal.SIGKILL)
-                os.waitpid(pid, 0)
+    for p, theirs in enumerate(shares):
+        theirs = theirs or []
+        found[p:p + n * len(theirs):n] = theirs
     return found
 
 
@@ -329,7 +264,8 @@ def count_lattices_stats(coatom_count: int, max_atoms: int, graphs=None,
     the only place that dedupes and raises, so the result and the error are
     those of a count in one process; no child outlives the call.  Without
     ``graphs`` the classes are generated once per process and coatom count,
-    and folded from the groups the generator keeps, with no check or search
+    their larger strata split over forked children the same way, and
+    folded from the groups the generator keeps, with no check or search
     of their own.  Either way the graphs fold into one Q per cycle type,
     substituted once as in the module docstring, and the fold's labelled
     sums are gated on labelled_family_counts: a cell that misses raises

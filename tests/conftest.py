@@ -1,10 +1,13 @@
 """Shared fixtures: graph lists and count tables reused across test files."""
 
+import os
 import time
 
 import pytest
 
 import rank3
+
+from forking import usable_cpus
 
 _c7_timing = {}
 
@@ -53,3 +56,20 @@ def tables_to_1000(graphs_by_c):
 def table_c7(graphs_c7):
     """Count table up to 2960 atoms for 7 coatoms, the length its fit needs."""
     return rank3.count_lattices(7, 2960, graphs_c7)
+
+
+@pytest.fixture
+def forks(monkeypatch):
+    """Two usable CPUs, and the pids os.fork returns in this process, in order."""
+    pids = []
+    fork = os.fork
+
+    def recording():
+        pid = fork()
+        if pid:
+            pids.append(pid)
+        return pid
+
+    monkeypatch.setattr(os, "fork", recording)
+    usable_cpus(monkeypatch, 2)
+    return pids

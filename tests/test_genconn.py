@@ -1,9 +1,13 @@
 """Isomorph-free generation and the independent brute-force oracle."""
 
 import itertools
+import marshal
 import math
 import os
 import random
+import signal
+import threading
+import types
 from collections import Counter
 from fractions import Fraction
 
@@ -13,6 +17,7 @@ import rank3
 from rank3.bigraph import _coatom_search
 from rank3.genconn import _bit_images, _relabel_can_shrink, labelled_family_counts
 
+from forking import assert_reaped, usable_cpus
 from oracles import labelled_connection_families, map_mask
 from reference_values import GRAPH_CENSUS, PER_R_COUNTS, R_TABLE
 
@@ -104,7 +109,7 @@ class TestGeneration:
         assert sum(1 for _ in labelled_connection_families(7)) == 35406319
         assert labeled_copies(7, graphs_c7) == labelled_family_counts(7)
 
-    @pytest.mark.parametrize("c, searches", [(5, 75), (6, 658)])
+    @pytest.mark.parametrize("c, searches", [(5, 75), (6, 658), (7, 12782)])
     def test_extends_only_by_largest_connectors(self, monkeypatch, c, searches):
         # a parent P is extended only by a connector of largest (size,
         # number of other connectors met), and only by the least such mask
@@ -112,7 +117,9 @@ class TestGeneration:
         # search than the 362 and 4356 compatible ones; the rank alone gives
         # 162 and 1239 (18,450 at c = 7, against 12,782 with the orbits), and
         # a size-only rule still gives the right census but makes 2118
-        # searches at c = 6
+        # searches at c = 6; one usable CPU keeps every search in this
+        # process, where the count sees it
+        usable_cpus(monkeypatch, 1)
         calls = []
         search = rank3.genconn._coatom_search
 
@@ -155,6 +162,144 @@ class TestGeneration:
     def test_rejects_nonpositive_coatoms(self):
         with pytest.raises(ValueError):
             list(rank3.generate_connection_graphs(0))
+
+
+@pytest.fixture(scope="module")
+def classes_c7_one_process():
+    """The generator's 7-coatom classes with one usable CPU, so made in this process alone."""
+    with pytest.MonkeyPatch.context() as patch:
+        usable_cpus(patch, 1)
+        return list(rank3.genconn._classes(7))
+
+
+class TestForkedGeneration:
+    """The parents of a stratum are dealt round-robin into shares, one per
+    usable CPU, of at least _MIN_SHARE parents each; share 0 is extended in
+    this process and every other share in a forked child.  At c = 6 with
+    _MIN_SHARE = 16 and two CPUs, the parents in each of the 7 strata
+    r = 4..10 (35 to 108 classes) make two shares and fork one child, and
+    331 of the 591 parents are extended here."""
+
+    @staticmethod
+    def _small_shares(monkeypatch):
+        monkeypatch.setattr(rank3.genconn, "_MIN_SHARE", 16)
+
+    @staticmethod
+    def _parents_here(monkeypatch):
+        """The parents that _extended is called with in this process, appended as it runs."""
+        parent, extended, parents = os.getpid(), rank3.genconn._extended, []
+
+        def counting(c, pool, pairs, share):
+            if os.getpid() == parent:
+                parents.extend(share)
+            return extended(c, pool, pairs, share)
+
+        monkeypatch.setattr(rank3.genconn, "_extended", counting)
+        return parents
+
+    @pytest.mark.parametrize("c, cpus, children", [(6, 2, 7), (7, 2, 8), (7, 3, 14)],
+                             ids=["c6", "c7", "c7-three-cpus"])
+    def test_forked_classes_equal_in_process(self, monkeypatch, forks, classes_by_c,
+                                             classes_c7_one_process, c, cpus, children):
+        # c = 7 forks at the 8 strata r = 6..13 of 534 to 1875 classes: with
+        # three CPUs those of 768 or more make three shares, r = 6 and 13 two
+        if c == 6:
+            self._small_shares(monkeypatch)
+        usable_cpus(monkeypatch, cpus)
+        forked = list(rank3.genconn._classes(c))
+        assert_reaped()
+        assert len(forks) == children
+        assert forked == (classes_c7_one_process if c == 7 else classes_by_c[c])
+
+    @pytest.mark.parametrize("failure", [None, "sigkill", "exit-1", "truncated",
+                                         "one-parent-short"])
+    def test_failed_child_gives_the_same_classes(self, monkeypatch, forks, classes_by_c,
+                                                 failure):
+        # a child's whole share is extended again here unless it exits 0
+        # with one result per parent
+        self._small_shares(monkeypatch)
+        parent, extended = os.getpid(), rank3.genconn._extended
+        if failure == "truncated":
+            def truncated(obj):
+                data = marshal.dumps(obj)
+                return data[:len(data) // 2]
+
+            monkeypatch.setattr(rank3.genconn, "marshal",
+                                types.SimpleNamespace(dumps=truncated, loads=marshal.loads))
+        elif failure is not None:
+            sent = {"sigkill": lambda found: os.kill(os.getpid(), signal.SIGKILL),
+                    "exit-1": lambda found: os._exit(1),
+                    "one-parent-short": lambda found: found[:-1]}[failure]
+
+            def failing(*args):
+                found = extended(*args)
+                return sent(found) if os.getpid() != parent else found
+
+            monkeypatch.setattr(rank3.genconn, "_extended", failing)
+        parents = self._parents_here(monkeypatch)
+        assert list(rank3.genconn._classes(6)) == classes_by_c[6]
+        assert_reaped()
+        assert len(forks) == 7
+        assert len(parents) == (331 if failure is None else 591)
+
+    def test_children_reaped_after_interrupt(self, monkeypatch, forks):
+        # this process is interrupted in its own share of the first forked
+        # stratum while the child extends the other
+        self._small_shares(monkeypatch)
+        parent, extended = os.getpid(), rank3.genconn._extended
+
+        def interrupted(*args):
+            if os.getpid() == parent and forks:
+                raise KeyboardInterrupt
+            return extended(*args)
+
+        monkeypatch.setattr(rank3.genconn, "_extended", interrupted)
+        with pytest.raises(KeyboardInterrupt):
+            list(rank3.genconn._classes(6))
+        assert_reaped()
+        assert len(forks) == 1
+
+    def test_no_child_while_the_caller_holds_a_class(self, monkeypatch, forks, classes_by_c):
+        # the first class of the first forked stratum (r = 5) comes after
+        # its child is reaped, and closing the generator there forks no more
+        self._small_shares(monkeypatch)
+        classes = rank3.genconn._classes(6)
+        for k, found in enumerate(classes):
+            if forks:
+                break
+        assert_reaped()
+        assert found == classes_by_c[6][k]
+        assert len(found[0]) == 5 and len(classes_by_c[6][k - 1][0]) == 4
+        classes.close()
+        assert_reaped()
+        assert len(forks) == 1
+
+    def test_stays_in_process(self, monkeypatch, classes_by_c):
+        calls = []
+        monkeypatch.setattr(os, "fork", lambda: calls.append(1))
+        usable_cpus(monkeypatch, 2)
+        # every stratum at c = 6 is below two shares of 256 parents
+        assert list(rank3.genconn._classes(6)) == classes_by_c[6]
+        self._small_shares(monkeypatch)
+        # one usable CPU
+        usable_cpus(monkeypatch, 1)
+        assert list(rank3.genconn._classes(6)) == classes_by_c[6]
+        # another thread alive
+        usable_cpus(monkeypatch, 2)
+        release = threading.Event()
+        thread = threading.Thread(target=release.wait)
+        thread.start()
+        try:
+            assert list(rank3.genconn._classes(6)) == classes_by_c[6]
+        finally:
+            release.set()
+            thread.join(timeout=10)
+        assert not thread.is_alive()
+        assert calls == []
+        # no os.fork at all
+        monkeypatch.delattr(os, "fork")
+        assert list(rank3.genconn._classes(6)) == classes_by_c[6]
+        assert_reaped()
 
 
 class TestCountRS:

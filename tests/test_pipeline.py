@@ -15,6 +15,7 @@ import pytest
 import rank3
 from rank3.genconn import labelled_family_counts
 
+from forking import assert_reaped, usable_cpus
 from reference_values import MEMO_STATS, R_TABLE
 
 
@@ -346,37 +347,11 @@ class TestLabelledGate:
         assert str(info.value) == _gate_message(4, graphs_by_c[4][-1], got_offset=24)
 
 
-def _usable_cpus(monkeypatch, n):
-    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(n)))
-
-
-@pytest.fixture
-def forks(monkeypatch):
-    """Two usable CPUs, and the pids os.fork returns in this process, in order."""
-    pids = []
-    fork = os.fork
-
-    def recording():
-        pid = fork()
-        if pid:
-            pids.append(pid)
-        return pid
-
-    monkeypatch.setattr(os, "fork", recording)
-    _usable_cpus(monkeypatch, 2)
-    return pids
-
-
-def _assert_reaped():
-    with pytest.raises(ChildProcessError):
-        os.waitpid(-1, os.WNOHANG)
-
-
 def _error(c, graphs):
     """The message of the count's GraphInputError on graphs."""
     with pytest.raises(rank3.GraphInputError) as info:
         rank3.count_lattices_stats(c, 10, graphs)
-    _assert_reaped()
+    assert_reaped()
     return str(info.value)
 
 
@@ -394,11 +369,11 @@ class TestForkedSearch:
         graphs = list(graphs_c7 if c == 7 else graphs_by_c[c])
         if shuffled:
             random.Random(11).shuffle(graphs)
-        _usable_cpus(monkeypatch, cpus)
+        usable_cpus(monkeypatch, cpus)
         forked = rank3.pipeline._fold_profile(c, graphs)
-        _assert_reaped()
+        assert_reaped()
         assert len(forks) == children    # one child per extra CPU and chunk of 4096
-        _usable_cpus(monkeypatch, 1)
+        usable_cpus(monkeypatch, 1)
         assert rank3.pipeline._fold_profile(c, graphs) == forked
         assert len(forks) == children
 
@@ -415,7 +390,7 @@ class TestForkedSearch:
         forked = _error(6, graphs)
         assert forks
         assert forked == "graph %d %r: %s" % (index + 1, bad, reason)
-        _usable_cpus(monkeypatch, 1)
+        usable_cpus(monkeypatch, 1)
         assert _error(6, graphs) == forked
 
     @pytest.mark.parametrize("original, index", [(6, 101), (7, 100)],
@@ -427,7 +402,7 @@ class TestForkedSearch:
         forked = _error(6, graphs)
         assert forks
         assert forked == "graph %d is isomorphic to an earlier graph" % (index + 1)
-        _usable_cpus(monkeypatch, 1)
+        usable_cpus(monkeypatch, 1)
         assert _error(6, graphs) == forked
 
     @staticmethod
@@ -448,7 +423,7 @@ class TestForkedSearch:
         # a child's whole share is searched again here unless it exits 0
         # with all of its results sent
         want = rank3.count_lattices_stats(6, 200, graphs_by_c[6])
-        _assert_reaped()
+        assert_reaped()
         if failure == "sigkill":
             self._failing_children(monkeypatch, lambda: os.kill(os.getpid(), signal.SIGKILL))
         elif failure == "exit-1":
@@ -458,7 +433,7 @@ class TestForkedSearch:
                 data = marshal.dumps(obj)
                 return data[:len(data) // 2]
 
-            monkeypatch.setattr(rank3.pipeline, "marshal",
+            monkeypatch.setattr(rank3.genconn, "marshal",
                                 types.SimpleNamespace(dumps=truncated, loads=marshal.loads))
         elif failure == "exit-1-after-sending":
             exit_ = os._exit
@@ -472,7 +447,7 @@ class TestForkedSearch:
 
         monkeypatch.setattr(rank3.pipeline, "_search", counting)
         assert rank3.count_lattices_stats(6, 200, graphs_by_c[6]) == want
-        _assert_reaped()
+        assert_reaped()
         assert len(forks) == 2
         assert len(searched) == (296 if failure is None else 592)
 
@@ -488,21 +463,21 @@ class TestForkedSearch:
         monkeypatch.setattr(rank3.pipeline, "_search", interrupted)
         with pytest.raises(KeyboardInterrupt):
             rank3.count_lattices(6, 10, graphs_by_c[6])
-        _assert_reaped()
+        assert_reaped()
         assert len(forks) == 1
 
     def test_stays_in_process(self, monkeypatch, graphs_by_c):
         calls = []
         monkeypatch.setattr(os, "fork", lambda: calls.append(1))
-        _usable_cpus(monkeypatch, 2)
+        usable_cpus(monkeypatch, 2)
         want = rank3.count_lattices_stats(5, 100)
         # 72 graphs are below two shares of 256
         assert rank3.count_lattices_stats(5, 100, graphs_by_c[5]) == want
         # one usable CPU
-        _usable_cpus(monkeypatch, 1)
+        usable_cpus(monkeypatch, 1)
         rank3.count_lattices_stats(6, 10, graphs_by_c[6])
         # another thread alive
-        _usable_cpus(monkeypatch, 2)
+        usable_cpus(monkeypatch, 2)
         release = threading.Event()
         thread = threading.Thread(target=release.wait)
         thread.start()
@@ -516,7 +491,7 @@ class TestForkedSearch:
         # no os.fork at all
         monkeypatch.delattr(os, "fork")
         rank3.count_lattices_stats(6, 10, graphs_by_c[6])
-        _assert_reaped()
+        assert_reaped()
 
 
 class TestCountTable:
@@ -599,7 +574,7 @@ class TestGraphDir:
         # on line 1 of r9, graph 469, while the count still fills its first
         # chunk: the 468 graphs taken are checked, in two shares of 234 when
         # a share may be that small, before the reader's error is raised
-        monkeypatch.setattr(rank3.pipeline, "_MIN_SHARE", min_share)
+        monkeypatch.setattr(rank3.genconn, "_MIN_SHARE", min_share)
         rank3.write_graph_files(tmp_path, 6)
         r2, r9 = tmp_path / "conn_c6_r2.g6", tmp_path / "conn_c6_r9.g6"
         lines = r9.read_bytes().splitlines(keepends=True)
@@ -613,7 +588,7 @@ class TestGraphDir:
         with pytest.raises(rank3.GraphInputError) as info:
             rank3.count_lattices(6, 10, rank3.iter_graph_dir(tmp_path, 6))
         assert str(info.value) == "graph 8 is isomorphic to an earlier graph"
-        _assert_reaped()
+        assert_reaped()
         assert len(forks) == 2 * children
 
     def test_feeds_pipeline(self, tmp_path, graphs_by_c):
