@@ -26,8 +26,9 @@ def main():
 
     print()
     print("=== graphs reduce to few cycle indices ===")
+    # the census statistics need the graphs: a count without them lists none
     for c in range(2, 7):
-        _, stats = rank3.count_lattices_stats(c, 12)
+        _, stats = rank3.count_lattices_stats(c, 12, rank3.generate_connection_graphs(c))
         print("c = %d: %5d graphs share %3d distinct cycle indices "
               "(%d with no symmetry at all)"
               % (c, stats.graphs_processed, stats.distinct_cycle_indices,

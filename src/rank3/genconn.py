@@ -31,7 +31,10 @@ forks here.  On two cores the c = 7 census takes 1.0-1.2 s against
 
 labelled_family_counts counts the labelled families per connector count
 and uncovered coatoms without a census; by orbit-stabiliser, the classes
-must add up to it, which the count checks.
+must add up to it, which the count checks.  fixed_family_counts counts,
+the same way, the labelled families each cycle type of S_c fixes: by
+Burnside's lemma these are the count's polynomials, so a count without
+graphs needs no census.
 
 brute_force_count answers the end question (how many rank-3 lattices with
 c coatoms and a atoms) by direct enumeration of atom-neighbourhood
@@ -50,6 +53,7 @@ import threading
 import types
 
 from .bigraph import BicoloredGraph, _coatom_search, _members, _pairs, graph6_encode
+from .polya import symmetric_cycle_index
 
 
 def count_r_s(graph: BicoloredGraph) -> tuple[int, int]:
@@ -170,6 +174,7 @@ def _classes(coatom_count: int):
         # for equal c and r, graph6 byte order is the order of the mask
         # tuples with each mask's c bits reversed
         level = sorted(seen.items(), key=lambda item: tuple(map(flipped.__getitem__, item[0])))
+        del shares, seen    # the stratum is in level alone while it is yielded
         yield from level
 
 
@@ -286,6 +291,7 @@ def _in_shares(work, items) -> list:
             if status == 0:
                 with contextlib.suppress(EOFError, ValueError, TypeError):
                     results[p] = marshal.loads(data)
+            del data    # one child's bytes at a time, none once decoded
     finally:
         for pid, _p, read_end in children:
             os.close(read_end)
@@ -345,6 +351,15 @@ def write_graph_files(directory, coatom_count: int, graphs=None) -> list[int]:
 # each memo lookup: 70 states at c = 7, 152 at c = 8.  Then the families
 # covering all n points are N_n(r) = sum_j (-1)^(n-j) C(n, j) A_j(r), and
 # L_c(r, s) = C(c, s) N_(c-s)(r).
+#
+# The families a permutation sigma fixes are counted the same way
+# (Burnside's lemma; Harary & Palmer ch. 2, Bergeron, Labelle & Leroux,
+# "Combinatorial Species", 1998, ch. 1).  Such a family is a union of
+# sigma-orbits of connectors.  The orbits that touch a point sigma moves
+# are listed, those linear inside themselves kept, and their compatible
+# unions walked; the connectors on the fixed points F are then any
+# linear family on F that avoids the pairs the union covers, A(H) above
+# with H those pairs.  The identity is L_c: no orbit, H empty.
 
 
 def _point_sets(adj, free, k, out):
@@ -403,6 +418,83 @@ def _linear_families(adj, memo, top) -> list[int]:
     return got
 
 
+def _linear_orbits(perm) -> list:
+    """The orbits under perm (a list of images) of the connectors that touch
+    a point perm moves, only those with no two members sharing two points:
+    (pairs covered, points covered, size) each."""
+    image = [1 << p for p in perm]
+    moved = sum(1 << i for i, p in enumerate(perm) if p != i)
+    orbits, seen = [], set()
+    for m in range(1 << len(perm)):
+        if not m & moved or m.bit_count() < 2 or m in seen:
+            continue
+        orbit, x = [], m
+        while x not in orbit:
+            orbit.append(x)
+            x = sum(image[i] for i in _members(x))
+        seen.update(orbit)
+        covered = 0
+        for x in orbit:
+            if covered & _pairs(x):
+                break
+            covered |= _pairs(x)
+        else:
+            orbits.append((covered, functools.reduce(int.__or__, orbit), len(orbit)))
+    return orbits
+
+
+def _fixed_families(c: int, perm, memo, top: int) -> collections.Counter:
+    """{(r, s): the labelled families on c coatoms that perm fixes, with r
+    connectors and s uncovered coatoms}, perm a permutation as a list of
+    images, memo the memo of _linear_families for connector counts < top."""
+    moved = sum(1 << i for i, p in enumerate(perm) if p != i)
+    fixed = (1 << c) - 1 & ~moved
+    fixed_pairs = _pairs(fixed)
+    orbits = _linear_orbits(perm)
+    # every union of pairwise compatible orbits, walked depth-first over bit
+    # sets of the later orbits still compatible, tallied by (pairs covered
+    # inside F, points covered, connectors)
+    later = [sum(1 << k for k in range(j + 1, len(orbits)) if not pairs & orbits[k][0])
+             for j, (pairs, _cover, _size) in enumerate(orbits)]
+    unions = collections.Counter()
+    stack = [((1 << len(orbits)) - 1, 0, 0, 0)]
+    while stack:
+        cand, held, covered, r = stack.pop()
+        unions[held & fixed_pairs, covered, r] += 1
+        while cand:
+            low = cand & -cand
+            cand ^= low
+            j = low.bit_length() - 1
+            pairs, cover, size = orbits[j]
+            stack.append((cand & later[j], held | pairs, covered | cover, r + size))
+    # a union leaves its F-pairs to no other connector; the families on the
+    # fixed points F that avoid them are counted by _linear_families, and
+    # the F-points the union leaves bare (isolated in H) come in by
+    # inclusion-exclusion: N(r, j) families leave exactly j of the b bare
+    # points uncovered, A_u being A(H) with u bare points removed
+    points = _members(fixed)
+    out, on_fixed = collections.Counter(), {}
+    for (held, covered, r), ways in unions.items():
+        bare = fixed & ~covered
+        b = bare.bit_count()
+        if (held, b) not in on_fixed:
+            kept = [i for i in points if not bare >> i & 1] + [i for i in points if bare >> i & 1]
+            where = {i: new for new, i in enumerate(kept)}
+            adj = [sum(1 << where[k] for k in points if k != i and held & _pairs(1 << i | 1 << k))
+                   for i in kept]
+            a = [_linear_families(_by_degree(adj[:len(adj) - u]), memo, top) for u in range(b + 1)]
+            on_fixed[held, b] = [
+                [math.comb(b, j) * sum((-1) ** t * math.comb(b - j, t) * a[j + t][rf]
+                                       for t in range(b - j + 1)) for j in range(b + 1)]
+                for rf in range(top)]
+        s = (moved & ~covered).bit_count()
+        for rf, row in enumerate(on_fixed[held, b][:top - r]):
+            for j, n in enumerate(row):
+                if n:
+                    out[r + rf, s + j] += ways * n
+    return out
+
+
 @functools.cache
 def labelled_family_counts(coatom_count: int):
     """{(r, s): L_c(r, s)}, read-only: the labelled connection families on c
@@ -411,18 +503,45 @@ def labelled_family_counts(coatom_count: int):
     c = coatom_count
     if c < 1:
         raise ValueError("coatom count must be positive")
-    top = c * (c - 1) // 2 + 1
-    memo = {}
-    any_cover = [_linear_families((0,) * n, memo, top) for n in range(c + 1)]
-    cells = {}
-    for s in range(c + 1):
-        n = c - s
-        for r in range(top):
-            covering = sum((-1) ** (n - j) * math.comb(n, j) * any_cover[j][r]
-                           for j in range(n + 1))
-            if covering:
-                cells[r, s] = math.comb(c, s) * covering
-    return types.MappingProxyType(cells)
+    cells = _fixed_families(c, list(range(c)), {}, c * (c - 1) // 2 + 1)
+    return types.MappingProxyType(dict(cells))
+
+
+@functools.cache
+def fixed_family_counts(coatom_count: int):
+    """{cycle type: {(r, s): |C| fix(r, s)}}, read-only, nonzero cells only.
+
+    For each cycle type (m_1, ..., m_c) of S_c, |C| is its class size and
+    fix(r, s) the labelled families with r connectors and s uncovered
+    coatoms fixed by one permutation of that type; summed over r + s = k
+    this is the Q[k] of pipeline's count, by Burnside's lemma.  Computed
+    on first use per c, without a census or a search.  Each (r, s) must
+    sum, over the types, to c! times its classes (the orbit-counting
+    identity); a cell that does not raises ArithmeticError and nothing is
+    cached.
+    """
+    c = coatom_count
+    if c < 1:
+        raise ValueError("coatom count must be positive")
+    top, memo = c * (c - 1) // 2 + 1, {}
+    out, cells = {}, collections.Counter()
+    for expo, size in symmetric_cycle_index(c).counts:
+        perm, start = [], 0
+        for length, m in enumerate(expo, 1):
+            for _ in range(m):
+                perm += range(start + 1, start + length)
+                perm.append(start)
+                start += length
+        fixes = {cell: size * n for cell, n in _fixed_families(c, perm, memo, top).items()}
+        out[expo] = types.MappingProxyType(fixes)
+        cells.update(fixes)
+    order = math.factorial(c)
+    for (r, s), n in sorted(cells.items()):
+        if n % order:
+            raise ArithmeticError("the cycle types' fixed families with %d connectors and %d "
+                                  "uncovered coatoms add up to %d, which %d! does not divide"
+                                  % (r, s, n, c))
+    return types.MappingProxyType(out)
 
 
 # -- brute-force oracle --------------------------------------------------------

@@ -12,8 +12,16 @@ graphs at c = 7 fold into 15 polynomials).  The fold builds one cycle
 index per distinct automorphism group (182 for the 10808 graphs at c = 7).
 Graphs passed in or read from a census are checked and searched once
 each: the search gives the group and the canonical form that checks the
-list is isomorph-free.  Generated graphs are folded from the groups the
-generator keeps, with no second search.
+list is isomorph-free.
+
+A count without graphs lists none.  Summed over the labelled families
+instead of the classes, Q_lambda[k] is |C_lambda| times the labelled
+families with r + s = k fixed by one permutation of type lambda
+(Burnside's lemma; |C_lambda| the class size), which
+genconn.fixed_family_counts counts by orbits of connectors, with no
+census and no search: c = 7 in about 0.05-0.1 s, c = 8 in about a
+second and c = 9 in half a minute, in one process.  Its MemoStats carry
+the class count alone.
 
 Graphs passed in or read are checked and searched on every usable CPU.
 The input is taken 4096 graphs at a time, and each chunk is dealt
@@ -34,20 +42,23 @@ below two shares, such as the 72 graphs at c = 5.  If the input itself
 raises, the graphs taken before it are checked first, so the first error
 is the one a graph-by-graph count meets.
 
-Every count is gated after its fold: a class G stands for c!/|Aut G|
-labelled families, so for each (r, s) the classes must add up to the
-labelled count L_c(r, s) of genconn.labelled_family_counts.  A missing
-class (a stratum truncated with its manifest line, a generator that loses
-one) or a wrong group breaks that sum.
+Every count of graphs is gated after its fold: a class G stands for
+c!/|Aut G| labelled families, so for each (r, s) the classes must add up
+to the labelled count L_c(r, s) of genconn.labelled_family_counts.  A
+missing class (a stratum truncated with its manifest line) or a wrong
+group breaks that sum.  On the generated path the identity's term is
+L_c itself, so its gate is the orbit-counting identity instead: in each
+(r, s) the terms of all cycle types add up to c! times the classes, a
+multiple of c!, which genconn.fixed_family_counts checks.
 
 The polynomials of c are the same for every a, and the first n terms of
 their truncated series do not depend on where it is truncated.  So the
-generated graphs of c are cached per process in one entry: their
-polynomials, their MemoStats and the longest series substituted so far.
-Repeated counts for one c generate and fold its graphs once, and a count
-the series already covers is a copy of its first a + 1 terms; a longer
-one substitutes again to at least twice the old length.  Graphs passed in
-explicitly bypass the cache.
+generated path of c is cached per process in one entry: its polynomials,
+its MemoStats and the longest series substituted so far.  Repeated counts
+for one c count its polynomials once, and a count the series already
+covers is a copy of its first a + 1 terms; a longer one substitutes again
+to at least twice the old length.  Graphs passed in explicitly bypass the
+cache.
 """
 
 import csv
@@ -57,11 +68,10 @@ import os
 from collections import Counter, defaultdict
 from dataclasses import dataclass, field
 
-from .bigraph import (PermGroup, _coatom_search, _group_of_winners, graph6_decode,
-                      validate_connection_graph)
-from .genconn import (_classes, _in_shares, atomic_open, count_r_s, graph_file_name,
+from .bigraph import _coatom_search, _group_of_winners, graph6_decode, validate_connection_graph
+from .genconn import (_in_shares, atomic_open, count_r_s, fixed_family_counts, graph_file_name,
                       labelled_family_counts)
-from .polya import cycle_index, substitute_cycle_types, symmetric_cycle_index
+from .polya import cycle_index, substitute_cycle_types
 
 
 class GraphInputError(ValueError):
@@ -83,35 +93,14 @@ class CountTable:
 
 @dataclass(frozen=True)
 class MemoStats:
-    """Graphs counted, distinct cycle indices, and graphs with trivial Aut."""
+    """Graphs counted, distinct cycle indices, and graphs with trivial Aut.
+
+    A count without graphs lists no graphs: graphs_processed is then its
+    class count, and the two census statistics are None.
+    """
     graphs_processed: int
-    distinct_cycle_indices: int
-    trivial_action_graphs: int
-
-
-def _fold(coatom_count: int, classes, cycle_index_of) -> tuple:
-    """((cycle type, Q), ...) as in the module docstring, the MemoStats and
-    {(r, s): labelled families} of ``classes``: one (group key, r, s) per
-    class, cycle_index_of(key) being the cycle index of its group.  Each
-    distinct key gets one cycle index, and a class with group G stands
-    for c!/|G| labelled families."""
-    c = coatom_count
-    c_factorial = math.factorial(c)
-    slots, profile, k = {}, Counter(), 0
-    for k, (key, r, s) in enumerate(classes, 1):
-        profile[slots.setdefault(key, len(slots)), r, s] += 1
-    indices = list(map(cycle_index_of, slots))
-    q = defaultdict(lambda: [0] * (c * (c + 1) // 2 + 1))    # r + s <= c(c-1)/2 + c
-    labelled, trivial = Counter(), 0
-    for (slot, r, s), n in profile.items():
-        zindex = indices[slot]
-        trivial += n if zindex.order == 1 else 0
-        copies = n * (c_factorial // zindex.order)    # an integer by Lagrange
-        labelled[r, s] += copies
-        for expo, count in zindex.counts:
-            q[expo][r + s] += copies * count
-    return (tuple((expo, tuple(row)) for expo, row in sorted(q.items())),
-            MemoStats(k, len(set(indices)), trivial), dict(labelled))
+    distinct_cycle_indices: int | None
+    trivial_action_graphs: int | None
 
 
 def _check_labelled(coatom_count: int, labelled) -> None:
@@ -216,32 +205,42 @@ def _searched(c: int, graphs):
 
 
 def _fold_profile(coatom_count: int, graphs) -> tuple:
-    """_fold of graphs passed in or read, each checked and searched."""
+    """((cycle type, Q), ...) as in the module docstring, the MemoStats and
+    {(r, s): labelled families} of graphs passed in or read, each checked
+    and searched.  Each distinct winners tuple gets one group and cycle
+    index, and a graph with group G stands for c!/|G| labelled families."""
     c = coatom_count
-    return _fold(c, _searched(c, graphs),
-                 lambda winners: cycle_index(_group_of_winners(c, winners)))
+    c_factorial = math.factorial(c)
+    slots, profile, k = {}, Counter(), 0
+    for k, (winners, r, s) in enumerate(_searched(c, graphs), 1):
+        profile[slots.setdefault(winners, len(slots)), r, s] += 1
+    indices = [cycle_index(_group_of_winners(c, winners)) for winners in slots]
+    q = defaultdict(lambda: [0] * (c * (c + 1) // 2 + 1))    # r + s <= c(c-1)/2 + c
+    labelled, trivial = Counter(), 0
+    for (slot, r, s), n in profile.items():
+        zindex = indices[slot]
+        trivial += n if zindex.order == 1 else 0
+        copies = n * (c_factorial // zindex.order)    # an integer by Lagrange
+        labelled[r, s] += copies
+        for expo, count in zindex.counts:
+            q[expo][r + s] += copies * count
+    return (tuple((expo, tuple(row)) for expo, row in sorted(q.items())),
+            MemoStats(k, len(set(indices)), trivial), dict(labelled))
 
 
-def _fold_classes(coatom_count: int, classes) -> tuple:
-    """_fold of the generator's (masks, kept group) classes, with no search:
-    the r = 0 class keeps only transpositions and gets S_c's cycle index."""
+def _burnside_terms(coatom_count: int) -> tuple:
+    """(Q terms, MemoStats) of the generated path, with no census: Q[k] of a
+    cycle type is its genconn.fixed_family_counts summed over r + s = k, and
+    the classes are their sum over every type and cell, divided by c!."""
     c = coatom_count
-    identity = tuple(range(c))
-
-    def cycle_index_of(images):
-        if images is None:
-            return symmetric_cycle_index(c)
-        perms = [tuple(bit.bit_length() - 1 for bit in s) for s in images]
-        return cycle_index(PermGroup(c, [identity] + perms))
-
-    def keyed():
-        for fam, images in classes:
-            covered = 0
-            for m in fam:
-                covered |= m
-            yield images if fam else None, len(fam), c - covered.bit_count()
-
-    return _fold(c, keyed(), cycle_index_of)
+    terms, total = [], 0
+    for expo, cells in sorted(fixed_family_counts(c).items()):
+        row = [0] * (c * (c + 1) // 2 + 1)    # r + s <= c(c-1)/2 + c
+        for (r, s), n in cells.items():
+            row[r + s] += n
+            total += n
+        terms.append((expo, tuple(row)))
+    return tuple(terms), MemoStats(total // math.factorial(c), None, None)
 
 
 # coatom count -> (Q terms, MemoStats, the longest series substituted so far)
@@ -262,17 +261,19 @@ def count_lattices_stats(coatom_count: int, max_atoms: int, graphs=None,
     in this process with one usable CPU, without os.fork, while another
     thread runs and below 512 graphs.  One in-order loop in this process is
     the only place that dedupes and raises, so the result and the error are
-    those of a count in one process; no child outlives the call.  Without
-    ``graphs`` the classes are generated once per process and coatom count,
-    their larger strata split over forked children the same way, and
-    folded from the groups the generator keeps, with no check or search
-    of their own.  Either way the graphs fold into one Q per cycle type,
-    substituted once as in the module docstring, and the fold's labelled
-    sums are gated on labelled_family_counts: a cell that misses raises
-    GraphInputError.  A generated count is a slice of that count's cached
-    series, which is substituted again, to at least twice its length, only
-    when a longer table is asked for.  The returned table and its values are
-    new on every call; the cached series is never handed out.  ``jobs`` is
+    those of a count in one process; no child outlives the call.  The
+    graphs fold into one Q per cycle type, substituted once as in the
+    module docstring, and the fold's labelled sums are gated on
+    labelled_family_counts: a cell that misses raises GraphInputError.
+    Without ``graphs`` no graph is listed: each Q is a Burnside count of
+    genconn.fixed_family_counts, made once per process and coatom count,
+    and a cell that breaks the orbit-counting identity raises
+    ArithmeticError.  Its MemoStats hold the class count, with
+    distinct_cycle_indices and trivial_action_graphs None.  A generated
+    count is a slice of that count's cached series, which is substituted
+    again, to at least twice its length, only when a longer table is asked
+    for.  The returned table and its values are new on every call; the
+    cached series is never handed out.  ``jobs`` is
     accepted and ignored, because the benchmark's traced replay still passes
     ``jobs=2``; it does not choose the split, which follows the usable CPUs
     alone.
@@ -290,8 +291,7 @@ def count_lattices_stats(coatom_count: int, max_atoms: int, graphs=None,
     if c in _generated:
         terms, stats, series = _generated[c]
     else:
-        terms, stats, labelled = _fold_classes(c, _classes(c))
-        _check_labelled(c, labelled)
+        terms, stats = _burnside_terms(c)
         series = []
     if len(series) <= max_atoms:
         # stored once substituted, so a substitution that raises leaves the entry as it was

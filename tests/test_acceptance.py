@@ -99,27 +99,46 @@ class TestCriterion04LargeCoatomSpotCheck:
             assert rank3.brute_force_count(8, a) == R_TABLE[8][a]
         report(4, "R(8,a) via duality for a <= 6 and oracle for a <= 4")
 
+    def test_generated_column(self):
+        # a count without graphs lists no census: each cycle type's terms are
+        # a Burnside count, a second or so at c = 8
+        table, stats = rank3.count_lattices_stats(8, 1000)
+        assert len(R_TABLE[8]) == 40
+        for a, want in R_TABLE[8].items():
+            assert table.values[a] == want
+        assert stats == rank3.MemoStats(GRAPH_CENSUS[8], None, None)
+        report(4, "all %d published R(8,a) from the generated path" % len(R_TABLE[8]))
+
     @pytest.mark.slow
-    def test_direct_census_and_counts(self, monkeypatch):
+    def test_direct_census_and_counts(self):
         classes = list(rank3.genconn._classes(8))
         graphs = [rank3.BicoloredGraph(8, masks) for masks, _group in classes]
         assert len(graphs) == GRAPH_CENSUS[8]
         assert census_sha256(graphs) == CENSUS_SHA256[8]
-        # the generated path, gated on all 85 labelled cells, from these classes
-        monkeypatch.setattr(pipeline, "_generated", {})
-        monkeypatch.setattr(pipeline, "_classes", lambda c: iter(classes))
-        table, stats = rank3.count_lattices_stats(8, 1000)
-        assert (stats.graphs_processed, stats.distinct_cycle_indices,
-                stats.trivial_action_graphs) == MEMO_STATS[8]
-        assert len(R_TABLE[8]) == 40
-        for a, want in R_TABLE[8].items():
-            assert table.values[a] == want
-        # searching every graph again gives the same terms, cell by cell
+        # searching every graph gives the MemoStats, all 85 labelled cells and
+        # the generated path's terms, cell by cell, so its published column
         terms, searched, labelled = pipeline._fold_profile(8, graphs)
-        assert (terms, searched) == pipeline._generated[8][:2]
+        assert (searched.graphs_processed, searched.distinct_cycle_indices,
+                searched.trivial_action_graphs) == MEMO_STATS[8]
         assert labelled == labelled_family_counts(8) and len(labelled) == 85
-        report(4, "census bytes, 85 labelled cells and all %d published R(8,a) from all %d "
-               "generated graphs" % (len(R_TABLE[8]), len(graphs)))
+        assert terms == pipeline._burnside_terms(8)[0]
+        values = rank3.polya.substitute_cycle_types(terms, math.factorial(8), 1001)
+        for a, want in R_TABLE[8].items():
+            assert values[a] == want
+        report(4, "census bytes, 85 labelled cells and the generated terms from all %d "
+               "searched graphs" % len(graphs))
+
+    @pytest.mark.slow
+    def test_nine_coatoms(self):
+        # the paper's last column, from the generated path alone: the census
+        # of c = 9 is never listed, the Burnside count takes about half a minute
+        table, stats = rank3.count_lattices_stats(9, 1000)
+        assert len(R_TABLE[9]) == 40
+        for a, want in R_TABLE[9].items():
+            assert table.values[a] == want
+        assert stats.graphs_processed == 82856695
+        report(4, "all %d published R(9,a) from %d classes never listed"
+               % (len(R_TABLE[9]), stats.graphs_processed))
 
 
 class TestCriterion05ClosedFormTheorems:

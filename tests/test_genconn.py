@@ -37,6 +37,20 @@ def labeled_copies(c, graphs):
     return dict(cells)
 
 
+def cycle_type(perm):
+    """(m_1, ..., m_c): the number of cycles of each length of a permutation."""
+    expo, seen = [0] * len(perm), set()
+    for start in range(len(perm)):
+        length, i = 0, start
+        while i not in seen:
+            seen.add(i)
+            i = perm[i]
+            length += 1
+        if length:
+            expo[length - 1] += 1
+    return tuple(expo)
+
+
 def labeled_cells(c):
     """{(r, s): number of labelled families}, by the labelled DFS oracle."""
     full = (1 << c) - 1
@@ -101,6 +115,55 @@ class TestGeneration:
             assert min(counts.values()) > 0
         with pytest.raises(TypeError):
             counts[0, 8] = 2    # read-only: the cached cells cannot be changed
+
+    def test_fixed_families_against_labelled_dfs(self):
+        # each cycle type's terms are the labelled families fixed by the
+        # permutations of that type, checked on every permutation of S_c
+        # against the labelled DFS up to c = 5
+        for c in range(1, 6):
+            full = (1 << c) - 1
+            families = []
+            for masks in labelled_connection_families(c):
+                covered = 0
+                for m in masks:
+                    covered |= m
+                families.append((set(masks), (len(masks), (full & ~covered).bit_count())))
+            fixed = Counter()
+            for perm in itertools.permutations(range(c)):
+                expo = cycle_type(perm)
+                for masks, cell in families:
+                    if {map_mask(m, perm) for m in masks} == masks:
+                        fixed[expo, cell] += 1
+            counts = rank3.genconn.fixed_family_counts(c)
+            assert {(expo, cell): n for expo, cells in counts.items()
+                    for cell, n in cells.items()} == fixed
+
+    def test_fixed_families_count_the_classes(self, graphs_by_c):
+        # Burnside: in each (r, s) the terms of all cycle types add up to c!
+        # times the classes, the census up to c = 6 and its totals to c = 8;
+        # the identity's terms are the labelled families
+        for c in range(1, 9):
+            counts = rank3.genconn.fixed_family_counts(c)
+            cells = Counter()
+            for by_cell in counts.values():
+                cells.update(by_cell)
+            assert all(n % math.factorial(c) == 0 for n in cells.values())
+            classes = {cell: n // math.factorial(c) for cell, n in cells.items()}
+            if c in graphs_by_c:
+                assert classes == Counter(map(rank3.count_r_s, graphs_by_c[c]))
+            assert sum(classes.values()) == GRAPH_CENSUS[c]
+            if c in PER_R_COUNTS:
+                per_r = Counter()
+                for (r, _s), n in classes.items():
+                    per_r[r] += n
+                assert [per_r[r] for r in range(len(PER_R_COUNTS[c]))] == PER_R_COUNTS[c]
+            assert counts[(c,) + (0,) * (c - 1)] == labelled_family_counts(c)
+        with pytest.raises(TypeError):
+            counts[(c,) + (0,) * (c - 1)] = {}    # read-only, outside and in
+        with pytest.raises(TypeError):
+            counts[(c,) + (0,) * (c - 1)][0, 8] = 2
+        with pytest.raises(ValueError):
+            rank3.genconn.fixed_family_counts(0)
 
     @pytest.mark.slow
     def test_orbit_stabiliser_at_seven_coatoms(self, graphs_c7):

@@ -63,10 +63,8 @@ def test_fit_json_bytes(tables, c):
     assert sha256(text.encode()) == FIT_SHA256[c]
 
 
-def test_verify_report_bytes(classes_by_c, classes_c7, monkeypatch, capsys):
-    # the generated path, fed the session's classes instead of building them again
-    classes = {**classes_by_c, 7: classes_c7}
+def test_verify_report_bytes(monkeypatch, capsys):
+    # the generated path, from an empty series cache
     monkeypatch.setattr(pipeline, "_generated", {})
-    monkeypatch.setattr(pipeline, "_classes", lambda c: iter(classes[c]))
     assert cli.main(["verify", "--max-total", "9"]) == 0
     assert sha256(capsys.readouterr().out.encode()) == VERIFY_SHA256

@@ -1,6 +1,5 @@
 """Counting pipeline: cycle-type polynomials, isomorph checks, caching, interchange."""
 
-import itertools
 import marshal
 import math
 import os
@@ -150,16 +149,16 @@ class TestCycleTypes:
             folded = {(expo, k): x for expo, row in terms for k, x in enumerate(row) if x}
             assert (folded, stats) == plain_fold(c, graphs)
 
-    def test_generated_fold_equals_searched_fold(self, classes_by_c, classes_c7):
-        # the generated path folds the groups the generator kept, S_c for the
-        # r = 0 class; searching its graphs again gives the same terms,
-        # MemoStats and labelled sums, and those sums are L_c in every cell
-        for c, classes in {**classes_by_c, 7: classes_c7}.items():
-            graphs = [rank3.BicoloredGraph(c, masks) for masks, _group in classes]
-            folded = rank3.pipeline._fold_classes(c, classes)
-            assert folded == rank3.pipeline._fold_profile(c, graphs)
-            assert folded[2] == labelled_family_counts(c)
-        assert folded[1].distinct_cycle_indices == 38
+    def test_generated_fold_equals_searched_fold(self, graphs_by_c, graphs_c7):
+        # the generated path counts each Q by Burnside, with no census;
+        # searching the census gives the same terms, cell by cell, and as
+        # many classes
+        for c, graphs in {**graphs_by_c, 7: graphs_c7}.items():
+            terms, stats = rank3.pipeline._burnside_terms(c)
+            searched, _stats, _labelled = rank3.pipeline._fold_profile(c, graphs)
+            assert terms == searched
+            assert stats == rank3.MemoStats(len(graphs), None, None)
+        assert len(terms) == 15
 
     @pytest.mark.parametrize("c, labeled", zip(range(1, 7), [1, 2, 9, 97, 2625, 185521]))
     def test_burnside_structure(self, c, labeled):
@@ -177,16 +176,17 @@ class TestCycleTypes:
 
 @pytest.fixture
 def generations(monkeypatch):
-    """Empty the series cache and count the generator's calls per coatom count."""
+    """Empty the series cache and count the generated path's calls of
+    fixed_family_counts per coatom count."""
     rank3.pipeline._generated.clear()
     calls = Counter()
-    generate = rank3.pipeline._classes
+    count = rank3.pipeline.fixed_family_counts
 
     def counting(c):
         calls[c] += 1
-        return generate(c)
+        return count(c)
 
-    monkeypatch.setattr(rank3.pipeline, "_classes", counting)
+    monkeypatch.setattr(rank3.pipeline, "fixed_family_counts", counting)
     yield calls
     rank3.pipeline._generated.clear()
 
@@ -207,10 +207,15 @@ def substitutions(monkeypatch, generations):
 
 class TestProfileCache:
     def test_cached_equals_explicit_graphs(self, graphs_by_c, generations):
+        # a generated count lists no graph, so of its MemoStats only the
+        # class count is there to compare
         for c in range(1, 7):
-            explicit = rank3.count_lattices_stats(c, 1000, graphs_by_c[c])
-            assert rank3.count_lattices_stats(c, 1000) == explicit    # miss
-            assert rank3.count_lattices_stats(c, 1000) == explicit    # hit
+            table, stats = rank3.count_lattices_stats(c, 1000, graphs_by_c[c])
+            want = table, stats.graphs_processed
+            for _ in "miss", "hit":
+                table, stats = rank3.count_lattices_stats(c, 1000)
+                assert (table, stats.graphs_processed) == want
+                assert stats.distinct_cycle_indices is stats.trivial_action_graphs is None
         assert generations == {c: 1 for c in range(1, 7)}
 
     def test_one_generation_per_coatom_count(self, generations):
@@ -231,14 +236,14 @@ class TestProfileCache:
         assert generations == {4: 1}
 
     def test_failed_generation_is_not_cached(self, monkeypatch, generations):
-        generate = rank3.pipeline._classes
+        count = rank3.pipeline.fixed_family_counts
 
         def fails_once(c):
-            monkeypatch.setattr(rank3.pipeline, "_classes", generate)
-            yield from itertools.islice(generate(c), 2)
+            monkeypatch.setattr(rank3.pipeline, "fixed_family_counts", count)
+            count(c)
             raise RuntimeError("generation interrupted")
 
-        monkeypatch.setattr(rank3.pipeline, "_classes", fails_once)
+        monkeypatch.setattr(rank3.pipeline, "fixed_family_counts", fails_once)
         with pytest.raises(RuntimeError, match="interrupted"):
             rank3.count_lattices(3, 8)
         assert rank3.count_lattices(3, 8).values == [0, 1, 3, 8, 13, 20, 29, 39, 50]
@@ -316,35 +321,70 @@ class TestLabelledGate:
             rank3.count_lattices(c, 10, graphs)
         assert str(info.value) == _gate_message(c, dropped)
 
-    def test_lost_class_rejected_on_generated_path(self, monkeypatch, graphs_by_c, generations):
-        generate = rank3.pipeline._classes
-        lost = 30
 
-        def loses_one(c):
-            for k, item in enumerate(generate(c)):
-                if k != lost:
-                    yield item
+@pytest.fixture
+def fresh_fixed_counts():
+    """fixed_family_counts' cache emptied before and after the test."""
+    rank3.genconn.fixed_family_counts.cache_clear()
+    yield
+    rank3.genconn.fixed_family_counts.cache_clear()
 
-        monkeypatch.setattr(rank3.pipeline, "_classes", loses_one)
-        with pytest.raises(rank3.GraphInputError) as info:
+
+def _transposition(perm):
+    return sum(p != i for i, p in enumerate(perm)) == 2
+
+
+def _identity_message(c, graphs, cell, offset):
+    """The generated count's error when ``cell``'s terms are offset from c!
+    times the classes of ``graphs`` there."""
+    classes = sum(rank3.count_r_s(graph) == cell for graph in graphs)
+    return ("the cycle types' fixed families with %d connectors and %d uncovered coatoms "
+            "add up to %d, which %d! does not divide"
+            % (*cell, math.factorial(c) * classes + offset, c))
+
+
+class TestOrbitCountingGate:
+    """A count without graphs is gated on the orbit-counting identity: in each
+    (r, s) the terms of all cycle types add up to c! times the classes."""
+
+    def test_wrong_fixed_count_rejected_on_generated_path(self, monkeypatch, graphs_by_c,
+                                                          generations, fresh_fixed_counts):
+        # a transposition said to fix one family too many with 4 connectors
+        # and none uncovered: its class of 10 puts the cell 10 off
+        fixed = rank3.genconn._fixed_families
+
+        def off_by_one(c, perm, memo, top):
+            out = fixed(c, perm, memo, top)
+            if _transposition(perm):
+                out[4, 0] += 1
+            return out
+
+        monkeypatch.setattr(rank3.genconn, "_fixed_families", off_by_one)
+        with pytest.raises(ArithmeticError) as info:
             rank3.count_lattices(5, 10)
-        assert str(info.value) == _gate_message(5, graphs_by_c[5][lost])
+        assert str(info.value) == _identity_message(5, graphs_by_c[5], (4, 0), 10)
         assert 5 not in rank3.pipeline._generated
+        assert rank3.genconn.fixed_family_counts.cache_info().currsize == 0
 
-    def test_wrong_group_rejected_on_generated_path(self, monkeypatch, graphs_by_c, generations):
-        # the complete graph on 4 coatoms keeps all of S_4; kept as trivial
-        # it would stand for 4! labelled families instead of one
-        generate = rank3.pipeline._classes
+    def test_dropped_orbit_rejected_on_generated_path(self, monkeypatch, graphs_by_c,
+                                                      generations, fresh_fixed_counts):
+        # a transposition's listing loses its first orbit of two connectors,
+        # {0, 3} and {0, 4} under (3 4): the family of that orbit alone, with
+        # coatoms 1 and 2 uncovered, is missing from each of the 10
+        listed = rank3.genconn._linear_orbits
 
-        def forgets_group(c):
-            *classes, (masks, _group) = generate(c)
-            yield from classes
-            yield masks, ()
+        def drops_one(perm):
+            orbits = listed(perm)
+            if _transposition(perm):
+                orbits.remove(next(orbit for orbit in orbits if orbit[2] == 2))
+            return orbits
 
-        monkeypatch.setattr(rank3.pipeline, "_classes", forgets_group)
-        with pytest.raises(rank3.GraphInputError) as info:
-            rank3.count_lattices(4, 10)
-        assert str(info.value) == _gate_message(4, graphs_by_c[4][-1], got_offset=24)
+        monkeypatch.setattr(rank3.genconn, "_linear_orbits", drops_one)
+        with pytest.raises(ArithmeticError) as info:
+            rank3.count_lattices(5, 10)
+        assert str(info.value) == _identity_message(5, graphs_by_c[5], (2, 2), -10)
+        assert 5 not in rank3.pipeline._generated
+        assert rank3.genconn.fixed_family_counts.cache_info().currsize == 0
 
 
 def _error(c, graphs):
@@ -470,9 +510,9 @@ class TestForkedSearch:
         calls = []
         monkeypatch.setattr(os, "fork", lambda: calls.append(1))
         usable_cpus(monkeypatch, 2)
-        want = rank3.count_lattices_stats(5, 100)
+        want = rank3.count_lattices(5, 100)
         # 72 graphs are below two shares of 256
-        assert rank3.count_lattices_stats(5, 100, graphs_by_c[5]) == want
+        assert rank3.count_lattices(5, 100, graphs_by_c[5]) == want
         # one usable CPU
         usable_cpus(monkeypatch, 1)
         rank3.count_lattices_stats(6, 10, graphs_by_c[6])
