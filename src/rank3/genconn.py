@@ -12,22 +12,17 @@ canonical form, so every isomorphism class appears exactly once, with
 its automorphism group.
 
 Each parent class is extended on its own, so the parents of a stratum
-are dealt round-robin into shares, one per CPU in the affinity mask,
-each of at least 256 parents.  This process extends share 0 and a
-forked child each other share, sending back through a pipe, by marshal,
-the classes found per parent.  This process then takes them in the
-order of the parents, the first found winning, so the classes, their
-kept groups and the census bytes are those of one process.  A share
-whose child died, exited non-zero or sent data that does not decode or
-has the wrong length is extended again here.  Every child is reaped
-before the stratum's first class is yielded, so none is alive while a
-caller holds the generator.  _in_shares is that split, and
-pipeline's search of graphs read or passed in is its other user.  All
-of it stays in this process without os.fork or os.sched_getaffinity,
-with one usable CPU, while another thread runs, and for strata below
-512 parents: every stratum up to c = 6, so a count for c <= 6 never
-forks here.  On two cores the c = 7 census takes 1.0-1.2 s against
-1.3-1.8 s in one process, and c = 8 47-51 s against 99 s.
+are extended through _in_shares, which splits a list of items over forked
+children and says how; pipeline's search of graphs read or passed in is
+its other user.  A parent whose classes did not come back is extended
+again here.  Walking the parents in order, the first found winning,
+gives the classes, kept groups and census bytes of one process.  Every
+child is reaped before the stratum's first class is yielded, so none is
+alive while a caller holds the generator.  Shares hold at least 256
+parents, so strata below 512 parents stay in this process: every
+stratum up to c = 6, so a count for c <= 6 never forks here.  On two
+cores the c = 7 census takes 1.0-1.2 s against 1.3-1.8 s in one
+process, and c = 8 47-51 s against 99 s.
 
 labelled_family_counts counts the labelled families per connector count
 and uncovered coatoms without a census; by orbit-stabiliser, the classes
@@ -138,12 +133,13 @@ def _classes(coatom_count: int):
     sorted once in graph6 byte order, without encoding, and its masks seed
     the next, so two runs produce byte-identical output.
 
-    The parents of a stratum are extended by _extended in the shares of
-    _in_shares, forked where the module docstring says; a share whose
-    child failed is extended again here.  Walking the parents in order
-    with the first form found winning gives the classes and kept groups
-    of one process: a share leaves out only forms that an earlier search
-    of its own found.  No child outlives the stratum's first yield.
+    The parents of a stratum are extended by _extended through
+    _in_shares, forked where the module docstring says; a parent whose
+    result did not come back is extended again here, per parent.
+    Walking the parents in order with the first form found winning gives
+    the classes and kept groups of one process: a share leaves out only
+    forms that an earlier search of its own found.  No child outlives
+    the stratum's first yield.
     """
     c = coatom_count
     if c < 1:
@@ -160,21 +156,16 @@ def _classes(coatom_count: int):
     yield level[0]
     extend = functools.partial(_extended, c, pool, pairs)
     for _r in range(1, c * (c - 1) // 2 + 1):
-        shares = _in_shares(extend, level)
-        n = len(shares)
-        for p, found in enumerate(shares):
-            # a share whose child failed, or sent one list too few or many, is extended here
-            if found is None or len(found) != len(level[p::n]):
-                shares[p] = extend(level[p::n])
-        # parent i is parent i // n of share i % n; the first class found in level order wins
+        # the first class found in level order wins; a parent that came
+        # back with nothing is extended here on its own
         seen = {}
-        for i in range(len(level)):
-            for form, images in shares[i % n][i // n]:
+        for parent, found in zip(level, _in_shares(extend, level)):
+            for form, images in extend([parent])[0] if found is None else found:
                 seen.setdefault(form, images)
         # for equal c and r, graph6 byte order is the order of the mask
         # tuples with each mask's c bits reversed
         level = sorted(seen.items(), key=lambda item: tuple(map(flipped.__getitem__, item[0])))
-        del shares, seen    # the stratum is in level alone while it is yielded
+        del seen    # the stratum is in level alone while it is yielded
         yield from level
 
 
@@ -224,9 +215,7 @@ _MIN_SHARE = 256
 
 
 def _processes(n: int) -> int:
-    """The shares n items are dealt into: one per usable CPU, each of at least
-    _MIN_SHARE items; 1 without os.fork or CPU affinity, and while another
-    thread runs, since forking it is unsafe."""
+    """The number of shares _in_shares deals n items into."""
     most = n // _MIN_SHARE
     if most < 2 or not hasattr(os, "fork") or not hasattr(os, "sched_getaffinity") \
             or threading.active_count() > 1:
@@ -266,22 +255,37 @@ def _fork(work, share):
 
 
 def _in_shares(work, items) -> list:
-    """work(share) for each of the n = _processes(len(items)) shares of items,
-    share p holding positions p, p + n, ...  Share 0 runs in this process
-    and each other share in a forked child, whose result comes back through
-    a pipe by marshal; it is None where the child did not start, died,
-    exited non-zero or sent data that does not decode.  Every child is
-    reaped, and killed first if still running, before this returns or
-    raises."""
+    """One entry per item, in item order: the item's result from work(share),
+    or None where nothing came back for it.
+
+    The items are dealt round-robin into n shares, share p holding
+    positions p, p + n, ...: one share per CPU in the affinity mask, each
+    of at least _MIN_SHARE items.  n is 1, and all of it runs in this
+    process, below 2 * _MIN_SHARE items, with one usable CPU, without
+    os.fork or os.sched_getaffinity, and while another thread runs, since
+    forking it is unsafe.  work(share) returns a list whose k-th entry is
+    the result of the share's k-th item; it may stop short, which leaves
+    None for the rest of that share.  Share 0 runs in this process and
+    each other share in a forked child, whose list comes back through a
+    pipe by marshal.  A share whose child did not start, died, exited
+    non-zero or sent data that does not decode to a list no longer than
+    the share gets None throughout, so the caller does those items itself.
+    Every child is reaped, and killed first if still running, before this
+    returns or raises."""
     n = _processes(len(items))
-    results = [None] * n
+    found = [None] * len(items)
+
+    def place(p, results):
+        if isinstance(results, list) and len(results) <= len(range(p, len(found), n)):
+            found[p:p + n * len(results):n] = results
+
     children = []    # [pid or None once reaped, share, read end]
     try:
         for p in range(1, n):
             started = _fork(work, items[p::n])
             if started is not None:
                 children.append([started[0], p, started[1]])
-        results[0] = work(items[::n])
+        place(0, work(items[::n]))
         for child in children:
             pid, p, read_end = child
             with open(read_end, "rb", closefd=False) as pipe:
@@ -290,7 +294,7 @@ def _in_shares(work, items) -> list:
             child[0] = None
             if status == 0:
                 with contextlib.suppress(EOFError, ValueError, TypeError):
-                    results[p] = marshal.loads(data)
+                    place(p, marshal.loads(data))
             del data    # one child's bytes at a time, none once decoded
     finally:
         for pid, _p, read_end in children:
@@ -298,7 +302,7 @@ def _in_shares(work, items) -> list:
             if pid is not None:
                 os.kill(pid, signal.SIGKILL)
                 os.waitpid(pid, 0)
-    return results
+    return found
 
 
 def write_graph_files(directory, coatom_count: int, graphs=None) -> list[int]:

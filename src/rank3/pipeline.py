@@ -8,48 +8,45 @@ graph g adds x^(r+s) Z_g(A(x), A(x^2), ...) with A(x) = 1/(1 - x).  Swapped
 into a sum over cycle types lambda, R(c, .) is (1/c!) sum Q_lambda(x)
 prod_i (1 - x^i)^(-m_i), where Q_lambda[k] adds (c!/|Aut g|) times the
 elements of Aut g of type lambda over the graphs with r + s = k (10808
-graphs at c = 7 fold into 15 polynomials).  The fold builds one cycle
-index per distinct automorphism group (182 for the 10808 graphs at c = 7).
+graphs at c = 7 fold into 15 polynomials).  Both paths below first
+tally these terms per (lambda, r, s), the cells of
+genconn.fixed_family_counts, and _terms sums each lambda's cells into
+its Q_lambda.  The fold builds one cycle index per distinct automorphism
+group (182 for the 10808 graphs at c = 7).
 Graphs passed in or read from a census are checked and searched once
 each: the search gives the group and the canonical form that checks the
 list is isomorph-free.
 
 A count without graphs lists none.  Summed over the labelled families
-instead of the classes, Q_lambda[k] is |C_lambda| times the labelled
-families with r + s = k fixed by one permutation of type lambda
-(Burnside's lemma; |C_lambda| the class size), which
-genconn.fixed_family_counts counts by orbits of connectors, with no
-census and no search: c = 7 in about 0.05-0.1 s, c = 8 in about a
-second and c = 9 in half a minute, in one process.  Its MemoStats carry
-the class count alone.
+instead of the classes, the cell (lambda, r, s) is |C_lambda| times the
+labelled families with r connectors and s uncovered coatoms fixed by
+one permutation of type lambda (Burnside's lemma; |C_lambda| the class
+size), which genconn.fixed_family_counts counts by orbits of
+connectors, with no census and no search: c = 7 in about 0.05-0.1 s,
+c = 8 in about a second and c = 9 in half a minute, in one process.
+Its MemoStats carry the class count alone.
 
 Graphs passed in or read are checked and searched on every usable CPU.
-The input is taken 4096 graphs at a time, and each chunk is dealt
-round-robin into shares of at least 256 graphs, one per CPU in the
-affinity mask at most, by genconn._in_shares, the helper that also
-splits the generator's strata.  This process searches the first share
-while a forked child searches each other one and sends back, through a
-pipe, the canonical masks and winners of its graphs up to its first
-failing one.  Then one in-order loop here dedupes and raises; it checks
-and searches any graph whose result did not come back (after a share's
-first failure, or from a child that died, exited non-zero or sent short
-or undecodable data), so every answer and every error is that of a
-count in one process.  Each child is reaped before its results are used, and killed
-first if the count raises.  The count stays in this process without
-os.fork or os.sched_getaffinity, with one usable CPU, while another
-thread runs (forking a threaded process is unsafe), and for a chunk
-below two shares, such as the 72 graphs at c = 5.  If the input itself
-raises, the graphs taken before it are checked first, so the first error
-is the one a graph-by-graph count meets.
+The input is taken 4096 graphs at a time, and each chunk is searched
+through genconn._in_shares, the helper that also splits the generator's
+strata and says how the split is laid out and when it stays in this
+process (as for the 72 graphs at c = 5).  A share searches its graphs up
+to its first failing one.  Then one in-order loop here dedupes and
+raises; it checks and searches any graph whose result did not come
+back, so every answer and every error is that of a count in one
+process.  If the input itself raises, the graphs taken before it are
+checked first, so the first error is the one a graph-by-graph count
+meets.
 
 Every count of graphs is gated after its fold: a class G stands for
 c!/|Aut G| labelled families, so for each (r, s) the classes must add up
-to the labelled count L_c(r, s) of genconn.labelled_family_counts.  A
-missing class (a stratum truncated with its manifest line) or a wrong
-group breaks that sum.  On the generated path the identity's term is
-L_c itself, so its gate is the orbit-counting identity instead: in each
-(r, s) the terms of all cycle types add up to c! times the classes, a
-multiple of c!, which genconn.fixed_family_counts checks.
+to the labelled count L_c(r, s) of genconn.labelled_family_counts: the
+fold's cells of the identity's cycle type.  A missing class (a stratum
+truncated with its manifest line) or a wrong group breaks that sum.  On
+the generated path the identity's cells are L_c itself, so its gate is
+the orbit-counting identity instead: in each (r, s) the cells of all
+cycle types add up to c! times the classes, a multiple of c!, which
+genconn.fixed_family_counts checks.
 
 The polynomials of c are the same for every a, and the first n terms of
 their truncated series do not depend on where it is truncated.  So the
@@ -103,10 +100,13 @@ class MemoStats:
     trivial_action_graphs: int | None
 
 
-def _check_labelled(coatom_count: int, labelled) -> None:
+def _check_labelled(coatom_count: int, cells) -> None:
     """GraphInputError naming the first (r, s), and both numbers, where a
-    fold's labelled families differ from labelled_family_counts."""
-    want = labelled_family_counts(coatom_count)
+    fold's labelled families, the cells of the identity's cycle type (see
+    _fold_profile), differ from labelled_family_counts."""
+    c = coatom_count
+    labelled = cells.get((c,) + (0,) * (c - 1), {})
+    want = labelled_family_counts(c)
     for cell in sorted(want.keys() | labelled.keys()):
         got, exist = labelled.get(cell, 0), want.get(cell, 0)
         if got != exist:
@@ -147,19 +147,6 @@ def _share(c: int, graphs) -> list:
     return found
 
 
-def _presearched(c: int, chunk) -> list:
-    """Per graph of chunk, its _search result or None where none came back:
-    each share of genconn._in_shares is _share of its graphs, searched here
-    or in a forked child."""
-    shares = _in_shares(functools.partial(_share, c), chunk)
-    n = len(shares)
-    found = [None] * len(chunk)
-    for p, theirs in enumerate(shares):
-        theirs = theirs or []
-        found[p:p + n * len(theirs):n] = theirs
-    return found
-
-
 def _chunks(graphs):
     """The graphs in lists of up to _CHUNK.  If the input raises, the graphs
     taken before it come as one last list, so they are checked first."""
@@ -183,11 +170,13 @@ def _searched(c: int, graphs):
     """(winners, r, s) per graph, after its checks: the coatom count,
     validate_connection_graph and no isomorph of an earlier graph.  This
     in-order loop alone dedupes and raises; it takes a graph's search from
-    _presearched where there is one and checks and searches it here where
-    there is none, so no answer or error depends on a child."""
+    genconn._in_shares, each share searched by _share, where there is one
+    and checks and searches it here where there is none, so no answer or
+    error depends on a child."""
     seen, k = set(), 0
+    search = functools.partial(_share, c)
     for chunk in _chunks(graphs):
-        for graph, found in zip(chunk, _presearched(c, chunk)):
+        for graph, found in zip(chunk, _in_shares(search, chunk)):
             k += 1
             if found is None:
                 try:
@@ -205,42 +194,38 @@ def _searched(c: int, graphs):
 
 
 def _fold_profile(coatom_count: int, graphs) -> tuple:
-    """((cycle type, Q), ...) as in the module docstring, the MemoStats and
-    {(r, s): labelled families} of graphs passed in or read, each checked
-    and searched.  Each distinct winners tuple gets one group and cycle
-    index, and a graph with group G stands for c!/|G| labelled families."""
+    """({cycle type: {(r, s): n}}, MemoStats) of graphs passed in or read,
+    each checked and searched: n adds c!/|G| times the elements of that
+    type in G over the graphs with group G, r connectors and s uncovered
+    coatoms, the shape of genconn.fixed_family_counts.  Each distinct
+    winners tuple gets one group and cycle index."""
     c = coatom_count
     c_factorial = math.factorial(c)
     slots, profile, k = {}, Counter(), 0
     for k, (winners, r, s) in enumerate(_searched(c, graphs), 1):
         profile[slots.setdefault(winners, len(slots)), r, s] += 1
     indices = [cycle_index(_group_of_winners(c, winners)) for winners in slots]
-    q = defaultdict(lambda: [0] * (c * (c + 1) // 2 + 1))    # r + s <= c(c-1)/2 + c
-    labelled, trivial = Counter(), 0
+    cells, trivial = defaultdict(Counter), 0
     for (slot, r, s), n in profile.items():
         zindex = indices[slot]
         trivial += n if zindex.order == 1 else 0
         copies = n * (c_factorial // zindex.order)    # an integer by Lagrange
-        labelled[r, s] += copies
         for expo, count in zindex.counts:
-            q[expo][r + s] += copies * count
-    return (tuple((expo, tuple(row)) for expo, row in sorted(q.items())),
-            MemoStats(k, len(set(indices)), trivial), dict(labelled))
+            cells[expo][r, s] += copies * count
+    return ({expo: dict(by_cell) for expo, by_cell in cells.items()},
+            MemoStats(k, len(set(indices)), trivial))
 
 
-def _burnside_terms(coatom_count: int) -> tuple:
-    """(Q terms, MemoStats) of the generated path, with no census: Q[k] of a
-    cycle type is its genconn.fixed_family_counts summed over r + s = k, and
-    the classes are their sum over every type and cell, divided by c!."""
-    c = coatom_count
-    terms, total = [], 0
-    for expo, cells in sorted(fixed_family_counts(c).items()):
-        row = [0] * (c * (c + 1) // 2 + 1)    # r + s <= c(c-1)/2 + c
-        for (r, s), n in cells.items():
+def _terms(coatom_count: int, cells) -> tuple:
+    """((cycle type, Q), ...) in type order, as in the module docstring: Q[k]
+    of a type is its cells (see _fold_profile) summed over r + s = k."""
+    terms = []
+    for expo, by_cell in sorted(cells.items()):
+        row = [0] * (coatom_count * (coatom_count + 1) // 2 + 1)    # r + s <= c(c-1)/2 + c
+        for (r, s), n in by_cell.items():
             row[r + s] += n
-            total += n
         terms.append((expo, tuple(row)))
-    return tuple(terms), MemoStats(total // math.factorial(c), None, None)
+    return tuple(terms)
 
 
 # coatom count -> (Q terms, MemoStats, the longest series substituted so far)
@@ -256,16 +241,16 @@ def count_lattices_stats(coatom_count: int, max_atoms: int, graphs=None,
     is checked here: a wrong coatom count, a failed
     validate_connection_graph or an isomorph of an earlier graph raises
     GraphInputError naming its 1-based position, and its coatom search gives
-    its group.  Those checks and searches are spread over forked children on
-    the usable CPUs, chunk by chunk, as the module docstring says; they stay
-    in this process with one usable CPU, without os.fork, while another
-    thread runs and below 512 graphs.  One in-order loop in this process is
-    the only place that dedupes and raises, so the result and the error are
-    those of a count in one process; no child outlives the call.  The
-    graphs fold into one Q per cycle type, substituted once as in the
-    module docstring, and the fold's labelled sums are gated on
-    labelled_family_counts: a cell that misses raises GraphInputError.
-    Without ``graphs`` no graph is listed: each Q is a Burnside count of
+    its group.  Those checks and searches are spread, chunk by chunk, over
+    forked children by genconn._in_shares, whose docstring says when they
+    stay in this process.  One in-order loop in this process is the only
+    place that dedupes and raises, so the result and the error are those
+    of a count in one process; no child outlives the call.  The graphs
+    fold into cells per cycle type, r and s, summed into one Q per cycle
+    type and substituted once as in the module docstring, and the
+    identity's cells are gated on labelled_family_counts: a cell that
+    misses raises GraphInputError.  Without ``graphs`` no graph is
+    listed: the cells are the Burnside counts of
     genconn.fixed_family_counts, made once per process and coatom count,
     and a cell that breaks the orbit-counting identity raises
     ArithmeticError.  Its MemoStats hold the class count, with
@@ -284,14 +269,16 @@ def count_lattices_stats(coatom_count: int, max_atoms: int, graphs=None,
         raise ValueError("maximum atom count must be nonnegative")
     c = coatom_count
     if graphs is not None:
-        terms, stats, labelled = _fold_profile(c, graphs)
-        _check_labelled(c, labelled)
-        values = substitute_cycle_types(terms, math.factorial(c), max_atoms + 1)
+        cells, stats = _fold_profile(c, graphs)
+        _check_labelled(c, cells)
+        values = substitute_cycle_types(_terms(c, cells), math.factorial(c), max_atoms + 1)
         return CountTable(c, max_atoms, values), stats
     if c in _generated:
         terms, stats, series = _generated[c]
     else:
-        terms, stats = _burnside_terms(c)
+        terms = _terms(c, fixed_family_counts(c))
+        # the cells of every type add up to c! times the classes
+        stats = MemoStats(sum(sum(q) for _expo, q in terms) // math.factorial(c), None, None)
         series = []
     if len(series) <= max_atoms:
         # stored once substituted, so a substitution that raises leaves the entry as it was

@@ -1,5 +1,6 @@
-"""Shared fixtures: graph lists and count tables reused across test files."""
+"""Shared fixtures: graph lists, count tables and oracle values reused across test files."""
 
+import functools
 import os
 import time
 
@@ -56,6 +57,12 @@ def tables_to_1000(graphs_by_c):
 def table_c7(graphs_c7):
     """Count table up to 2960 atoms for 7 coatoms, the length its fit needs."""
     return rank3.count_lattices(7, 2960, graphs_c7)
+
+
+@pytest.fixture(scope="session")
+def brute_force():
+    """rank3.brute_force_count, each (c, a) computed once per session."""
+    return functools.cache(rank3.brute_force_count)
 
 
 @pytest.fixture

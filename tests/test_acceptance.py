@@ -87,7 +87,7 @@ class TestCriterion03ValueTables:
 
 
 class TestCriterion04LargeCoatomSpotCheck:
-    def test_duality_substitute(self, tables_to_1000):
+    def test_duality_substitute(self, tables_to_1000, brute_force):
         # generating all 552251 graphs at c = 8 and counting them takes
         # minutes (the slow test below), so tier-1 uses the sanctioned
         # substitute: R(8,a) = R(a,8) from the a-coatom pipelines, plus the
@@ -96,7 +96,7 @@ class TestCriterion04LargeCoatomSpotCheck:
             assert tables_to_1000[a].values[8] == R_TABLE[8][a]
         assert rank3.count_lattices(1, 8).values[8] == R_TABLE[8][1]
         for a in range(1, 5):
-            assert rank3.brute_force_count(8, a) == R_TABLE[8][a]
+            assert brute_force(8, a) == R_TABLE[8][a]
         report(4, "R(8,a) via duality for a <= 6 and oracle for a <= 4")
 
     def test_generated_column(self):
@@ -115,17 +115,20 @@ class TestCriterion04LargeCoatomSpotCheck:
         graphs = [rank3.BicoloredGraph(8, masks) for masks, _group in classes]
         assert len(graphs) == GRAPH_CENSUS[8]
         assert census_sha256(graphs) == CENSUS_SHA256[8]
-        # searching every graph gives the MemoStats, all 85 labelled cells and
-        # the generated path's terms, cell by cell, so its published column
-        terms, searched, labelled = pipeline._fold_profile(8, graphs)
+        # searching every graph gives the MemoStats, all 85 labelled cells (the
+        # identity's) and the generated path's (cycle type, r, s) cells, so
+        # its published column
+        cells, searched = pipeline._fold_profile(8, graphs)
         assert (searched.graphs_processed, searched.distinct_cycle_indices,
                 searched.trivial_action_graphs) == MEMO_STATS[8]
+        labelled = cells[(8,) + (0,) * 7]
         assert labelled == labelled_family_counts(8) and len(labelled) == 85
-        assert terms == pipeline._burnside_terms(8)[0]
-        values = rank3.polya.substitute_cycle_types(terms, math.factorial(8), 1001)
+        assert cells == rank3.genconn.fixed_family_counts(8)
+        values = rank3.polya.substitute_cycle_types(pipeline._terms(8, cells),
+                                                    math.factorial(8), 1001)
         for a, want in R_TABLE[8].items():
             assert values[a] == want
-        report(4, "census bytes, 85 labelled cells and the generated terms from all %d "
+        report(4, "census bytes, 85 labelled cells and the generated cells from all %d "
                "searched graphs" % len(graphs))
 
     @pytest.mark.slow
@@ -193,7 +196,7 @@ class TestCriterion06FitsRediscoverTheorems:
 
 
 class TestCriterion07OracleEquivalence:
-    def test_all_pairs_to_total_12(self, tables_to_1000, table_c7):
+    def test_all_pairs_to_total_12(self, tables_to_1000, table_c7, brute_force):
         t0 = time.time()
         tables = dict(tables_to_1000)
         tables[1] = rank3.count_lattices(1, 11)
@@ -201,7 +204,7 @@ class TestCriterion07OracleEquivalence:
         brute = {}
         for c in range(1, 12):
             for a in range(1, 12 - c + 1):
-                brute[c, a] = rank3.brute_force_count(c, a)
+                brute[c, a] = brute_force(c, a)
                 pipeline_value = (tables[c].values[a] if c <= 7
                                   else tables[a].values[c])
                 assert brute[c, a] == pipeline_value, (c, a)

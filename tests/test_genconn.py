@@ -227,6 +227,56 @@ class TestGeneration:
             list(rank3.generate_connection_graphs(0))
 
 
+class TestInShares:
+    """_in_shares deals 300 items round-robin into shares of at least 16, one
+    per usable CPU: share 0 in this process, every other share in a forked
+    child.  Its result has one entry per item, in item order."""
+
+    items = list(range(300))
+
+    @pytest.fixture(autouse=True)
+    def _small_shares(self, monkeypatch):
+        monkeypatch.setattr(rank3.genconn, "_MIN_SHARE", 16)
+
+    @pytest.mark.parametrize("cpus", [2, 3])
+    def test_results_in_item_order(self, monkeypatch, forks, cpus):
+        usable_cpus(monkeypatch, cpus)
+        got = rank3.genconn._in_shares(lambda share: [x * x for x in share], self.items)
+        assert_reaped()
+        assert len(forks) == cpus - 1
+        assert got == [x * x for x in self.items]
+
+    @pytest.mark.parametrize("cpus", [2, 3])
+    def test_short_list_leaves_its_tail_none(self, monkeypatch, forks, cpus):
+        # each share is ascending, so each stops at its first item of 250 or more
+        usable_cpus(monkeypatch, cpus)
+        got = rank3.genconn._in_shares(
+            lambda share: [x * x for x in itertools.takewhile(lambda x: x < 250, share)],
+            self.items)
+        assert_reaped()
+        assert len(forks) == cpus - 1
+        assert got == [x * x if x < 250 else None for x in self.items]
+
+    @pytest.mark.parametrize("sent", [lambda found: found + [0], tuple, set],
+                             ids=["one-too-many", "tuple", "set"])
+    def test_longer_list_or_non_list_leaves_share_none(self, forks, sent):
+        # share 1, in the child, sends the bad result; share 0, made here, is
+        # checked the same way
+        parent = os.getpid()
+
+        def work(share):
+            found = [x * x for x in share]
+            return sent(found) if os.getpid() != parent else found
+
+        got = rank3.genconn._in_shares(work, self.items)
+        assert_reaped()
+        assert len(forks) == 1
+        assert got == [x * x if x % 2 == 0 else None for x in self.items]
+        assert rank3.genconn._in_shares(lambda share: sent([x * x for x in share]),
+                                        self.items) == [None] * len(self.items)
+        assert_reaped()
+
+
 @pytest.fixture(scope="module")
 def classes_c7_one_process():
     """The generator's 7-coatom classes with one usable CPU, so made in this process alone."""
@@ -278,8 +328,9 @@ class TestForkedGeneration:
                                          "one-parent-short"])
     def test_failed_child_gives_the_same_classes(self, monkeypatch, forks, classes_by_c,
                                                  failure):
-        # a child's whole share is extended again here unless it exits 0
-        # with one result per parent
+        # a parent whose result did not come back is extended here on its
+        # own: every parent of a failed child's share, and the last parent
+        # of a share sent back one short (one in each of the 7 strata)
         self._small_shares(monkeypatch)
         parent, extended = os.getpid(), rank3.genconn._extended
         if failure == "truncated":
@@ -303,7 +354,7 @@ class TestForkedGeneration:
         assert list(rank3.genconn._classes(6)) == classes_by_c[6]
         assert_reaped()
         assert len(forks) == 7
-        assert len(parents) == (331 if failure is None else 591)
+        assert len(parents) == {None: 331, "one-parent-short": 338}.get(failure, 591)
 
     def test_children_reaped_after_interrupt(self, monkeypatch, forks):
         # this process is interrupted in its own share of the first forked
@@ -461,29 +512,28 @@ class TestGraphFiles:
 
 
 class TestBruteForceOracle:
-    def test_known_small_values(self):
-        assert rank3.brute_force_count(3, 3) == 8
-        assert rank3.brute_force_count(4, 4) == 34
+    def test_known_small_values(self, brute_force):
+        assert brute_force(3, 3) == 8
+        assert brute_force(4, 4) == 34
         for a in range(1, 6):
-            assert rank3.brute_force_count(1, a) == 1
+            assert brute_force(1, a) == 1
 
-    def test_against_published_table(self):
+    def test_against_published_table(self, brute_force):
         for c in range(2, 6):
             for a in range(1, 6):
-                assert rank3.brute_force_count(c, a) == R_TABLE[c][a]
+                assert brute_force(c, a) == R_TABLE[c][a]
 
-    def test_coatom_atom_symmetry(self):
+    def test_coatom_atom_symmetry(self, brute_force):
         for c in range(1, 6):
             for a in range(1, 6):
                 if c < a:
-                    assert rank3.brute_force_count(c, a) == \
-                        rank3.brute_force_count(a, c)
+                    assert brute_force(c, a) == brute_force(a, c)
 
-    def test_rejects_nonpositive_arguments(self):
+    def test_rejects_nonpositive_arguments(self, brute_force):
         with pytest.raises(ValueError):
-            rank3.brute_force_count(0, 3)
+            brute_force(0, 3)
         with pytest.raises(ValueError):
-            rank3.brute_force_count(3, 0)
+            brute_force(3, 0)
 
 
 class TestRelabelPruning:

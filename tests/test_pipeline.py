@@ -137,7 +137,8 @@ class TestCycleTypes:
             for graph in graphs_by_c[c]:
                 shift = sum(rank3.count_r_s(graph))
                 zindex = rank3.cycle_index(rank3.automorphism_group_on_coatoms(graph))
-                terms, _stats, _labelled = rank3.pipeline._fold_profile(c, [graph])
+                cells, _stats = rank3.pipeline._fold_profile(c, [graph])
+                terms = rank3.pipeline._terms(c, cells)
                 assert rank3.polya.substitute_cycle_types(terms, math.factorial(c), 41) == \
                     [0] * shift + rank3.group_balls(zindex, c, 40 - shift)
 
@@ -145,20 +146,21 @@ class TestCycleTypes:
         # the fold shares one cycle index among the graphs with the same
         # group; the oracle builds both afresh for every graph
         for c, graphs in {**graphs_by_c, 7: graphs_c7}.items():
-            terms, stats, _labelled = rank3.pipeline._fold_profile(c, graphs)
+            cells, stats = rank3.pipeline._fold_profile(c, graphs)
+            terms = rank3.pipeline._terms(c, cells)
             folded = {(expo, k): x for expo, row in terms for k, x in enumerate(row) if x}
             assert (folded, stats) == plain_fold(c, graphs)
 
     def test_generated_fold_equals_searched_fold(self, graphs_by_c, graphs_c7):
-        # the generated path counts each Q by Burnside, with no census;
-        # searching the census gives the same terms, cell by cell, and as
-        # many classes
+        # the generated path counts each (cycle type, r, s) cell by
+        # Burnside, with no census; searching the census gives the same
+        # cells, and the generated count as many classes
         for c, graphs in {**graphs_by_c, 7: graphs_c7}.items():
-            terms, stats = rank3.pipeline._burnside_terms(c)
-            searched, _stats, _labelled = rank3.pipeline._fold_profile(c, graphs)
-            assert terms == searched
+            cells, _stats = rank3.pipeline._fold_profile(c, graphs)
+            assert cells == rank3.genconn.fixed_family_counts(c)
+            _table, stats = rank3.count_lattices_stats(c, 0)
             assert stats == rank3.MemoStats(len(graphs), None, None)
-        assert len(terms) == 15
+        assert len(cells) == 15
 
     @pytest.mark.parametrize("c, labeled", zip(range(1, 7), [1, 2, 9, 97, 2625, 185521]))
     def test_burnside_structure(self, c, labeled):
@@ -251,7 +253,7 @@ class TestProfileCache:
 
     def test_series_grows_geometrically(self, substitutions):
         graphs = rank3.generate_connection_graphs(5)
-        terms, _stats, _labelled = rank3.pipeline._fold_profile(5, graphs)
+        terms = rank3.pipeline._terms(5, rank3.pipeline._fold_profile(5, graphs)[0])
         for a in (100, 50, 100, 150, 300, 301, 20):
             values = rank3.count_lattices(5, a).values
             assert values == rank3.polya.substitute_cycle_types(terms, 120, a + 1)
