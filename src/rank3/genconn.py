@@ -1,4 +1,4 @@
-"""Connection graphs: isomorph-free generation, census files, labelled counts, an oracle.
+"""Connection graphs: isomorph-free generation, census files, Burnside counts, an oracle.
 
 Connection graphs on c coatoms are families of connector neighbourhoods:
 distinct coatom subsets of size at least two, any two sharing at most one
@@ -24,12 +24,10 @@ stratum up to c = 6, so a count for c <= 6 never forks here.  On two
 cores the c = 7 census takes 1.0-1.2 s against 1.3-1.8 s in one
 process, and c = 8 47-51 s against 99 s.
 
-labelled_family_counts counts the labelled families per connector count
-and uncovered coatoms without a census; by orbit-stabiliser, the classes
-must add up to it, which the count checks.  fixed_family_counts counts,
-the same way, the labelled families each cycle type of S_c fixes: by
+fixed_family_counts counts, without a census, the labelled families each
+cycle type of S_c fixes, per connector count and uncovered coatoms: by
 Burnside's lemma these are the count's polynomials, so a count without
-graphs needs no census.
+graphs needs no census, and a count of graphs must fold to the same cells.
 
 brute_force_count answers the end question (how many rank-3 lattices with
 c coatoms and a atoms) by direct enumeration of atom-neighbourhood
@@ -339,12 +337,13 @@ def write_graph_files(directory, coatom_count: int, graphs=None) -> list[int]:
     return counts
 
 
-# -- labelled families ---------------------------------------------------------
+# -- fixed labelled families ---------------------------------------------------
 #
 # A class G stands for c!/|Aut G| labelled families, so for each (r, s) the
 # classes with r connectors and s uncovered coatoms add up to L_c(r, s), the
 # labelled families of that kind (orbit-stabiliser; Harary & Palmer,
-# "Graphical Enumeration", 1973, ch. 1-2).  L_c needs no census.  A_n(r),
+# "Graphical Enumeration", 1973, ch. 1-2): the identity's cells of
+# fixed_family_counts, with no census.  A_n(r),
 # the labelled linear families of r connectors on n points, covering or
 # not, is counted by eliminating points: with H the graph of the point
 # pairs that connectors already cover, the connectors through a point v
@@ -497,18 +496,6 @@ def _fixed_families(c: int, perm, memo, top: int) -> collections.Counter:
                 if n:
                     out[r + rf, s + j] += ways * n
     return out
-
-
-@functools.cache
-def labelled_family_counts(coatom_count: int):
-    """{(r, s): L_c(r, s)}, read-only: the labelled connection families on c
-    coatoms with r connectors and s coatoms covered by none, nonzero cells
-    only.  Computed on first use per c, without a census."""
-    c = coatom_count
-    if c < 1:
-        raise ValueError("coatom count must be positive")
-    cells = _fixed_families(c, list(range(c)), {}, c * (c - 1) // 2 + 1)
-    return types.MappingProxyType(dict(cells))
 
 
 @functools.cache

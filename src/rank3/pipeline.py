@@ -38,15 +38,15 @@ process.  If the input itself raises, the graphs taken before it are
 checked first, so the first error is the one a graph-by-graph count
 meets.
 
-Every count of graphs is gated after its fold: a class G stands for
-c!/|Aut G| labelled families, so for each (r, s) the classes must add up
-to the labelled count L_c(r, s) of genconn.labelled_family_counts: the
-fold's cells of the identity's cycle type.  A missing class (a stratum
-truncated with its manifest line) or a wrong group breaks that sum.  On
-the generated path the identity's cells are L_c itself, so its gate is
-the orbit-counting identity instead: in each (r, s) the cells of all
-cycle types add up to c! times the classes, a multiple of c!, which
-genconn.fixed_family_counts checks.
+Every count of graphs is gated after its fold: its cells must equal
+those of genconn.fixed_family_counts, cell by cell, the identity's
+first.  A class G stands for c!/|Aut G| labelled families, so a missing
+class (a stratum truncated with its manifest line) breaks the
+identity's cells, the labelled families; a group of the right order
+with the wrong elements breaks another type's.  A count without graphs
+takes its cells from fixed_family_counts, which checks the
+orbit-counting identity: in each (r, s) the cells of all cycle types
+add up to c! times the classes, a multiple of c!.
 
 The polynomials of c are the same for every a, and the first n terms of
 their truncated series do not depend on where it is truncated.  So the
@@ -66,8 +66,7 @@ from collections import Counter, defaultdict
 from dataclasses import dataclass, field
 
 from .bigraph import _coatom_search, _group_of_winners, graph6_decode, validate_connection_graph
-from .genconn import (_in_shares, atomic_open, count_r_s, fixed_family_counts, graph_file_name,
-                      labelled_family_counts)
+from .genconn import _in_shares, atomic_open, count_r_s, fixed_family_counts, graph_file_name
 from .polya import cycle_index, substitute_cycle_types
 
 
@@ -100,19 +99,23 @@ class MemoStats:
     trivial_action_graphs: int | None
 
 
-def _check_labelled(coatom_count: int, cells) -> None:
-    """GraphInputError naming the first (r, s), and both numbers, where a
-    fold's labelled families, the cells of the identity's cycle type (see
-    _fold_profile), differ from labelled_family_counts."""
+def _check_cells(coatom_count: int, cells) -> None:
+    """GraphInputError naming the first (cycle type, r, s), and both numbers,
+    where a fold's cells (see _fold_profile) differ from
+    genconn.fixed_family_counts: the types in descending order, so the
+    identity's cells, the labelled families, come first."""
     c = coatom_count
-    labelled = cells.get((c,) + (0,) * (c - 1), {})
-    want = labelled_family_counts(c)
-    for cell in sorted(want.keys() | labelled.keys()):
-        got, exist = labelled.get(cell, 0), want.get(cell, 0)
-        if got != exist:
-            raise GraphInputError("the graphs stand for %d labelled families with %d "
-                                  "connectors and %d uncovered coatoms, but there are %d"
-                                  % (got, *cell, exist))
+    want = fixed_family_counts(c)
+    for expo in sorted(want.keys() | cells.keys(), reverse=True):
+        got_cells, want_cells = cells.get(expo, {}), want.get(expo, {})
+        for cell in sorted(got_cells.keys() | want_cells.keys()):
+            got, exist = got_cells.get(cell, 0), want_cells.get(cell, 0)
+            if got != exist:
+                what = ("labelled families" if expo[0] == c
+                        else "families fixed by the permutations of cycle type %s" % (expo,))
+                raise GraphInputError("the graphs stand for %d %s with %d connectors and %d "
+                                      "uncovered coatoms, but there are %d"
+                                      % (got, what, *cell, exist))
 
 
 # graphs taken from the input at a time
@@ -247,9 +250,9 @@ def count_lattices_stats(coatom_count: int, max_atoms: int, graphs=None,
     place that dedupes and raises, so the result and the error are those
     of a count in one process; no child outlives the call.  The graphs
     fold into cells per cycle type, r and s, summed into one Q per cycle
-    type and substituted once as in the module docstring, and the
-    identity's cells are gated on labelled_family_counts: a cell that
-    misses raises GraphInputError.  Without ``graphs`` no graph is
+    type and substituted once as in the module docstring, and every
+    cell is gated on genconn.fixed_family_counts: the first that misses
+    raises GraphInputError.  Without ``graphs`` no graph is
     listed: the cells are the Burnside counts of
     genconn.fixed_family_counts, made once per process and coatom count,
     and a cell that breaks the orbit-counting identity raises
@@ -270,7 +273,7 @@ def count_lattices_stats(coatom_count: int, max_atoms: int, graphs=None,
     c = coatom_count
     if graphs is not None:
         cells, stats = _fold_profile(c, graphs)
-        _check_labelled(c, cells)
+        _check_cells(c, cells)
         values = substitute_cycle_types(_terms(c, cells), math.factorial(c), max_atoms + 1)
         return CountTable(c, max_atoms, values), stats
     if c in _generated:
@@ -347,7 +350,7 @@ def iter_graph_dir(directory, coatom_count: int):
     (checked before its first graph), and each line must decode, else
     GraphInputError names the file (and line).  The count, not this
     reader, rejects invalid graphs; a stratum in between truncated along
-    with its manifest line passes here, and the count's labelled gate
+    with its manifest line passes here, and the count's cell gate
     rejects it.
     """
     c = coatom_count

@@ -107,14 +107,15 @@ def _newton_constituent(ys, start: int, period: int, degree: int):
         leading.append(row[0])
         row = [b - a for a, b in zip(row, row[1:])]
     bad = next((j + degree + 1 for j, d in enumerate(row) if d), None)
-    # sum_i leading[i] * binomial((x - start) / period, i), expanded in x
-    coeffs = [Fraction(leading[degree])]
+    # sum_i leading[i] * binomial((x - start) / period, i), expanded in x in
+    # integers over scale = period^degree * degree!, divided out at the end
+    coeffs, scale = [leading[degree]], 1
     for i in range(degree - 1, -1, -1):
-        root, scale = start + i * period, (i + 1) * period
-        coeffs = [(lower - root * same) / scale
-                  for lower, same in zip([0] + coeffs, coeffs + [0])]
-        coeffs[0] += leading[i]
-    return tuple(coeffs), bad
+        root = start + i * period
+        scale *= (i + 1) * period
+        coeffs = [lower - root * same for lower, same in zip([0] + coeffs, coeffs + [0])]
+        coeffs[0] += scale * leading[i]
+    return tuple(Fraction(x, scale) for x in coeffs), bad
 
 
 def fit_quasipolynomial(values, period: int, degree: int, threshold: int) -> Quasipolynomial:
@@ -219,6 +220,12 @@ LEADING_TERMS = {
     6: (Fraction(185521, 86400), Fraction(-266581, 6912), Fraction(4268287, 12960)),
     7: (Fraction(35406319, 3628800), Fraction(-205303771, 604800),
         Fraction(986460817, 181440), Fraction(-908874965, 18144)),
+    # c = 8 and 9: fitted here from the counts, not published
+    8: (Fraction(6261879851, 67737600), Fraction(-10464478121, 1935360),
+        Fraction(4169569453, 28800), Fraction(-81609783909, 35840)),
+    9: (Fraction(28434333689929, 14631321600), Fraction(-641147960518559, 3657830400),
+        Fraction(7577316547250113, 1045094400), Fraction(-13341832435503701, 74649600),
+        Fraction(498172762300848443, 174182400)),
 }
 
 

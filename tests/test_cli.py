@@ -157,7 +157,7 @@ def _emptied_end_stratum(directory):
 
 def _truncated_interior_stratum(directory):
     # the last line of r4 dropped, its manifest line and the total lowered to
-    # match: every check of the reader passes, and only the labelled gate
+    # match: every check of the reader passes, and only the cell gate
     # sees the missing class
     _drop_last_line(directory)
     path = directory / "conn_c5.manifest"

@@ -33,6 +33,9 @@ FIT_SHA256 = {
     5: "b0d7b147d12dbf9af6fea3214667632e7635fa65517dff2bf991888e19bbdc52",
     6: "e839f6a3daaa8891b089e2bd6f934a976bc1ac3bb31df925aa56e259874639c0",
     7: "5b55876622064231f5a9726565d6765afefe672b721cb8f6164dc859337df6fe",
+    # generated tables of the fit's guaranteed length: a = 6747 and a = 22,715
+    8: "7c16ec3c64e5c6cc228a9245852f070dff638edddc4b646e65d85861d9131dd5",
+    9: "1d747fcf1638b20b25f778904723da280a6c71d0332b2e6b949b079948a77b09",
 }
 
 # sha256 of the standard output of `rank3 verify --max-total 9`
@@ -56,11 +59,19 @@ def test_count_csv_bytes(tables, tmp_path, c):
     assert sha256(path.read_bytes()) == CSV_SHA256[c]
 
 
-@pytest.mark.parametrize("c", range(1, 8))
+@pytest.mark.parametrize("c", [*range(1, 9), pytest.param(9, marks=pytest.mark.slow)])
 def test_fit_json_bytes(tables, c):
-    fit = quasifit.fit_for_coatoms(tables[c], c)
+    if c in tables:
+        table = tables[c]
+    else:
+        period, degree, threshold = quasifit.default_fit_parameters(c)
+        table = rank3.count_lattices(c, threshold + period * (degree + 1) - 1)
+    fit = quasifit.fit_for_coatoms(table, c)
     text = json.dumps(quasifit.quasipolynomial_to_json(fit, c), indent=2) + "\n"
     assert sha256(text.encode()) == FIT_SHA256[c]
+    # every constituent shares the leading terms, where they are pinned
+    top = quasifit.LEADING_TERMS.get(c, ())
+    assert all(coeffs[:-len(top) - 1:-1] == top for coeffs in fit.constituents)
 
 
 def test_verify_report_bytes(monkeypatch, capsys):

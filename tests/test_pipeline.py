@@ -12,7 +12,6 @@ from collections import Counter
 import pytest
 
 import rank3
-from rank3.genconn import labelled_family_counts
 
 from forking import assert_reaped, usable_cpus
 from reference_values import MEMO_STATS, R_TABLE
@@ -132,7 +131,7 @@ class TestCycleTypes:
     def test_each_graph_adds_its_shifted_ball_series(self, graphs_by_c):
         # the table of one graph is its group_balls series moved up by r + s,
         # the per-graph reading of the cycle-type sum; one graph is no census,
-        # so it is folded and substituted here, below the count's labelled gate
+        # so it is folded and substituted here, below the count's cell gate
         for c in range(1, 6):
             for graph in graphs_by_c[c]:
                 shift = sum(rank3.count_r_s(graph))
@@ -178,8 +177,9 @@ class TestCycleTypes:
 
 @pytest.fixture
 def generations(monkeypatch):
-    """Empty the series cache and count the generated path's calls of
-    fixed_family_counts per coatom count."""
+    """Empty the series cache and count pipeline's calls of
+    fixed_family_counts per coatom count: the generated path's, and the
+    cell gate's on a count of graphs."""
     rank3.pipeline._generated.clear()
     calls = Counter()
     count = rank3.pipeline.fixed_family_counts
@@ -218,7 +218,9 @@ class TestProfileCache:
                 table, stats = rank3.count_lattices_stats(c, 1000)
                 assert (table, stats.graphs_processed) == want
                 assert stats.distinct_cycle_indices is stats.trivial_action_graphs is None
-        assert generations == {c: 1 for c in range(1, 7)}
+        # the gate of the count with graphs takes the cells once, the first
+        # generated count once more, from fixed_family_counts' cache
+        assert generations == {c: 2 for c in range(1, 7)}
 
     def test_one_generation_per_coatom_count(self, generations):
         for a in (300, 3, 0, 100, 300):
@@ -305,13 +307,16 @@ class TestProfileCache:
 def _gate_message(c, graph, got_offset=0):
     """The count's error for a census missing ``graph`` (got_offset added to its cell)."""
     r, s = rank3.count_r_s(graph)
-    exist = labelled_family_counts(c)[r, s]
+    exist = rank3.genconn.fixed_family_counts(c)[(c,) + (0,) * (c - 1)][r, s]
     got = exist - math.factorial(c) // rank3.automorphism_group_on_coatoms(graph).order
     return ("the graphs stand for %d labelled families with %d connectors and %d uncovered "
             "coatoms, but there are %d" % (got + got_offset, r, s, exist))
 
 
-class TestLabelledGate:
+class TestCellGate:
+    """A count of graphs must fold to the cells of fixed_family_counts, the
+    identity's first."""
+
     @pytest.mark.parametrize("c, position", [(4, 0), (5, 40), (6, 591)],
                              ids=["empty-graph", "interior", "complete-graph"])
     def test_missing_graph_rejected(self, graphs_by_c, c, position):
@@ -322,6 +327,31 @@ class TestLabelledGate:
         with pytest.raises(rank3.GraphInputError) as info:
             rank3.count_lattices(c, 10, graphs)
         assert str(info.value) == _gate_message(c, dropped)
+
+    def test_same_order_group_rejected(self, monkeypatch, graphs_by_c):
+        # the first group {id, (a b)} is given as {id, (a b)(x y)}: its order,
+        # and so every labelled cell, is right, and its cycle types are not
+        group_of_winners = rank3.pipeline._group_of_winners
+        swapped = []
+
+        def same_order(c, winners):
+            group = group_of_winners(c, winners)
+            moved = [i for i, p in enumerate(group.elements[-1]) if p != i]
+            if swapped or group.order != 2 or len(moved) != 2:
+                return group
+            x, y = [i for i in range(c) if i not in moved][:2]
+            perm = list(group.elements[-1])
+            perm[x], perm[y] = y, x
+            swapped.append(perm)
+            return rank3.PermGroup(c, [range(c), perm])
+
+        monkeypatch.setattr(rank3.pipeline, "_group_of_winners", same_order)
+        with pytest.raises(rank3.GraphInputError) as info:
+            rank3.count_lattices(5, 60, graphs_by_c[5])
+        assert swapped == [[1, 0, 2, 4, 3]]    # (3 4) given as (0 1)(3 4)
+        assert str(info.value) == (
+            "the graphs stand for 30 families fixed by the permutations of cycle type "
+            "(3, 1, 0, 0, 0) with 2 connectors and 1 uncovered coatoms, but there are 90")
 
 
 @pytest.fixture

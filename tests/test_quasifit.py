@@ -2,6 +2,7 @@
 
 import itertools
 import json
+import math
 from fractions import Fraction
 
 import pytest
@@ -88,6 +89,15 @@ class TestFitting:
             assert coeffs[-1] == top[0]
             assert coeffs[-2] == top[1]
             assert coeffs[-3] == top[2]
+
+    @pytest.mark.parametrize("c", [6, 7, 8, pytest.param(9, marks=pytest.mark.slow)])
+    def test_leading_term_is_labelled_total(self, c):
+        # R(c, a) grows as L_c a^(c-1) / (c! (c-1)!), L_c the labelled
+        # families: the identity's cells of fixed_family_counts
+        labelled = rank3.genconn.fixed_family_counts(c)[(c,) + (0,) * (c - 1)]
+        total = sum(labelled.values())
+        assert rank3.LEADING_TERMS[c][0] == Fraction(total, math.factorial(c) *
+                                                     math.factorial(c - 1))
 
     def test_arity_error_reports_requirement(self):
         table = rank3.count_lattices(4, 48)
