@@ -38,6 +38,7 @@ cycle-index pipeline on purpose: it is the cross-check.
 import collections
 import contextlib
 import functools
+import itertools
 import marshal
 import math
 import os
@@ -339,30 +340,31 @@ def write_graph_files(directory, coatom_count: int, graphs=None) -> list[int]:
 
 # -- fixed labelled families ---------------------------------------------------
 #
-# A class G stands for c!/|Aut G| labelled families, so for each (r, s) the
-# classes with r connectors and s uncovered coatoms add up to L_c(r, s), the
-# labelled families of that kind (orbit-stabiliser; Harary & Palmer,
-# "Graphical Enumeration", 1973, ch. 1-2): the identity's cells of
-# fixed_family_counts, with no census.  A_n(r),
-# the labelled linear families of r connectors on n points, covering or
-# not, is counted by eliminating points: with H the graph of the point
-# pairs that connectors already cover, the connectors through a point v
-# are v plus disjoint H-independent sets of v's non-neighbours, and each
-# choice leaves v's neighbourhood sets as cliques in H on the points left.
-# Eliminating a v of largest degree keeps the choices few.  The count does
-# not depend on labels, so the points left are relabelled by degree before
-# each memo lookup: 70 states at c = 7, 152 at c = 8.  Then the families
-# covering all n points are N_n(r) = sum_j (-1)^(n-j) C(n, j) A_j(r), and
-# L_c(r, s) = C(c, s) N_(c-s)(r).
+# By Burnside's lemma the classes with r connectors and s uncovered
+# coatoms are 1/c! times the sum over sigma in S_c of the labelled
+# families of that kind that sigma fixes (Harary & Palmer, "Graphical
+# Enumeration", 1973, ch. 1-2; Bergeron, Labelle & Leroux, "Combinatorial
+# Species", 1998, ch. 1); the identity fixes all of them, L_c(r, s).
 #
-# The families a permutation sigma fixes are counted the same way
-# (Burnside's lemma; Harary & Palmer ch. 2, Bergeron, Labelle & Leroux,
-# "Combinatorial Species", 1998, ch. 1).  Such a family is a union of
-# sigma-orbits of connectors.  The orbits that touch a point sigma moves
-# are listed, those linear inside themselves kept, and their compatible
-# unions walked; the connectors on the fixed points F are then any
-# linear family on F that avoids the pairs the union covers, A(H) above
-# with H those pairs.  The identity is L_c: no orbit, H empty.
+# A fixed family is a union of sigma-orbits of connectors.  The orbits that
+# touch a point sigma moves are listed, those linear inside themselves
+# kept, and their compatible unions tallied by a memo on the set of orbits
+# still compatible (Knuth, TAOCP 4A, 7.1.4), keyed by the pairs a union
+# holds inside the fixed points F and its connector count.  The connectors
+# on F are then any linear family on F that avoids those pairs: A(H), H
+# the graph of the pairs, counted by eliminating points.  The connectors
+# through a point v are v plus disjoint H-independent sets of v's
+# non-neighbours, and each choice leaves v's neighbourhood sets as cliques
+# in H on the points left; a v of largest degree keeps the choices few,
+# and the points left are relabelled by degree before each memo lookup.
+#
+# That counts the fixed families covering or not.  The coatoms a fixed
+# family leaves bare are a union of sigma's cycles, so the families with
+# s bare come by inclusion-exclusion over the cycles (Stanley, "Enumerative
+# Combinatorics I", 2.1): k_i of the m_i cycles of length i kept bare
+# weigh the covering-or-not families of the other cycles by C(m_i, k_i)
+# [x^s] prod (x^i - 1)^k_i.  The identity's L_c(r, s) is this sum with all
+# c cycles fixed points.
 
 
 def _point_sets(adj, free, k, out):
@@ -424,7 +426,7 @@ def _linear_families(adj, memo, top) -> list[int]:
 def _linear_orbits(perm) -> list:
     """The orbits under perm (a list of images) of the connectors that touch
     a point perm moves, only those with no two members sharing two points:
-    (pairs covered, points covered, size) each."""
+    (pairs covered, size) each."""
     image = [1 << p for p in perm]
     moved = sum(1 << i for i, p in enumerate(perm) if p != i)
     orbits, seen = [], set()
@@ -436,65 +438,54 @@ def _linear_orbits(perm) -> list:
             orbit.append(x)
             x = sum(image[i] for i in _members(x))
         seen.update(orbit)
-        covered = 0
-        for x in orbit:
-            if covered & _pairs(x):
-                break
-            covered |= _pairs(x)
-        else:
-            orbits.append((covered, functools.reduce(int.__or__, orbit), len(orbit)))
+        pairs = list(map(_pairs, orbit))
+        covered = functools.reduce(int.__or__, pairs)
+        if covered == sum(pairs):    # no pair held twice
+            orbits.append((covered, len(orbit)))
     return orbits
 
 
-def _fixed_families(c: int, perm, memo, top: int) -> collections.Counter:
-    """{(r, s): the labelled families on c coatoms that perm fixes, with r
-    connectors and s uncovered coatoms}, perm a permutation as a list of
-    images, memo the memo of _linear_families for connector counts < top."""
-    moved = sum(1 << i for i, p in enumerate(perm) if p != i)
-    fixed = (1 << c) - 1 & ~moved
-    fixed_pairs = _pairs(fixed)
+def _fixed_families(expo, memo, top: int) -> list[int]:
+    """By connector count r < top, the labelled linear families, covering or
+    not, that one permutation of cycle type expo fixes, its fixed points
+    first; memo is the memo of _linear_families."""
+    perm = []
+    for length, m in enumerate(expo, 1):
+        for start in range(len(perm), len(perm) + m * length, length):
+            perm += [*range(start + 1, start + length), start]
     orbits = _linear_orbits(perm)
-    # every union of pairwise compatible orbits, walked depth-first over bit
-    # sets of the later orbits still compatible, tallied by (pairs covered
-    # inside F, points covered, connectors)
     later = [sum(1 << k for k in range(j + 1, len(orbits)) if not pairs & orbits[k][0])
-             for j, (pairs, _cover, _size) in enumerate(orbits)]
-    unions = collections.Counter()
-    stack = [((1 << len(orbits)) - 1, 0, 0, 0)]
-    while stack:
-        cand, held, covered, r = stack.pop()
-        unions[held & fixed_pairs, covered, r] += 1
+             for j, (pairs, _size) in enumerate(orbits)]
+    # a union's tally key: its connector count r in the low bits, the pairs
+    # it holds inside the fixed points F above them
+    shift = top.bit_length()
+    adds = [(pairs & _pairs((1 << expo[0]) - 1)) << shift for pairs, _size in orbits]
+
+    @functools.cache
+    def unions(cand):
+        # {key: ways} over the unions of pairwise compatible orbits in cand,
+        # split by the least orbit of each
+        tally = {0: 1}
         while cand:
             low = cand & -cand
             cand ^= low
             j = low.bit_length() - 1
-            pairs, cover, size = orbits[j]
-            stack.append((cand & later[j], held | pairs, covered | cover, r + size))
-    # a union leaves its F-pairs to no other connector; the families on the
-    # fixed points F that avoid them are counted by _linear_families, and
-    # the F-points the union leaves bare (isolated in H) come in by
-    # inclusion-exclusion: N(r, j) families leave exactly j of the b bare
-    # points uncovered, A_u being A(H) with u bare points removed
-    points = _members(fixed)
-    out, on_fixed = collections.Counter(), {}
-    for (held, covered, r), ways in unions.items():
-        bare = fixed & ~covered
-        b = bare.bit_count()
-        if (held, b) not in on_fixed:
-            kept = [i for i in points if not bare >> i & 1] + [i for i in points if bare >> i & 1]
-            where = {i: new for new, i in enumerate(kept)}
-            adj = [sum(1 << where[k] for k in points if k != i and held & _pairs(1 << i | 1 << k))
-                   for i in kept]
-            a = [_linear_families(_by_degree(adj[:len(adj) - u]), memo, top) for u in range(b + 1)]
-            on_fixed[held, b] = [
-                [math.comb(b, j) * sum((-1) ** t * math.comb(b - j, t) * a[j + t][rf]
-                                       for t in range(b - j + 1)) for j in range(b + 1)]
-                for rf in range(top)]
-        s = (moved & ~covered).bit_count()
-        for rf, row in enumerate(on_fixed[held, b][:top - r]):
-            for j, n in enumerate(row):
-                if n:
-                    out[r + rf, s + j] += ways * n
+            add, size = adds[j], orbits[j][1]
+            for key, ways in unions(cand & later[j]).items():
+                key = key + size | add
+                tally[key] = tally.get(key, 0) + ways
+        return tally
+
+    out, on_fixed = [0] * top, {}
+    for key, ways in unions((1 << len(orbits)) - 1).items():
+        held, r = divmod(key, 1 << shift)
+        if held not in on_fixed:
+            adj = [sum(1 << k for k in range(expo[0]) if held & _pairs(1 << i | 1 << k))
+                   for i in range(expo[0])]
+            on_fixed[held] = _linear_families(_by_degree(adj), memo, top)
+        for rf, n in enumerate(on_fixed[held][:top - r]):
+            out[r + rf] += ways * n
+    unions.cache_clear()
     return out
 
 
@@ -514,18 +505,27 @@ def fixed_family_counts(coatom_count: int):
     c = coatom_count
     if c < 1:
         raise ValueError("coatom count must be positive")
-    top, memo = c * (c - 1) // 2 + 1, {}
+    top, memo, fixes = c * (c - 1) // 2 + 1, {}, {}
     out, cells = {}, collections.Counter()
     for expo, size in symmetric_cycle_index(c).counts:
-        perm, start = [], 0
-        for length, m in enumerate(expo, 1):
-            for _ in range(m):
-                perm += range(start + 1, start + length)
-                perm.append(start)
-                start += length
-        fixes = {cell: size * n for cell, n in _fixed_families(c, perm, memo, top).items()}
-        out[expo] = types.MappingProxyType(fixes)
-        cells.update(fixes)
+        tally = collections.Counter()
+        # inclusion-exclusion over the cycles kept bare (see above)
+        for bare in itertools.product(*(range(m + 1) for m in expo)):
+            poly = {0: size * math.prod(map(math.comb, expo, bare))}
+            for i, k in enumerate(bare, 1):
+                for _ in range(k):    # poly times x^i - 1
+                    step = {s: -n for s, n in poly.items()}
+                    for s, n in poly.items():
+                        step[s + i] = step.get(s + i, 0) + n
+                    poly = step
+            rest = tuple(m - k for m, k in zip(expo, bare))
+            if rest not in fixes:    # its nonzero (r, families covering or not)
+                fixes[rest] = [(r, n) for r, n in enumerate(_fixed_families(rest, memo, top)) if n]
+            for r, n in fixes[rest]:
+                for s, p in poly.items():
+                    tally[r, s] += n * p
+        out[expo] = types.MappingProxyType({cell: n for cell, n in tally.items() if n})
+        cells.update(out[expo])
     order = math.factorial(c)
     for (r, s), n in sorted(cells.items()):
         if n % order:

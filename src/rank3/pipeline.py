@@ -22,8 +22,8 @@ instead of the classes, the cell (lambda, r, s) is |C_lambda| times the
 labelled families with r connectors and s uncovered coatoms fixed by
 one permutation of type lambda (Burnside's lemma; |C_lambda| the class
 size), which genconn.fixed_family_counts counts by orbits of
-connectors, with no census and no search: c = 7 in about 0.05-0.1 s,
-c = 8 in about a second and c = 9 in half a minute, in one process.
+connectors, with no census and no search: c = 7 in about 0.05 s, c = 8
+in 0.2 s, c = 9 in 1.5 s and c = 10 in about half a minute, in one process.
 Its MemoStats carry the class count alone.
 
 Graphs passed in or read are checked and searched on every usable CPU.

@@ -1,6 +1,7 @@
 """Isomorph-free generation and the independent brute-force oracle."""
 
 import functools
+import hashlib
 import itertools
 import marshal
 import math
@@ -21,6 +22,11 @@ from rank3.genconn import _bit_images, _relabel_can_shrink, fixed_family_counts
 from forking import assert_reaped, usable_cpus
 from oracles import labelled_connection_families, map_mask
 from reference_values import GRAPH_CENSUS, PER_R_COUNTS, R_TABLE
+
+
+# sha256 of repr(sorted((cycle type, sorted cells))) of fixed_family_counts(9),
+# recorded from the orbit-union walk that counted bare coatoms per union
+C9_CELLS_SHA256 = "d148c4f2597ab81764289199e58d43dd6ae2e3a16a297d0c8af28c4c1199ff62"
 
 
 def census_bytes(directory):
@@ -173,6 +179,13 @@ class TestGeneration:
             counts[(c,) + (0,) * (c - 1)][0, 8] = 2
         with pytest.raises(ValueError):
             rank3.genconn.fixed_family_counts(0)
+
+    def test_nine_coatom_cells(self):
+        # every (cycle type, r, s) cell at c = 9, shared through the cache with
+        # test_acceptance's published R(9, a)
+        cells = fixed_family_counts(9)
+        text = repr(sorted((expo, sorted(by_cell.items())) for expo, by_cell in cells.items()))
+        assert hashlib.sha256(text.encode()).hexdigest() == C9_CELLS_SHA256
 
     @pytest.mark.slow
     def test_orbit_stabiliser_at_seven_coatoms(self, graphs_c7):
