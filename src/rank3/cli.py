@@ -22,7 +22,7 @@ EXIT_REJECTED = 4
 EXIT_MISMATCH = 5
 
 # verify counts above this c only through the coatom/atom symmetry, which keeps
-# its bytes and time; a count without graphs takes 0.2 s at c = 8, 1.5 s at c = 9
+# its bytes and time; a count without graphs takes 0.15 s at c = 8, 1.2 s at c = 9
 _DIRECT_LIMIT = 8
 
 

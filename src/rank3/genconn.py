@@ -28,6 +28,13 @@ fixed_family_counts counts, without a census, the labelled families each
 cycle type of S_c fixes, per connector count and uncovered coatoms: by
 Burnside's lemma these are the count's polynomials, so a count without
 graphs needs no census, and a count of graphs must fold to the same cells.
+It keeps for the process its cells per c and, shared by every c, each
+sub-type's fixed families covering or not (_fixed_families, keyed by the
+cycle type without trailing zero multiplicities, so a sub-type of S_4
+serves S_5 as well: 139 entries up to c = 10).  The point-elimination
+memo (_linear_families) is freed when each count returns or raises; at
+c = 10 it is the identity's 7.9 s and most of its memory.  A count that
+fails its gate frees the sub-type counts too.
 
 brute_force_count answers the end question (how many rank-3 lattices with
 c coatoms and a atoms) by direct enumeration of atom-neighbourhood
@@ -157,10 +164,13 @@ def _classes(coatom_count: int):
     for _r in range(1, c * (c - 1) // 2 + 1):
         # the first class found in level order wins; a parent that came
         # back with nothing is extended here on its own
-        seen = {}
-        for parent, found in zip(level, _in_shares(extend, level)):
-            for form, images in extend([parent])[0] if found is None else found:
+        seen, found = {}, _in_shares(extend, level)
+        for k, parent in enumerate(level):
+            # each parent's list is let go once merged, so its duplicate forms go with it
+            forms, found[k] = found[k], None
+            for form, images in extend([parent])[0] if forms is None else forms:
                 seen.setdefault(form, images)
+        del found
         # for equal c and r, graph6 byte order is the order of the mask
         # tuples with each mask's c bits reversed
         level = sorted(seen.items(), key=lambda item: tuple(map(flipped.__getitem__, item[0])))
@@ -398,13 +408,12 @@ def _by_degree(adj) -> tuple[int, ...]:
     return tuple(sum(1 << where[u] for u in _members(adj[old])) for old in order)
 
 
-def _linear_families(adj, memo, top) -> list[int]:
-    """A(H) by connector count r < ``top``: the labelled linear families on the
-    points of H that cover no pair joined in H."""
-    if adj in memo:
-        return memo[adj]
+@functools.cache
+def _linear_families(adj) -> tuple[int, ...]:
+    """A(H) by connector count r <= n(n-1)/2, n the points of H: the labelled
+    linear families on those points that cover no pair joined in H."""
     n = len(adj)
-    got = [0] * top
+    got = [0] * (n * (n - 1) // 2 + 1)
     if n <= 1:
         got[0] = 1
     else:
@@ -415,12 +424,10 @@ def _linear_families(adj, memo, top) -> list[int]:
         for (after, k), ways in choices.items():
             # point v removed, the points above it moved down by one
             rest = after[:v] + after[v + 1:]
-            sub = _linear_families(_by_degree([m & low | m >> 1 & ~low for m in rest]),
-                                   memo, top)
-            for r in range(top - k):
-                got[r + k] += ways * sub[r]
-    memo[adj] = got
-    return got
+            sub = _linear_families(_by_degree([m & low | m >> 1 & ~low for m in rest]))
+            for r, x in enumerate(sub):
+                got[r + k] += ways * x
+    return tuple(got)
 
 
 def _linear_orbits(perm) -> list:
@@ -445,21 +452,25 @@ def _linear_orbits(perm) -> list:
     return orbits
 
 
-def _fixed_families(expo, memo, top: int) -> list[int]:
-    """By connector count r < top, the labelled linear families, covering or
-    not, that one permutation of cycle type expo fixes, its fixed points
-    first; memo is the memo of _linear_families."""
+@functools.cache
+def _fixed_families(expo) -> tuple:
+    """The nonzero (r, n): n labelled linear families with r connectors,
+    covering or not, that one permutation of cycle type expo fixes, its
+    fixed points first.  expo has no trailing zero multiplicity, so one
+    entry serves every coatom count."""
     perm = []
     for length, m in enumerate(expo, 1):
         for start in range(len(perm), len(perm) + m * length, length):
             perm += [*range(start + 1, start + length), start]
+    fixed = expo[0] if expo else 0
+    top = len(perm) * (len(perm) - 1) // 2 + 1
     orbits = _linear_orbits(perm)
     later = [sum(1 << k for k in range(j + 1, len(orbits)) if not pairs & orbits[k][0])
              for j, (pairs, _size) in enumerate(orbits)]
     # a union's tally key: its connector count r in the low bits, the pairs
     # it holds inside the fixed points F above them
     shift = top.bit_length()
-    adds = [(pairs & _pairs((1 << expo[0]) - 1)) << shift for pairs, _size in orbits]
+    adds = [(pairs & _pairs((1 << fixed) - 1)) << shift for pairs, _size in orbits]
 
     @functools.cache
     def unions(cand):
@@ -480,13 +491,17 @@ def _fixed_families(expo, memo, top: int) -> list[int]:
     for key, ways in unions((1 << len(orbits)) - 1).items():
         held, r = divmod(key, 1 << shift)
         if held not in on_fixed:
-            adj = [sum(1 << k for k in range(expo[0]) if held & _pairs(1 << i | 1 << k))
-                   for i in range(expo[0])]
-            on_fixed[held] = _linear_families(_by_degree(adj), memo, top)
+            adj = [sum(1 << k for k in range(fixed) if held & _pairs(1 << i | 1 << k))
+                   for i in range(fixed)]
+            on_fixed[held] = _linear_families(_by_degree(adj))
         for rf, n in enumerate(on_fixed[held][:top - r]):
             out[r + rf] += ways * n
     unions.cache_clear()
-    return out
+    return tuple((r, n) for r, n in enumerate(out) if n)
+
+
+# bound once, so a failed gate empties this cache even while the name is rebound
+_forget_fixed_families = _fixed_families.cache_clear
 
 
 @functools.cache
@@ -497,38 +512,44 @@ def fixed_family_counts(coatom_count: int):
     fix(r, s) the labelled families with r connectors and s uncovered
     coatoms fixed by one permutation of that type; summed over r + s = k
     this is the Q[k] of pipeline's count, by Burnside's lemma.  Computed
-    on first use per c, without a census or a search.  Each (r, s) must
-    sum, over the types, to c! times its classes (the orbit-counting
-    identity); a cell that does not raises ArithmeticError and nothing is
+    on first use per c, without a census or a search.  The sub-types'
+    counts (_fixed_families) are kept for the process and shared by every
+    c; the point-elimination memo (_linear_families) is emptied when each
+    call returns or raises.  Each (r, s) must sum, over the types, to c!
+    times its classes (the orbit-counting identity); a cell that does not
+    raises ArithmeticError, and neither this count nor any sub-type's is
     cached.
     """
     c = coatom_count
     if c < 1:
         raise ValueError("coatom count must be positive")
-    top, memo, fixes = c * (c - 1) // 2 + 1, {}, {}
     out, cells = {}, collections.Counter()
-    for expo, size in symmetric_cycle_index(c).counts:
-        tally = collections.Counter()
-        # inclusion-exclusion over the cycles kept bare (see above)
-        for bare in itertools.product(*(range(m + 1) for m in expo)):
-            poly = {0: size * math.prod(map(math.comb, expo, bare))}
-            for i, k in enumerate(bare, 1):
-                for _ in range(k):    # poly times x^i - 1
-                    step = {s: -n for s, n in poly.items()}
-                    for s, n in poly.items():
-                        step[s + i] = step.get(s + i, 0) + n
-                    poly = step
-            rest = tuple(m - k for m, k in zip(expo, bare))
-            if rest not in fixes:    # its nonzero (r, families covering or not)
-                fixes[rest] = [(r, n) for r, n in enumerate(_fixed_families(rest, memo, top)) if n]
-            for r, n in fixes[rest]:
-                for s, p in poly.items():
-                    tally[r, s] += n * p
-        out[expo] = types.MappingProxyType({cell: n for cell, n in tally.items() if n})
-        cells.update(out[expo])
+    try:
+        for expo, size in symmetric_cycle_index(c).counts:
+            tally = collections.Counter()
+            # inclusion-exclusion over the cycles kept bare (see above)
+            for bare in itertools.product(*(range(m + 1) for m in expo)):
+                poly = {0: size * math.prod(map(math.comb, expo, bare))}
+                for i, k in enumerate(bare, 1):
+                    for _ in range(k):    # poly times x^i - 1
+                        step = {s: -n for s, n in poly.items()}
+                        for s, n in poly.items():
+                            step[s + i] = step.get(s + i, 0) + n
+                        poly = step
+                rest = [m - k for m, k in zip(expo, bare)]
+                while rest and not rest[-1]:
+                    rest.pop()
+                for r, n in _fixed_families(tuple(rest)):
+                    for s, p in poly.items():
+                        tally[r, s] += n * p
+            out[expo] = types.MappingProxyType({cell: n for cell, n in tally.items() if n})
+            cells.update(out[expo])
+    finally:
+        _linear_families.cache_clear()
     order = math.factorial(c)
     for (r, s), n in sorted(cells.items()):
         if n % order:
+            _forget_fixed_families()
             raise ArithmeticError("the cycle types' fixed families with %d connectors and %d "
                                   "uncovered coatoms add up to %d, which %d! does not divide"
                                   % (r, s, n, c))

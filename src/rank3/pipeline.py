@@ -22,8 +22,8 @@ instead of the classes, the cell (lambda, r, s) is |C_lambda| times the
 labelled families with r connectors and s uncovered coatoms fixed by
 one permutation of type lambda (Burnside's lemma; |C_lambda| the class
 size), which genconn.fixed_family_counts counts by orbits of
-connectors, with no census and no search: c = 7 in about 0.05 s, c = 8
-in 0.2 s, c = 9 in 1.5 s and c = 10 in about half a minute, in one process.
+connectors, with no census and no search: c = 7 in about 0.03 s, c = 8
+in 0.15 s, c = 9 in 1.2 s and c = 10 in 16-20 s, in one process.
 Its MemoStats carry the class count alone.
 
 Graphs passed in or read are checked and searched on every usable CPU.
@@ -48,14 +48,20 @@ takes its cells from fixed_family_counts, which checks the
 orbit-counting identity: in each (r, s) the cells of all cycle types
 add up to c! times the classes, a multiple of c!.
 
+Both paths substitute through polya's one denominator: the polynomials
+summed into one numerator N over D = prod_i (1 - x^i)^M_i, M_i the
+largest m_i of any type, and N / D expanded by sum_i M_i running sums.
 The polynomials of c are the same for every a, and the first n terms of
 their truncated series do not depend on where it is truncated.  So the
-generated path of c is cached per process in one entry: its polynomials,
-its MemoStats and the longest series substituted so far.  Repeated counts
-for one c count its polynomials once, and a count the series already
-covers is a copy of its first a + 1 terms; a longer one substitutes again
-to at least twice the old length.  Graphs passed in explicitly bypass the
-cache.
+generated path of c is cached per process in one entry: N, D's
+exponents, its MemoStats and the longest series expanded so far.
+Repeated counts for one c count its polynomials once, and a count the
+series already covers is a copy of its first a + 1 terms; a longer one
+expands N / D again, to at least twice the old length, which costs only
+the running sums.  The sub-type counts behind the cells are kept for
+the process in genconn, and its point-elimination memo is freed after
+each count (see genconn.fixed_family_counts).  Graphs passed in
+explicitly bypass the cache.
 """
 
 import csv
@@ -67,7 +73,7 @@ from dataclasses import dataclass, field
 
 from .bigraph import _coatom_search, _group_of_winners, graph6_decode, validate_connection_graph
 from .genconn import _in_shares, atomic_open, count_r_s, fixed_family_counts, graph_file_name
-from .polya import cycle_index, substitute_cycle_types
+from .polya import cycle_index, expand_rational, one_denominator
 
 
 class GraphInputError(ValueError):
@@ -231,7 +237,7 @@ def _terms(coatom_count: int, cells) -> tuple:
     return tuple(terms)
 
 
-# coatom count -> (Q terms, MemoStats, the longest series substituted so far)
+# coatom count -> (N, D's exponents, MemoStats, the longest series substituted so far)
 _generated = {}
 
 
@@ -274,20 +280,22 @@ def count_lattices_stats(coatom_count: int, max_atoms: int, graphs=None,
     if graphs is not None:
         cells, stats = _fold_profile(c, graphs)
         _check_cells(c, cells)
-        values = substitute_cycle_types(_terms(c, cells), math.factorial(c), max_atoms + 1)
+        values = expand_rational(*one_denominator(_terms(c, cells)), math.factorial(c),
+                                 max_atoms + 1)
         return CountTable(c, max_atoms, values), stats
     if c in _generated:
-        terms, stats, series = _generated[c]
+        numerator, exponents, stats, series = _generated[c]
     else:
         terms = _terms(c, fixed_family_counts(c))
         # the cells of every type add up to c! times the classes
         stats = MemoStats(sum(sum(q) for _expo, q in terms) // math.factorial(c), None, None)
+        numerator, exponents = one_denominator(terms)
         series = []
     if len(series) <= max_atoms:
         # stored once substituted, so a substitution that raises leaves the entry as it was
         length = max(max_atoms + 1, 2 * len(series))
-        series = substitute_cycle_types(terms, math.factorial(c), length)
-        _generated[c] = terms, stats, series
+        series = expand_rational(numerator, exponents, math.factorial(c), length)
+        _generated[c] = numerator, exponents, stats, series
     return CountTable(c, max_atoms, series[:max_atoms + 1]), stats
 
 

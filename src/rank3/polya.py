@@ -7,6 +7,14 @@ index of G, kept as integers: |G| and the number of elements of each
 cycle type.  substitute_cycle_types is the one such substitution, for
 group_balls and the count tables alike; its division is checked exact,
 so a bug upstream surfaces as an integrality failure, not a rounding one.
+
+It puts every cycle type over one denominator D = prod_i (1 - x^i)^M_i,
+M_i the largest multiplicity of i among the types, so the sum is one
+finite numerator N over D (one_denominator), and its series costs
+sum_i M_i running-sum passes (expand_rational) instead of one pass per
+cycle of every type: 10 against 20 for S_5, 27 against 192 for S_10.
+pipeline keeps N and D's exponents per coatom count for the process, so
+a longer series pays only the passes; nothing here is cached.
 """
 
 import math
@@ -87,19 +95,36 @@ def _geometric_mul(coeffs: list[int], stride: int) -> None:
         coeffs[start::stride] = accumulate(coeffs[start::stride])
 
 
-def substitute_cycle_types(terms, divisor: int, length: int) -> list[int]:
-    """(1/divisor) * sum of Q(x) * prod_i (1 - x^i)^(-m_i) over (cycle type, Q) ``terms``.
+def one_denominator(terms) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    """(N, (M_1, ..., M_c)): the (cycle type, Q) ``terms`` over one denominator.
 
-    A cycle type is the exponent tuple (m_1, ..., m_c).  The sum is
-    truncated to ``length`` terms, and its division is checked exact.
+    Each type (m_1, ..., m_c) stands for Q(x) / D_m with D_m = prod_i (1 - x^i)^m_i.
+    Over D = prod_i (1 - x^i)^M_i, M_i the largest m_i of any type, their
+    sum is N / D with the finite polynomial N = sum of Q * D / D_m.
     """
-    total = [0] * length
-    for expo, coeffs in terms:
-        term = list(coeffs[:length]) + [0] * (length - len(coeffs))
-        for stride, m in enumerate(expo, 1):
-            for _ in range(m):
-                _geometric_mul(term, stride)
-        total = [t + x for t, x in zip(total, term)]
+    terms = [(expo, list(q)) for expo, q in terms]
+    top = [max(m) for m in zip(*(expo for expo, _q in terms))]
+    numerator = []
+    for expo, poly in terms:
+        for i, (most, m) in enumerate(zip(top, expo), 1):
+            for _ in range(most - m):    # poly times 1 - x^i
+                poly = [a - b for a, b in zip(poly + [0] * i, [0] * i + poly)]
+        numerator += [0] * (len(poly) - len(numerator))
+        numerator[:len(poly)] = [a + b for a, b in zip(numerator, poly)]
+    return tuple(numerator), tuple(top)
+
+
+def expand_rational(numerator, exponents, divisor: int, length: int) -> list[int]:
+    """The first ``length`` terms of (1/divisor) N / prod_i (1 - x^i)^M_i.
+
+    N is ``numerator`` and (M_1, ..., M_c) ``exponents``, as one_denominator
+    gives them.  Each geometric pass at index k reads only indices up to k,
+    so N is truncated to ``length`` first; the division is checked exact.
+    """
+    total = list(numerator[:length]) + [0] * (length - len(numerator))
+    for stride, m in enumerate(exponents, 1):
+        for _ in range(m):
+            _geometric_mul(total, stride)
     out = []
     for value in total:
         q, rem = divmod(value, divisor)
@@ -109,6 +134,16 @@ def substitute_cycle_types(terms, divisor: int, length: int) -> list[int]:
     return out
 
 
+def substitute_cycle_types(terms, divisor: int, length: int) -> list[int]:
+    """(1/divisor) * sum of Q(x) * prod_i (1 - x^i)^(-m_i) over (cycle type, Q) ``terms``.
+
+    A cycle type is the exponent tuple (m_1, ..., m_c).  The sum is
+    truncated to ``length`` terms, and its division is checked exact: one
+    expand_rational of the terms over one_denominator.
+    """
+    return expand_rational(*one_denominator(terms), divisor, length)
+
+
 def group_balls(zindex: CycleIndex, boxes: int, max_balls: int) -> list[int]:
     """Numbers of orbit-distinct fillings of ``boxes`` boxes with 0..max_balls balls.
 
@@ -116,8 +151,8 @@ def group_balls(zindex: CycleIndex, boxes: int, max_balls: int) -> list[int]:
     boxes, two distributions identified when some group element (via the
     cycle index) carries one to the other.  This is the substitution
     Z(A(x), A(x^2), ..., A(x^c)) with A(x) = 1 + x + x^2 + ..., truncated
-    at max_balls.  Each cycle type's series is weighted by its element
-    count, and the sum is divided by |G|, asserting exact divisibility.
+    at max_balls.  Each cycle type is weighted by its element count, and
+    the sum is divided by |G|, asserting exact divisibility.
     """
     if zindex.degree != boxes:
         raise ValueError("cycle index has degree %d, not %d" % (zindex.degree, boxes))

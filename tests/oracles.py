@@ -1,4 +1,7 @@
-"""Plain oracles shared by the test files: coatom relabelling and the labelled families."""
+"""Plain oracles shared by the test files: coatom relabelling, the labelled
+families and the cycle-type substitution."""
+
+from itertools import accumulate
 
 
 def map_mask(mask, perm):
@@ -37,3 +40,25 @@ def plain_validate_connection_graph(graph):
             if (m & masks[k]).bit_count() > 1:
                 raise ValueError(
                     "connectors %d and %d share more than one coatom" % (k, j))
+
+
+def substitute_per_type(terms, divisor, length):
+    """Oracle: (1/divisor) * sum of Q(x) * prod_i (1 - x^i)^(-m_i) over
+    (cycle type, Q) terms, each type's series expanded over its own
+    denominator by m_i running sums of step i, truncated to ``length`` terms;
+    the division is checked exact."""
+    total = [0] * length
+    for expo, coeffs in terms:
+        term = list(coeffs[:length]) + [0] * (length - len(coeffs))
+        for stride, m in enumerate(expo, 1):
+            for _ in range(m):
+                for start in range(stride):
+                    term[start::stride] = accumulate(term[start::stride])
+        total = [t + x for t, x in zip(total, term)]
+    out = []
+    for value in total:
+        q, rem = divmod(value, divisor)
+        if rem:
+            raise ArithmeticError("coefficient %d not divisible by %d" % (value, divisor))
+        out.append(q)
+    return out

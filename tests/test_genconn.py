@@ -29,6 +29,12 @@ from reference_values import GRAPH_CENSUS, PER_R_COUNTS, R_TABLE
 C9_CELLS_SHA256 = "d148c4f2597ab81764289199e58d43dd6ae2e3a16a297d0c8af28c4c1199ff62"
 
 
+def cells_sha256(cells):
+    """sha256 of repr(sorted((cycle type, sorted cells))) of a cell table."""
+    text = repr(sorted((expo, sorted(by_cell.items())) for expo, by_cell in cells.items()))
+    return hashlib.sha256(text.encode()).hexdigest()
+
+
 def census_bytes(directory):
     """Every file of a census directory, name -> bytes."""
     return {p.name: p.read_bytes() for p in directory.iterdir()}
@@ -183,9 +189,22 @@ class TestGeneration:
     def test_nine_coatom_cells(self):
         # every (cycle type, r, s) cell at c = 9, shared through the cache with
         # test_acceptance's published R(9, a)
-        cells = fixed_family_counts(9)
-        text = repr(sorted((expo, sorted(by_cell.items())) for expo, by_cell in cells.items()))
-        assert hashlib.sha256(text.encode()).hexdigest() == C9_CELLS_SHA256
+        assert cells_sha256(fixed_family_counts(9)) == C9_CELLS_SHA256
+
+    def test_cells_do_not_depend_on_count_order(self):
+        # the sub-types' counts are kept for the process and shared by every
+        # c: from empty sub-type caches, c = 8 down to 1 gives the cells of
+        # c = 1 up to 8 (the per-c cache is bypassed, so both orders count)
+        genconn = rank3.genconn
+        hashes = {}
+        for order in range(8, 0, -1), range(1, 9):
+            genconn._fixed_families.cache_clear()
+            genconn._linear_families.cache_clear()
+            hashes[order.step] = {c: cells_sha256(fixed_family_counts.__wrapped__(c))
+                                  for c in order}
+            assert genconn._linear_families.cache_info().currsize == 0
+        assert hashes[-1] == hashes[1]
+        assert hashes[1] == {c: cells_sha256(fixed_family_counts(c)) for c in range(1, 9)}
 
     @pytest.mark.slow
     def test_orbit_stabiliser_at_seven_coatoms(self, graphs_c7):

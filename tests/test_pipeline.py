@@ -166,8 +166,7 @@ class TestCycleTypes:
         # Q at type t_1^m_1 ... t_c^m_c is |C| times the labelled families
         # fixed by one permutation of that type, |C| its conjugacy class size;
         # the identity fixes every labelled family (counted in test_genconn)
-        rank3.count_lattices(c, 0)
-        terms, _stats, _series = rank3.pipeline._generated[c]
+        terms = rank3.pipeline._terms(c, rank3.genconn.fixed_family_counts(c))
         for expo, q in terms:
             centraliser = math.prod(i ** m * math.factorial(m) for i, m in enumerate(expo, 1))
             assert all(coeff % (math.factorial(c) // centraliser) == 0 for coeff in q)
@@ -197,13 +196,13 @@ def generations(monkeypatch):
 def substitutions(monkeypatch, generations):
     """The lengths of the substitutions the count makes, in order, from an empty cache."""
     lengths = []
-    substitute = rank3.pipeline.substitute_cycle_types
+    expand = rank3.pipeline.expand_rational
 
-    def counting(terms, divisor, length):
+    def counting(numerator, exponents, divisor, length):
         lengths.append(length)
-        return substitute(terms, divisor, length)
+        return expand(numerator, exponents, divisor, length)
 
-    monkeypatch.setattr(rank3.pipeline, "substitute_cycle_types", counting)
+    monkeypatch.setattr(rank3.pipeline, "expand_rational", counting)
     return lengths
 
 
@@ -269,13 +268,13 @@ class TestProfileCache:
         assert substitutions == [1001]
 
     def test_failed_substitution_leaves_no_entry(self, monkeypatch, substitutions):
-        counting = rank3.pipeline.substitute_cycle_types
+        counting = rank3.pipeline.expand_rational
 
-        def fails_once(terms, divisor, length):
-            monkeypatch.setattr(rank3.pipeline, "substitute_cycle_types", counting)
+        def fails_once(numerator, exponents, divisor, length):
+            monkeypatch.setattr(rank3.pipeline, "expand_rational", counting)
             raise ArithmeticError("substitution interrupted")
 
-        monkeypatch.setattr(rank3.pipeline, "substitute_cycle_types", fails_once)
+        monkeypatch.setattr(rank3.pipeline, "expand_rational", fails_once)
         with pytest.raises(ArithmeticError, match="interrupted"):
             rank3.count_lattices(3, 8)
         assert 3 not in rank3.pipeline._generated
@@ -286,10 +285,10 @@ class TestProfileCache:
         want = rank3.count_lattices(4, 30).values
         entry = rank3.pipeline._generated[4]
 
-        def fails(terms, divisor, length):
+        def fails(numerator, exponents, divisor, length):
             raise ArithmeticError("substitution interrupted")
 
-        monkeypatch.setattr(rank3.pipeline, "substitute_cycle_types", fails)
+        monkeypatch.setattr(rank3.pipeline, "expand_rational", fails)
         with pytest.raises(ArithmeticError, match="interrupted"):
             rank3.count_lattices(4, 31)
         assert rank3.pipeline._generated[4] is entry
@@ -356,10 +355,24 @@ class TestCellGate:
 
 @pytest.fixture
 def fresh_fixed_counts():
-    """fixed_family_counts' cache emptied before and after the test."""
-    rank3.genconn.fixed_family_counts.cache_clear()
-    yield
-    rank3.genconn.fixed_family_counts.cache_clear()
+    """The caches of fixed_family_counts and its sub-type counts emptied before
+    and after the test, so no count cached earlier hides a mutant and no
+    mutant's count outlives the test.  Yields the caches."""
+    genconn = rank3.genconn
+    caches = genconn.fixed_family_counts, genconn._fixed_families, genconn._linear_families
+    for cache in caches:
+        cache.cache_clear()
+    yield caches
+    for cache in caches:
+        cache.cache_clear()
+
+
+def _count_after_failed_gate(monkeypatch, caches):
+    """Nothing cached once the gate raised, and unpatched, the count is right."""
+    assert [cache.cache_info().currsize for cache in caches] == [0, 0, 0]
+    monkeypatch.undo()
+    values = rank3.count_lattices(5, 10).values
+    assert values[1:] == [R_TABLE[5][a] for a in range(1, 11)]
 
 
 def _identity_message(c, graphs, cell, offset):
@@ -382,18 +395,18 @@ class TestOrbitCountingGate:
         # its class of 10 puts that cell 10 off
         fixed = rank3.genconn._fixed_families
 
-        def off_by_one(expo, memo, top):
-            out = fixed(expo, memo, top)
-            if expo == (3, 1, 0, 0, 0):
-                out[4] += 1
-            return out
+        def off_by_one(expo):
+            out = dict(fixed(expo))
+            if expo == (3, 1):
+                out[4] = out.get(4, 0) + 1
+            return tuple(out.items())
 
         monkeypatch.setattr(rank3.genconn, "_fixed_families", off_by_one)
         with pytest.raises(ArithmeticError) as info:
             rank3.count_lattices(5, 10)
         assert str(info.value) == _identity_message(5, graphs_by_c[5], (4, 0), 10)
         assert 5 not in rank3.pipeline._generated
-        assert rank3.genconn.fixed_family_counts.cache_info().currsize == 0
+        _count_after_failed_gate(monkeypatch, fresh_fixed_counts)
 
     def test_dropped_orbit_rejected_on_generated_path(self, monkeypatch, graphs_by_c,
                                                       generations, fresh_fixed_counts):
@@ -414,7 +427,7 @@ class TestOrbitCountingGate:
             rank3.count_lattices(5, 10)
         assert str(info.value) == _identity_message(5, graphs_by_c[5], (2, 0), -10)
         assert 5 not in rank3.pipeline._generated
-        assert rank3.genconn.fixed_family_counts.cache_info().currsize == 0
+        _count_after_failed_gate(monkeypatch, fresh_fixed_counts)
 
     # The gate cannot catch a sign flip in the inclusion-exclusion, prod
     # (x^i + 1)^k_i for prod (x^i - 1)^k_i.  Each fixed family then counts

@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 import rank3
 from rank3.polya import _geometric_mul
 
+from oracles import substitute_per_type
 from reference_values import PATH4_BALLS
 
 
@@ -27,6 +28,27 @@ def orbit_count_oracle(group, total):
 
 def symmetric_group(n):
     return rank3.PermGroup(n, list(itertools.permutations(range(n))))
+
+
+def generated_group(degree, generators):
+    """The permutation group on degree points that generators generate."""
+    elements, frontier = {tuple(range(degree))}, [tuple(range(degree))]
+    while frontier:
+        p = frontier.pop()
+        for g in generators:
+            q = tuple(g[i] for i in p)
+            if q not in elements:
+                elements.add(q)
+                frontier.append(q)
+    return rank3.PermGroup(degree, sorted(elements))
+
+
+def outcome(substitute, *args):
+    """The substitution's series, or the message of its ArithmeticError."""
+    try:
+        return substitute(*args)
+    except ArithmeticError as exc:
+        return str(exc)
 
 
 def coefficients(z):
@@ -155,3 +177,33 @@ class TestFunctionCountingSeries:
         z = rank3.CycleIndex(1, 2, (((1,), 1),))
         with pytest.raises(ArithmeticError):
             rank3.group_balls(z, 1, 3)
+
+
+class TestOneDenominator:
+    """substitute_cycle_types puts every type over one denominator; the
+    oracle expands each type over its own."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(data=st.data())
+    def test_equals_per_type_substitution(self, data):
+        degree = data.draw(st.integers(1, 5))
+        expo = st.tuples(*[st.integers(0, 3)] * degree)
+        terms = data.draw(st.lists(st.tuples(expo, st.lists(st.integers(-40, 40), max_size=12)),
+                                   max_size=6))
+        numerator, _exponents = rank3.polya.one_denominator(terms)
+        # lengths on both sides of N's length, where truncating N first matters
+        length = data.draw(st.integers(0, len(numerator) + 6))
+        divisor = data.draw(st.integers(1, 4))
+        assert outcome(rank3.polya.substitute_cycle_types, terms, divisor, length) == \
+            outcome(substitute_per_type, terms, divisor, length)
+
+    @settings(max_examples=150, deadline=None)
+    @given(data=st.data())
+    def test_group_balls_equal_per_type_substitution(self, data):
+        degree = data.draw(st.integers(1, 5))
+        generators = data.draw(st.lists(st.permutations(range(degree)), max_size=3))
+        z = rank3.cycle_index(generated_group(degree, generators))
+        max_balls = data.draw(st.integers(0, 30))
+        terms = [(expo, [count]) for expo, count in z.counts]
+        assert rank3.group_balls(z, degree, max_balls) == \
+            substitute_per_type(terms, z.order, max_balls + 1)
