@@ -27,12 +27,14 @@ process, and c = 8 47-51 s against 99 s.
 fixed_family_counts counts, without a census, the labelled families each
 cycle type of S_c fixes, per connector count and uncovered coatoms: by
 Burnside's lemma these are the count's polynomials, so a count without
-graphs needs no census, and a count of graphs must fold to the same cells.
-It keeps for the process its cells per c and, shared by every c, each
+graphs needs no census, and a count of graphs is a gated check: its fold
+must give the same cells.  It keeps no cells per c (pipeline keeps one
+entry per c); what it keeps for the process, shared by every c, is each
 sub-type's fixed families covering or not (_fixed_families, keyed by the
 cycle type without trailing zero multiplicities, so a sub-type of S_4
-serves S_5 as well: 139 entries up to c = 10).  The point-elimination
-memo (_linear_families) is freed when each count returns or raises; at
+serves S_5 as well: 139 entries up to c = 10), from which a call
+assembles its cells afresh.  The point-elimination memo
+(_linear_families) is freed when each count returns or raises; at
 c = 10 it is the identity's 7.9 s and most of its memory.  A count that
 fails its gate frees the sub-type counts too.
 
@@ -51,7 +53,6 @@ import math
 import os
 import signal
 import threading
-import types
 
 from .bigraph import BicoloredGraph, _coatom_search, _members, _pairs, graph6_encode
 from .polya import symmetric_cycle_index
@@ -155,7 +156,9 @@ def _classes(coatom_count: int):
     pool = sorted((m for m in range(1 << c) if m.bit_count() >= 2),
                   key=int.bit_count, reverse=True)
     pairs = {m: _pairs(m) for m in pool}
-    flipped = {m: int(format(m, "0%db" % c)[::-1], 2) for m in pool}
+    # each mask with its c bits reversed, in bytes of one width
+    width = (c + 7) // 8
+    flipped = {m: int(format(m, "0%db" % c)[::-1], 2).to_bytes(width, "big") for m in pool}
     unit = [1 << i for i in range(c)]
     swaps = tuple(tuple(unit[:i] + [unit[i + 1], unit[i]] + unit[i + 2:]) for i in range(c - 1))
     level = [((), swaps)]
@@ -172,8 +175,10 @@ def _classes(coatom_count: int):
                 seen.setdefault(form, images)
         del found
         # for equal c and r, graph6 byte order is the order of the mask
-        # tuples with each mask's c bits reversed
-        level = sorted(seen.items(), key=lambda item: tuple(map(flipped.__getitem__, item[0])))
+        # tuples with each mask's c bits reversed, so of those masks packed
+        # into one integer per class, the first highest
+        level = sorted(seen.items(), key=lambda item: int.from_bytes(
+            b"".join(map(flipped.__getitem__, item[0])), "big"))
         del seen    # the stratum is in level alone while it is yielded
         yield from level
 
@@ -504,21 +509,19 @@ def _fixed_families(expo) -> tuple:
 _forget_fixed_families = _fixed_families.cache_clear
 
 
-@functools.cache
-def fixed_family_counts(coatom_count: int):
-    """{cycle type: {(r, s): |C| fix(r, s)}}, read-only, nonzero cells only.
+def fixed_family_counts(coatom_count: int) -> dict:
+    """{cycle type: {(r, s): |C| fix(r, s)}}, nonzero cells only, new on every call.
 
     For each cycle type (m_1, ..., m_c) of S_c, |C| is its class size and
     fix(r, s) the labelled families with r connectors and s uncovered
     coatoms fixed by one permutation of that type; summed over r + s = k
-    this is the Q[k] of pipeline's count, by Burnside's lemma.  Computed
-    on first use per c, without a census or a search.  The sub-types'
-    counts (_fixed_families) are kept for the process and shared by every
-    c; the point-elimination memo (_linear_families) is emptied when each
-    call returns or raises.  Each (r, s) must sum, over the types, to c!
-    times its classes (the orbit-counting identity); a cell that does not
-    raises ArithmeticError, and neither this count nor any sub-type's is
-    cached.
+    this is the Q[k] of pipeline's count, by Burnside's lemma, without a
+    census or a search.  The sub-types' counts (_fixed_families) are kept
+    for the process and shared by every c, so a later call only assembles
+    the cells; the point-elimination memo (_linear_families) is emptied
+    when each call returns or raises.  Each (r, s) must sum, over the
+    types, to c! times its classes (the orbit-counting identity); a cell
+    that does not raises ArithmeticError, and no sub-type's count is kept.
     """
     c = coatom_count
     if c < 1:
@@ -542,7 +545,7 @@ def fixed_family_counts(coatom_count: int):
                 for r, n in _fixed_families(tuple(rest)):
                     for s, p in poly.items():
                         tally[r, s] += n * p
-            out[expo] = types.MappingProxyType({cell: n for cell, n in tally.items() if n})
+            out[expo] = {cell: n for cell, n in tally.items() if n}
             cells.update(out[expo])
     finally:
         _linear_families.cache_clear()
@@ -553,7 +556,7 @@ def fixed_family_counts(coatom_count: int):
             raise ArithmeticError("the cycle types' fixed families with %d connectors and %d "
                                   "uncovered coatoms add up to %d, which %d! does not divide"
                                   % (r, s, n, c))
-    return types.MappingProxyType(out)
+    return out
 
 
 # -- brute-force oracle --------------------------------------------------------

@@ -38,30 +38,31 @@ process.  If the input itself raises, the graphs taken before it are
 checked first, so the first error is the one a graph-by-graph count
 meets.
 
-Every count of graphs is gated after its fold: its cells must equal
-those of genconn.fixed_family_counts, cell by cell, the identity's
+Every count of graphs is a gated check: after its fold its cells must
+equal those of genconn.fixed_family_counts, cell by cell, the identity's
 first.  A class G stands for c!/|Aut G| labelled families, so a missing
 class (a stratum truncated with its manifest line) breaks the
 identity's cells, the labelled families; a group of the right order
-with the wrong elements breaks another type's.  A count without graphs
-takes its cells from fixed_family_counts, which checks the
-orbit-counting identity: in each (r, s) the cells of all cycle types
-add up to c! times the classes, a multiple of c!.
+with the wrong elements breaks another type's.  The cells of
+fixed_family_counts are checked by the orbit-counting identity: in each
+(r, s) the cells of all cycle types add up to c! times the classes, a
+multiple of c!.
 
-Both paths substitute through polya's one denominator: the polynomials
-summed into one numerator N over D = prod_i (1 - x^i)^M_i, M_i the
-largest m_i of any type, and N / D expanded by sum_i M_i running sums.
-The polynomials of c are the same for every a, and the first n terms of
-their truncated series do not depend on where it is truncated.  So the
-generated path of c is cached per process in one entry: N, D's
-exponents, its MemoStats and the longest series expanded so far.
-Repeated counts for one c count its polynomials once, and a count the
-series already covers is a copy of its first a + 1 terms; a longer one
-expands N / D again, to at least twice the old length, which costs only
-the running sums.  The sub-type counts behind the cells are kept for
-the process in genconn, and its point-elimination memo is freed after
-each count (see genconn.fixed_family_counts).  Graphs passed in
-explicitly bypass the cache.
+The table comes from those cells, with or without graphs: the
+polynomials summed into one numerator N over polya's one denominator
+D = prod_i (1 - x^i)^M_i, M_i the largest m_i of any type, and N / D
+expanded by sum_i M_i running sums.  The polynomials of c are the same
+for every a, and the first n terms of their truncated series do not
+depend on where it is truncated.  So each c has one entry per process:
+its cells, N, D's exponents, its MemoStats and the longest series
+expanded so far.  A count of graphs gates its fold on the entry's cells
+and returns the fold's MemoStats with a slice of the entry's series.
+Repeated counts for one c count its cells once, and a count the series
+already covers is a copy of its first a + 1 terms; a longer one expands
+N / D again, to at least twice the old length, which costs only the
+running sums.  The sub-type counts behind the cells are kept for the
+process in genconn, and its point-elimination memo is freed after each
+count (see genconn.fixed_family_counts).
 """
 
 import csv
@@ -105,13 +106,12 @@ class MemoStats:
     trivial_action_graphs: int | None
 
 
-def _check_cells(coatom_count: int, cells) -> None:
+def _check_cells(coatom_count: int, cells, want) -> None:
     """GraphInputError naming the first (cycle type, r, s), and both numbers,
-    where a fold's cells (see _fold_profile) differ from
-    genconn.fixed_family_counts: the types in descending order, so the
-    identity's cells, the labelled families, come first."""
+    where a fold's cells (see _fold_profile) differ from ``want``, the
+    cells of genconn.fixed_family_counts: the types in descending order,
+    so the identity's cells, the labelled families, come first."""
     c = coatom_count
-    want = fixed_family_counts(c)
     for expo in sorted(want.keys() | cells.keys(), reverse=True):
         got_cells, want_cells = cells.get(expo, {}), want.get(expo, {})
         for cell in sorted(got_cells.keys() | want_cells.keys()):
@@ -237,7 +237,7 @@ def _terms(coatom_count: int, cells) -> tuple:
     return tuple(terms)
 
 
-# coatom count -> (N, D's exponents, MemoStats, the longest series substituted so far)
+# coatom count -> (cells, N, D's exponents, MemoStats, the longest series substituted so far)
 _generated = {}
 
 
@@ -245,32 +245,33 @@ def count_lattices_stats(coatom_count: int, max_atoms: int, graphs=None,
                          jobs=None) -> tuple[CountTable, MemoStats]:
     """Count table plus the MemoStats of its graphs for one pipeline run.
 
+    Every table is a slice of the coatom count's one entry (see the module
+    docstring): the cells of genconn.fixed_family_counts, made once per
+    process and coatom count, summed into one Q per cycle type and
+    substituted once; a cell that breaks the orbit-counting identity
+    raises ArithmeticError.  The series is substituted again, to at least
+    twice its length, only when a longer table is asked for.  Without
+    ``graphs`` no graph is listed, and the MemoStats hold the class count,
+    with distinct_cycle_indices and trivial_action_graphs None.
+
     ``graphs`` is any iterable of connection graphs forming a complete
-    isomorph-free list for ``coatom_count``.  Every graph passed in or read
-    is checked here: a wrong coatom count, a failed
-    validate_connection_graph or an isomorph of an earlier graph raises
-    GraphInputError naming its 1-based position, and its coatom search gives
-    its group.  Those checks and searches are spread, chunk by chunk, over
-    forked children by genconn._in_shares, whose docstring says when they
-    stay in this process.  One in-order loop in this process is the only
-    place that dedupes and raises, so the result and the error are those
-    of a count in one process; no child outlives the call.  The graphs
-    fold into cells per cycle type, r and s, summed into one Q per cycle
-    type and substituted once as in the module docstring, and every
-    cell is gated on genconn.fixed_family_counts: the first that misses
-    raises GraphInputError.  Without ``graphs`` no graph is
-    listed: the cells are the Burnside counts of
-    genconn.fixed_family_counts, made once per process and coatom count,
-    and a cell that breaks the orbit-counting identity raises
-    ArithmeticError.  Its MemoStats hold the class count, with
-    distinct_cycle_indices and trivial_action_graphs None.  A generated
-    count is a slice of that count's cached series, which is substituted
-    again, to at least twice its length, only when a longer table is asked
-    for.  The returned table and its values are new on every call; the
-    cached series is never handed out.  ``jobs`` is
-    accepted and ignored, because the benchmark's traced replay still passes
-    ``jobs=2``; it does not choose the split, which follows the usable CPUs
-    alone.
+    isomorph-free list for ``coatom_count``; a count of them is a gated
+    check.  Every graph passed in or read is checked here: a wrong coatom
+    count, a failed validate_connection_graph or an isomorph of an earlier
+    graph raises GraphInputError naming its 1-based position, and its
+    coatom search gives its group.  Those checks and searches are spread,
+    chunk by chunk, over forked children by genconn._in_shares, whose
+    docstring says when they stay in this process.  One in-order loop in
+    this process is the only place that dedupes and raises, so the result
+    and the error are those of a count in one process; no child outlives
+    the call.  The graphs fold into cells per cycle type, r and s, and
+    every cell is gated on the entry's: the first that misses raises
+    GraphInputError.  The MemoStats are then the fold's.
+
+    The returned table and its values are new on every call; the entry is
+    never handed out.  ``jobs`` is accepted and ignored, because the
+    benchmark's traced replay still passes ``jobs=2``; it does not choose
+    the split, which follows the usable CPUs alone.
     """
     if coatom_count < 1:
         raise ValueError("coatom count must be positive")
@@ -279,24 +280,25 @@ def count_lattices_stats(coatom_count: int, max_atoms: int, graphs=None,
     c = coatom_count
     if graphs is not None:
         cells, stats = _fold_profile(c, graphs)
-        _check_cells(c, cells)
-        values = expand_rational(*one_denominator(_terms(c, cells)), math.factorial(c),
-                                 max_atoms + 1)
-        return CountTable(c, max_atoms, values), stats
     if c in _generated:
-        numerator, exponents, stats, series = _generated[c]
+        want, numerator, exponents, generated, series = _generated[c]
     else:
-        terms = _terms(c, fixed_family_counts(c))
+        want = fixed_family_counts(c)
+        terms = _terms(c, want)
         # the cells of every type add up to c! times the classes
-        stats = MemoStats(sum(sum(q) for _expo, q in terms) // math.factorial(c), None, None)
+        generated = MemoStats(sum(sum(q) for _expo, q in terms) // math.factorial(c), None, None)
         numerator, exponents = one_denominator(terms)
         series = []
     if len(series) <= max_atoms:
         # stored once substituted, so a substitution that raises leaves the entry as it was
         length = max(max_atoms + 1, 2 * len(series))
         series = expand_rational(numerator, exponents, math.factorial(c), length)
-        _generated[c] = numerator, exponents, stats, series
-    return CountTable(c, max_atoms, series[:max_atoms + 1]), stats
+        _generated[c] = want, numerator, exponents, generated, series
+    table = CountTable(c, max_atoms, series[:max_atoms + 1])
+    if graphs is None:
+        return table, generated
+    _check_cells(c, cells, want)
+    return table, stats
 
 
 def count_lattices(coatom_count: int, max_atoms: int, graphs=None) -> CountTable:

@@ -4,17 +4,16 @@ Distributing n unlabelled balls into c boxes, two fillings being equal
 when a permutation group G on the boxes maps one to the other, is counted
 by substituting the occupancy series 1 + x + x^2 + ... into the cycle
 index of G, kept as integers: |G| and the number of elements of each
-cycle type.  substitute_cycle_types is the one such substitution, for
-group_balls and the count tables alike; its division is checked exact,
-so a bug upstream surfaces as an integrality failure, not a rounding one.
-
-It puts every cycle type over one denominator D = prod_i (1 - x^i)^M_i,
-M_i the largest multiplicity of i among the types, so the sum is one
-finite numerator N over D (one_denominator), and its series costs
-sum_i M_i running-sum passes (expand_rational) instead of one pass per
+cycle type.  One substitution serves group_balls and the count tables
+alike: one_denominator puts every cycle type over one denominator
+D = prod_i (1 - x^i)^M_i, M_i the largest multiplicity of i among the
+types, so the sum is one finite numerator N over D, and expand_rational
+expands it by sum_i M_i running-sum passes instead of one pass per
 cycle of every type: 10 against 20 for S_5, 27 against 192 for S_10.
-pipeline keeps N and D's exponents per coatom count for the process, so
-a longer series pays only the passes; nothing here is cached.
+Its division is checked exact, so a bug upstream surfaces as an
+integrality failure, not a rounding one.  pipeline keeps N and D's
+exponents per coatom count for the process, so a longer series pays
+only the passes; nothing here is cached.
 """
 
 import math
@@ -134,16 +133,6 @@ def expand_rational(numerator, exponents, divisor: int, length: int) -> list[int
     return out
 
 
-def substitute_cycle_types(terms, divisor: int, length: int) -> list[int]:
-    """(1/divisor) * sum of Q(x) * prod_i (1 - x^i)^(-m_i) over (cycle type, Q) ``terms``.
-
-    A cycle type is the exponent tuple (m_1, ..., m_c).  The sum is
-    truncated to ``length`` terms, and its division is checked exact: one
-    expand_rational of the terms over one_denominator.
-    """
-    return expand_rational(*one_denominator(terms), divisor, length)
-
-
 def group_balls(zindex: CycleIndex, boxes: int, max_balls: int) -> list[int]:
     """Numbers of orbit-distinct fillings of ``boxes`` boxes with 0..max_balls balls.
 
@@ -159,5 +148,5 @@ def group_balls(zindex: CycleIndex, boxes: int, max_balls: int) -> list[int]:
     for expo, _count in zindex.counts:
         if len(expo) != boxes or sum(i * m for i, m in enumerate(expo, 1)) != boxes:
             raise ValueError("exponent tuple %r is no cycle type of degree %d" % (expo, boxes))
-    return substitute_cycle_types(((expo, [count]) for expo, count in zindex.counts),
-                                  zindex.order, max_balls + 1)
+    terms = [(expo, [count]) for expo, count in zindex.counts]
+    return expand_rational(*one_denominator(terms), zindex.order, max_balls + 1)

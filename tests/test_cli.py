@@ -65,11 +65,18 @@ class TestCount:
 
     def test_reads_pregenerated_graphs(self, tmp_path, capsys):
         run_cli("generate", "--coatoms", 4, "--out", tmp_path)
-        out = tmp_path / "c4.csv"
+        capsys.readouterr()
+        out, generated = tmp_path / "c4.csv", tmp_path / "c4gen.csv"
         assert run_cli("count", "--coatoms", 4, "--max-atoms", 8,
                        "--graphs", tmp_path, "--out", out) == 0
         table = rank3.read_csv(out, 4)
         assert table.values[1:] == [R_TABLE[4][a] for a in range(1, 9)]
+        # the fold's MemoStats (MEMO_STATS[4]), the one result of the graphs
+        # besides their cell gate, and the bytes of the count without them
+        assert capsys.readouterr().out.splitlines()[-1] == "graphs=16 cycle_indices=6 trivial=0"
+        assert run_cli("count", "--coatoms", 4, "--max-atoms", 8, "--out", generated) == 0
+        assert capsys.readouterr().out.splitlines()[-1] == "graphs=16"
+        assert out.read_bytes() == generated.read_bytes()
 
     def test_missing_graph_directory(self, tmp_path, capsys):
         empty = tmp_path / "nothing"

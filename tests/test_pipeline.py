@@ -138,8 +138,9 @@ class TestCycleTypes:
                 zindex = rank3.cycle_index(rank3.automorphism_group_on_coatoms(graph))
                 cells, _stats = rank3.pipeline._fold_profile(c, [graph])
                 terms = rank3.pipeline._terms(c, cells)
-                assert rank3.polya.substitute_cycle_types(terms, math.factorial(c), 41) == \
-                    [0] * shift + rank3.group_balls(zindex, c, 40 - shift)
+                series = rank3.polya.expand_rational(*rank3.polya.one_denominator(terms),
+                                                     math.factorial(c), 41)
+                assert series == [0] * shift + rank3.group_balls(zindex, c, 40 - shift)
 
     def test_fold_equals_per_graph_fold(self, graphs_by_c, graphs_c7):
         # the fold shares one cycle index among the graphs with the same
@@ -176,9 +177,9 @@ class TestCycleTypes:
 
 @pytest.fixture
 def generations(monkeypatch):
-    """Empty the series cache and count pipeline's calls of
-    fixed_family_counts per coatom count: the generated path's, and the
-    cell gate's on a count of graphs."""
+    """Empty the per-c entries and count pipeline's calls of
+    fixed_family_counts per coatom count: one per entry made, with graphs
+    or without."""
     rank3.pipeline._generated.clear()
     calls = Counter()
     count = rank3.pipeline.fixed_family_counts
@@ -217,9 +218,9 @@ class TestProfileCache:
                 table, stats = rank3.count_lattices_stats(c, 1000)
                 assert (table, stats.graphs_processed) == want
                 assert stats.distinct_cycle_indices is stats.trivial_action_graphs is None
-        # the gate of the count with graphs takes the cells once, the first
-        # generated count once more, from fixed_family_counts' cache
-        assert generations == {c: 2 for c in range(1, 7)}
+        # the count with graphs makes the entry, and its gate and every
+        # generated count share it
+        assert generations == {c: 1 for c in range(1, 7)}
 
     def test_one_generation_per_coatom_count(self, generations):
         for a in (300, 3, 0, 100, 300):
@@ -257,7 +258,8 @@ class TestProfileCache:
         terms = rank3.pipeline._terms(5, rank3.pipeline._fold_profile(5, graphs)[0])
         for a in (100, 50, 100, 150, 300, 301, 20):
             values = rank3.count_lattices(5, a).values
-            assert values == rank3.polya.substitute_cycle_types(terms, 120, a + 1)
+            assert values == rank3.polya.expand_rational(*rank3.polya.one_denominator(terms),
+                                                         120, a + 1)
             assert all(values[n] == want for n, want in R_TABLE[5].items() if n <= a)
         # 150 misses the first 101 terms and doubles them; 300 doubles again
         assert substitutions == [101, 202, 404]
@@ -294,13 +296,22 @@ class TestProfileCache:
         assert rank3.pipeline._generated[4] is entry
         assert rank3.count_lattices(4, 30).values == want
 
-    def test_explicit_graphs_bypass_the_entry(self, graphs_by_c, substitutions):
-        want = rank3.count_lattices(5, 40).values
-        entry = rank3.pipeline._generated[5]
-        rank3.count_lattices(5, 100, graphs_by_c[5])
-        assert rank3.pipeline._generated == {5: entry}
-        assert rank3.count_lattices(5, 40).values == want
-        assert substitutions == [41, 101]
+    def test_explicit_graphs_share_the_entry(self, graphs_by_c, generations, substitutions):
+        # a count of graphs gates its fold on the entry's cells and slices
+        # the entry's series, extending it like any longer request; in
+        # either order the two counts make one entry and one substitution
+        # per length
+        counts = [(40, None), (100, graphs_by_c[5])]
+        for order, lengths in (counts, [41, 101]), (counts[::-1], [101]):
+            rank3.pipeline._generated.clear()
+            generations.clear()
+            substitutions.clear()
+            for a, graphs in order:
+                values = rank3.count_lattices(5, a, graphs).values
+                assert all(values[n] == want for n, want in R_TABLE[5].items() if n <= a)
+            assert substitutions == lengths
+            assert generations == {5: 1}
+            assert len(rank3.pipeline._generated[5][-1]) == 101
 
 
 def _gate_message(c, graph, got_offset=0):
@@ -310,6 +321,16 @@ def _gate_message(c, graph, got_offset=0):
     got = exist - math.factorial(c) // rank3.automorphism_group_on_coatoms(graph).order
     return ("the graphs stand for %d labelled families with %d connectors and %d uncovered "
             "coatoms, but there are %d" % (got + got_offset, r, s, exist))
+
+
+def _counts_after_failed_cell_gate(c, graphs):
+    """In the process where the gate raised, from an entry the failing count
+    made before its gate: a count without graphs is the published one, and
+    a count of the intact census gives the same table."""
+    assert c in rank3.pipeline._generated
+    table = rank3.count_lattices(c, 10)
+    assert table.values[1:] == [R_TABLE[c][a] for a in range(1, 11)]
+    assert rank3.count_lattices(c, 10, graphs) == table
 
 
 class TestCellGate:
@@ -323,9 +344,11 @@ class TestCellGate:
         # labelled sum of the dropped graph's cell can tell
         graphs = list(graphs_by_c[c])
         dropped = graphs.pop(position)
+        rank3.pipeline._generated.pop(c, None)
         with pytest.raises(rank3.GraphInputError) as info:
             rank3.count_lattices(c, 10, graphs)
         assert str(info.value) == _gate_message(c, dropped)
+        _counts_after_failed_cell_gate(c, graphs_by_c[c])
 
     def test_same_order_group_rejected(self, monkeypatch, graphs_by_c):
         # the first group {id, (a b)} is given as {id, (a b)(x y)}: its order,
@@ -345,21 +368,24 @@ class TestCellGate:
             return rank3.PermGroup(c, [range(c), perm])
 
         monkeypatch.setattr(rank3.pipeline, "_group_of_winners", same_order)
+        rank3.pipeline._generated.pop(5, None)
         with pytest.raises(rank3.GraphInputError) as info:
             rank3.count_lattices(5, 60, graphs_by_c[5])
         assert swapped == [[1, 0, 2, 4, 3]]    # (3 4) given as (0 1)(3 4)
         assert str(info.value) == (
             "the graphs stand for 30 families fixed by the permutations of cycle type "
             "(3, 1, 0, 0, 0) with 2 connectors and 1 uncovered coatoms, but there are 90")
+        monkeypatch.undo()
+        _counts_after_failed_cell_gate(5, graphs_by_c[5])
 
 
 @pytest.fixture
 def fresh_fixed_counts():
-    """The caches of fixed_family_counts and its sub-type counts emptied before
-    and after the test, so no count cached earlier hides a mutant and no
-    mutant's count outlives the test.  Yields the caches."""
+    """The sub-type counts behind fixed_family_counts emptied before and after
+    the test, so no count cached earlier hides a mutant and no mutant's
+    count outlives the test.  Yields the caches."""
     genconn = rank3.genconn
-    caches = genconn.fixed_family_counts, genconn._fixed_families, genconn._linear_families
+    caches = genconn._fixed_families, genconn._linear_families
     for cache in caches:
         cache.cache_clear()
     yield caches
@@ -369,7 +395,7 @@ def fresh_fixed_counts():
 
 def _count_after_failed_gate(monkeypatch, caches):
     """Nothing cached once the gate raised, and unpatched, the count is right."""
-    assert [cache.cache_info().currsize for cache in caches] == [0, 0, 0]
+    assert [cache.cache_info().currsize for cache in caches] == [0, 0]
     monkeypatch.undo()
     values = rank3.count_lattices(5, 10).values
     assert values[1:] == [R_TABLE[5][a] for a in range(1, 11)]

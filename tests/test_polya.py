@@ -180,8 +180,8 @@ class TestFunctionCountingSeries:
 
 
 class TestOneDenominator:
-    """substitute_cycle_types puts every type over one denominator; the
-    oracle expands each type over its own."""
+    """expand_rational of one_denominator puts every type over one
+    denominator; the oracle expands each type over its own."""
 
     @settings(max_examples=300, deadline=None)
     @given(data=st.data())
@@ -194,8 +194,8 @@ class TestOneDenominator:
         # lengths on both sides of N's length, where truncating N first matters
         length = data.draw(st.integers(0, len(numerator) + 6))
         divisor = data.draw(st.integers(1, 4))
-        assert outcome(rank3.polya.substitute_cycle_types, terms, divisor, length) == \
-            outcome(substitute_per_type, terms, divisor, length)
+        assert outcome(rank3.polya.expand_rational, *rank3.polya.one_denominator(terms),
+                       divisor, length) == outcome(substitute_per_type, terms, divisor, length)
 
     @settings(max_examples=150, deadline=None)
     @given(data=st.data())
