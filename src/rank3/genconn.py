@@ -13,16 +13,16 @@ its automorphism group.
 
 Each parent class is extended on its own, so the parents of a stratum
 are extended through _in_shares, which splits a list of items over forked
-children and says how; pipeline's search of graphs read or passed in is
-its other user.  A parent whose classes did not come back is extended
-again here.  Walking the parents in order, the first found winning,
-gives the classes, kept groups and census bytes of one process.  Every
-child is reaped before the stratum's first class is yielded, so none is
-alive while a caller holds the generator.  Shares hold at least 256
-parents, so strata below 512 parents stay in this process: every
-stratum up to c = 6, so a count for c <= 6 never forks here.  On two
-cores the c = 7 census takes 1.0-1.2 s against 1.3-1.8 s in one
-process, and c = 8 47-51 s against 99 s.
+children and says how; pipeline._fold_profile, the one loop over graphs
+read or passed in, is its other user.  A parent whose classes did not
+come back is extended again here.  Walking the parents in order, the
+first found winning, gives the classes, kept groups and census bytes of
+one process.  Every child is reaped before the stratum's first class is
+yielded, so none is alive while a caller holds the generator.  Shares
+hold at least 256 parents, so strata below 512 parents stay in this
+process: every stratum up to c = 6, so a count for c <= 6 never forks
+here.  On two cores the c = 7 census takes 1.0-1.2 s against 1.3-1.8 s
+in one process, and c = 8 47-51 s against 99 s.
 
 fixed_family_counts counts, without a census, the labelled families each
 cycle type of S_c fixes, per connector count and uncovered coatoms: by
@@ -283,9 +283,10 @@ def _in_shares(work, items) -> list:
     each other share in a forked child, whose list comes back through a
     pipe by marshal.  A share whose child did not start, died, exited
     non-zero or sent data that does not decode to a list no longer than
-    the share gets None throughout, so the caller does those items itself.
-    Every child is reaped, and killed first if still running, before this
-    returns or raises."""
+    the share gets None throughout, so the caller (_classes here,
+    pipeline._fold_profile for graphs read or passed in) does those items
+    itself.  Every child is reaped, and killed first if still running,
+    before this returns or raises."""
     n = _processes(len(items))
     found = [None] * len(items)
 

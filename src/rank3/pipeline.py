@@ -13,9 +13,6 @@ tally these terms per (lambda, r, s), the cells of
 genconn.fixed_family_counts, and _terms sums each lambda's cells into
 its Q_lambda.  The fold builds one cycle index per distinct automorphism
 group (182 for the 10808 graphs at c = 7).
-Graphs passed in or read from a census are checked and searched once
-each: the search gives the group and the canonical form that checks the
-list is isomorph-free.
 
 A count without graphs lists none.  Summed over the labelled families
 instead of the classes, the cell (lambda, r, s) is |C_lambda| times the
@@ -26,17 +23,12 @@ connectors, with no census and no search: c = 7 in about 0.03 s, c = 8
 in 0.15 s, c = 9 in 1.2 s and c = 10 in 16-20 s, in one process.
 Its MemoStats carry the class count alone.
 
-Graphs passed in or read are checked and searched on every usable CPU.
-The input is taken 4096 graphs at a time, and each chunk is searched
-through genconn._in_shares, the helper that also splits the generator's
-strata and says how the split is laid out and when it stays in this
-process (as for the 72 graphs at c = 5).  A share searches its graphs up
-to its first failing one.  Then one in-order loop here dedupes and
-raises; it checks and searches any graph whose result did not come
-back, so every answer and every error is that of a count in one
-process.  If the input itself raises, the graphs taken before it are
-checked first, so the first error is the one a graph-by-graph count
-meets.
+Graphs passed in or read are checked and searched once each, on every
+usable CPU, by _fold_profile, the one loop over them: the search gives
+the group and the canonical form that checks the list is isomorph-free.
+It deals them through genconn._in_shares, the helper that also splits
+the generator's strata and says when a split stays in this process (as
+for the 72 graphs at c = 5).
 
 Every count of graphs is a gated check: after its fold its cells must
 equal those of genconn.fixed_family_counts, cell by cell, the identity's
@@ -67,6 +59,7 @@ count (see genconn.fixed_family_counts).
 
 import csv
 import functools
+import itertools
 import math
 import os
 from collections import Counter, defaultdict
@@ -143,8 +136,10 @@ def _search(c: int, graph) -> tuple:
 
 def _share(c: int, graphs) -> list:
     """_search of each graph after _check, in order, up to the first graph
-    that fails or raises; the in-order loop meets that one again.  Equal
-    winner tuples are kept once (182 distinct among 10808 graphs at c = 7)."""
+    that fails or raises; the in-order loop of _fold_profile meets that one
+    again.  Equal winner tuples are kept once, since marshal writes each
+    kept object once: a child's share of 2048 graphs of the first c = 7
+    chunk sends 162,905 bytes with it, 387,099 without."""
     found, kept = [], {}
     try:
         for graph in graphs:
@@ -156,35 +151,32 @@ def _share(c: int, graphs) -> list:
     return found
 
 
-def _chunks(graphs):
-    """The graphs in lists of up to _CHUNK.  If the input raises, the graphs
-    taken before it come as one last list, so they are checked first."""
-    it = iter(graphs)
-    while True:
-        chunk = []
-        try:
-            for graph in it:
-                chunk.append(graph)
-                if len(chunk) == _CHUNK:
-                    break
-        except Exception:
-            yield chunk
-            raise
-        if not chunk:
-            return
-        yield chunk
+def _fold_profile(coatom_count: int, graphs) -> tuple:
+    """({cycle type: {(r, s): n}}, MemoStats) of graphs passed in or read:
+    n adds c!/|G| times the elements of that type in G over the graphs
+    with group G, r connectors and s uncovered coatoms, the shape of
+    genconn.fixed_family_counts.  Each distinct winners tuple gets one
+    group and cycle index.
 
-
-def _searched(c: int, graphs):
-    """(winners, r, s) per graph, after its checks: the coatom count,
-    validate_connection_graph and no isomorph of an earlier graph.  This
-    in-order loop alone dedupes and raises; it takes a graph's search from
-    genconn._in_shares, each share searched by _share, where there is one
-    and checks and searches it here where there is none, so no answer or
-    error depends on a child."""
-    seen, k = set(), 0
+    This is the one loop over the graphs.  Each round takes up to _CHUNK
+    of them, has genconn._in_shares search them, each share by _share,
+    then walks them in order: it checks and searches here any graph whose
+    search did not come back, dedupes and raises GraphInputError by
+    1-based position, so no answer or error depends on a child.  If the
+    input raises, the graphs taken before it are walked first, so the
+    first error is the one a graph-by-graph count meets."""
+    c = coatom_count
+    c_factorial = math.factorial(c)
     search = functools.partial(_share, c)
-    for chunk in _chunks(graphs):
+    it, seen, slots, profile, k = iter(graphs), set(), {}, Counter(), 0
+    while True:
+        chunk, failure = [], None
+        try:
+            # appended one by one, so the graphs taken before a raise are kept
+            for graph in itertools.islice(it, _CHUNK):
+                chunk.append(graph)
+        except Exception as exc:
+            failure = exc
         for graph, found in zip(chunk, _in_shares(search, chunk)):
             k += 1
             if found is None:
@@ -199,20 +191,12 @@ def _searched(c: int, graphs):
             if canon in seen:
                 raise GraphInputError("graph %d is isomorphic to an earlier graph" % k)
             seen.add(canon)
-            yield (winners, *count_r_s(graph))
-
-
-def _fold_profile(coatom_count: int, graphs) -> tuple:
-    """({cycle type: {(r, s): n}}, MemoStats) of graphs passed in or read,
-    each checked and searched: n adds c!/|G| times the elements of that
-    type in G over the graphs with group G, r connectors and s uncovered
-    coatoms, the shape of genconn.fixed_family_counts.  Each distinct
-    winners tuple gets one group and cycle index."""
-    c = coatom_count
-    c_factorial = math.factorial(c)
-    slots, profile, k = {}, Counter(), 0
-    for k, (winners, r, s) in enumerate(_searched(c, graphs), 1):
-        profile[slots.setdefault(winners, len(slots)), r, s] += 1
+            r, s = count_r_s(graph)
+            profile[slots.setdefault(winners, len(slots)), r, s] += 1
+        if failure is not None:
+            raise failure
+        if len(chunk) < _CHUNK:
+            break
     indices = [cycle_index(_group_of_winners(c, winners)) for winners in slots]
     cells, trivial = defaultdict(Counter), 0
     for (slot, r, s), n in profile.items():
@@ -259,14 +243,12 @@ def count_lattices_stats(coatom_count: int, max_atoms: int, graphs=None,
     check.  Every graph passed in or read is checked here: a wrong coatom
     count, a failed validate_connection_graph or an isomorph of an earlier
     graph raises GraphInputError naming its 1-based position, and its
-    coatom search gives its group.  Those checks and searches are spread,
-    chunk by chunk, over forked children by genconn._in_shares, whose
-    docstring says when they stay in this process.  One in-order loop in
-    this process is the only place that dedupes and raises, so the result
-    and the error are those of a count in one process; no child outlives
-    the call.  The graphs fold into cells per cycle type, r and s, and
-    every cell is gated on the entry's: the first that misses raises
-    GraphInputError.  The MemoStats are then the fold's.
+    coatom search gives its group.  _fold_profile does this, spread over
+    forked children, so the result and the error are those of a count in
+    one process; no child outlives the call.  The graphs fold into cells
+    per cycle type, r and s, and every cell is gated on the entry's: the
+    first that misses raises GraphInputError.  The MemoStats are then the
+    fold's.
 
     The returned table and its values are new on every call; the entry is
     never handed out.  ``jobs`` is accepted and ignored, because the

@@ -611,6 +611,85 @@ class TestForkedSearch:
         assert_reaped()
 
 
+class ReadFailure(Exception):
+    """The input's own error, raised by _failing_after."""
+
+
+def _failing_after(graphs, n):
+    """The first n graphs, then ReadFailure, as a reader that fails there."""
+    yield from graphs[:n]
+    raise ReadFailure("read failed after %d graphs" % n)
+
+
+class TestOneLoop:
+    """_fold_profile takes, searches, checks and folds the graphs chunk by
+    chunk.  With chunks of 148 and shares of at least 16, the 592 c = 6
+    graphs make four chunks on two CPUs, each searched in two shares, one
+    of them in a forked child."""
+
+    @pytest.fixture
+    def small_chunks(self, monkeypatch, forks):
+        monkeypatch.setattr(rank3.pipeline, "_CHUNK", 148)
+        monkeypatch.setattr(rank3.genconn, "_MIN_SHARE", 16)
+        return forks
+
+    def test_four_chunks_fold_as_in_process(self, monkeypatch, small_chunks, graphs_by_c):
+        forked = rank3.pipeline._fold_profile(6, iter(graphs_by_c[6]))
+        assert_reaped()
+        assert len(small_chunks) == 4
+        usable_cpus(monkeypatch, 1)
+        assert rank3.pipeline._fold_profile(6, graphs_by_c[6]) == forked
+        assert len(small_chunks) == 4
+
+    def test_raise_at_a_chunk_boundary(self, small_chunks, graphs_by_c):
+        graphs = list(graphs_by_c[6])
+        with pytest.raises(ReadFailure, match="after 296 graphs"):
+            rank3.count_lattices(6, 10, _failing_after(graphs, 296))
+        assert_reaped()
+        assert len(small_chunks) == 2
+        # graph 201, in the second chunk, copies graph 200 relabelled
+        graphs.insert(200, _rotated(graphs[199]))
+        assert _error(6, _failing_after(graphs, 296)) == \
+            "graph 201 is isomorphic to an earlier graph"
+
+    def test_copy_before_a_raise_in_the_third_chunk(self, small_chunks, graphs_by_c):
+        # the input fails 104 graphs into the third chunk, after the copy
+        graphs = list(graphs_by_c[6])
+        graphs.insert(350, _rotated(graphs[349]))
+        assert _error(6, _failing_after(graphs, 400)) == \
+            "graph 351 is isomorphic to an earlier graph"
+        assert len(small_chunks) == 3
+
+    def test_empty_input(self, small_chunks):
+        for graphs in ([], iter([])):
+            assert _error(4, graphs) == ("the graphs stand for 0 labelled families with "
+                                         "0 connectors and 4 uncovered coatoms, but there are 1")
+        with pytest.raises(ReadFailure, match="after 0 graphs"):
+            rank3.count_lattices(4, 10, _failing_after([], 0))
+        assert_reaped()
+        assert small_chunks == []
+
+    def test_pulls_at_most_one_chunk_ahead(self, monkeypatch, graphs_c7):
+        # a streamed c = 8 --graphs count reads 552,251 graphs, so its memory
+        # rests on the loop holding one chunk at a time
+        yielded, dealt = [0], []
+        in_shares = rank3.pipeline._in_shares
+
+        def recording(work, chunk):
+            dealt.append((len(chunk), yielded[0]))
+            return in_shares(work, chunk)
+
+        def counting():
+            for k, graph in enumerate(graphs_c7, 1):
+                yielded[0] = k
+                yield graph
+
+        monkeypatch.setattr(rank3.pipeline, "_in_shares", recording)
+        rank3.pipeline._fold_profile(7, counting())
+        assert [deal for deal in dealt if deal[0]] == [(4096, 4096), (4096, 8192),
+                                                       (2616, 10808)]
+
+
 class TestCountTable:
     def test_length_checked(self):
         with pytest.raises(ValueError):
