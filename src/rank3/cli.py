@@ -22,7 +22,8 @@ EXIT_REJECTED = 4
 EXIT_MISMATCH = 5
 
 # verify counts above this c only through the coatom/atom symmetry, which keeps
-# its bytes and time; a count without graphs takes 0.15 s at c = 8, 1.2 s at c = 9
+# its bytes; a count without graphs takes 0.04 s at c = 8, 0.2 s at c = 9,
+# 1.3 s at c = 10 and 16 s at c = 11
 _DIRECT_LIMIT = 8
 
 

@@ -34,9 +34,10 @@ sub-type's fixed families covering or not (_fixed_families, keyed by the
 cycle type without trailing zero multiplicities, so a sub-type of S_4
 serves S_5 as well: 139 entries up to c = 10), from which a call
 assembles its cells afresh.  The point-elimination memo
-(_linear_families) is freed when each count returns or raises; at
-c = 10 it is the identity's 7.9 s and most of its memory.  A count that
-fails its gate frees the sub-type counts too.
+(_linear_families) is freed when each count returns or raises.  A count
+that fails its gate frees the sub-type counts too.  In one process c = 9
+takes about 0.2 s, c = 10 1.3 s at a 29 MB peak and c = 11 16 s at
+140 MB.
 
 brute_force_count answers the end question (how many rank-3 lattices with
 c coatoms and a atoms) by direct enumeration of atom-neighbourhood
@@ -364,15 +365,23 @@ def write_graph_files(directory, coatom_count: int, graphs=None) -> list[int]:
 #
 # A fixed family is a union of sigma-orbits of connectors.  The orbits that
 # touch a point sigma moves are listed, those linear inside themselves
-# kept, and their compatible unions tallied by a memo on the set of orbits
-# still compatible (Knuth, TAOCP 4A, 7.1.4), keyed by the pairs a union
-# holds inside the fixed points F and its connector count.  The connectors
-# on F are then any linear family on F that avoids those pairs: A(H), H
-# the graph of the pairs, counted by eliminating points.  The connectors
-# through a point v are v plus disjoint H-independent sets of v's
-# non-neighbours, and each choice leaves v's neighbourhood sets as cliques
-# in H on the points left; a v of largest degree keeps the choices few,
-# and the points left are relabelled by degree before each memo lookup.
+# kept, and their compatible unions tallied, keyed by the pairs a union
+# holds inside the fixed points F and its connector count.  Two orbits
+# conflict when they hold a common pair, so the tally is the independence
+# polynomial of the conflict graph: the product of its components', each
+# by deleting an orbit of most conflicts (Gutman & Harary, "Generalizations
+# of the matching polynomial", Utilitas Math. 24, 1983; Knuth, TAOCP 4A,
+# 7.1.4).  The connectors on F are then any linear family on F that avoids
+# those pairs: A(H), H the graph of the pairs, counted by eliminating
+# points.  The connectors through a point v are v plus disjoint blocks,
+# H-independent sets of v's non-neighbours, and each choice leaves its
+# blocks as cliques in H on the points left; a v of largest degree keeps
+# the choices few, and the points left are relabelled by degree before
+# each memo lookup.  Swapping two twins among v's non-neighbours (points
+# of one open or one closed neighbourhood in H) is an automorphism of H
+# fixing v, so the choices are taken once per orbit of such swaps, by how
+# many points each block takes of each twin class, and weighted by the
+# orbit's size.
 #
 # That counts the fixed families covering or not.  The coatoms a fixed
 # family leaves bare are a union of sigma's cycles, so the families with
@@ -383,26 +392,22 @@ def write_graph_files(directory, coatom_count: int, graphs=None) -> list[int]:
 # c cycles fixed points.
 
 
-def _point_sets(adj, free, k, out):
-    """Count into ``out[adj', k']`` every choice of disjoint H-independent sets
-    among the points ``free``, k' = k + the number of sets, adj' being H with
-    each set made a clique.  H is ``adj``, one neighbour mask per point."""
-    if not free:
-        out[adj, k] += 1
-        return
-    u = free & -free
-    rest = free ^ u
-    _point_sets(adj, rest, k, out)    # u in no set
-    # every H-independent set whose least point is u
-    stack = [(u, rest & ~adj[u.bit_length() - 1])]
-    while stack:
-        block, cand = stack.pop()
-        clique = tuple(m | block & ~(1 << i) if block >> i & 1 else m for i, m in enumerate(adj))
-        _point_sets(clique, free & ~block, k + 1, out)
-        while cand:
-            w = cand & -cand
-            cand ^= w
-            stack.append((block | w, cand & ~adj[w.bit_length() - 1]))
+def _twin_classes(adj, free) -> list:
+    """The points of ``free`` in twin classes of H (``adj``, one neighbour mask
+    per point): (points ascending, most of them one block takes) each.
+    Points with one open neighbourhood are pairwise apart, so a block may
+    take all of them; points with one closed neighbourhood are pairwise
+    joined, so a block takes one.  No point has twins of both kinds."""
+    by_open, by_closed = {}, {}
+    for u in _members(free):
+        by_open.setdefault(adj[u], []).append(u)
+    classes = []
+    for points in by_open.values():
+        if len(points) > 1:
+            classes.append((points, len(points)))
+        else:
+            by_closed.setdefault(adj[points[0]] | 1 << points[0], []).append(points[0])
+    return classes + [(points, 1) for points in by_closed.values()]
 
 
 def _by_degree(adj) -> tuple[int, ...]:
@@ -419,20 +424,54 @@ def _linear_families(adj) -> tuple[int, ...]:
     """A(H) by connector count r <= n(n-1)/2, n the points of H: the labelled
     linear families on those points that cover no pair joined in H."""
     n = len(adj)
+    if n <= 2:
+        # no pair, or one pair that is joined or not
+        return (1, 0 if adj[0] else 1) if n == 2 else (1,)
     got = [0] * (n * (n - 1) // 2 + 1)
-    if n <= 1:
-        got[0] = 1
-    else:
-        v = max(range(n), key=lambda i: adj[i].bit_count())
-        choices = collections.Counter()
-        _point_sets(adj, (1 << n) - 1 & ~adj[v] & ~(1 << v), 0, choices)
-        low = (1 << v) - 1
-        for (after, k), ways in choices.items():
-            # point v removed, the points above it moved down by one
-            rest = after[:v] + after[v + 1:]
-            sub = _linear_families(_by_degree([m & low | m >> 1 & ~low for m in rest]))
-            for r, x in enumerate(sub):
-                got[r + k] += ways * x
+    v = max(range(n), key=lambda i: adj[i].bit_count())
+    classes = _twin_classes(adj, (1 << n) - 1 & ~adj[v] & ~(1 << v))
+    # every block: (class, points taken) over classes pairwise apart, two
+    # classes being joined in full or not at all
+    apart = [sum(1 << j for j, (other, _most) in enumerate(classes)
+                 if not adj[points[0]] >> other[0] & 1) for points, _most in classes]
+    blocks, stack = [], [((), (1 << len(classes)) - 1)]
+    while stack:
+        block, later = stack.pop()
+        blocks += [block] if block else []
+        for i in _members(later):
+            # -(2 << i) keeps the classes after i
+            stack += [(block + ((i, b),), later & apart[i] & -(2 << i))
+                      for b in range(1, classes[i][1] + 1)]
+    # every choice, its blocks in ascending order: realised by the lowest
+    # points left in their classes, each made a clique of H; t repeats of
+    # one block weigh 1/t!
+    choices = collections.Counter()
+    stack = [(0, 0, tuple(len(points) for points, _most in classes), 1, adj, 0)]
+    while stack:
+        first, t, left, ways, after, k = stack.pop()
+        choices[after, k] += ways
+        for j in range(first, len(blocks)):
+            block = blocks[j]
+            if any(left[i] < b for i, b in block):
+                continue
+            mask, rest, more = 0, list(left), ways
+            for i, b in block:
+                points = classes[i][0]
+                used = len(points) - rest[i]
+                mask |= sum(1 << p for p in points[used:used + b])
+                more *= math.comb(rest[i], b)
+                rest[i] -= b
+            clique = after if not mask & mask - 1 else tuple(
+                m | mask & ~(1 << p) if mask >> p & 1 else m for p, m in enumerate(after))
+            times = t + 1 if j == first else 1
+            stack.append((j, times, tuple(rest), more // times, clique, k + 1))
+    low = (1 << v) - 1
+    for (after, k), ways in choices.items():
+        # point v removed, the points above it moved down by one
+        rest = after[:v] + after[v + 1:]
+        for r, x in enumerate(_linear_families(_by_degree([m & low | m >> 1 & ~low
+                                                           for m in rest]))):
+            got[r + k] += ways * x
     return tuple(got)
 
 
@@ -458,6 +497,102 @@ def _linear_orbits(perm) -> list:
     return orbits
 
 
+# a connected set of at most this many orbits has at most 2^11 + 1 pairwise
+# compatible subsets (a star), so _orbit_unions lists them
+_LISTED = 12
+
+
+def _orbit_unions(keys, conflicts) -> dict:
+    """{key: ways} over the sets of pairwise compatible orbits, a set's key
+    the sum of its orbits' keys: the independence polynomial of the
+    conflict graph, conflicts[j] the mask of the orbits that orbit j
+    conflicts with.
+
+    A set's tally is the product of its connected components'.  A
+    connected set of at most _LISTED orbits lists its compatible subsets.
+    A larger one drops its orbit v of most conflicts, adding v's key times
+    the tally of the rest without v's conflicts, and goes on with the rest
+    while that stays connected, larger and untallied.  Each connected
+    set's tally is kept until the call returns, and the sets wait on a
+    list, not on the call stack, so no chain of dropped orbits recurses."""
+    def parts(s):
+        # the connected components of s
+        out = []
+        while s:
+            part = front = s & -s
+            while front:
+                reach = 0
+                while front:
+                    low = front & -front
+                    front ^= low
+                    reach |= conflicts[low.bit_length() - 1]
+                front = reach & s & ~part
+                part |= front
+            out.append(part)
+            s ^= part
+        return out
+
+    def product(key, sets):
+        # the product of the tallies of sets, key added to each of its keys
+        if not sets:
+            return {key: 1}
+        tally = {key + other: ways for other, ways in memo[sets[0]].items()}
+        for s in sets[1:]:
+            got = {}
+            for have, ways in tally.items():
+                for other, more in memo[s].items():
+                    got[have + other] = got.get(have + other, 0) + ways * more
+            tally = got
+        return tally
+
+    memo, plans, whole = {}, {}, parts((1 << len(keys)) - 1)
+    todo = list(whole)
+    while todo:
+        s = todo.pop()
+        if s in memo:
+            continue
+        if s in plans:
+            # back on top, so every part it waited on is tallied
+            chain, split = plans.pop(s)
+            tally = product(0, split)
+            for key, joined in chain:
+                for other, ways in product(key, joined).items():
+                    tally[other] = tally.get(other, 0) + ways
+            memo[s] = tally
+            continue
+        if s.bit_count() <= _LISTED:
+            # its pairwise compatible subsets listed, each by its least orbit
+            tally, stack = {}, [(s, 0)]
+            while stack:
+                cand, key = stack.pop()
+                tally[key] = tally.get(key, 0) + 1
+                while cand:
+                    low = cand & -cand
+                    cand ^= low
+                    j = low.bit_length() - 1
+                    stack.append((cand & ~conflicts[j], key + keys[j]))
+            memo[s] = tally
+            continue
+        chain, rest = [], s
+        while True:
+            most, x = -1, rest
+            while x:
+                low = x & -x
+                x ^= low
+                j = low.bit_length() - 1
+                met = (conflicts[j] & rest).bit_count()
+                if met > most:
+                    most, v = met, j
+            rest &= ~(1 << v)
+            chain.append((keys[v], parts(rest & ~conflicts[v])))
+            split = parts(rest)
+            if len(split) > 1 or split[0] in memo or rest.bit_count() <= _LISTED:
+                break
+        plans[s] = chain, split
+        todo += [s, *split, *(part for _key, joined in chain for part in joined)]
+    return product(0, whole)
+
+
 @functools.cache
 def _fixed_families(expo) -> tuple:
     """The nonzero (r, n): n labelled linear families with r connectors,
@@ -471,30 +606,19 @@ def _fixed_families(expo) -> tuple:
     fixed = expo[0] if expo else 0
     top = len(perm) * (len(perm) - 1) // 2 + 1
     orbits = _linear_orbits(perm)
-    later = [sum(1 << k for k in range(j + 1, len(orbits)) if not pairs & orbits[k][0])
-             for j, (pairs, _size) in enumerate(orbits)]
     # a union's tally key: its connector count r in the low bits, the pairs
-    # it holds inside the fixed points F above them
-    shift = top.bit_length()
-    adds = [(pairs & _pairs((1 << fixed) - 1)) << shift for pairs, _size in orbits]
-
-    @functools.cache
-    def unions(cand):
-        # {key: ways} over the unions of pairwise compatible orbits in cand,
-        # split by the least orbit of each
-        tally = {0: 1}
-        while cand:
-            low = cand & -cand
-            cand ^= low
-            j = low.bit_length() - 1
-            add, size = adds[j], orbits[j][1]
-            for key, ways in unions(cand & later[j]).items():
-                key = key + size | add
-                tally[key] = tally.get(key, 0) + ways
-        return tally
-
+    # it holds inside the fixed points F above them; compatible orbits hold
+    # disjoint pairs, so a union's key is the sum of its orbits'
+    shift, inside = top.bit_length(), _pairs((1 << fixed) - 1)
+    keys = [(pairs & inside) << shift | size for pairs, size in orbits]
+    conflicts = [0] * len(orbits)
+    for j, (pairs, _size) in enumerate(orbits):
+        for k in range(j):
+            if pairs & orbits[k][0]:
+                conflicts[j] |= 1 << k
+                conflicts[k] |= 1 << j
     out, on_fixed = [0] * top, {}
-    for key, ways in unions((1 << len(orbits)) - 1).items():
+    for key, ways in _orbit_unions(keys, conflicts).items():
         held, r = divmod(key, 1 << shift)
         if held not in on_fixed:
             adj = [sum(1 << k for k in range(fixed) if held & _pairs(1 << i | 1 << k))
@@ -502,7 +626,6 @@ def _fixed_families(expo) -> tuple:
             on_fixed[held] = _linear_families(_by_degree(adj))
         for rf, n in enumerate(on_fixed[held][:top - r]):
             out[r + rf] += ways * n
-    unions.cache_clear()
     return tuple((r, n) for r, n in enumerate(out) if n)
 
 

@@ -11,9 +11,11 @@ types, so the sum is one finite numerator N over D, and expand_rational
 expands it by sum_i M_i running-sum passes instead of one pass per
 cycle of every type: 10 against 20 for S_5, 27 against 192 for S_10.
 Its division is checked exact, so a bug upstream surfaces as an
-integrality failure, not a rounding one.  pipeline keeps N and D's
-exponents per coatom count for the process, so a longer series pays
-only the passes; nothing here is cached.
+integrality failure, not a rounding one.  As D(0) = 1 that is a check
+on N, which is divided before the passes, so no term of the series is
+divided.  pipeline keeps N and D's exponents per coatom count for the
+process, so a longer series pays only the passes; nothing here is
+cached.
 """
 
 import math
@@ -118,19 +120,23 @@ def expand_rational(numerator, exponents, divisor: int, length: int) -> list[int
 
     N is ``numerator`` and (M_1, ..., M_c) ``exponents``, as one_denominator
     gives them.  Each geometric pass at index k reads only indices up to k,
-    so N is truncated to ``length`` first; the division is checked exact.
+    so N is truncated to ``length`` first.  The division is checked exact:
+    D(0) = 1, so the first terms of N / D are multiples of the divisor
+    exactly when those of N are, and N is divided before the passes.
+    Otherwise the error names the first term of N / D that is not one.
     """
-    total = list(numerator[:length]) + [0] * (length - len(numerator))
+    head = numerator[:length]
+    exact = not any(value % divisor for value in head)
+    if exact:
+        head = [value // divisor for value in head]
+    total = list(head) + [0] * (length - len(head))
     for stride, m in enumerate(exponents, 1):
         for _ in range(m):
             _geometric_mul(total, stride)
-    out = []
-    for value in total:
-        q, rem = divmod(value, divisor)
-        if rem:
-            raise ArithmeticError("coefficient %d not divisible by %d" % (value, divisor))
-        out.append(q)
-    return out
+    if not exact:
+        value = next(value for value in total if value % divisor)
+        raise ArithmeticError("coefficient %d not divisible by %d" % (value, divisor))
+    return total
 
 
 def group_balls(zindex: CycleIndex, boxes: int, max_balls: int) -> list[int]:

@@ -21,6 +21,13 @@ from reference_values import (
     R_TABLE,
 )
 from test_bigraph import CENSUS_SHA256, census_sha256
+from test_genconn import cells_sha256
+
+
+# sha256 of repr(sorted((cycle type, sorted cells))) of fixed_family_counts(10),
+# recorded from the orbit-union walk memoised on the whole candidate set and
+# the point elimination that chose blocks point by point
+C10_CELLS_SHA256 = "7c38dd9fe5d02a2404828ec3fa4f3fb715cb53d7490178b887993f07e9de7fb0"
 
 
 def report(num, text):
@@ -146,11 +153,13 @@ class TestCriterion04LargeCoatomSpotCheck:
     @pytest.mark.slow
     def test_ten_coatoms(self):
         # past the paper, derived here and not published: the c = 10 count
-        # passes its orbit-counting gate, its identity cells add up to the
-        # labelled families L_10, and R(10, a) = R(a, 10) for a <= 9, the
-        # latter from the a-coatom counts and published; about half a minute
-        labelled = rank3.genconn.fixed_family_counts(10)[(10,) + (0,) * 9]
-        assert sum(labelled.values()) == 125671440998259521
+        # passes its orbit-counting gate, its cells are pinned, its identity
+        # cells add up to the labelled families L_10, and R(10, a) = R(a, 10)
+        # for a <= 9, the latter from the a-coatom counts and published;
+        # about 1.5 s on two cores
+        cells = rank3.genconn.fixed_family_counts(10)
+        assert cells_sha256(cells) == C10_CELLS_SHA256
+        assert sum(cells[(10,) + (0,) * 9].values()) == 125671440998259521
         column = rank3.count_lattices(10, 9).values[1:]
         assert column == [rank3.count_lattices(a, 10).values[10] for a in range(1, 10)]
         assert column == [R_TABLE[a][10] for a in range(1, 10)]

@@ -8,6 +8,7 @@ import math
 import os
 import random
 import signal
+import sys
 import threading
 import types
 from collections import Counter
@@ -16,7 +17,7 @@ from fractions import Fraction
 import pytest
 
 import rank3
-from rank3.bigraph import _coatom_search
+from rank3.bigraph import _coatom_search, _pairs
 from rank3.genconn import _bit_images, _relabel_can_shrink, fixed_family_counts
 
 from forking import assert_reaped, usable_cpus
@@ -68,6 +69,15 @@ def identity_cells(c):
     """{(r, s): L_c(r, s)}, the labelled families: the identity's cells of
     fixed_family_counts."""
     return fixed_family_counts(c)[(c,) + (0,) * (c - 1)]
+
+
+def adjacency(n, edges):
+    """A graph on n points as one neighbour mask per point."""
+    adj = [0] * n
+    for i, k in edges:
+        adj[i] |= 1 << k
+        adj[k] |= 1 << i
+    return tuple(adj)
 
 
 @functools.cache
@@ -215,6 +225,44 @@ class TestGeneration:
             hashes[order.step] = {c: cells_sha256(fixed_family_counts(c)) for c in order}
             assert genconn._linear_families.cache_info().currsize == 0
         assert hashes[-1] == hashes[1]
+
+    def test_point_elimination_against_labelled_dfs(self):
+        # A(H) per r, eliminating points by twin classes, against the
+        # labelled families that cover no pair joined in H: every graph H
+        # on at most 4 points and 200 seeded random graphs on 5
+        rng = random.Random(31)
+        graphs = [adjacency(n, edges) for n in range(1, 5)
+                  for k in range(n * (n - 1) // 2 + 1)
+                  for edges in itertools.combinations(itertools.combinations(range(n), 2), k)]
+        graphs += [adjacency(5, [pair for pair in itertools.combinations(range(5), 2)
+                                 if rng.random() < 0.4]) for _ in range(200)]
+        families = {n: [(functools.reduce(int.__or__, map(_pairs, masks), 0), len(masks))
+                        for masks in labelled_connection_families(n)] for n in range(1, 6)}
+        for adj in graphs:
+            n = len(adj)
+            joined = sum(1 << i * (i - 1) // 2 + k for i in range(n) for k in range(i)
+                         if adj[i] >> k & 1)
+            per_r = Counter(r for covered, r in families[n] if not covered & joined)
+            rank3.genconn._linear_families.cache_clear()
+            got = rank3.genconn._linear_families(adj)
+            assert got == tuple(per_r[r] for r in range(len(got))), adj
+        rank3.genconn._linear_families.cache_clear()
+
+    def test_orbit_unions_take_no_stack_per_orbit(self):
+        # a conflict path of more orbits than the recursion limit: its
+        # tally counts the independent sets, Fibonacci(n + 2) of them, and
+        # on a short path with key 1 per orbit C(n - k + 1, k) of size k
+        n = 3000
+        assert n > sys.getrecursionlimit()
+        path = [(1 << j - 1 if j else 0) | (1 << j + 1 if j + 1 < n else 0) for j in range(n)]
+        fibonacci = [0, 1]
+        while len(fibonacci) < n + 3:
+            fibonacci.append(fibonacci[-1] + fibonacci[-2])
+        assert rank3.genconn._orbit_unions([0] * n, path) == {0: fibonacci[n + 2]}
+        short = 40
+        tally = rank3.genconn._orbit_unions([1] * short, [m & (1 << short) - 1
+                                                          for m in path[:short]])
+        assert tally == {k: math.comb(short - k + 1, k) for k in range(short // 2 + 1)}
 
     @pytest.mark.slow
     def test_orbit_stabiliser_at_seven_coatoms(self, graphs_c7):

@@ -197,6 +197,22 @@ class TestOneDenominator:
         assert outcome(rank3.polya.expand_rational, *rank3.polya.one_denominator(terms),
                        divisor, length) == outcome(substitute_per_type, terms, divisor, length)
 
+    def test_divides_first_up_to_the_first_coefficient_it_cannot(self):
+        # N is divided before the running sums when its first ``length``
+        # terms are multiples of the divisor: up to the first term that is
+        # not, the series equals the oracle's, and from it on the error
+        # names the oracle's coefficient
+        terms = [((2, 0), [3, 0, 6]), ((0, 1), [0, 3, 0, 4])]
+        numerator, exponents = rank3.polya.one_denominator(terms)
+        first = next(k for k, value in enumerate(numerator) if value % 3)
+        assert first > 1
+        series = rank3.polya.expand_rational(numerator, exponents, 3, first)
+        assert series == substitute_per_type(terms, 3, first)
+        with pytest.raises(ArithmeticError) as info:
+            rank3.polya.expand_rational(numerator, exponents, 3, first + 1)
+        assert str(info.value) == outcome(substitute_per_type, terms, 3, first + 1)
+        assert str(info.value).startswith("coefficient ")
+
     @settings(max_examples=150, deadline=None)
     @given(data=st.data())
     def test_group_balls_equal_per_type_substitution(self, data):
