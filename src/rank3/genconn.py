@@ -12,10 +12,10 @@ canonical form, so every isomorphism class appears exactly once, with
 its automorphism group.
 
 Each parent class is extended on its own, so the parents of a stratum
-are extended through _in_shares, which splits a list of items over forked
-children and says how; pipeline._fold_profile, the one loop over graphs
-read or passed in, is its other user.  A parent whose classes did not
-come back is extended again here.  Walking the parents in order, the
+are extended through _in_shares, which splits a list of items over
+forked children, says how, and runs the share of a failed child again
+here, its one fallback; pipeline._fold_profile, the one loop over graphs
+read or passed in, is its other user.  Walking the parents in order, the
 first found winning, gives the classes, kept groups and census bytes of
 one process.  Every child is reaped before the stratum's first class is
 yielded, so none is alive while a caller holds the generator.  Shares
@@ -142,12 +142,11 @@ def _classes(coatom_count: int):
     the next, so two runs produce byte-identical output.
 
     The parents of a stratum are extended by _extended through
-    _in_shares, forked where the module docstring says; a parent whose
-    result did not come back is extended again here, per parent.
-    Walking the parents in order with the first form found winning gives
-    the classes and kept groups of one process: a share leaves out only
-    forms that an earlier search of its own found.  No child outlives
-    the stratum's first yield.
+    _in_shares, forked where the module docstring says, which returns
+    every parent's list.  Merging those lists in parent order with the
+    first form found winning gives the classes and kept groups of one
+    process: a share leaves out only forms that an earlier search of its
+    own found.  No child outlives the stratum's first yield.
     """
     c = coatom_count
     if c < 1:
@@ -164,15 +163,13 @@ def _classes(coatom_count: int):
     swaps = tuple(tuple(unit[:i] + [unit[i + 1], unit[i]] + unit[i + 2:]) for i in range(c - 1))
     level = [((), swaps)]
     yield level[0]
-    extend = functools.partial(_extended, c, pool, pairs)
     for _r in range(1, c * (c - 1) // 2 + 1):
-        # the first class found in level order wins; a parent that came
-        # back with nothing is extended here on its own
-        seen, found = {}, _in_shares(extend, level)
-        for k, parent in enumerate(level):
+        # the first class found in level order wins
+        seen, found = {}, _in_shares(functools.partial(_extended, c, pool, pairs), level)
+        for k, forms in enumerate(found):
             # each parent's list is let go once merged, so its duplicate forms go with it
-            forms, found[k] = found[k], None
-            for form, images in extend([parent])[0] if forms is None else forms:
+            found[k] = None
+            for form, images in forms:
                 seen.setdefault(form, images)
         del found
         # for equal c and r, graph6 byte order is the order of the mask
@@ -270,38 +267,45 @@ def _fork(work, share):
 
 
 def _in_shares(work, items) -> list:
-    """One entry per item, in item order: the item's result from work(share),
-    or None where nothing came back for it.
+    """work's result for each item, in item order, never None.
 
     The items are dealt round-robin into n shares, share p holding
     positions p, p + n, ...: one share per CPU in the affinity mask, each
     of at least _MIN_SHARE items.  n is 1, and all of it runs in this
     process, below 2 * _MIN_SHARE items, with one usable CPU, without
     os.fork or os.sched_getaffinity, and while another thread runs, since
-    forking it is unsafe.  work(share) returns a list whose k-th entry is
-    the result of the share's k-th item; it may stop short, which leaves
-    None for the rest of that share.  Share 0 runs in this process and
-    each other share in a forked child, whose list comes back through a
-    pipe by marshal.  A share whose child did not start, died, exited
-    non-zero or sent data that does not decode to a list no longer than
-    the share gets None throughout, so the caller (_classes here,
-    pipeline._fold_profile for graphs read or passed in) does those items
-    itself.  Every child is reaped, and killed first if still running,
-    before this returns or raises."""
+    forking it is unsafe.  work(share) returns a list of one result per
+    item of the share, in its order, none of them None.  Share 0 runs in
+    this process and each other share in a forked child, whose list comes
+    back through a pipe by marshal.  The share of a child that did not
+    start, died, exited non-zero or sent anything but such a list is run
+    again here once every child is reaped: the one fallback, so the
+    callers (_classes here, pipeline._fold_profile for graphs read or
+    passed in) walk results only.  A share run here that returns anything
+    else raises RuntimeError.  Every child is reaped, and killed first if
+    still running, before this returns or raises."""
     n = _processes(len(items))
-    found = [None] * len(items)
+    shares, found = [items[p::n] for p in range(n)], [None] * len(items)
 
     def place(p, results):
-        if isinstance(results, list) and len(results) <= len(range(p, len(found), n)):
-            found[p:p + n * len(results):n] = results
+        # the length checked first, since found[::1] = shorter would shrink found
+        fits = isinstance(results, list) and len(results) == len(shares[p]) and None not in results
+        if fits:
+            found[p::n] = results
+        return fits
 
-    children = []    # [pid or None once reaped, share, read end]
+    def here(p):
+        if not place(p, work(shares[p])):
+            raise RuntimeError("share %d of %d did not give one result per item" % (p, n))
+
+    # children: [pid or None once reaped, share, read end]; missing: shares not placed
+    children, missing = [], set(range(1, n))
     try:
         for p in range(1, n):
-            started = _fork(work, items[p::n])
+            started = _fork(work, shares[p])
             if started is not None:
                 children.append([started[0], p, started[1]])
-        place(0, work(items[::n]))
+        here(0)
         for child in children:
             pid, p, read_end = child
             with open(read_end, "rb", closefd=False) as pipe:
@@ -310,7 +314,8 @@ def _in_shares(work, items) -> list:
             child[0] = None
             if status == 0:
                 with contextlib.suppress(EOFError, ValueError, TypeError):
-                    place(p, marshal.loads(data))
+                    if place(p, marshal.loads(data)):
+                        missing.remove(p)
             del data    # one child's bytes at a time, none once decoded
     finally:
         for pid, _p, read_end in children:
@@ -318,6 +323,8 @@ def _in_shares(work, items) -> list:
             if pid is not None:
                 os.kill(pid, signal.SIGKILL)
                 os.waitpid(pid, 0)
+    for p in sorted(missing):
+        here(p)
     return found
 
 
@@ -498,7 +505,9 @@ def _linear_orbits(perm) -> list:
 
 
 # a connected set of at most this many orbits has at most 2^11 + 1 pairwise
-# compatible subsets (a star), so _orbit_unions lists them
+# compatible subsets (a star), so _orbit_unions lists them.  That is kept for
+# the small counts that answer queries: with _LISTED = 1 perfbench's queries
+# wall_s rose 5.2 % (6 of 6 pairs, 2-core VM); c = 9 and 10 were no slower
 _LISTED = 12
 
 

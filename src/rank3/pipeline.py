@@ -25,11 +25,12 @@ process.
 Its MemoStats carry the class count alone.
 
 Graphs passed in or read are checked and searched once each, on every
-usable CPU, by _fold_profile, the one loop over them: the search gives
-the group and the canonical form that checks the list is isomorph-free.
-It deals them through genconn._in_shares, the helper that also splits
-the generator's strata and says when a split stays in this process (as
-for the 72 graphs at c = 5).
+usable CPU, by _share, and walked in order by _fold_profile, the one
+loop over them: the search gives the group and the canonical form that
+checks the list is isomorph-free.  It deals them through
+genconn._in_shares, the helper that also splits the generator's strata,
+says when a split stays in this process (as for the 72 graphs at c = 5),
+and runs the share of a failed child again here.
 
 Every count of graphs is a gated check: after its fold its cells must
 equal those of genconn.fixed_family_counts, cell by cell, the identity's
@@ -122,33 +123,26 @@ def _check_cells(coatom_count: int, cells, want) -> None:
 _CHUNK = 4096
 
 
-def _check(c: int, graph) -> None:
-    """ValueError unless graph has c coatoms and is a connection graph."""
-    if graph.coatom_count != c:
-        raise ValueError("%d coatoms, expected %d" % (graph.coatom_count, c))
-    validate_connection_graph(graph)
-
-
-def _search(c: int, graph) -> tuple:
-    """(canonical masks, or None where they are the graph's own, winners tuple)."""
-    canon, winners = _coatom_search(c, graph.connector_masks)
-    return None if canon == graph.connector_masks else canon, tuple(winners)
-
-
 def _share(c: int, graphs) -> list:
-    """_search of each graph after _check, in order, up to the first graph
-    that fails or raises; the in-order loop of _fold_profile meets that one
-    again.  Equal winner tuples are kept once, since marshal writes each
-    kept object once: a child's share of 2048 graphs of the first c = 7
-    chunk sends 162,905 bytes with it, 387,099 without."""
+    """Per graph, in order, (canonical masks, or None where they are the
+    graph's own, winners tuple) of its coatom search once it has c coatoms
+    and passes validate_connection_graph; from the first graph that fails
+    with ValueError on, the reason, at which _fold_profile raises.  Equal
+    winner tuples are kept once, since marshal writes each kept object
+    once: a child's share of 2048 graphs of the first c = 7 chunk sends
+    162,905 bytes with it, 387,099 without."""
     found, kept = [], {}
-    try:
-        for graph in graphs:
-            _check(c, graph)
-            canon, winners = _search(c, graph)
-            found.append((canon, kept.setdefault(winners, winners)))
-    except Exception:
-        pass
+    for k, graph in enumerate(graphs):
+        try:
+            if graph.coatom_count != c:
+                raise ValueError("%d coatoms, expected %d" % (graph.coatom_count, c))
+            validate_connection_graph(graph)
+        except ValueError as exc:
+            return found + [str(exc)] * (len(graphs) - k)
+        canon, winners = _coatom_search(c, graph.connector_masks)
+        winners = tuple(winners)
+        found.append((None if canon == graph.connector_masks else canon,
+                      kept.setdefault(winners, winners)))
     return found
 
 
@@ -160,10 +154,10 @@ def _fold_profile(coatom_count: int, graphs) -> tuple:
     group and cycle index.
 
     This is the one loop over the graphs.  Each round takes up to _CHUNK
-    of them, has genconn._in_shares search them, each share by _share,
-    then walks them in order: it checks and searches here any graph whose
-    search did not come back, dedupes and raises GraphInputError by
-    1-based position, so no answer or error depends on a child.  If the
+    of them, has genconn._in_shares check and search them, each share by
+    _share, then walks the results in order: it dedupes and raises
+    GraphInputError by 1-based position at the first rejected graph or
+    isomorphic copy, so no answer or error depends on a child.  If the
     input raises, the graphs taken before it are walked first, so the
     first error is the one a graph-by-graph count meets."""
     c = coatom_count
@@ -180,12 +174,8 @@ def _fold_profile(coatom_count: int, graphs) -> tuple:
             failure = exc
         for graph, found in zip(chunk, _in_shares(search, chunk)):
             k += 1
-            if found is None:
-                try:
-                    _check(c, graph)
-                except ValueError as exc:
-                    raise GraphInputError("graph %d %r: %s" % (k, graph, exc)) from None
-                found = _search(c, graph)
+            if isinstance(found, str):
+                raise GraphInputError("graph %d %r: %s" % (k, graph, found))
             canon, winners = found
             # the graph's own tuple when it is canonical, so keeping it makes no second copy
             canon = graph.connector_masks if canon is None else canon
@@ -245,11 +235,11 @@ def count_lattices_stats(coatom_count: int, max_atoms: int, graphs=None,
     count, a failed validate_connection_graph or an isomorph of an earlier
     graph raises GraphInputError naming its 1-based position, and its
     coatom search gives its group.  _fold_profile does this, spread over
-    forked children, so the result and the error are those of a count in
-    one process; no child outlives the call.  The graphs fold into cells
-    per cycle type, r and s, and every cell is gated on the entry's: the
-    first that misses raises GraphInputError.  The MemoStats are then the
-    fold's.
+    forked children, the share of a failed child run again here, so the
+    result and the error are those of a count in one process; no child
+    outlives the call.  The graphs fold into cells per cycle type, r and
+    s, and every cell is gated on the entry's: the first that misses
+    raises GraphInputError.  The MemoStats are then the fold's.
 
     The returned table and its values are new on every call; the entry is
     never handed out.  ``jobs`` is accepted and ignored, because the

@@ -2,7 +2,8 @@
 
 Run with ``pytest -v tests/test_acceptance.py`` for a pass/fail line per
 criterion.  The long-running extras (the full 8-coatom census and the
-counts at ten coatoms) sit behind the ``slow`` marker and do not gate.
+counts at ten and eleven coatoms) sit behind the ``slow`` marker and do
+not gate.
 """
 
 import math
@@ -28,6 +29,10 @@ from test_genconn import cells_sha256
 # recorded from the orbit-union walk memoised on the whole candidate set and
 # the point elimination that chose blocks point by point
 C10_CELLS_SHA256 = "7c38dd9fe5d02a2404828ec3fa4f3fb715cb53d7490178b887993f07e9de7fb0"
+
+# the same of fixed_family_counts(11), recorded from the orbit-union walk
+# that tallies the unions of each connected set of orbits
+C11_CELLS_SHA256 = "a9ce6172451d6f59030f601f78e6d010cc5594addf52cf150a5bd2a0e5b6c9ed"
 
 
 def report(num, text):
@@ -164,6 +169,20 @@ class TestCriterion04LargeCoatomSpotCheck:
         assert column == [rank3.count_lattices(a, 10).values[10] for a in range(1, 10)]
         assert column == [R_TABLE[a][10] for a in range(1, 10)]
         report(4, "R(10,a) = R(a,10) for a <= 9 and L_10 from the c = 10 Burnside count")
+
+    @pytest.mark.slow
+    def test_eleven_coatoms(self):
+        # as test_ten_coatoms, one coatom further, derived here and not
+        # published: R(11, a) = R(a, 11) for a <= 9 from the published
+        # a-coatom counts, and R(11, 10) = R(10, 11) from the two Burnside
+        # counts; about 16 s in one process at a 150 MB peak
+        cells = rank3.genconn.fixed_family_counts(11)
+        assert cells_sha256(cells) == C11_CELLS_SHA256
+        assert sum(cells[(11,) + (0,) * 10].values()) == 1656590897737324316577
+        column = rank3.count_lattices(11, 10).values
+        assert column[1:10] == [R_TABLE[a][11] for a in range(1, 10)]
+        assert column[10] == rank3.count_lattices(10, 11).values[11] == 515320881
+        report(4, "R(11,a) = R(a,11) for a <= 10 and L_11 from the c = 11 Burnside count")
 
 
 class TestCriterion05ClosedFormTheorems:

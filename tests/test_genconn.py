@@ -329,7 +329,8 @@ class TestGeneration:
 class TestInShares:
     """_in_shares deals 300 items round-robin into shares of at least 16, one
     per usable CPU: share 0 in this process, every other share in a forked
-    child.  Its result has one entry per item, in item order."""
+    child.  Its result has one entry per item, in item order, never None:
+    a child's share that does not come back whole is run again here."""
 
     items = list(range(300))
 
@@ -345,35 +346,58 @@ class TestInShares:
         assert len(forks) == cpus - 1
         assert got == [x * x for x in self.items]
 
-    @pytest.mark.parametrize("cpus", [2, 3])
-    def test_short_list_leaves_its_tail_none(self, monkeypatch, forks, cpus):
-        # each share is ascending, so each stops at its first item of 250 or more
-        usable_cpus(monkeypatch, cpus)
-        got = rank3.genconn._in_shares(
-            lambda share: [x * x for x in itertools.takewhile(lambda x: x < 250, share)],
-            self.items)
-        assert_reaped()
-        assert len(forks) == cpus - 1
-        assert got == [x * x if x < 250 else None for x in self.items]
-
-    @pytest.mark.parametrize("sent", [lambda found: found + [0], tuple, set],
-                             ids=["one-too-many", "tuple", "set"])
-    def test_longer_list_or_non_list_leaves_share_none(self, forks, sent):
-        # share 1, in the child, sends the bad result; share 0, made here, is
-        # checked the same way
-        parent = os.getpid()
+    @staticmethod
+    def _work_here(sent):
+        """work squaring each item of its share, a child's list passed
+        through sent, and the items it is run on in this process, appended
+        as it runs."""
+        parent, here = os.getpid(), []
 
         def work(share):
             found = [x * x for x in share]
-            return sent(found) if os.getpid() != parent else found
+            if os.getpid() == parent:
+                here.extend(share)
+                return found
+            return sent(share, found)
 
+        return work, here
+
+    @pytest.mark.parametrize("cpus", [2, 3])
+    def test_short_list_is_run_here(self, monkeypatch, forks, cpus):
+        # the child of share 1 sends its list ten short; that whole share is
+        # run again here, once every child is reaped
+        usable_cpus(monkeypatch, cpus)
+        work, here = self._work_here(lambda share, found: found[:-10] if share[0] == 1 else found)
+        got = rank3.genconn._in_shares(work, self.items)
+        assert_reaped()
+        assert len(forks) == cpus - 1
+        assert got == [x * x for x in self.items]
+        assert here == self.items[::cpus] + self.items[1::cpus]
+
+    @pytest.mark.parametrize("sent", [lambda found: found + [0], tuple, set,
+                                      lambda found: found[:-1] + [None]],
+                             ids=["one-too-many", "tuple", "set", "none-entry"])
+    def test_longer_list_or_non_list_is_run_here(self, forks, sent):
+        # share 1, in the child, sends the bad result, so it is run again here
+        work, here = self._work_here(lambda share, found: sent(found))
         got = rank3.genconn._in_shares(work, self.items)
         assert_reaped()
         assert len(forks) == 1
-        assert got == [x * x if x % 2 == 0 else None for x in self.items]
-        assert rank3.genconn._in_shares(lambda share: sent([x * x for x in share]),
-                                        self.items) == [None] * len(self.items)
+        assert got == [x * x for x in self.items]
+        assert here == self.items[::2] + self.items[1::2]
+
+    @pytest.mark.parametrize("cpus", [1, 2])
+    @pytest.mark.parametrize("sent", [lambda found: found[:-1], lambda found: found + [0],
+                                      lambda found: found[:-1] + [None], tuple],
+                             ids=["one-too-few", "one-too-many", "none-entry", "tuple"])
+    def test_bad_result_here_raises(self, monkeypatch, forks, cpus, sent):
+        # share 0 runs here, alone at n = 1: a bad result of it is an error,
+        # not a shrunken or holed result, and not the ValueError of bad input
+        usable_cpus(monkeypatch, cpus)
+        with pytest.raises(RuntimeError, match="did not give one result per item"):
+            rank3.genconn._in_shares(lambda share: sent([x * x for x in share]), self.items)
         assert_reaped()
+        assert len(forks) == cpus - 1
 
 
 @pytest.fixture(scope="module")
@@ -427,9 +451,9 @@ class TestForkedGeneration:
                                          "one-parent-short"])
     def test_failed_child_gives_the_same_classes(self, monkeypatch, forks, classes_by_c,
                                                  failure):
-        # a parent whose result did not come back is extended here on its
-        # own: every parent of a failed child's share, and the last parent
-        # of a share sent back one short (one in each of the 7 strata)
+        # a child's share comes back whole or is extended here again whole:
+        # a share sent back one parent short is no exception, so every
+        # failure extends all 591 parents here
         self._small_shares(monkeypatch)
         parent, extended = os.getpid(), rank3.genconn._extended
         if failure == "truncated":
@@ -453,7 +477,7 @@ class TestForkedGeneration:
         assert list(rank3.genconn._classes(6)) == classes_by_c[6]
         assert_reaped()
         assert len(forks) == 7
-        assert len(parents) == {None: 331, "one-parent-short": 338}.get(failure, 591)
+        assert len(parents) == (331 if failure is None else 591)
 
     def test_children_reaped_after_interrupt(self, monkeypatch, forks):
         # this process is interrupted in its own share of the first forked

@@ -522,6 +522,23 @@ class TestForkedSearch:
         usable_cpus(monkeypatch, 1)
         assert _error(6, graphs) == forked
 
+    def test_other_error_raised_as_in_process(self, monkeypatch, forks, graphs_by_c):
+        # graph 51, in this process's share, is a relabelled copy of graph 50,
+        # and graph 102, in the child's, is None, whose check raises
+        # AttributeError.  The child exits non-zero, its share is run again
+        # here and raises before the in-order walk meets the copy, as the
+        # share of a count in one process does.
+        graphs = list(graphs_by_c[6])
+        graphs[50], graphs[101] = _rotated(graphs[49]), None
+        with pytest.raises(Exception) as forked:
+            rank3.count_lattices(6, 10, graphs)
+        assert_reaped()
+        assert len(forks) == 1
+        usable_cpus(monkeypatch, 1)
+        with pytest.raises(Exception) as here:
+            rank3.count_lattices(6, 10, graphs)
+        assert type(forked.value) is type(here.value) is AttributeError
+
     @staticmethod
     def _failing_children(monkeypatch, fail):
         """Make every child call fail() before it searches."""
@@ -555,14 +572,14 @@ class TestForkedSearch:
         elif failure == "exit-1-after-sending":
             exit_ = os._exit
             monkeypatch.setattr(os, "_exit", lambda status: exit_(1))
-        parent, search, searched = os.getpid(), rank3.pipeline._search, []
+        parent, search, searched = os.getpid(), rank3.pipeline._coatom_search, []
 
-        def counting(c, graph):
+        def counting(c, masks):
             if os.getpid() == parent:
-                searched.append(graph)
-            return search(c, graph)
+                searched.append(masks)
+            return search(c, masks)
 
-        monkeypatch.setattr(rank3.pipeline, "_search", counting)
+        monkeypatch.setattr(rank3.pipeline, "_coatom_search", counting)
         assert rank3.count_lattices_stats(6, 200, graphs_by_c[6]) == want
         assert_reaped()
         assert len(forks) == 2
@@ -570,14 +587,14 @@ class TestForkedSearch:
 
     def test_children_reaped_after_interrupt(self, monkeypatch, forks, graphs_by_c):
         # the parent is interrupted in its own share while the child searches
-        parent, search = os.getpid(), rank3.pipeline._search
+        parent, search = os.getpid(), rank3.pipeline._coatom_search
 
-        def interrupted(c, graph):
+        def interrupted(c, masks):
             if os.getpid() == parent:
                 raise KeyboardInterrupt
-            return search(c, graph)
+            return search(c, masks)
 
-        monkeypatch.setattr(rank3.pipeline, "_search", interrupted)
+        monkeypatch.setattr(rank3.pipeline, "_coatom_search", interrupted)
         with pytest.raises(KeyboardInterrupt):
             rank3.count_lattices(6, 10, graphs_by_c[6])
         assert_reaped()
