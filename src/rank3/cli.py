@@ -5,8 +5,10 @@ count table), fit (quasipolynomial JSON), eval (one exact value), verify
 (pipeline against the brute-force oracle).  The RANK3_OUT environment
 variable names the default output directory; --out overrides it.
 
-Exit codes: 0 success, 2 bad input, 3 table too short for a fit,
-4 fit rejected by the table, 5 verification mismatch.
+Exit codes: 0 success, 1 a failed internal check, with a traceback (the
+orbit-counting gate's ArithmeticError or genconn._in_shares'
+RuntimeError), 2 bad input, 3 table too short for a fit, 4 fit rejected
+by the table, 5 verification mismatch.
 """
 
 import argparse

@@ -4,25 +4,25 @@ Connection graphs on c coatoms are families of connector neighbourhoods:
 distinct coatom subsets of size at least two, any two sharing at most one
 coatom.  Families are generated stratum by stratum in the connector count
 r.  Each class of stratum r is extended only by a largest connector,
-ranked by (size, number of other connectors it meets), and of those
-only by the least mask in each orbit of the class's automorphism group
-(the orbit step of McKay, "Isomorph-free exhaustive generation", J.
-Algorithms 26, 1998).  The results are deduplicated through the
-canonical form, so every isomorphism class appears exactly once, with
-its automorphism group.
+ranked by (size, number of other connectors it meets), of those only by
+the least mask in each orbit of the class's automorphism group, and a
+search is kept only from the class's canonical parent (the orbit step
+and canonical construction path of McKay, "Isomorph-free exhaustive
+generation", J. Algorithms 26, 1998).  So every isomorphism class comes
+from exactly one search, with its automorphism group.
 
 Each parent class is extended on its own, so the parents of a stratum
-are extended through _in_shares, which splits a list of items over
-forked children, says how, and runs the share of a failed child again
-here, its one fallback; pipeline._fold_profile, the one loop over graphs
-read or passed in, is its other user.  Walking the parents in order, the
-first found winning, gives the classes, kept groups and census bytes of
-one process.  Every child is reaped before the stratum's first class is
-yielded, so none is alive while a caller holds the generator.  Shares
-hold at least 256 parents, so strata below 512 parents stay in this
-process: every stratum up to c = 6, so a count for c <= 6 never forks
-here.  On two cores the c = 7 census takes 1.0-1.2 s against 1.3-1.8 s
-in one process, and c = 8 47-51 s against 99 s.
+are extended through _in_shares, a forked map that says how it deals
+the items over forked children and runs the share of a failed child
+again here, its one fallback; pipeline._fold_profile, the one loop over
+graphs read or passed in, is its other user.  With no class found twice,
+the classes, kept groups and census bytes are those of one process.
+Every child is reaped before the stratum's first class is yielded, so
+none is alive while a caller holds the generator.  Shares hold at least
+256 parents, so strata below 512 parents stay in this process: every
+stratum up to c = 6, so a count for c <= 6 never forks here.  On two
+cores the c = 7 census takes 1.0-1.2 s against 1.3-1.8 s in one
+process, and c = 8 47-51 s against 99 s.
 
 fixed_family_counts counts, without a census, the labelled families each
 cycle type of S_c fixes, per connector count and uncovered coatoms: by
@@ -82,38 +82,41 @@ def _bit_images(winners) -> tuple[tuple[int, ...], ...]:
     return tuple(images)
 
 
-def _extended(c: int, pool, pairs, parents) -> list:
-    """Per (family, group) of parents, in order, the (canonical masks, kept
-    group) of each search that extends it (see _classes), leaving out the
-    forms this call already found for an earlier search."""
-    done, out = set(), []
-    for fam, group in parents:
-        covered = 0
-        for x in fam:
-            covered |= pairs[x]
-        top = max((x.bit_count() for x in fam), default=0)
-        # each top-size connector with the number of other connectors it meets
-        kept = [(x, sum(1 for y in fam if x & y) - 1) for x in fam if x.bit_count() == top]
-        found = []
-        for m in pool:
-            size = m.bit_count()
-            if size < top:
-                break
-            if pairs[m] & covered:
+def _extended(c: int, pool, pairs, parent) -> list:
+    """(canonical masks, kept group) of each search that extends parent, a
+    (family, group) class, to a class of which it is the canonical parent."""
+    fam, group = parent
+    covered = 0
+    for x in fam:
+        covered |= pairs[x]
+    top = max((x.bit_count() for x in fam), default=0)
+    # each top-size connector with the number of other connectors it meets
+    kept = [(x, sum(1 for y in fam if x & y) - 1) for x in fam if x.bit_count() == top]
+    found = []
+    for m in pool:
+        size = m.bit_count()
+        if size < top:
+            break
+        if pairs[m] & covered:
+            continue
+        mem = _members(m)
+        if any(sum(map(s.__getitem__, mem)) < m for s in group):
+            continue
+        ties = []
+        if size == top:
+            met = sum(1 for x in fam if x & m)
+            if any(k + (x & m != 0) > met for x, k in kept):
                 continue
-            mem = _members(m)
-            if any(sum(map(s.__getitem__, mem)) < m for s in group):
+            ties = [x for x, k in kept if k + (x & m != 0) == met]
+        form, winners = _coatom_search(c, fam + (m,))
+        if ties:
+            # kept only if a winner maps m to the least canonical mask of its rank
+            p0 = winners[0]
+            least = min(sum(1 << p0[i] for i in _members(x)) for x in ties + [m])
+            if all(sum(1 << q[i] for i in mem) != least for q in winners):
                 continue
-            if size == top:
-                met = sum(1 for x in fam if x & m)
-                if any(k + (x & m != 0) > met for x, k in kept):
-                    continue
-            form, winners = _coatom_search(c, fam + (m,))
-            if form not in done:
-                done.add(form)
-                found.append((form, _bit_images(winners)))
-        out.append(found)
-    return out
+        found.append((form, _bit_images(winners)))
+    return found
 
 
 def _classes(coatom_count: int):
@@ -123,8 +126,8 @@ def _classes(coatom_count: int):
     Output comes in ascending connector count r.  Stratum r+1 extends each
     class P of stratum r by every mask m that shares no coatom pair with P
     and that no connector of P + m outranks in (size, number of other
-    connectors met), then deduplicates the canonical masks.  Each parent
-    keeps its top-size connectors x with met(x) = #{y in P : x & y} - 1; a
+    connectors met), each through one coatom search.  Each parent keeps
+    its top-size connectors x with met(x) = #{y in P : x & y} - 1; a
     top-size m loses to x if met(x) + (x & m != 0) > #{x in P : x & m}.  No
     class is lost: G minus a top-ranked connector d has its class P in
     stratum r, and P plus the image of d is isomorphic to G and passes, the
@@ -134,19 +137,25 @@ def _classes(coatom_count: int):
     skipped if an automorphism of P maps it to a smaller mask.  This loses
     nothing either: for s in Aut(P), P + s(m) is isomorphic to P + m, and
     both filters above are Aut(P)-invariant, so the least mask of every
-    orbit still passes; at c = 7, 12,782 masks reach the search.  Each
-    class keeps its group, read off the winners of the search that found
-    it; the r = 0 class keeps only the transpositions (i i+1), which leave
-    exactly the least mask of each size, as S_c would.  Each stratum is
-    sorted once in graph6 byte order, without encoding, and its masks seed
-    the next, so two runs produce byte-identical output.
+    orbit still passes; at c = 7, 12,782 masks reach the search.
+
+    Each class comes from exactly one search, its canonical parent's
+    (McKay's canonical construction path).  Every winner of the search of
+    G = P + m maps the connectors of m's rank onto the same canonical
+    masks, rank being invariant, and G is kept iff some winner maps m to
+    the least of them, L.  So G is kept only from the class of G minus a
+    connector that a winner maps to L, and two masks of P that give G so
+    differ by an automorphism of P, of which the orbit filter keeps one.
+    The class keeps the group read off that search's winners; the r = 0
+    class keeps only the transpositions (i i+1), which leave exactly the
+    least mask of each size, as S_c would.  Each stratum is sorted once in
+    graph6 byte order, without encoding, and its masks seed the next, so
+    two runs produce byte-identical output.
 
     The parents of a stratum are extended by _extended through
-    _in_shares, forked where the module docstring says, which returns
-    every parent's list.  Merging those lists in parent order with the
-    first form found winning gives the classes and kept groups of one
-    process: a share leaves out only forms that an earlier search of its
-    own found.  No child outlives the stratum's first yield.
+    _in_shares, forked where the module docstring says, and their lists
+    joined: a forked run gives the classes and groups of one process.  No
+    child outlives the stratum's first yield.
     """
     c = coatom_count
     if c < 1:
@@ -161,23 +170,15 @@ def _classes(coatom_count: int):
     flipped = {m: int(format(m, "0%db" % c)[::-1], 2).to_bytes(width, "big") for m in pool}
     unit = [1 << i for i in range(c)]
     swaps = tuple(tuple(unit[:i] + [unit[i + 1], unit[i]] + unit[i + 2:]) for i in range(c - 1))
-    level = [((), swaps)]
+    level, extend = [((), swaps)], functools.partial(_extended, c, pool, pairs)
     yield level[0]
     for _r in range(1, c * (c - 1) // 2 + 1):
-        # the first class found in level order wins
-        seen, found = {}, _in_shares(functools.partial(_extended, c, pool, pairs), level)
-        for k, forms in enumerate(found):
-            # each parent's list is let go once merged, so its duplicate forms go with it
-            found[k] = None
-            for form, images in forms:
-                seen.setdefault(form, images)
-        del found
         # for equal c and r, graph6 byte order is the order of the mask
         # tuples with each mask's c bits reversed, so of those masks packed
         # into one integer per class, the first highest
-        level = sorted(seen.items(), key=lambda item: int.from_bytes(
-            b"".join(map(flipped.__getitem__, item[0])), "big"))
-        del seen    # the stratum is in level alone while it is yielded
+        level = sorted(itertools.chain.from_iterable(_in_shares(extend, level)),
+                       key=lambda item: int.from_bytes(
+                           b"".join(map(flipped.__getitem__, item[0])), "big"))
         yield from level
 
 
@@ -236,20 +237,21 @@ def _processes(n: int) -> int:
 
 
 def _child(work, share, read_end: int, write_end: int) -> None:
-    """In a forked child: send marshal(work(share)) down write_end and exit,
-    with status 0 once it is sent.  Writes nothing else, never returns."""
+    """In a forked child: send marshal([work(item) for each item of share])
+    down write_end and exit, with status 0 once it is sent.  Writes nothing
+    else, never returns."""
     status = 1
     try:
         os.close(read_end)
         with open(write_end, "wb") as pipe:
-            pipe.write(marshal.dumps(work(share)))
+            pipe.write(marshal.dumps(list(map(work, share))))
         status = 0
     finally:
         os._exit(status)
 
 
 def _fork(work, share):
-    """(pid, read end) of a child running work(share), or None if none started."""
+    """(pid, read end) of a child running work over share, or None if none started."""
     try:
         read_end, write_end = os.pipe()
     except OSError:
@@ -267,23 +269,22 @@ def _fork(work, share):
 
 
 def _in_shares(work, items) -> list:
-    """work's result for each item, in item order, never None.
+    """A forked map: work(item) for each item, in item order, never None.
 
     The items are dealt round-robin into n shares, share p holding
     positions p, p + n, ...: one share per CPU in the affinity mask, each
     of at least _MIN_SHARE items.  n is 1, and all of it runs in this
     process, below 2 * _MIN_SHARE items, with one usable CPU, without
     os.fork or os.sched_getaffinity, and while another thread runs, since
-    forking it is unsafe.  work(share) returns a list of one result per
-    item of the share, in its order, none of them None.  Share 0 runs in
-    this process and each other share in a forked child, whose list comes
-    back through a pipe by marshal.  The share of a child that did not
-    start, died, exited non-zero or sent anything but such a list is run
-    again here once every child is reaped: the one fallback, so the
-    callers (_classes here, pipeline._fold_profile for graphs read or
-    passed in) walk results only.  A share run here that returns anything
-    else raises RuntimeError.  Every child is reaped, and killed first if
-    still running, before this returns or raises."""
+    forking it is unsafe.  Share 0 runs in this process and each other
+    share in a forked child, whose list of results comes back through a
+    pipe by marshal.  The share of a child that did not start, died,
+    exited non-zero or sent anything but a list of one result per item,
+    none of them None, is run again here once every child is reaped: the
+    one fallback, so the callers (_classes here, pipeline._fold_profile
+    for graphs read or passed in) walk results only.  A None from work in
+    this process raises RuntimeError.  Every child is reaped, and killed
+    first if still running, before this returns or raises."""
     n = _processes(len(items))
     shares, found = [items[p::n] for p in range(n)], [None] * len(items)
 
@@ -295,7 +296,7 @@ def _in_shares(work, items) -> list:
         return fits
 
     def here(p):
-        if not place(p, work(shares[p])):
+        if not place(p, list(map(work, shares[p]))):
             raise RuntimeError("share %d of %d did not give one result per item" % (p, n))
 
     # children: [pid or None once reaped, share, read end]; missing: shares not placed

@@ -25,12 +25,12 @@ process.
 Its MemoStats carry the class count alone.
 
 Graphs passed in or read are checked and searched once each, on every
-usable CPU, by _share, and walked in order by _fold_profile, the one
+usable CPU, by _search, and walked in order by _fold_profile, the one
 loop over them: the search gives the group and the canonical form that
-checks the list is isomorph-free.  It deals them through
-genconn._in_shares, the helper that also splits the generator's strata,
-says when a split stays in this process (as for the 72 graphs at c = 5),
-and runs the share of a failed child again here.
+checks the list is isomorph-free.  It maps _search over each chunk
+through genconn._in_shares, the forked map that also extends the
+generator's strata, says when a split stays in this process (as for the
+72 graphs at c = 5), and runs the share of a failed child again here.
 
 Every count of graphs is a gated check: after its fold its cells must
 equal those of genconn.fixed_family_counts, cell by cell, the identity's
@@ -123,27 +123,22 @@ def _check_cells(coatom_count: int, cells, want) -> None:
 _CHUNK = 4096
 
 
-def _share(c: int, graphs) -> list:
-    """Per graph, in order, (canonical masks, or None where they are the
-    graph's own, winners tuple) of its coatom search once it has c coatoms
-    and passes validate_connection_graph; from the first graph that fails
-    with ValueError on, the reason, at which _fold_profile raises.  Equal
-    winner tuples are kept once, since marshal writes each kept object
-    once: a child's share of 2048 graphs of the first c = 7 chunk sends
-    162,905 bytes with it, 387,099 without."""
-    found, kept = [], {}
-    for k, graph in enumerate(graphs):
-        try:
-            if graph.coatom_count != c:
-                raise ValueError("%d coatoms, expected %d" % (graph.coatom_count, c))
-            validate_connection_graph(graph)
-        except ValueError as exc:
-            return found + [str(exc)] * (len(graphs) - k)
-        canon, winners = _coatom_search(c, graph.connector_masks)
-        winners = tuple(winners)
-        found.append((None if canon == graph.connector_masks else canon,
-                      kept.setdefault(winners, winners)))
-    return found
+def _search(c: int, kept: dict, graph):
+    """Why graph is rejected, if it does not have c coatoms or fails
+    validate_connection_graph, else (canonical masks, or None where they are
+    the graph's own, winners tuple) of its coatom search.  Equal winner
+    tuples are one object through kept, one dict per fold, since marshal
+    writes each object once: a child's share of 2048 graphs of the first
+    c = 7 chunk sends 162,905 bytes with it, 387,099 without."""
+    try:
+        if graph.coatom_count != c:
+            raise ValueError("%d coatoms, expected %d" % (graph.coatom_count, c))
+        validate_connection_graph(graph)
+    except ValueError as exc:
+        return str(exc)
+    canon, winners = _coatom_search(c, graph.connector_masks)
+    winners = tuple(winners)
+    return (None if canon == graph.connector_masks else canon, kept.setdefault(winners, winners))
 
 
 def _fold_profile(coatom_count: int, graphs) -> tuple:
@@ -154,15 +149,15 @@ def _fold_profile(coatom_count: int, graphs) -> tuple:
     group and cycle index.
 
     This is the one loop over the graphs.  Each round takes up to _CHUNK
-    of them, has genconn._in_shares check and search them, each share by
-    _share, then walks the results in order: it dedupes and raises
-    GraphInputError by 1-based position at the first rejected graph or
-    isomorphic copy, so no answer or error depends on a child.  If the
-    input raises, the graphs taken before it are walked first, so the
-    first error is the one a graph-by-graph count meets."""
+    of them, has genconn._in_shares check and search each by _search, then
+    walks the results in order: it dedupes and raises GraphInputError by
+    1-based position at the first rejected graph or isomorphic copy, so no
+    answer or error depends on a child.  If the input raises, the graphs
+    taken before it are walked first, so the first error is the one a
+    graph-by-graph count meets."""
     c = coatom_count
     c_factorial = math.factorial(c)
-    search = functools.partial(_share, c)
+    search = functools.partial(_search, c, {})
     it, seen, slots, profile, k = iter(graphs), set(), {}, Counter(), 0
     while True:
         chunk, failure = [], None

@@ -293,6 +293,25 @@ class TestGeneration:
         assert sum(1 for _ in rank3.generate_connection_graphs(c)) == GRAPH_CENSUS[c]
         assert len(calls) == searches
 
+    @pytest.mark.parametrize("c", range(1, 8))
+    def test_each_class_found_once(self, monkeypatch, c):
+        # a search is kept only from its class's canonical parent, so the
+        # parents' lists hold every class but r = 0 exactly once, with no
+        # dedupe after them; one usable CPU keeps every list in this process
+        usable_cpus(monkeypatch, 1)
+        extended, found = rank3.genconn._extended, []
+
+        def recording(*args):
+            forms = extended(*args)
+            found.extend(forms)
+            return forms
+
+        monkeypatch.setattr(rank3.genconn, "_extended", recording)
+        classes = list(rank3.genconn._classes(c))
+        assert len(found) == GRAPH_CENSUS[c] - 1
+        assert len({form for form, _group in found}) == len(found)
+        assert sorted(found) == sorted(classes[1:])
+
     def test_kept_groups_are_the_automorphisms(self, graphs_by_c):
         # the group a class keeps is read off the winners of a search on any
         # labelling of it, and acts on the canonical labels; a relabelled,
@@ -329,8 +348,9 @@ class TestGeneration:
 class TestInShares:
     """_in_shares deals 300 items round-robin into shares of at least 16, one
     per usable CPU: share 0 in this process, every other share in a forked
-    child.  Its result has one entry per item, in item order, never None:
-    a child's share that does not come back whole is run again here."""
+    child, each calling work once per item.  Its result has one entry per
+    item, in item order, never None: a child's list that does not come
+    back whole is run again here."""
 
     items = list(range(300))
 
@@ -338,48 +358,60 @@ class TestInShares:
     def _small_shares(self, monkeypatch):
         monkeypatch.setattr(rank3.genconn, "_MIN_SHARE", 16)
 
-    @pytest.mark.parametrize("cpus", [2, 3])
-    def test_results_in_item_order(self, monkeypatch, forks, cpus):
-        usable_cpus(monkeypatch, cpus)
-        got = rank3.genconn._in_shares(lambda share: [x * x for x in share], self.items)
-        assert_reaped()
-        assert len(forks) == cpus - 1
-        assert got == [x * x for x in self.items]
-
     @staticmethod
-    def _work_here(sent):
-        """work squaring each item of its share, a child's list passed
-        through sent, and the items it is run on in this process, appended
-        as it runs."""
+    def _work_here():
+        """work squaring an item, and the items it is run on in this
+        process, appended as it runs."""
         parent, here = os.getpid(), []
 
-        def work(share):
-            found = [x * x for x in share]
+        def work(x):
             if os.getpid() == parent:
-                here.extend(share)
-                return found
-            return sent(share, found)
+                here.append(x)
+            return x * x
 
         return work, here
 
+    @staticmethod
+    def _children_send(monkeypatch, sent):
+        """Make each child send sent(its list) in place of its list: only a
+        child calls marshal.dumps."""
+        def dumps(results):
+            return marshal.dumps(sent(results))
+
+        monkeypatch.setattr(rank3.genconn, "marshal",
+                            types.SimpleNamespace(dumps=dumps, loads=marshal.loads))
+
+    @pytest.mark.parametrize("cpus", [2, 3])
+    def test_results_in_item_order(self, monkeypatch, forks, cpus):
+        usable_cpus(monkeypatch, cpus)
+        work, here = self._work_here()
+        got = rank3.genconn._in_shares(work, self.items)
+        assert_reaped()
+        assert len(forks) == cpus - 1
+        assert got == [x * x for x in self.items]
+        assert here == self.items[::cpus]
+
     @pytest.mark.parametrize("cpus", [2, 3])
     def test_short_list_is_run_here(self, monkeypatch, forks, cpus):
-        # the child of share 1 sends its list ten short; that whole share is
-        # run again here, once every child is reaped
+        # the child of share 1 (first result 1) sends its list ten short;
+        # that whole share is run again here, once every child is reaped
         usable_cpus(monkeypatch, cpus)
-        work, here = self._work_here(lambda share, found: found[:-10] if share[0] == 1 else found)
+        self._children_send(monkeypatch,
+                            lambda results: results[:-10] if results[0] == 1 else results)
+        work, here = self._work_here()
         got = rank3.genconn._in_shares(work, self.items)
         assert_reaped()
         assert len(forks) == cpus - 1
         assert got == [x * x for x in self.items]
         assert here == self.items[::cpus] + self.items[1::cpus]
 
-    @pytest.mark.parametrize("sent", [lambda found: found + [0], tuple, set,
-                                      lambda found: found[:-1] + [None]],
+    @pytest.mark.parametrize("sent", [lambda results: results + [0], tuple, set,
+                                      lambda results: results[:-1] + [None]],
                              ids=["one-too-many", "tuple", "set", "none-entry"])
-    def test_longer_list_or_non_list_is_run_here(self, forks, sent):
+    def test_longer_list_or_non_list_is_run_here(self, monkeypatch, forks, sent):
         # share 1, in the child, sends the bad result, so it is run again here
-        work, here = self._work_here(lambda share, found: sent(found))
+        self._children_send(monkeypatch, sent)
+        work, here = self._work_here()
         got = rank3.genconn._in_shares(work, self.items)
         assert_reaped()
         assert len(forks) == 1
@@ -387,15 +419,15 @@ class TestInShares:
         assert here == self.items[::2] + self.items[1::2]
 
     @pytest.mark.parametrize("cpus", [1, 2])
-    @pytest.mark.parametrize("sent", [lambda found: found[:-1], lambda found: found + [0],
-                                      lambda found: found[:-1] + [None], tuple],
-                             ids=["one-too-few", "one-too-many", "none-entry", "tuple"])
-    def test_bad_result_here_raises(self, monkeypatch, forks, cpus, sent):
-        # share 0 runs here, alone at n = 1: a bad result of it is an error,
-        # not a shrunken or holed result, and not the ValueError of bad input
+    @pytest.mark.parametrize("work", [lambda x: None if x == 298 else x * x],
+                             ids=["none-entry"])
+    def test_bad_result_here_raises(self, monkeypatch, forks, cpus, work):
+        # item 298 is in share 0, run here, alone at n = 1: a None from work
+        # here is an error, not a holed result, and not the ValueError of
+        # bad input
         usable_cpus(monkeypatch, cpus)
         with pytest.raises(RuntimeError, match="did not give one result per item"):
-            rank3.genconn._in_shares(lambda share: sent([x * x for x in share]), self.items)
+            rank3.genconn._in_shares(work, self.items)
         assert_reaped()
         assert len(forks) == cpus - 1
 
@@ -425,10 +457,10 @@ class TestForkedGeneration:
         """The parents that _extended is called with in this process, appended as it runs."""
         parent, extended, parents = os.getpid(), rank3.genconn._extended, []
 
-        def counting(c, pool, pairs, share):
+        def counting(c, pool, pairs, one):
             if os.getpid() == parent:
-                parents.extend(share)
-            return extended(c, pool, pairs, share)
+                parents.append(one)
+            return extended(c, pool, pairs, one)
 
         monkeypatch.setattr(rank3.genconn, "_extended", counting)
         return parents
@@ -452,25 +484,27 @@ class TestForkedGeneration:
     def test_failed_child_gives_the_same_classes(self, monkeypatch, forks, classes_by_c,
                                                  failure):
         # a child's share comes back whole or is extended here again whole:
-        # a share sent back one parent short is no exception, so every
+        # a share sent back one parent's list short is no exception, so every
         # failure extends all 591 parents here
         self._small_shares(monkeypatch)
         parent, extended = os.getpid(), rank3.genconn._extended
-        if failure == "truncated":
-            def truncated(obj):
-                data = marshal.dumps(obj)
+        if failure in ("truncated", "one-parent-short"):
+            def sent(results):
+                if failure == "one-parent-short":
+                    return marshal.dumps(results[:-1])
+                data = marshal.dumps(results)
                 return data[:len(data) // 2]
 
             monkeypatch.setattr(rank3.genconn, "marshal",
-                                types.SimpleNamespace(dumps=truncated, loads=marshal.loads))
+                                types.SimpleNamespace(dumps=sent, loads=marshal.loads))
         elif failure is not None:
-            sent = {"sigkill": lambda found: os.kill(os.getpid(), signal.SIGKILL),
-                    "exit-1": lambda found: os._exit(1),
-                    "one-parent-short": lambda found: found[:-1]}[failure]
+            fail = {"sigkill": lambda: os.kill(os.getpid(), signal.SIGKILL),
+                    "exit-1": lambda: os._exit(1)}[failure]
 
             def failing(*args):
-                found = extended(*args)
-                return sent(found) if os.getpid() != parent else found
+                if os.getpid() != parent:
+                    fail()
+                return extended(*args)
 
             monkeypatch.setattr(rank3.genconn, "_extended", failing)
         parents = self._parents_here(monkeypatch)

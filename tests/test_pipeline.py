@@ -542,14 +542,14 @@ class TestForkedSearch:
     @staticmethod
     def _failing_children(monkeypatch, fail):
         """Make every child call fail() before it searches."""
-        parent, share = os.getpid(), rank3.pipeline._share
+        parent, search = os.getpid(), rank3.pipeline._search
 
-        def failing(c, graphs):
+        def failing(c, kept, graph):
             if os.getpid() != parent:
                 fail()
-            return share(c, graphs)
+            return search(c, kept, graph)
 
-        monkeypatch.setattr(rank3.pipeline, "_share", failing)
+        monkeypatch.setattr(rank3.pipeline, "_search", failing)
 
     @pytest.mark.parametrize("failure", [None, "sigkill", "exit-1", "truncated",
                                          "exit-1-after-sending"])
