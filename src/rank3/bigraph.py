@@ -353,8 +353,10 @@ def automorphism_group_on_coatoms(graph: BicoloredGraph) -> PermGroup:
 # bit v(v-1)/2 + u of the upper triangle.  Both directions hold the
 # triangle as one integer z, lowest bit first: payload byte k carries the
 # six bits of z from 6k, reversed.  So row v of connector v - c is the c
-# bits of z from v(v-1)/2 with no reversal.  In decoding, padding and class
-# checks are one mask each, the latter cached per (c, n).
+# bits of z from v(v-1)/2 with no reversal.  Decoding reads the payload as
+# one integer, six bits in each byte, and packs them by log2 of its length
+# mask steps.  Padding and class checks are one mask each, the latter
+# cached per (c, n) with the rows' shifts.
 
 # the payload bytes 63..126, each one's six bits reversed, and back
 _GRAPH6_BYTES = bytes(range(63, 127))
@@ -363,10 +365,25 @@ _REVERSED_SIX_BITS = bytes.maketrans(_GRAPH6_BYTES, _REVERSED)
 _SIX_BITS_TO_GRAPH6 = bytes.maketrans(_REVERSED, _GRAPH6_BYTES)
 
 
+def _pack_step(k: int) -> tuple[int, int, int]:
+    """(low, shift, high) of mask step k: lanes of 2^(k+4) bits, each holding
+    two groups of 6 * 2^k bits, from bit 0 and bit 2^(k+3), of which the
+    upper moves down by 2^(k+1) onto the lower.  The masks span the 512
+    bytes that nine steps pack, above the 316 payload bytes of 62 vertices."""
+    group = (1 << (6 << k)) - 1
+    low = sum(group << j for j in range(0, 4096, 16 << k))
+    return low, 2 << k, low << (6 << k)
+
+
+_PACK_STEPS = tuple(map(_pack_step, range(9)))
+
+
 @functools.cache
-def _allowed_edges(c: int, n: int) -> int:
-    """The bits of z that may be set, for 0 < c < n: pairs (u, v) with u < c <= v."""
-    return sum(((1 << c) - 1) << v * (v - 1) // 2 for v in range(c, n))
+def _connector_rows(c: int, n: int) -> tuple[int, tuple[int, ...]]:
+    """The bits of z that may be set, pairs (u, v) with u < c <= v, and the
+    shift v(v-1)/2 of each connector row v = c..n-1, for c >= 0."""
+    shifts = tuple(v * (v - 1) // 2 for v in range(c, n))
+    return sum(((1 << c) - 1) << shift for shift in shifts), shifts
 
 
 def graph6_encode(graph: BicoloredGraph) -> bytes:
@@ -410,18 +427,19 @@ def graph6_decode(line: bytes, coatom_count: int, connector_count: int) -> Bicol
     outside = data[1:].translate(None, _GRAPH6_BYTES)
     if outside:
         raise Graph6Error("byte %r outside graph6 range" % outside[:1])
-    z = 0
-    for six in reversed(data[1:].translate(_REVERSED_SIX_BITS)):
-        z = z << 6 | six
+    z = int.from_bytes(data[1:].translate(_REVERSED_SIX_BITS), "little")
+    for low, shift, high in _PACK_STEPS[:(nbytes - 1).bit_length()]:
+        z = z & low | z >> shift & high
     if z >> nbits:
         raise Graph6Error("nonzero padding bits")
     c = coatom_count
-    stray = z & ~_allowed_edges(c, n) if 0 < c < n else z    # else no edge may be set
+    allowed, shifts = _connector_rows(max(c, 0), n)    # BicoloredGraph rejects a negative c
+    stray = z & ~allowed
     if stray:
         # the lowest stray bit is the first pair (u, v) the rows meet
         k = (stray & -stray).bit_length() - 1
         v = (1 + math.isqrt(8 * k + 1)) // 2
         raise ClassViolationError("edge (%d, %d) lies inside one colour class"
                                   % (k - v * (v - 1) // 2, v))
-    full = (1 << max(c, 0)) - 1    # a negative c is left to BicoloredGraph to reject
-    return BicoloredGraph(c, [z >> v * (v - 1) // 2 & full for v in range(c, n)])
+    full = (1 << max(c, 0)) - 1
+    return BicoloredGraph(c, [z >> shift & full for shift in shifts])

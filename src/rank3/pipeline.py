@@ -69,7 +69,7 @@ from dataclasses import dataclass, field
 
 from .bigraph import _coatom_search, _group_of_winners, graph6_decode, validate_connection_graph
 from .genconn import _in_shares, atomic_open, count_r_s, fixed_family_counts, graph_file_name
-from .polya import cycle_index, expand_rational, one_denominator
+from .polya import cycle_index, expand_rational, one_denominator, symmetric_cycle_index
 
 
 class GraphInputError(ValueError):
@@ -119,8 +119,10 @@ def _check_cells(coatom_count: int, cells, want) -> None:
                                       % (got, what, *cell, exist))
 
 
-# graphs taken from the input at a time
-_CHUNK = 4096
+# graphs taken from the input at a time: the c = 7 census in one round, one
+# fork on two CPUs and no child idle between chunks, for 0.2 MB more than
+# with 4096; a c = 8 --graphs count still streams, in 34 rounds
+_CHUNK = 16384
 
 
 def _search(c: int, kept: dict, graph):
@@ -128,8 +130,8 @@ def _search(c: int, kept: dict, graph):
     validate_connection_graph, else (canonical masks, or None where they are
     the graph's own, winners tuple) of its coatom search.  Equal winner
     tuples are one object through kept, one dict per fold, since marshal
-    writes each object once: a child's share of 2048 graphs of the first
-    c = 7 chunk sends 162,905 bytes with it, 387,099 without."""
+    writes each object once: a child's share of 5404 graphs of the c = 7
+    census sends 394,809 bytes with it, 1,003,948 without."""
     try:
         if graph.coatom_count != c:
             raise ValueError("%d coatoms, expected %d" % (graph.coatom_count, c))
@@ -146,7 +148,7 @@ def _fold_profile(coatom_count: int, graphs) -> tuple:
     n adds c!/|G| times the elements of that type in G over the graphs
     with group G, r connectors and s uncovered coatoms, the shape of
     genconn.fixed_family_counts.  Each distinct winners tuple gets one
-    group and cycle index.
+    group and cycle index, S_c's from its class sizes.
 
     This is the one loop over the graphs.  Each round takes up to _CHUNK
     of them, has genconn._in_shares check and search each by _search, then
@@ -183,7 +185,9 @@ def _fold_profile(coatom_count: int, graphs) -> tuple:
             raise failure
         if len(chunk) < _CHUNK:
             break
-    indices = [cycle_index(_group_of_winners(c, winners)) for winners in slots]
+    # c! winners make S_c, whose index needs no listing of its elements
+    indices = [symmetric_cycle_index(c) if len(winners) == c_factorial
+               else cycle_index(_group_of_winners(c, winners)) for winners in slots]
     cells, trivial = defaultdict(Counter), 0
     for (slot, r, s), n in profile.items():
         zindex = indices[slot]

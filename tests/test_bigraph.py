@@ -494,6 +494,26 @@ class TestGraph6:
                 line, r = rank3.graph6_encode(g), g.connector_count
                 assert rank3.graph6_decode(line, c, r) == plain_graph6_decode(line, c, r) == g
 
+    def test_decoder_equals_string_oracle_at_every_length(self):
+        # the decoder packs the payload in log2 of its length mask steps:
+        # every vertex count, a few splits, seeded random legal triangles
+        for n in range(63):
+            rng = random.Random(n)
+            nbits = n * (n - 1) // 2
+            for c in sorted({0, min(1, n), n // 2, max(n - 1, 0), n}):
+                for _ in range(4):
+                    g = rank3.BicoloredGraph(c, [rng.randrange(1 << c) for _ in range(n - c)])
+                    line = plain_graph6_encode(g)
+                    assert rank3.graph6_decode(line, c, n - c) == \
+                        plain_graph6_decode(line, c, n - c) == g, (n, c)
+                    if nbits % 6:
+                        # one of the last payload byte's padding bits set
+                        bit = 1 << rng.randrange(6 - nbits % 6)
+                        padded = line[:-2] + bytes([63 + ((line[-2] - 63) | bit)]) + b"\n"
+                        assert outcome(rank3.graph6_decode, padded, c, n - c) == \
+                            outcome(plain_graph6_decode, padded, c, n - c) == \
+                            (rank3.Graph6Error, "nonzero padding bits"), (n, c)
+
     @settings(max_examples=500, deadline=None)
     @given(damaged_graph6_lines())
     def test_decoder_equals_string_oracle_on_damage(self, case):

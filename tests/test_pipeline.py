@@ -483,13 +483,15 @@ class TestForkedSearch:
     ], ids=["c6", "c7", "c7-three-cpus", "c7-shuffled"])
     def test_forked_fold_equals_in_process(self, monkeypatch, forks, graphs_by_c, graphs_c7,
                                            c, cpus, shuffled, children):
+        # chunks of 4096, so the c = 7 census is searched in three rounds of forks
+        monkeypatch.setattr(rank3.pipeline, "_CHUNK", 4096)
         graphs = list(graphs_c7 if c == 7 else graphs_by_c[c])
         if shuffled:
             random.Random(11).shuffle(graphs)
         usable_cpus(monkeypatch, cpus)
         forked = rank3.pipeline._fold_profile(c, graphs)
         assert_reaped()
-        assert len(forks) == children    # one child per extra CPU and chunk of 4096
+        assert len(forks) == children    # one child per extra CPU and chunk
         usable_cpus(monkeypatch, 1)
         assert rank3.pipeline._fold_profile(c, graphs) == forked
         assert len(forks) == children
@@ -686,9 +688,10 @@ class TestOneLoop:
         assert_reaped()
         assert small_chunks == []
 
-    def test_pulls_at_most_one_chunk_ahead(self, monkeypatch, graphs_c7):
-        # a streamed c = 8 --graphs count reads 552,251 graphs, so its memory
-        # rests on the loop holding one chunk at a time
+    @staticmethod
+    def _deals(monkeypatch, graphs):
+        """(chunk length, graphs yielded so far) per nonempty chunk dealt
+        when _fold_profile folds graphs, taken one by one."""
         yielded, dealt = [0], []
         in_shares = rank3.pipeline._in_shares
 
@@ -697,14 +700,26 @@ class TestOneLoop:
             return in_shares(work, chunk)
 
         def counting():
-            for k, graph in enumerate(graphs_c7, 1):
+            for k, graph in enumerate(graphs, 1):
                 yielded[0] = k
                 yield graph
 
         monkeypatch.setattr(rank3.pipeline, "_in_shares", recording)
         rank3.pipeline._fold_profile(7, counting())
-        assert [deal for deal in dealt if deal[0]] == [(4096, 4096), (4096, 8192),
+        return [deal for deal in dealt if deal[0]]
+
+    def test_pulls_at_most_one_chunk_ahead(self, monkeypatch, graphs_c7):
+        # a streamed c = 8 --graphs count reads 552,251 graphs, so its memory
+        # rests on the loop holding one chunk at a time
+        monkeypatch.setattr(rank3.pipeline, "_CHUNK", 4096)
+        assert self._deals(monkeypatch, graphs_c7) == [(4096, 4096), (4096, 8192),
                                                        (2616, 10808)]
+
+    def test_seven_coatom_census_in_one_round(self, monkeypatch, forks, graphs_c7):
+        # the default chunk takes the whole c = 7 census, one fork on two CPUs
+        assert self._deals(monkeypatch, graphs_c7) == [(10808, 10808)]
+        assert_reaped()
+        assert len(forks) == 1
 
 
 class TestCountTable:

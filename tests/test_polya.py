@@ -1,6 +1,7 @@
 """Cycle indices and exact generating-series arithmetic."""
 
 import itertools
+import math
 from fractions import Fraction
 
 import pytest
@@ -8,6 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import rank3
+from rank3.bigraph import _coatom_search, _group_of_winners
 from rank3.polya import _geometric_mul
 
 from oracles import substitute_per_type
@@ -70,6 +72,15 @@ class TestCycleIndex:
         # S_n's cycle index from n!/prod i^m_i m_i!, against all n! permutations
         for n in range(1, 8):
             assert rank3.polya.symmetric_cycle_index(n) == rank3.cycle_index(symmetric_group(n))
+
+    def test_symmetric_winners_take_the_class_sizes(self):
+        # the fold gives a winners tuple of length c! S_c's index from its class
+        # sizes: the bare coatoms' search, whose winners are every relabelling
+        for c in range(1, 8):
+            winners = _coatom_search(c, ())[1]
+            assert len(winners) == math.factorial(c)
+            assert rank3.cycle_index(_group_of_winners(c, winners)) == \
+                rank3.polya.symmetric_cycle_index(c)
 
     def test_path_graph_group(self):
         g = rank3.BicoloredGraph(4, [{0, 1}, {1, 2}, {2, 3}])
