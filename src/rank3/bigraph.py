@@ -124,6 +124,16 @@ class BicoloredGraph:
         return "BicoloredGraph(%d, %r)" % (self.coatom_count, nbs)
 
 
+def _from_masks(coatom_count: int, masks: tuple) -> BicoloredGraph:
+    """The graph of masks its caller has already bounded, a tuple of ints in
+    0..2^c - 1 for c >= 0: it only sets the two slots, without the checks
+    of BicoloredGraph.__init__ (the graph6 decoder and the generator)."""
+    graph = object.__new__(BicoloredGraph)
+    graph.coatom_count = coatom_count
+    graph.connector_masks = masks
+    return graph
+
+
 def validate_connection_graph(graph: BicoloredGraph) -> None:
     """Raise ValueError unless the graph satisfies all connection-graph
     invariants.
@@ -433,7 +443,7 @@ def graph6_decode(line: bytes, coatom_count: int, connector_count: int) -> Bicol
     if z >> nbits:
         raise Graph6Error("nonzero padding bits")
     c = coatom_count
-    allowed, shifts = _connector_rows(max(c, 0), n)    # BicoloredGraph rejects a negative c
+    allowed, shifts = _connector_rows(max(c, 0), n)
     stray = z & ~allowed
     if stray:
         # the lowest stray bit is the first pair (u, v) the rows meet
@@ -441,5 +451,8 @@ def graph6_decode(line: bytes, coatom_count: int, connector_count: int) -> Bicol
         v = (1 + math.isqrt(8 * k + 1)) // 2
         raise ClassViolationError("edge (%d, %d) lies inside one colour class"
                                   % (k - v * (v - 1) // 2, v))
-    full = (1 << max(c, 0)) - 1
-    return BicoloredGraph(c, [z >> shift & full for shift in shifts])
+    if c < 0:
+        BicoloredGraph(c)    # raises the constructor's ValueError
+    full = (1 << c) - 1
+    # each row is masked to c bits, so the masks need no check of __init__'s
+    return _from_masks(c, tuple([z >> shift & full for shift in shifts]))

@@ -55,7 +55,7 @@ import os
 import signal
 import threading
 
-from .bigraph import BicoloredGraph, _coatom_search, _members, _pairs, graph6_encode
+from .bigraph import BicoloredGraph, _coatom_search, _from_masks, _members, _pairs, graph6_encode
 from .polya import symmetric_cycle_index
 
 
@@ -190,7 +190,8 @@ def generate_connection_graphs(coatom_count: int):
     describes the generation.
     """
     for fam, _group in _classes(coatom_count):
-        yield BicoloredGraph(coatom_count, fam)
+        # a search's canonical masks, a tuple of ints below 2^c
+        yield _from_masks(coatom_count, fam)
 
 
 def graph_file_name(coatom_count: int, connector_count: int) -> str:

@@ -24,13 +24,17 @@ in 0.04 s, c = 9 in 0.2 s, c = 10 in 1.3 s and c = 11 in 16 s, in one
 process.
 Its MemoStats carry the class count alone.
 
-Graphs passed in or read are checked and searched once each, on every
-usable CPU, by _search, and walked in order by _fold_profile, the one
-loop over them: the search gives the group and the canonical form that
-checks the list is isomorph-free.  It maps _search over each chunk
-through genconn._in_shares, the forked map that also extends the
-generator's strata, says when a split stays in this process (as for the
-72 graphs at c = 5), and runs the share of a failed child again here.
+Graphs passed in or read are checked and measured (r and s) once each,
+on every usable CPU, by _search, and walked in order by _fold_profile,
+the one loop over them.  A graph's coatom search gives its group and
+the canonical form that checks the list is isomorph-free; the three
+graphs S_c maps onto themselves (the bare coatoms, one connector on all
+coatoms, all coatom pairs) get their sorted masks and S_c with no
+search, so the r = 0 class folds at once at any c.  _fold_profile maps
+_search over each chunk through genconn._in_shares, the forked map that
+also extends the generator's strata, says when a split stays in this
+process (as for the 72 graphs at c = 5), and runs the share of a failed
+child again here.
 
 Every count of graphs is a gated check: after its fold its cells must
 equal those of genconn.fixed_family_counts, cell by cell, the identity's
@@ -127,20 +131,34 @@ _CHUNK = 16384
 
 def _search(c: int, kept: dict, graph):
     """Why graph is rejected, if it does not have c coatoms or fails
-    validate_connection_graph, else (canonical masks, or None where they are
-    the graph's own, winners tuple) of its coatom search.  Equal winner
-    tuples are one object through kept, one dict per fold, since marshal
-    writes each object once: a child's share of 5404 graphs of the c = 7
-    census sends 394,809 bytes with it, 1,003,948 without."""
+    validate_connection_graph, else (canonical masks, or None where they
+    are the graph's own, winners tuple, r, s).
+
+    The connection graphs that S_c maps onto themselves are the bare
+    coatoms (r = 0), the one connector on all c coatoms and all c(c-1)/2
+    coatom pairs (r = c(c-1)/2, which validate_connection_graph leaves no
+    other way to fill).  Every relabelling maps each of them onto its own
+    masks, so its canonical form is its sorted masks and its winners are
+    all c! relabellings, which the search would list: such a graph gets
+    winners None, S_c's slot, and no search.  Equal winner tuples are one
+    object through kept, one dict per fold, since marshal writes each
+    object once: a child's share of 5404 graphs of the c = 7 census sends
+    262,365 bytes with it, 871,504 without."""
     try:
         if graph.coatom_count != c:
             raise ValueError("%d coatoms, expected %d" % (graph.coatom_count, c))
         validate_connection_graph(graph)
     except ValueError as exc:
         return str(exc)
-    canon, winners = _coatom_search(c, graph.connector_masks)
-    winners = tuple(winners)
-    return (None if canon == graph.connector_masks else canon, kept.setdefault(winners, winners))
+    masks = graph.connector_masks
+    r, s = count_r_s(graph)
+    if r == 0 or r == c * (c - 1) // 2 or masks == ((1 << c) - 1,):
+        canon, winners = tuple(sorted(masks)), None
+    else:
+        canon, winners = _coatom_search(c, masks)
+        winners = tuple(winners)
+        winners = kept.setdefault(winners, winners)
+    return (None if canon == masks else canon, winners, r, s)
 
 
 def _fold_profile(coatom_count: int, graphs) -> tuple:
@@ -148,15 +166,16 @@ def _fold_profile(coatom_count: int, graphs) -> tuple:
     n adds c!/|G| times the elements of that type in G over the graphs
     with group G, r connectors and s uncovered coatoms, the shape of
     genconn.fixed_family_counts.  Each distinct winners tuple gets one
-    group and cycle index, S_c's from its class sizes.
+    group and cycle index, and S_c's slot, the winners None of _search,
+    the index polya.symmetric_cycle_index makes from its class sizes.
 
     This is the one loop over the graphs.  Each round takes up to _CHUNK
-    of them, has genconn._in_shares check and search each by _search, then
-    walks the results in order: it dedupes and raises GraphInputError by
-    1-based position at the first rejected graph or isomorphic copy, so no
-    answer or error depends on a child.  If the input raises, the graphs
-    taken before it are walked first, so the first error is the one a
-    graph-by-graph count meets."""
+    of them, has genconn._in_shares check, search and measure each by
+    _search, then walks the results in order: it dedupes by canonical
+    masks and raises GraphInputError by 1-based position at the first
+    rejected graph or isomorphic copy, so no answer or error depends on a
+    child.  If the input raises, the graphs taken before it are walked
+    first, so the first error is the one a graph-by-graph count meets."""
     c = coatom_count
     c_factorial = math.factorial(c)
     search = functools.partial(_search, c, {})
@@ -173,20 +192,18 @@ def _fold_profile(coatom_count: int, graphs) -> tuple:
             k += 1
             if isinstance(found, str):
                 raise GraphInputError("graph %d %r: %s" % (k, graph, found))
-            canon, winners = found
+            canon, winners, r, s = found
             # the graph's own tuple when it is canonical, so keeping it makes no second copy
             canon = graph.connector_masks if canon is None else canon
             if canon in seen:
                 raise GraphInputError("graph %d is isomorphic to an earlier graph" % k)
             seen.add(canon)
-            r, s = count_r_s(graph)
             profile[slots.setdefault(winners, len(slots)), r, s] += 1
         if failure is not None:
             raise failure
         if len(chunk) < _CHUNK:
             break
-    # c! winners make S_c, whose index needs no listing of its elements
-    indices = [symmetric_cycle_index(c) if len(winners) == c_factorial
+    indices = [symmetric_cycle_index(c) if winners is None
                else cycle_index(_group_of_winners(c, winners)) for winners in slots]
     cells, trivial = defaultdict(Counter), 0
     for (slot, r, s), n in profile.items():
@@ -233,7 +250,8 @@ def count_lattices_stats(coatom_count: int, max_atoms: int, graphs=None,
     check.  Every graph passed in or read is checked here: a wrong coatom
     count, a failed validate_connection_graph or an isomorph of an earlier
     graph raises GraphInputError naming its 1-based position, and its
-    coatom search gives its group.  _fold_profile does this, spread over
+    coatom search gives its group (S_c, with no search, for the graphs
+    S_c maps onto themselves).  _fold_profile does this, spread over
     forked children, the share of a failed child run again here, so the
     result and the error are those of a count in one process; no child
     outlives the call.  The graphs fold into cells per cycle type, r and

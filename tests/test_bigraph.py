@@ -1,7 +1,9 @@
 """Bicolored graphs: construction, canonical forms, automorphisms, graph6."""
 
+import copy
 import hashlib
 import itertools
+import pickle
 import random
 
 import pytest
@@ -493,6 +495,30 @@ class TestGraph6:
             for g in graphs:
                 line, r = rank3.graph6_encode(g), g.connector_count
                 assert rank3.graph6_decode(line, c, r) == plain_graph6_decode(line, c, r) == g
+
+    def test_decoded_graphs_equal_constructed(self, graphs_by_c, graphs_c7):
+        # the decoder and the generator skip __init__'s checks: their graphs
+        # must be those __init__ builds, down to hashes, pickles and copies
+        for c, graphs in {**graphs_by_c, 7: graphs_c7}.items():
+            for g in graphs:
+                line, r = rank3.graph6_encode(g), g.connector_count
+                built = rank3.BicoloredGraph(c, list(g.connector_masks))
+                for made in (rank3.graph6_decode(line, c, r), g):
+                    assert type(made) is rank3.BicoloredGraph
+                    assert type(made.connector_masks) is tuple
+                    assert all(type(m) is int for m in made.connector_masks)
+                    assert made == built and hash(made) == hash(built)
+                    for twin in (pickle.loads(pickle.dumps(made)), copy.copy(made),
+                                 copy.deepcopy(made)):
+                        assert type(twin) is rank3.BicoloredGraph
+                        assert (twin.coatom_count, twin.connector_masks) == \
+                            (c, built.connector_masks)
+        # a negative coatom count still meets the constructor's check
+        line = rank3.graph6_encode(rank3.BicoloredGraph(0, [0, 0]))
+        with pytest.raises(ValueError) as info:
+            rank3.graph6_decode(line, -1, 3)
+        assert type(info.value) is ValueError
+        assert str(info.value) == "coatom count must be nonnegative"
 
     def test_decoder_equals_string_oracle_at_every_length(self):
         # the decoder packs the payload in log2 of its length mask steps:

@@ -25,6 +25,14 @@ def _rotated(graph):
     return copy
 
 
+def _symmetric(graph):
+    """Whether S_c maps graph onto itself: the bare coatoms, the one connector
+    on all c coatoms or all c(c-1)/2 coatom pairs."""
+    c, masks = graph.coatom_count, graph.connector_masks
+    return sorted(masks) in ([], [(1 << c) - 1],
+                             sorted((1 << i) | (1 << k) for i in range(c) for k in range(i)))
+
+
 class TestCounting:
     def test_two_coatoms(self):
         table = rank3.count_lattices(2, 5)
@@ -96,13 +104,19 @@ class TestCounting:
             rank3.count_lattices(c, 6, graphs)
         assert str(info.value) == "graph %d %r: %s" % (position, graphs[-1], reason)
 
-    @pytest.mark.parametrize("c, position", [
-        (5, 7),      # right after its original, graph 7
-        (6, 592),    # after all 592 graphs of c = 6
-    ], ids=["adjacent", "far-apart"])
-    def test_isomorphic_copy_rejected(self, graphs_by_c, c, position):
+    @pytest.mark.parametrize("c, position, copy", [
+        # right after its original, graph 7
+        (5, 7, lambda graphs: _rotated(graphs[6])),
+        # after all 592 graphs of c = 6
+        (6, 592, lambda graphs: _rotated(graphs[6])),
+        # the S_c-invariant graphs, which _search gives no search: the one
+        # connector on all c coatoms twice, and all pairs in another order
+        (5, 72, lambda graphs: rank3.BicoloredGraph(5, [0b11111])),
+        (6, 592, lambda graphs: rank3.BicoloredGraph(6, graphs[-1].connector_masks[::-1])),
+    ], ids=["adjacent", "far-apart", "c-coatom-connector-twice", "complete-pairs-reordered"])
+    def test_isomorphic_copy_rejected(self, graphs_by_c, c, position, copy):
         graphs = list(graphs_by_c[c])
-        graphs.insert(position, _rotated(graphs[6]))
+        graphs.insert(position, copy(graphs))
         number = position + 1
         with pytest.raises(rank3.GraphInputError, match="graph %d is isomorphic" % number):
             rank3.count_lattices(c, 10, graphs)
@@ -161,6 +175,45 @@ class TestCycleTypes:
             _table, stats = rank3.count_lattices_stats(c, 0)
             assert stats == rank3.MemoStats(len(graphs), None, None)
         assert len(cells) == 15
+
+    @pytest.mark.parametrize("c", range(1, 9))
+    def test_symmetric_graphs_skip_the_search(self, monkeypatch, c):
+        # the S_c-invariant graphs, as given and with their connectors
+        # reversed, get the search's canonical masks and S_c's slot unsearched
+        pairs = tuple((1 << i) | (1 << k) for i in range(c) for k in range(i))
+        families = {(), pairs} | ({((1 << c) - 1,)} if c >= 2 else set())
+        graphs = sorted({rank3.BicoloredGraph(c, masks) for fam in families
+                         for masks in (fam, fam[::-1])}, key=lambda g: g.connector_masks)
+        assert len(graphs) == {1: 1, 2: 2}.get(c, 4) and all(map(_symmetric, graphs))
+        want = {g: rank3.bigraph._coatom_search(c, g.connector_masks)[0] for g in graphs}
+        searched = []
+        monkeypatch.setattr(rank3.pipeline, "_coatom_search",
+                            lambda c, masks: searched.append(masks))
+        for g in graphs:
+            canon, winners, r, s = rank3.pipeline._search(c, {}, g)
+            assert (g.connector_masks if canon is None else canon) == want[g]
+            assert winners is None
+            assert (r, s) == rank3.count_r_s(g)
+        cells, stats = rank3.pipeline._fold_profile(
+            c, [rank3.BicoloredGraph(c, fam) for fam in families])
+        assert searched == []
+        cell_of = [rank3.count_r_s(rank3.BicoloredGraph(c, fam)) for fam in families]
+        assert cells == {expo: dict.fromkeys(cell_of, count)
+                         for expo, count in rank3.polya.symmetric_cycle_index(c).counts}
+        assert stats == rank3.MemoStats(len(families), 1, len(families) if c == 1 else 0)
+
+    def test_bare_class_at_nine_coatoms_unsearched(self, monkeypatch):
+        # a search would list all 9! = 362,880 winners
+        monkeypatch.setattr(rank3.pipeline, "_coatom_search",
+                            lambda c, masks: pytest.fail("searched %r" % (masks,)))
+        cells, stats = rank3.pipeline._fold_profile(9, [rank3.BicoloredGraph(9)])
+        assert cells == {expo: {(0, 9): count}
+                         for expo, count in rank3.polya.symmetric_cycle_index(9).counts}
+        assert stats == rank3.MemoStats(1, 1, 0)
+        # its cells are the r = 0 cells of the count without graphs
+        want = rank3.genconn.fixed_family_counts(9)
+        assert cells == {expo: {(0, 9): by_cell[0, 9]} for expo, by_cell in want.items()
+                         if (0, 9) in by_cell}
 
     @pytest.mark.parametrize("c, labeled", zip(range(1, 7), [1, 2, 9, 97, 2625, 185521]))
     def test_burnside_structure(self, c, labeled):
@@ -585,7 +638,11 @@ class TestForkedSearch:
         assert rank3.count_lattices_stats(6, 200, graphs_by_c[6]) == want
         assert_reaped()
         assert len(forks) == 2
-        assert len(searched) == (296 if failure is None else 592)
+        # this process searches share 0, then a failed child's share 1, each
+        # but its S_6-invariant graphs
+        shares = graphs_by_c[6][0::2], graphs_by_c[6][1::2]
+        here = shares[0] if failure is None else shares[0] + shares[1]
+        assert searched == [g.connector_masks for g in here if not _symmetric(g)]
 
     def test_children_reaped_after_interrupt(self, monkeypatch, forks, graphs_by_c):
         # the parent is interrupted in its own share while the child searches
