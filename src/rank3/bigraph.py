@@ -309,11 +309,21 @@ def _coatom_search(c: int, masks) -> tuple[tuple[int, ...], list[Permutation]]:
     return tuple(best), winners
 
 
+def _symmetric(c: int, masks) -> bool:
+    """Whether masks, any at all, are no connector, the one connector on all
+    c coatoms or the c(c-1)/2 coatom pairs once each: graphs S_c maps onto
+    themselves, so their sorted masks are canonical and every relabelling
+    wins.  The one test of which graphs skip _coatom_search."""
+    if len(masks) < 2:
+        return not masks or masks[0] == (1 << c) - 1
+    return (len(masks) == c * (c - 1) // 2
+            and set(masks) == {1 << i | 1 << k for i in range(c) for k in range(i)})
+
+
 def canonicalize(graph: BicoloredGraph) -> BicoloredGraph:
     """Isomorphic copy in canonical labelling, connectors sorted by mask."""
     c, masks = graph.coatom_count, graph.connector_masks
-    # the empty graph is its own canonical form: no need to try c! orders
-    return BicoloredGraph(c, _coatom_search(c, masks)[0] if masks else ())
+    return BicoloredGraph(c, sorted(masks) if _symmetric(c, masks) else _coatom_search(c, masks)[0])
 
 
 def canonical_form(graph: BicoloredGraph) -> bytes:

@@ -8,21 +8,17 @@ ranked by (size, number of other connectors it meets), of those only by
 the least mask in each orbit of the class's automorphism group, and a
 search is kept only from the class's canonical parent (the orbit step
 and canonical construction path of McKay, "Isomorph-free exhaustive
-generation", J. Algorithms 26, 1998).  So every isomorphism class comes
-from exactly one search, with its automorphism group.
+generation", J. Algorithms 26, 1998).  So every isomorphism class past
+r = 0 is found exactly once, with its automorphism group.
 
 Each parent class is extended on its own, so the parents of a stratum
-are extended through _in_shares, a forked map that says how it deals
-the items over forked children and runs the share of a failed child
-again here, its one fallback; pipeline._fold_profile, the one loop over
-graphs read or passed in, is its other user.  With no class found twice,
-the classes, kept groups and census bytes are those of one process.
-Every child is reaped before the stratum's first class is yielded, so
-none is alive while a caller holds the generator.  Shares hold at least
-256 parents, so strata below 512 parents stay in this process: every
-stratum up to c = 6, so a count for c <= 6 never forks here.  On two
-cores the c = 7 census takes 1.0-1.2 s against 1.3-1.8 s in one
-process, and c = 8 47-51 s against 99 s.
+are extended through _in_shares, the forked map pipeline._fold_profile
+also uses.  With no class found twice, the classes, kept groups and
+census bytes are those of one process, and no child is alive once the
+stratum's first class is yielded.  Strata below 512 parents, every
+stratum up to c = 6, stay in this process.  On two cores the c = 7
+census takes 1.0-1.2 s against 1.3-1.8 s in one process, and c = 8
+47-51 s against 99 s.
 
 fixed_family_counts counts, without a census, the labelled families each
 cycle type of S_c fixes, per connector count and uncovered coatoms: by
@@ -55,7 +51,8 @@ import os
 import signal
 import threading
 
-from .bigraph import BicoloredGraph, _coatom_search, _from_masks, _members, _pairs, graph6_encode
+from .bigraph import (BicoloredGraph, _coatom_search, _from_masks, _members, _pairs, _symmetric,
+                      graph6_encode)
 from .polya import symmetric_cycle_index
 
 
@@ -80,6 +77,14 @@ def _bit_images(winners) -> tuple[tuple[int, ...], ...]:
             s[i] = 1 << image
         images.append(tuple(s))
     return tuple(images)
+
+
+@functools.cache
+def _swaps(c: int) -> tuple[tuple[int, ...], ...]:
+    """The transpositions (i i+1) as bit images, kept by the classes S_c maps
+    onto themselves: they leave just the least mask of each size, as S_c would."""
+    unit = [1 << i for i in range(c)]
+    return tuple(tuple(unit[:i] + [unit[i + 1], unit[i]] + unit[i + 2:]) for i in range(c - 1))
 
 
 def _extended(c: int, pool, pairs, parent) -> list:
@@ -108,7 +113,12 @@ def _extended(c: int, pool, pairs, parent) -> list:
             if any(k + (x & m != 0) > met for x, k in kept):
                 continue
             ties = [x for x, k in kept if k + (x & m != 0) == met]
-        form, winners = _coatom_search(c, fam + (m,))
+        grown = fam + (m,)
+        if _symmetric(c, grown):
+            # every relabelling wins, and maps m onto every mask of its rank
+            found.append((tuple(sorted(grown)), _swaps(c)))
+            continue
+        form, winners = _coatom_search(c, grown)
         if ties:
             # kept only if a winner maps m to the least canonical mask of its rank
             p0 = winners[0]
@@ -133,29 +143,27 @@ def _classes(coatom_count: int):
     stratum r, and P plus the image of d is isomorphic to G and passes, the
     rank being invariant under isomorphism.
 
-    Of those masks only the least of each Aut(P)-orbit is searched: m is
+    Of those masks only the least of each Aut(P)-orbit is kept: m is
     skipped if an automorphism of P maps it to a smaller mask.  This loses
     nothing either: for s in Aut(P), P + s(m) is isomorphic to P + m, and
     both filters above are Aut(P)-invariant, so the least mask of every
-    orbit still passes; at c = 7, 12,782 masks reach the search.
+    orbit still passes; at c = 7, 12,782 masks pass, and 12,780 are searched.
 
-    Each class comes from exactly one search, its canonical parent's
+    Each class comes from exactly one extension, its canonical parent's
     (McKay's canonical construction path).  Every winner of the search of
     G = P + m maps the connectors of m's rank onto the same canonical
     masks, rank being invariant, and G is kept iff some winner maps m to
     the least of them, L.  So G is kept only from the class of G minus a
     connector that a winner maps to L, and two masks of P that give G so
     differ by an automorphism of P, of which the orbit filter keeps one.
-    The class keeps the group read off that search's winners; the r = 0
-    class keeps only the transpositions (i i+1), which leave exactly the
-    least mask of each size, as S_c would.  Each stratum is sorted once in
-    graph6 byte order, without encoding, and its masks seed the next, so
-    two runs produce byte-identical output.
+    The class keeps the group read off that search's winners, but those
+    bigraph._symmetric accepts (r = 0, the full connector, all coatom
+    pairs) keep _swaps(c), the last two found with no search or tie test.
+    Each stratum is sorted once in graph6 byte order, without encoding,
+    and its masks seed the next, so two runs give byte-identical output.
 
-    The parents of a stratum are extended by _extended through
-    _in_shares, forked where the module docstring says, and their lists
-    joined: a forked run gives the classes and groups of one process.  No
-    child outlives the stratum's first yield.
+    The parents of a stratum are extended by _extended through _in_shares
+    (see the module docstring), and their lists joined.
     """
     c = coatom_count
     if c < 1:
@@ -168,9 +176,7 @@ def _classes(coatom_count: int):
     # each mask with its c bits reversed, in bytes of one width
     width = (c + 7) // 8
     flipped = {m: int(format(m, "0%db" % c)[::-1], 2).to_bytes(width, "big") for m in pool}
-    unit = [1 << i for i in range(c)]
-    swaps = tuple(tuple(unit[:i] + [unit[i + 1], unit[i]] + unit[i + 2:]) for i in range(c - 1))
-    level, extend = [((), swaps)], functools.partial(_extended, c, pool, pairs)
+    level, extend = [((), _swaps(c))], functools.partial(_extended, c, pool, pairs)
     yield level[0]
     for _r in range(1, c * (c - 1) // 2 + 1):
         # for equal c and r, graph6 byte order is the order of the mask
@@ -282,8 +288,7 @@ def _in_shares(work, items) -> list:
     pipe by marshal.  The share of a child that did not start, died,
     exited non-zero or sent anything but a list of one result per item,
     none of them None, is run again here once every child is reaped: the
-    one fallback, so the callers (_classes here, pipeline._fold_profile
-    for graphs read or passed in) walk results only.  A None from work in
+    one fallback, so the callers walk results only.  A None from work in
     this process raises RuntimeError.  Every child is reaped, and killed
     first if still running, before this returns or raises."""
     n = _processes(len(items))
@@ -651,12 +656,10 @@ def fixed_family_counts(coatom_count: int) -> dict:
     fix(r, s) the labelled families with r connectors and s uncovered
     coatoms fixed by one permutation of that type; summed over r + s = k
     this is the Q[k] of pipeline's count, by Burnside's lemma, without a
-    census or a search.  The sub-types' counts (_fixed_families) are kept
-    for the process and shared by every c, so a later call only assembles
-    the cells; the point-elimination memo (_linear_families) is emptied
-    when each call returns or raises.  Each (r, s) must sum, over the
-    types, to c! times its classes (the orbit-counting identity); a cell
-    that does not raises ArithmeticError, and no sub-type's count is kept.
+    census or a search.  The module docstring says what it keeps for the
+    process.  Each (r, s) must sum, over the types, to c! times its classes
+    (the orbit-counting identity); a cell that does not raises
+    ArithmeticError, and no sub-type's count is kept.
     """
     c = coatom_count
     if c < 1:

@@ -21,20 +21,16 @@ one permutation of type lambda (Burnside's lemma; |C_lambda| the class
 size), which genconn.fixed_family_counts counts by orbits of
 connectors, with no census and no search: c = 7 in about 0.01 s, c = 8
 in 0.04 s, c = 9 in 0.2 s, c = 10 in 1.3 s and c = 11 in 16 s, in one
-process.
-Its MemoStats carry the class count alone.
+process.  Its MemoStats carry the class count alone.
 
 Graphs passed in or read are checked and measured (r and s) once each,
 on every usable CPU, by _search, and walked in order by _fold_profile,
 the one loop over them.  A graph's coatom search gives its group and
-the canonical form that checks the list is isomorph-free; the three
-graphs S_c maps onto themselves (the bare coatoms, one connector on all
-coatoms, all coatom pairs) get their sorted masks and S_c with no
-search, so the r = 0 class folds at once at any c.  _fold_profile maps
-_search over each chunk through genconn._in_shares, the forked map that
-also extends the generator's strata, says when a split stays in this
-process (as for the 72 graphs at c = 5), and runs the share of a failed
-child again here.
+the canonical form that checks the list is isomorph-free; the graphs
+S_c maps onto themselves (bigraph._symmetric) get their sorted masks
+and S_c with no search, so the r = 0 class folds at once at any c.
+_fold_profile maps _search over each chunk through genconn._in_shares,
+which says when it forks (not for the 72 graphs at c = 5).
 
 Every count of graphs is a gated check: after its fold its cells must
 equal those of genconn.fixed_family_counts, cell by cell, the identity's
@@ -58,9 +54,7 @@ and returns the fold's MemoStats with a slice of the entry's series.
 Repeated counts for one c count its cells once, and a count the series
 already covers is a copy of its first a + 1 terms; a longer one expands
 N / D again, to at least twice the old length, which costs only the
-running sums.  The sub-type counts behind the cells are kept for the
-process in genconn, and its point-elimination memo is freed after each
-count (see genconn.fixed_family_counts).
+running sums.  The genconn docstring says what its counts keep.
 """
 
 import csv
@@ -71,7 +65,8 @@ import os
 from collections import Counter, defaultdict
 from dataclasses import dataclass, field
 
-from .bigraph import _coatom_search, _group_of_winners, graph6_decode, validate_connection_graph
+from .bigraph import (_coatom_search, _group_of_winners, _symmetric, graph6_decode,
+                      validate_connection_graph)
 from .genconn import _in_shares, atomic_open, count_r_s, fixed_family_counts, graph_file_name
 from .polya import cycle_index, expand_rational, one_denominator, symmetric_cycle_index
 
@@ -134,13 +129,8 @@ def _search(c: int, kept: dict, graph):
     validate_connection_graph, else (canonical masks, or None where they
     are the graph's own, winners tuple, r, s).
 
-    The connection graphs that S_c maps onto themselves are the bare
-    coatoms (r = 0), the one connector on all c coatoms and all c(c-1)/2
-    coatom pairs (r = c(c-1)/2, which validate_connection_graph leaves no
-    other way to fill).  Every relabelling maps each of them onto its own
-    masks, so its canonical form is its sorted masks and its winners are
-    all c! relabellings, which the search would list: such a graph gets
-    winners None, S_c's slot, and no search.  Equal winner tuples are one
+    A graph that bigraph._symmetric accepts gets its sorted masks and
+    winners None, S_c's slot, with no search.  Equal winner tuples are one
     object through kept, one dict per fold, since marshal writes each
     object once: a child's share of 5404 graphs of the c = 7 census sends
     262,365 bytes with it, 871,504 without."""
@@ -152,7 +142,7 @@ def _search(c: int, kept: dict, graph):
         return str(exc)
     masks = graph.connector_masks
     r, s = count_r_s(graph)
-    if r == 0 or r == c * (c - 1) // 2 or masks == ((1 << c) - 1,):
+    if _symmetric(c, masks):
         canon, winners = tuple(sorted(masks)), None
     else:
         canon, winners = _coatom_search(c, masks)
@@ -236,27 +226,20 @@ def count_lattices_stats(coatom_count: int, max_atoms: int, graphs=None,
                          jobs=None) -> tuple[CountTable, MemoStats]:
     """Count table plus the MemoStats of its graphs for one pipeline run.
 
-    Every table is a slice of the coatom count's one entry (see the module
-    docstring): the cells of genconn.fixed_family_counts, made once per
-    process and coatom count, summed into one Q per cycle type and
-    substituted once; a cell that breaks the orbit-counting identity
-    raises ArithmeticError.  The series is substituted again, to at least
-    twice its length, only when a longer table is asked for.  Without
+    Every table is a slice of the coatom count's one entry, made and
+    lengthened as the module docstring says; a cell that breaks the
+    orbit-counting identity raises ArithmeticError.  Without
     ``graphs`` no graph is listed, and the MemoStats hold the class count,
     with distinct_cycle_indices and trivial_action_graphs None.
 
     ``graphs`` is any iterable of connection graphs forming a complete
     isomorph-free list for ``coatom_count``; a count of them is a gated
-    check.  Every graph passed in or read is checked here: a wrong coatom
-    count, a failed validate_connection_graph or an isomorph of an earlier
-    graph raises GraphInputError naming its 1-based position, and its
-    coatom search gives its group (S_c, with no search, for the graphs
-    S_c maps onto themselves).  _fold_profile does this, spread over
-    forked children, the share of a failed child run again here, so the
-    result and the error are those of a count in one process; no child
-    outlives the call.  The graphs fold into cells per cycle type, r and
-    s, and every cell is gated on the entry's: the first that misses
-    raises GraphInputError.  The MemoStats are then the fold's.
+    check.  _fold_profile checks, searches and folds them with the result
+    and error of a count in one process, and no child outlives the call:
+    a wrong coatom count, a failed validate_connection_graph or an
+    isomorph of an earlier graph raises GraphInputError naming its 1-based
+    position, and so does the first cell that misses the entry's.  The
+    MemoStats are then the fold's.
 
     The returned table and its values are new on every call; the entry is
     never handed out.  ``jobs`` is accepted and ignored, because the

@@ -125,6 +125,8 @@ def expand_rational(numerator, exponents, divisor: int, length: int) -> list[int
     exactly when those of N are, and N is divided before the passes.
     Otherwise the error names the first term of N / D that is not one.
     """
+    if length < 0:
+        raise ValueError("series length must be nonnegative")
     head = numerator[:length]
     exact = not any(value % divisor for value in head)
     if exact:
@@ -149,6 +151,8 @@ def group_balls(zindex: CycleIndex, boxes: int, max_balls: int) -> list[int]:
     at max_balls.  Each cycle type is weighted by its element count, and
     the sum is divided by |G|, asserting exact divisibility.
     """
+    if max_balls < 0:
+        raise ValueError("maximum ball count must be nonnegative")
     if zindex.degree != boxes:
         raise ValueError("cycle index has degree %d, not %d" % (zindex.degree, boxes))
     for expo, _count in zindex.counts:

@@ -345,6 +345,61 @@ class TestCanonicalForm:
         assert len(forms) == 3
 
 
+class TestSymmetricShortcut:
+    """bigraph._symmetric names the graphs S_c maps onto themselves, which
+    canonicalize gives their sorted masks with no search; any other graph
+    is searched."""
+
+    @staticmethod
+    def _searched(monkeypatch):
+        """The masks bigraph._coatom_search is called with, appended as it runs."""
+        search, searched = rank3.bigraph._coatom_search, []
+
+        def counting(c, masks):
+            searched.append(masks)
+            return search(c, masks)
+
+        monkeypatch.setattr(rank3.bigraph, "_coatom_search", counting)
+        return searched
+
+    @pytest.mark.parametrize("c", range(1, 10))
+    def test_symmetric_graphs_unsearched(self, monkeypatch, c):
+        # the bare coatoms, the full connector and all coatom pairs, in given,
+        # reversed and shuffled order; at c = 9 a search of the last two took
+        # 0.56 s and 1.12 s
+        pairs = tuple(1 << i | 1 << k for i in range(c) for k in range(i))
+        rng = random.Random(c)
+        families = [(), ((1 << c) - 1,), pairs]
+        searched = self._searched(monkeypatch)
+        for fam in families:
+            want = tuple(sorted(fam))
+            key = bytes([63 + c]) + rank3.graph6_encode(rank3.BicoloredGraph(c, want))[:-1]
+            for masks in (fam, fam[::-1], tuple(rng.sample(fam, len(fam)))):
+                g = rank3.BicoloredGraph(c, masks)
+                assert rank3.bigraph._symmetric(c, masks)
+                assert rank3.canonicalize(g).connector_masks == want
+                assert rank3.canonical_form(g) == key
+        assert searched == []
+        if c <= 7:
+            # the search's own answer
+            assert all(plain_coatom_search(c, fam)[0] == tuple(sorted(fam)) for fam in families)
+
+    @pytest.mark.parametrize("c", range(3, 8))
+    def test_near_misses_searched(self, monkeypatch, c):
+        pairs = tuple(1 << i | 1 << k for i in range(c) for k in range(i))
+        full = (1 << c) - 1
+        near = [pairs[:-1] + pairs[:1],    # one pair twice, one missing
+                pairs[:-1] + (0b111,),     # one pair replaced by a 3-set
+                (full, full),
+                (full, 0b11)]
+        searched = self._searched(monkeypatch)
+        for masks in near:
+            assert not rank3.bigraph._symmetric(c, masks)
+            g = rank3.BicoloredGraph(c, masks)
+            assert rank3.canonicalize(g).connector_masks == plain_coatom_search(c, masks)[0]
+        assert searched == near
+
+
 class TestCoatomSearch:
     """The search returns the oracle's canonical masks and winners, in order."""
 

@@ -271,7 +271,7 @@ class TestGeneration:
         assert sum(1 for _ in labelled_connection_families(7)) == 35406319
         assert labeled_copies(7, graphs_c7) == identity_cells(7)
 
-    @pytest.mark.parametrize("c, searches", [(5, 75), (6, 658), (7, 12782)])
+    @pytest.mark.parametrize("c, searches", [(5, 73), (6, 656), (7, 12780)])
     def test_extends_only_by_largest_connectors(self, monkeypatch, c, searches):
         # a parent P is extended only by a connector of largest (size,
         # number of other connectors met), and only by the least such mask
@@ -279,8 +279,10 @@ class TestGeneration:
         # search than the 362 and 4356 compatible ones; the rank alone gives
         # 162 and 1239 (18,450 at c = 7, against 12,782 with the orbits), and
         # a size-only rule still gives the right census but makes 2118
-        # searches at c = 6; one usable CPU keeps every search in this
-        # process, where the count sees it
+        # searches at c = 6.  Of the candidates that pass, the full connector
+        # (r = 1) and the complete-pairs graph are not searched, since S_c
+        # maps them onto themselves: 2 fewer than pass at each c.  One usable
+        # CPU keeps every search in this process, where the count sees it
         usable_cpus(monkeypatch, 1)
         calls = []
         search = rank3.genconn._coatom_search
@@ -330,6 +332,27 @@ class TestGeneration:
                     assert all(len(s) == c for s in images)
                     assert {tuple(s.bit_length() - 1 for s in img) for img in images} == want
                     assert len(images) == len(want)
+
+    def test_kept_groups_of_the_classes(self, classes_by_c):
+        # every class keeps the bit images of its search's winners, Aut minus
+        # the identity, but the S_c-invariant ones (r = 0, the full connector
+        # and all coatom pairs), which keep the r = 0 class's transpositions
+        # (i i+1), one tuple
+        for c, classes in classes_by_c.items():
+            swaps = set()
+            for i in range(c - 1):
+                perm = list(range(c))
+                perm[i], perm[i + 1] = i + 1, i
+                swaps.add(tuple(1 << p for p in perm))
+            seed = classes[0][1]
+            assert classes[0][0] == () and set(seed) == swaps and len(seed) == c - 1
+            symmetric = [group for form, group in classes if rank3.bigraph._symmetric(c, form)]
+            assert len(symmetric) == {1: 1, 2: 2}.get(c, 3)
+            assert all(group is seed for group in symmetric)
+            for form, group in classes:
+                if not rank3.bigraph._symmetric(c, form):
+                    want = _bit_images(_coatom_search(c, form)[1])
+                    assert set(group) == set(want) and len(group) == len(want), form
 
     def test_graphs_are_the_classes(self, graphs_by_c, classes_by_c):
         for c, classes in classes_by_c.items():

@@ -74,8 +74,9 @@ class TestCycleIndex:
             assert rank3.polya.symmetric_cycle_index(n) == rank3.cycle_index(symmetric_group(n))
 
     def test_symmetric_winners_take_the_class_sizes(self):
-        # the fold gives a winners tuple of length c! S_c's index from its class
-        # sizes: the bare coatoms' search, whose winners are every relabelling
+        # the fold gives the graphs S_c maps onto themselves S_c's index from
+        # its class sizes, with no search; the bare coatoms' search, whose
+        # winners are every relabelling, gives the same index
         for c in range(1, 8):
             winners = _coatom_search(c, ())[1]
             assert len(winners) == math.factorial(c)
@@ -149,6 +150,17 @@ class TestGroupBalls:
                 values = rank3.group_balls(z, c, 6)
                 for n in range(7):
                     assert values[n] == orbit_count_oracle(grp, n)
+
+    @pytest.mark.parametrize("max_balls", [-1, -2, -5])
+    def test_negative_ball_count_rejected(self, max_balls):
+        # a negative count once sliced N by a negative length: for S_3, -2
+        # gave [1, 1, 2, 3, 4] and -5 gave [1, 1]; no balls is one filling
+        z = rank3.cycle_index(symmetric_group(3))
+        with pytest.raises(ValueError):
+            rank3.group_balls(z, 3, max_balls)
+        with pytest.raises(ValueError):
+            rank3.polya.expand_rational((1,), (3,), 1, max_balls)
+        assert rank3.group_balls(z, 3, 0) == [1]
 
     def test_degree_mismatch_rejected(self):
         z = rank3.cycle_index(symmetric_group(2))
