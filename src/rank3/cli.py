@@ -6,9 +6,8 @@ count table), fit (quasipolynomial JSON), eval (one exact value), verify
 variable names the default output directory; --out overrides it.
 
 Exit codes: 0 success, 1 a failed internal check, with a traceback (the
-orbit-counting gate's ArithmeticError or genconn._in_shares'
-RuntimeError), 2 bad input, 3 table too short for a fit, 4 fit rejected
-by the table, 5 verification mismatch.
+orbit-counting gate's ArithmeticError), 2 bad input, 3 table too short
+for a fit, 4 fit rejected by the table, 5 verification mismatch.
 """
 
 import argparse

@@ -16,9 +16,8 @@ are extended through _in_shares, the forked map pipeline._fold_profile
 also uses.  With no class found twice, the classes, kept groups and
 census bytes are those of one process, and no child is alive once the
 stratum's first class is yielded.  Strata below 512 parents, every
-stratum up to c = 6, stay in this process.  On two cores the c = 7
-census takes 1.0-1.2 s against 1.3-1.8 s in one process, and c = 8
-47-51 s against 99 s.
+stratum up to c = 6, stay in this process.  ROADMAP.md, "Where it
+stands", gives the census times on one and on two cores.
 
 fixed_family_counts counts, without a census, the labelled families each
 cycle type of S_c fixes, per connector count and uncovered coatoms: by
@@ -31,9 +30,8 @@ cycle type without trailing zero multiplicities, so a sub-type of S_4
 serves S_5 as well: 139 entries up to c = 10), from which a call
 assembles its cells afresh.  The point-elimination memo
 (_linear_families) is freed when each count returns or raises.  A count
-that fails its gate frees the sub-type counts too.  In one process c = 9
-takes about 0.2 s, c = 10 1.3 s at a 29 MB peak and c = 11 16 s at
-140 MB.
+that fails its gate frees the sub-type counts too.  ROADMAP.md, "Where
+it stands", gives its times and peaks.
 
 brute_force_count answers the end question (how many rank-3 lattices with
 c coatoms and a atoms) by direct enumeration of atom-neighbourhood
@@ -276,7 +274,7 @@ def _fork(work, share):
 
 
 def _in_shares(work, items) -> list:
-    """A forked map: work(item) for each item, in item order, never None.
+    """A forked map: work(item) for each item, in item order.
 
     The items are dealt round-robin into n shares, share p holding
     positions p, p + n, ...: one share per CPU in the affinity mask, each
@@ -286,25 +284,12 @@ def _in_shares(work, items) -> list:
     forking it is unsafe.  Share 0 runs in this process and each other
     share in a forked child, whose list of results comes back through a
     pipe by marshal.  The share of a child that did not start, died,
-    exited non-zero or sent anything but a list of one result per item,
-    none of them None, is run again here once every child is reaped: the
-    one fallback, so the callers walk results only.  A None from work in
-    this process raises RuntimeError.  Every child is reaped, and killed
-    first if still running, before this returns or raises."""
+    exited non-zero or sent anything but a list of one result per item is
+    run again here once every child is reaped: the one fallback, so the
+    callers walk results only.  Every child is reaped, and killed first if
+    still running, before this returns or raises."""
     n = _processes(len(items))
     shares, found = [items[p::n] for p in range(n)], [None] * len(items)
-
-    def place(p, results):
-        # the length checked first, since found[::1] = shorter would shrink found
-        fits = isinstance(results, list) and len(results) == len(shares[p]) and None not in results
-        if fits:
-            found[p::n] = results
-        return fits
-
-    def here(p):
-        if not place(p, list(map(work, shares[p]))):
-            raise RuntimeError("share %d of %d did not give one result per item" % (p, n))
-
     # children: [pid or None once reaped, share, read end]; missing: shares not placed
     children, missing = [], set(range(1, n))
     try:
@@ -312,7 +297,7 @@ def _in_shares(work, items) -> list:
             started = _fork(work, shares[p])
             if started is not None:
                 children.append([started[0], p, started[1]])
-        here(0)
+        found[0::n] = list(map(work, shares[0]))
         for child in children:
             pid, p, read_end = child
             with open(read_end, "rb", closefd=False) as pipe:
@@ -321,7 +306,9 @@ def _in_shares(work, items) -> list:
             child[0] = None
             if status == 0:
                 with contextlib.suppress(EOFError, ValueError, TypeError):
-                    if place(p, marshal.loads(data)):
+                    results = marshal.loads(data)
+                    if isinstance(results, list) and len(results) == len(shares[p]):
+                        found[p::n] = results
                         missing.remove(p)
             del data    # one child's bytes at a time, none once decoded
     finally:
@@ -331,7 +318,7 @@ def _in_shares(work, items) -> list:
                 os.kill(pid, signal.SIGKILL)
                 os.waitpid(pid, 0)
     for p in sorted(missing):
-        here(p)
+        found[p::n] = list(map(work, shares[p]))
     return found
 
 

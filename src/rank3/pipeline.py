@@ -19,9 +19,8 @@ instead of the classes, the cell (lambda, r, s) is |C_lambda| times the
 labelled families with r connectors and s uncovered coatoms fixed by
 one permutation of type lambda (Burnside's lemma; |C_lambda| the class
 size), which genconn.fixed_family_counts counts by orbits of
-connectors, with no census and no search: c = 7 in about 0.01 s, c = 8
-in 0.04 s, c = 9 in 0.2 s, c = 10 in 1.3 s and c = 11 in 16 s, in one
-process.  Its MemoStats carry the class count alone.
+connectors, with no census and no search (ROADMAP.md, "Where it
+stands", gives its times).  Its MemoStats carry the class count alone.
 
 Graphs passed in or read are checked and measured (r and s) once each,
 on every usable CPU, by _search, and walked in order by _fold_profile,

@@ -14,6 +14,7 @@ anywhere.
 """
 
 import json
+import re
 from dataclasses import dataclass, field
 from fractions import Fraction
 from math import lcm
@@ -364,13 +365,18 @@ def quasipolynomial_to_json(quasipoly: Quasipolynomial, coatom_count: int) -> di
 
 
 def quasipolynomial_from_json(data) -> tuple[int, Quasipolynomial]:
-    """(coatom count, fit) from quasipolynomial_to_json output; ValueError if malformed."""
+    """(coatom count, fit) from quasipolynomial_to_json output; ValueError if malformed.
+
+    A coefficient is a JSON integer or a string in the form str(Fraction)
+    writes, -?p or -?p/q in ASCII digits: Fraction alone would also take
+    spaces, signs, underscores and exponents, "1e7000000" among them."""
     if isinstance(data, (str, bytes)):
         data = json.loads(data)
     try:
         rows = data["constituents"]
         if type(rows) is not list or not all(
-                type(cs) is list and cs and all(type(v) in (int, str) for v in cs) for cs in rows):
+                type(cs) is list and cs and all(type(v) is int or type(v) is str and re.fullmatch(
+                    r"-?[0-9]+(/[0-9]+)?", v) for v in cs) for cs in rows):
             raise ValueError("constituents must be nonempty lists of integers or \"p/q\" strings")
         constituents = tuple(tuple(Fraction(v) for v in cs) for cs in rows)
         c, period, threshold = data["c"], data["period"], data["n0_guaranteed"]

@@ -284,11 +284,14 @@ class TestMalformedInput:
         ("constituents", [[]]), ("constituents", [[1e400]]),
         ("n0_observed", ""), ("n0_observed", 0.0), ("n0_observed", False),
         ("c", 0), ("c", -3), ("n0_guaranteed", -7), ("n0_observed", -2), ("n0_observed", 99),
+        ("coefficient", "1e7000000"), ("coefficient", "1_000"), ("coefficient", "+12"),
+        ("coefficient", " 12 "), ("coefficient", "12e0"), ("coefficient", "\u0661\u0662"),
     ], ids=["no-constituents", "zero-denominator", "non-integer-value", "float-coefficient",
             "string-constituent", "dict-constituent", "empty-constituent", "overflowing-float",
             "empty-string-observed", "float-observed", "false-observed",
             "zero-coatoms", "negative-coatoms", "negative-guaranteed", "negative-observed",
-            "observed-above-guaranteed"])
+            "observed-above-guaranteed", "exponent", "underscore", "plus-sign", "spaces",
+            "zero-exponent", "non-ascii-digits"])
     def test_eval_rejects_fit(self, tmp_path, capsys, key, value):
         # the reference form of c = 3 has n0_guaranteed = n0_observed = 0
         data = rank3.quasipolynomial_to_json(rank3.reference_quasipolynomial(3), 3)
