@@ -44,28 +44,46 @@ from .polya import (
     cycle_index,
     group_balls,
 )
-from .quasifit import (
-    LEADING_TERMS,
-    FitArityError,
-    FitRejectedError,
-    NonIntegerValueError,
-    Quasipolynomial,
-    TheoremReport,
-    default_fit_parameters,
-    eval_quasipolynomial,
-    expand_period,
-    fit_for_coatoms,
-    fit_quasipolynomial,
-    p2,
-    p21,
-    p3,
-    quasipolynomial_from_json,
-    quasipolynomial_to_json,
-    reference_quasipolynomial,
-    verify_theorems,
-)
 
 __version__ = "0.1.0"
+
+# rank3.quasifit and its public names below load on first access (PEP 562), so
+# a count, which never fits, starts without it and its dataclasses, fractions and json
+_FIT_NAMES = frozenset({
+    "LEADING_TERMS",
+    "FitArityError",
+    "FitRejectedError",
+    "NonIntegerValueError",
+    "Quasipolynomial",
+    "TheoremReport",
+    "default_fit_parameters",
+    "eval_quasipolynomial",
+    "expand_period",
+    "fit_for_coatoms",
+    "fit_quasipolynomial",
+    "p2",
+    "p21",
+    "p3",
+    "quasipolynomial_from_json",
+    "quasipolynomial_to_json",
+    "reference_quasipolynomial",
+    "verify_theorems",
+})
+
+
+def __getattr__(name):
+    if name != "quasifit" and name not in _FIT_NAMES:
+        raise AttributeError("module %r has no attribute %r" % (__name__, name))
+    # import_module, since a "from . import" here would ask this hook again
+    from importlib import import_module
+    quasifit = import_module(".quasifit", __name__)
+    globals().update((n, getattr(quasifit, n)) for n in _FIT_NAMES)
+    return globals()[name]
+
+
+def __dir__():
+    return sorted(globals().keys() | _FIT_NAMES | {"quasifit"})
+
 
 __all__ = [
     "BicoloredGraph",

@@ -11,11 +11,10 @@ for a fit, 4 fit rejected by the table, 5 verification mismatch.
 """
 
 import argparse
-import json
 import os
 import sys
 
-from . import genconn, pipeline, quasifit
+from . import genconn, pipeline
 
 EXIT_INPUT = 2
 EXIT_ARITY = 3
@@ -26,6 +25,13 @@ EXIT_MISMATCH = 5
 # its bytes; a count without graphs takes 0.04 s at c = 8, 0.2 s at c = 9,
 # 1.3 s at c = 10 and 16 s at c = 11
 _DIRECT_LIMIT = 8
+
+
+def _quasifit():
+    """rank3.quasifit, imported only once fit, eval or an error needs it, so that
+    count, generate and verify start without it."""
+    from . import quasifit
+    return quasifit
 
 
 def _default_out_dir() -> str:
@@ -54,7 +60,8 @@ def cmd_count(args) -> int:
 
 
 def cmd_fit(args) -> int:
-    c = args.coatoms
+    import json
+    quasifit, c = _quasifit(), args.coatoms
     table = pipeline.read_csv(args.values, c)
     fit = quasifit.fit_for_coatoms(table, c)
     out = args.out or os.path.join(_default_out_dir(), "fit_c%d.json" % c)
@@ -68,6 +75,7 @@ def cmd_fit(args) -> int:
 
 
 def cmd_eval(args) -> int:
+    quasifit = _quasifit()
     with open(args.quasipoly) as fh:
         _c, fit = quasifit.quasipolynomial_from_json(fh.read())
     print(quasifit.eval_quasipolynomial(fit, args.atoms))
@@ -132,15 +140,16 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
+    # each except clause's class is looked up only once an exception reaches it
     try:
         return args.func(args)
-    except quasifit.FitArityError as exc:
+    except _quasifit().FitArityError as exc:
         print("error: %s" % exc, file=sys.stderr)
         return EXIT_ARITY
-    except quasifit.FitRejectedError as exc:
+    except _quasifit().FitRejectedError as exc:
         print("error: %s" % exc, file=sys.stderr)
         return EXIT_REJECTED
-    except (ValueError, OSError, quasifit.NonIntegerValueError) as exc:
+    except (ValueError, OSError, _quasifit().NonIntegerValueError) as exc:
         print("error: %s" % exc, file=sys.stderr)
         return EXIT_INPUT
 

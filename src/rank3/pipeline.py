@@ -62,7 +62,7 @@ import itertools
 import math
 import os
 from collections import Counter, defaultdict
-from dataclasses import dataclass, field
+from typing import NamedTuple
 
 from .bigraph import (_coatom_search, _group_of_winners, _symmetric, graph6_decode,
                       validate_connection_graph)
@@ -75,20 +75,27 @@ class GraphInputError(ValueError):
     count: the count names a bad graph by position, iter_graph_dir a damaged file."""
 
 
-@dataclass
 class CountTable:
     """Exact counts R(c, a) for a = 0..a_max at a fixed coatom count."""
-    coatom_count: int
-    a_max: int
-    values: list[int] = field(default_factory=list)
 
-    def __post_init__(self):
-        if len(self.values) != self.a_max + 1:
-            raise ValueError("expected %d values, got %d" % (self.a_max + 1, len(self.values)))
+    def __init__(self, coatom_count: int, a_max: int, values: list[int] | None = None):
+        self.coatom_count, self.a_max = coatom_count, a_max
+        self.values = [] if values is None else values
+        if len(self.values) != a_max + 1:
+            raise ValueError("expected %d values, got %d" % (a_max + 1, len(self.values)))
+
+    def __repr__(self):
+        return "CountTable(coatom_count=%r, a_max=%r, values=%r)" % (
+            self.coatom_count, self.a_max, self.values)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return ((self.coatom_count, self.a_max, self.values)
+                == (other.coatom_count, other.a_max, other.values))
 
 
-@dataclass(frozen=True)
-class MemoStats:
+class MemoStats(NamedTuple):
     """Graphs counted, distinct cycle indices, and graphs with trivial Aut.
 
     A count without graphs lists no graphs: graphs_processed is then its
@@ -282,6 +289,16 @@ def count_lattices(coatom_count: int, max_atoms: int, graphs=None) -> CountTable
 # -- interchange ---------------------------------------------------------------
 
 
+def _ascii_int(text: str) -> int:
+    """int(text) where text is ASCII digits alone, as write_csv and
+    genconn.manifest_text write a count; any other string int() takes (a
+    sign, spaces, underscores, another script's digits) raises ValueError."""
+    value = int(text)
+    if not (text.isascii() and text.isdigit()):
+        raise ValueError("expected ASCII digits, got %r" % text)
+    return value
+
+
 def write_csv(table: CountTable, path) -> None:
     """Write an ``a,R`` table, one row per atom count 0..a_max, atomically."""
     with atomic_open(path, newline="") as fh:
@@ -294,9 +311,10 @@ def write_csv(table: CountTable, path) -> None:
 def read_csv(path, coatom_count: int) -> CountTable:
     """Read an ``a,R`` table written by write_csv as a table for ``coatom_count``.
 
-    Every c >= 1 has R(c, 0) = 0, R(c, 1) = 1 and R(c, 2) = c, so a table
-    whose first rows disagree belongs to another coatom count and raises
-    ValueError; a table with a_max < 2 cannot be told apart this way.
+    Each field must be ASCII digits, as write_csv writes it.  Every c >= 1
+    has R(c, 0) = 0, R(c, 1) = 1 and R(c, 2) = c, so a table whose first
+    rows disagree belongs to another coatom count and raises ValueError; a
+    table with a_max < 2 cannot be told apart this way.
     """
     with open(path, newline="") as fh:
         reader = csv.reader(fh)
@@ -309,7 +327,7 @@ def read_csv(path, coatom_count: int) -> CountTable:
                 continue
             if len(row) != 2:
                 raise ValueError("expected 2 fields per row, got %r" % (row,))
-            a, v = int(row[0]), int(row[1])
+            a, v = _ascii_int(row[0]), _ascii_int(row[1])
             if a != len(values):
                 raise ValueError("rows must run a = 0, 1, ... without gaps")
             values.append(v)
@@ -326,20 +344,20 @@ def iter_graph_dir(directory, coatom_count: int):
     """Yield the graphs of a census written by write_graph_files, ascending in r.
 
     Before any graph, conn_c{c}.manifest must list the strata
-    conn_c{c}_r{r}.g6 for r = 0..c(c-1)/2 in order, then their total, and
-    list the sizes every census has at r = 0, 1 and c(c-1)/2 (1, c - 1
-    and 1); each stratum must exist and hold as many graphs as listed
-    (checked before its first graph), and each line must decode, else
-    GraphInputError names the file (and line).  The count, not this
-    reader, rejects invalid graphs; a stratum in between truncated along
-    with its manifest line passes here, and the count's cell gate
-    rejects it.
+    conn_c{c}_r{r}.g6 for r = 0..c(c-1)/2 in order, then their total, in
+    ASCII digits, and list the sizes every census has at r = 0, 1 and
+    c(c-1)/2 (1, c - 1 and 1); each stratum must exist and hold as many
+    graphs as listed (checked before its first graph), and each line must
+    decode, else GraphInputError names the file (and line).  The count,
+    not this reader, rejects invalid graphs; a stratum in between
+    truncated along with its manifest line passes here, and the count's
+    cell gate rejects it.
     """
     c = coatom_count
     manifest = os.path.join(directory, "conn_c%d.manifest" % c)
     try:
         with open(manifest) as fh:
-            listed = [(name, int(n)) for name, n in map(str.split, fh)]
+            listed = [(name, _ascii_int(n)) for name, n in map(str.split, fh)]
     except FileNotFoundError:
         raise GraphInputError("no manifest %r for %d coatoms" % (manifest, c)) from None
     except ValueError:

@@ -1,6 +1,10 @@
-"""Public API: ``rank3.__all__`` is sorted, resolves, and is documented."""
+"""Public API: ``rank3.__all__`` is sorted, resolves, and is documented, and
+``import rank3`` loads the fitting layer only when a name of it is used."""
 
 import inspect
+import os
+import subprocess
+import sys
 
 import pytest
 
@@ -25,3 +29,54 @@ def test_own_docstring(name):
     doc = obj.__dict__.get("__doc__") if inspect.isclass(obj) else obj.__doc__
     # a dataclass without a docstring gets its signature, Name(field: type, ...)
     assert doc and doc.strip() and not doc.startswith(name + "(")
+
+
+# -- what start-up loads -------------------------------------------------------
+
+SRC = os.path.dirname(os.path.dirname(os.path.abspath(rank3.__file__)))
+# modules only a fit needs: rank3.quasifit and the standard modules it alone brings in
+FIT_ONLY = ("rank3.quasifit", "dataclasses", "fractions")
+
+
+def _fresh(code):
+    """The last line code prints in a fresh ``python -S`` with this rank3 first on its path."""
+    proc = subprocess.run([sys.executable, "-S", "-c", "import sys\nsys.path.insert(0, %r)\n%s"
+                           % (SRC, code)], capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    return proc.stdout.splitlines()[-1]
+
+
+def test_count_loads_no_fit():
+    assert _fresh("import rank3\nrank3.count_lattices(5, 10)\n"
+                  "print([m for m in %r if m in sys.modules])" % (FIT_ONLY,)) == "[]"
+
+
+@pytest.mark.parametrize("argv", [
+    ["count", "--coatoms", "5", "--max-atoms", "10", "--out", "{dir}/c5.csv"],
+    ["generate", "--coatoms", "4", "--out", "{dir}"],
+    ["verify", "--max-total", "5"],
+], ids=["count", "generate", "verify"])
+def test_commands_load_no_fit(tmp_path, argv):
+    argv = [arg.format(dir=tmp_path) for arg in argv]
+    assert _fresh("import rank3.cli\nassert rank3.cli.main(%r) == 0\n"
+                  "print([m for m in %r if m in sys.modules])" % (argv, FIT_ONLY)) == "[]"
+
+
+def test_fit_name_loads_fit():
+    assert _fresh("import rank3\nloaded = 'rank3.quasifit' in sys.modules\n"
+                  "fit = rank3.fit_for_coatoms\n"
+                  "print(loaded, fit is sys.modules['rank3.quasifit'].fit_for_coatoms)"
+                  ) == "False True"
+
+
+def test_dir_and_star_import_give_every_name():
+    assert _fresh("import rank3\nlisted = set(dir(rank3))\nns = {}\n"
+                  "exec('from rank3 import *', ns)\n"
+                  "print([n for n in rank3.__all__ if n not in listed or n not in ns],\n"
+                  "      all(ns[n] is getattr(rank3, n) for n in rank3.__all__), 'quasifit' in listed)"
+                  ) == "[] True True"
+
+
+def test_unknown_name_is_attribute_error():
+    with pytest.raises(AttributeError, match="^module 'rank3' has no attribute 'nope'$"):
+        getattr(rank3, "nope")

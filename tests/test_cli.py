@@ -277,6 +277,34 @@ class TestMalformedInput:
         assert run_cli("fit", "--coatoms", 3, "--values", path) == cli.EXIT_INPUT
         assert "error" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("value", ["+2916", " 2916", "2_916", "\u0662\u0669\u0661\u0666"],
+                             ids=["plus-sign", "space", "underscore", "non-ascii-digits"])
+    def test_fit_rejects_count_not_written(self, tmp_path, capsys, value):
+        # R(5, 9) = 2916: with int() reading it, the 320-row table fits
+        path, out = tmp_path / "c5.csv", tmp_path / "c5.json"
+        rank3.write_csv(rank3.count_lattices(5, 320), path)
+        data = path.read_bytes()
+        path.write_bytes(data.replace(b"\r\n9,2916\r\n", ("\r\n9,%s\r\n" % value).encode()))
+        assert run_cli("fit", "--coatoms", 5, "--values", path, "--out", out) == cli.EXIT_INPUT
+        assert capsys.readouterr().err == "error: expected ASCII digits, got %r\n" % value
+        assert not out.exists()
+
+    @pytest.mark.parametrize("line, written", [
+        ("conn_c5_r0.g6 1", "conn_c5_r0.g6 +1"),
+        ("conn_c5_r4.g6 15", "conn_c5_r4.g6 1_5"),
+        ("total 72", "total \u0667\u0662"),
+    ], ids=["plus-sign", "underscore", "non-ascii-digits"])
+    def test_count_rejects_manifest_count_not_written(self, tmp_path, capsys, line, written):
+        rank3.write_graph_files(tmp_path, 5)
+        manifest, out = tmp_path / "conn_c5.manifest", tmp_path / "c5.csv"
+        lines = manifest.read_text(encoding="utf-8").splitlines()
+        lines[lines.index(line)] = written
+        manifest.write_text("\n".join(lines) + "\n", encoding="utf-8")
+        assert run_cli("count", "--coatoms", 5, "--max-atoms", 11, "--graphs", tmp_path,
+                       "--out", out) == cli.EXIT_INPUT
+        assert capsys.readouterr().err == "error: malformed manifest %r\n" % str(manifest)
+        assert not out.exists()
+
     @pytest.mark.parametrize("key, value", [
         ("constituents", None), ("coefficient", "1/0"),
         ("constituents", [["1/2", "1"]]), ("constituents", [[0.1, 1]]),

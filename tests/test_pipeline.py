@@ -781,8 +781,38 @@ class TestOneLoop:
 
 class TestCountTable:
     def test_length_checked(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match=r"^expected 6 values, got 3$"):
             rank3.CountTable(3, 5, [0, 1, 2])
+
+    def test_table_record(self):
+        table = rank3.CountTable(3, 2, [0, 1, 3])
+        assert repr(table) == "CountTable(coatom_count=3, a_max=2, values=[0, 1, 3])"
+        assert table == rank3.CountTable(coatom_count=3, a_max=2, values=[0, 1, 3])
+        assert table != rank3.CountTable(4, 2, [0, 1, 3])
+        assert table != (3, 2, [0, 1, 3])
+        with pytest.raises(TypeError):
+            hash(table)
+        table.values[2] += 1
+        table.values.append(7)
+        assert table.values == [0, 1, 4, 7]
+        table.values = [0]
+        assert table.values == [0]
+
+    def test_stats_record(self):
+        stats = rank3.MemoStats(72, 15, 3)
+        assert repr(stats) == ("MemoStats(graphs_processed=72, distinct_cycle_indices=15, "
+                               "trivial_action_graphs=3)")
+        assert repr(rank3.MemoStats(5, None, None)) == (
+            "MemoStats(graphs_processed=5, distinct_cycle_indices=None, "
+            "trivial_action_graphs=None)")
+        same = rank3.MemoStats(graphs_processed=72, distinct_cycle_indices=15,
+                               trivial_action_graphs=3)
+        assert stats == same and hash(stats) == hash(same)
+        assert stats != rank3.MemoStats(72, 15, 4)
+        assert {stats, same} == {stats}
+        with pytest.raises(AttributeError):
+            stats.graphs_processed = 1
+        assert stats.graphs_processed == 72
 
     def test_csv_roundtrip(self, tmp_path):
         table = rank3.count_lattices(4, 25)
@@ -804,6 +834,20 @@ class TestCountTable:
         path.write_text("a,R\n0,0\n2,3\n")
         with pytest.raises(ValueError):
             rank3.read_csv(path, 3)
+
+    @pytest.mark.parametrize("row", ["9,+2916", "9, 2916", "9,2916 ", "9,2_916",
+                                     "9,\u0662\u0669\u0661\u0666", "+9,2916", "\u0669,2916"],
+                             ids=["plus-sign", "leading-space", "trailing-space", "underscore",
+                                  "non-ascii-digits", "signed-atoms", "non-ascii-atoms"])
+    def test_csv_takes_only_what_write_csv_writes(self, tmp_path, row):
+        # R(5, 9) = 2916: int() takes every one of these fields, write_csv writes none
+        path = tmp_path / "c5.csv"
+        rank3.write_csv(rank3.count_lattices(5, 12), path)
+        data = path.read_bytes()
+        assert data.count(b"\r\n9,2916\r\n") == 1
+        path.write_bytes(data.replace(b"\r\n9,2916\r\n", ("\r\n%s\r\n" % row).encode()))
+        with pytest.raises(ValueError, match="^expected ASCII digits, got "):
+            rank3.read_csv(path, 5)
 
     def test_csv_write_is_atomic(self, tmp_path):
         class Unprintable:
@@ -850,6 +894,21 @@ class TestGraphDir:
             + "total %d\n" % sum(counts))
         with pytest.raises(rank3.GraphInputError, match="0 graphs in %s" % named):
             next(rank3.iter_graph_dir(tmp_path, 3))
+
+    @pytest.mark.parametrize("line, written", [
+        ("conn_c4_r0.g6 1", "conn_c4_r0.g6 +1"),
+        ("conn_c4_r3.g6 4", "conn_c4_r3.g6 \u0664"),
+        ("total 16", "total 1_6"),
+    ], ids=["plus-sign", "non-ascii-digits", "underscore"])
+    def test_manifest_counts_are_ascii_digits(self, tmp_path, line, written):
+        # int() takes each count as rewritten; manifest_text writes none of them
+        rank3.write_graph_files(tmp_path, 4)
+        manifest = tmp_path / "conn_c4.manifest"
+        lines = manifest.read_text(encoding="utf-8").splitlines()
+        lines[lines.index(line)] = written
+        manifest.write_text("\n".join(lines) + "\n", encoding="utf-8")
+        with pytest.raises(rank3.GraphInputError, match="^malformed manifest "):
+            next(rank3.iter_graph_dir(tmp_path, 4))
 
     @pytest.mark.parametrize("min_share, children", [(256, 0), (64, 1)],
                              ids=["in-process", "forked"])
