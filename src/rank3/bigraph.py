@@ -375,8 +375,9 @@ def automorphism_group_on_coatoms(graph: BicoloredGraph) -> PermGroup:
 # six bits of z from 6k, reversed.  So row v of connector v - c is the c
 # bits of z from v(v-1)/2 with no reversal.  Decoding reads the payload as
 # one integer, six bits in each byte, and packs them by log2 of its length
-# mask steps.  Padding and class checks are one mask each, the latter
-# cached per (c, n) with the rows' shifts.
+# mask steps; encoding runs the same steps backwards, last first, to spread
+# z six bits to a byte.  Padding and class checks are one mask each, the
+# latter cached per (c, n) with the rows' shifts.
 
 # the payload bytes 63..126, each one's six bits reversed, and back
 _GRAPH6_BYTES = bytes(range(63, 127))
@@ -388,8 +389,9 @@ _SIX_BITS_TO_GRAPH6 = bytes.maketrans(_REVERSED, _GRAPH6_BYTES)
 def _pack_step(k: int) -> tuple[int, int, int]:
     """(low, shift, high) of mask step k: lanes of 2^(k+4) bits, each holding
     two groups of 6 * 2^k bits, from bit 0 and bit 2^(k+3), of which the
-    upper moves down by 2^(k+1) onto the lower.  The masks span the 512
-    bytes that nine steps pack, above the 316 payload bytes of 62 vertices."""
+    upper moves down by 2^(k+1) onto the lower; encoding moves it back up.
+    The masks span the 512 bytes that nine steps pack, above the 316
+    payload bytes of 62 vertices."""
     group = (1 << (6 << k)) - 1
     low = sum(group << j for j in range(0, 4096, 16 << k))
     return low, 2 << k, low << (6 << k)
@@ -415,7 +417,10 @@ def graph6_encode(graph: BicoloredGraph) -> bytes:
         raise UnsupportedSizeError("graph6 short form limited to 62 vertices, got %d" % n)
     # coatom rows are empty; the mask of connector v = c + j is row v
     z = sum(m << v * (v - 1) // 2 for v, m in enumerate(masks, c))
-    six = bytes([z >> k & 63 for k in range(0, n * (n - 1) // 2, 6)])
+    nbytes = (n * (n - 1) // 2 + 5) // 6
+    for low, shift, high in reversed(_PACK_STEPS[:(nbytes - 1).bit_length()]):
+        z = z & low | (z & high) << shift
+    six = z.to_bytes(nbytes, "little")
     return bytes([63 + n]) + six.translate(_SIX_BITS_TO_GRAPH6) + b"\n"
 
 

@@ -125,7 +125,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", help="output JSON path")
     p.set_defaults(func=cmd_fit)
 
-    p = sub.add_parser("eval", help="evaluate a fitted form at one atom count")
+    text = ("evaluate a fitted form at one atom count: the value is R(c, a) only "
+            "from the fit's n0_observed on")
+    p = sub.add_parser("eval", help=text, description=text)
     p.add_argument("--quasipoly", required=True, help="JSON file from the fit command")
     p.add_argument("--atoms", type=int, required=True)
     p.set_defaults(func=cmd_eval)

@@ -15,7 +15,7 @@ Each parent class is extended on its own, so the parents of a stratum
 are extended through _in_shares, the forked map pipeline._fold_profile
 also uses.  With no class found twice, the classes, kept groups and
 census bytes are those of one process, and no child is alive once the
-stratum's first class is yielded.  Strata below 512 parents, every
+stratum's first class is yielded.  Strata below 256 parents, every
 stratum up to c = 6, stay in this process.  ROADMAP.md, "Where it
 stands", gives the census times on one and on two cores.
 
@@ -85,9 +85,10 @@ def _swaps(c: int) -> tuple[tuple[int, ...], ...]:
     return tuple(tuple(unit[:i] + [unit[i + 1], unit[i]] + unit[i + 2:]) for i in range(c - 1))
 
 
-def _extended(c: int, pool, pairs, parent) -> list:
+def _extended(c: int, pools, pairs, parent) -> list:
     """(canonical masks, kept group) of each search that extends parent, a
-    (family, group) class, to a class of which it is the canonical parent."""
+    (family, group) class, to a class of which it is the canonical parent.
+    pools[k] holds the masks of k or more coatoms, largest first."""
     fam, group = parent
     covered = 0
     for x in fam:
@@ -96,12 +97,9 @@ def _extended(c: int, pool, pairs, parent) -> list:
     # each top-size connector with the number of other connectors it meets
     kept = [(x, sum(1 for y in fam if x & y) - 1) for x in fam if x.bit_count() == top]
     found = []
-    for m in pool:
+    # the masks at least as large as fam's largest that share no coatom pair with it
+    for m in [m for m in pools[top] if not pairs[m] & covered]:
         size = m.bit_count()
-        if size < top:
-            break
-        if pairs[m] & covered:
-            continue
         mem = _members(m)
         if any(sum(map(s.__getitem__, mem)) < m for s in group):
             continue
@@ -166,15 +164,16 @@ def _classes(coatom_count: int):
     c = coatom_count
     if c < 1:
         raise ValueError("coatom count must be positive")
-    # largest masks first, so a parent's scan stops at its first smaller
-    # mask; pairs[m] has one bit per coatom pair that m covers
+    # largest masks first, so pools[k], the masks of k or more coatoms, is
+    # a head of the pool; pairs[m] has one bit per coatom pair that m covers
     pool = sorted((m for m in range(1 << c) if m.bit_count() >= 2),
                   key=int.bit_count, reverse=True)
-    pairs = {m: _pairs(m) for m in pool}
+    pools = [[m for m in pool if m.bit_count() >= k] for k in range(c + 1)]
+    pairs = [_pairs(m) for m in range(1 << c)]
     # each mask with its c bits reversed, in bytes of one width
     width = (c + 7) // 8
     flipped = {m: int(format(m, "0%db" % c)[::-1], 2).to_bytes(width, "big") for m in pool}
-    level, extend = [((), _swaps(c))], functools.partial(_extended, c, pool, pairs)
+    level, extend = [((), _swaps(c))], functools.partial(_extended, c, pools, pairs)
     yield level[0]
     for _r in range(1, c * (c - 1) // 2 + 1):
         # for equal c and r, graph6 byte order is the order of the mask
@@ -229,7 +228,7 @@ def atomic_open(path, mode="w", newline=None):
 
 
 # the fewest items one process takes when work is dealt over forked children
-_MIN_SHARE = 256
+_MIN_SHARE = 128
 
 
 def _processes(n: int) -> int:

@@ -164,7 +164,9 @@ def fit_for_coatoms(values, coatom_count: int) -> Quasipolynomial:
 
 
 def eval_quasipolynomial(quasipoly: Quasipolynomial, atoms: int) -> int:
-    """Value of a fitted form at a nonnegative atom count."""
+    """Value of a fitted form at a nonnegative atom count: R(c, atoms) only
+    from the fit's observed_threshold (n0_observed in its JSON) on.  The
+    c = 7 fit, n0_observed 10, gives 9835 at 5 atoms, where R(7, 5) = 907."""
     if atoms < 0:
         raise ValueError("atom count must be nonnegative")
     return quasipoly.evaluate(atoms)

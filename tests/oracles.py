@@ -1,7 +1,10 @@
 """Plain oracles shared by the test files: coatom relabelling, the labelled
-families and the cycle-type substitution."""
+families, the generator's candidate scan and the cycle-type substitution."""
 
 from itertools import accumulate
+
+from rank3.bigraph import _coatom_search, _members, _pairs, _symmetric
+from rank3.genconn import _bit_images, _swaps
 
 
 def map_mask(mask, perm):
@@ -23,6 +26,49 @@ def labelled_connection_families(c):
                                               if (x & m).bit_count() <= 1])
 
     return extend((), [m for m in range(1 << c) if m.bit_count() >= 2])
+
+
+def extended_by_pool_loop(c, parent):
+    """Oracle: genconn._extended's list for parent, a (family, group) class on
+    c coatoms, from a loop that walks the whole pool, largest masks first,
+    stops at the first mask smaller than the family's largest and skips each
+    mask that shares a coatom pair with the family."""
+    pool = sorted((m for m in range(1 << c) if m.bit_count() >= 2),
+                  key=int.bit_count, reverse=True)
+    fam, group = parent
+    covered = 0
+    for x in fam:
+        covered |= _pairs(x)
+    top = max((x.bit_count() for x in fam), default=0)
+    kept = [(x, sum(1 for y in fam if x & y) - 1) for x in fam if x.bit_count() == top]
+    found = []
+    for m in pool:
+        size = m.bit_count()
+        if size < top:
+            break
+        if _pairs(m) & covered:
+            continue
+        mem = _members(m)
+        if any(sum(map(s.__getitem__, mem)) < m for s in group):
+            continue
+        ties = []
+        if size == top:
+            met = sum(1 for x in fam if x & m)
+            if any(k + (x & m != 0) > met for x, k in kept):
+                continue
+            ties = [x for x, k in kept if k + (x & m != 0) == met]
+        grown = fam + (m,)
+        if _symmetric(c, grown):
+            found.append((tuple(sorted(grown)), _swaps(c)))
+            continue
+        form, winners = _coatom_search(c, grown)
+        if ties:
+            p0 = winners[0]
+            least = min(sum(1 << p0[i] for i in _members(x)) for x in ties + [m])
+            if all(sum(1 << q[i] for i in mem) != least for q in winners):
+                continue
+        found.append((form, _bit_images(winners)))
+    return found
 
 
 def plain_validate_connection_graph(graph):

@@ -22,7 +22,7 @@ from rank3.bigraph import _coatom_search, _pairs
 from rank3.genconn import _bit_images, _relabel_can_shrink, fixed_family_counts
 
 from forking import assert_reaped, usable_cpus
-from oracles import labelled_connection_families, map_mask
+from oracles import extended_by_pool_loop, labelled_connection_families, map_mask
 from reference_values import GRAPH_CENSUS, PER_R_COUNTS, R_TABLE
 
 
@@ -331,6 +331,28 @@ class TestGeneration:
         assert len({form for form, _group in found}) == len(found)
         assert sorted(found) == sorted(classes[1:])
 
+    @pytest.mark.parametrize("c, every", [(c, 1) for c in range(1, 7)] + [(7, 50)])
+    def test_scan_matches_the_pool_loop(self, monkeypatch, c, every):
+        # _extended scans only the masks of its parent's top size or more
+        # that share no coatom pair with it: the same list, in the same
+        # order, as the loop over the whole pool, for every parent at c <= 6
+        # and every 50th at c = 7.  Each is checked as _classes extends it,
+        # in this process, so a wrong list fails before it grows the census
+        usable_cpus(monkeypatch, 1)
+        extended, parents = rank3.genconn._extended, []
+
+        def checking(coatoms, pools, pairs, parent):
+            found = extended(coatoms, pools, pairs, parent)
+            if len(parents) % every == 0:
+                assert found == extended_by_pool_loop(coatoms, parent)
+            parents.append(parent)
+            return found
+
+        monkeypatch.setattr(rank3.genconn, "_extended", checking)
+        assert sum(1 for _ in rank3.genconn._classes(c)) == GRAPH_CENSUS[c]
+        # every class is a parent but the last, of the most connectors
+        assert len(parents) == GRAPH_CENSUS[c] - 1
+
     def test_kept_groups_are_the_automorphisms(self, graphs_by_c):
         # the group a class keeps is read off the winners of a search on any
         # labelling of it, and acts on the canonical labels; a relabelled,
@@ -502,12 +524,12 @@ class TestForkedGeneration:
         monkeypatch.setattr(rank3.genconn, "_extended", counting)
         return parents
 
-    @pytest.mark.parametrize("c, cpus, children", [(6, 2, 7), (7, 2, 8), (7, 3, 14)],
+    @pytest.mark.parametrize("c, cpus, children", [(6, 2, 7), (7, 2, 10), (7, 3, 18)],
                              ids=["c6", "c7", "c7-three-cpus"])
     def test_forked_classes_equal_in_process(self, monkeypatch, forks, classes_by_c,
                                              classes_c7_one_process, c, cpus, children):
-        # c = 7 forks at the 8 strata r = 6..13 of 534 to 1875 classes: with
-        # three CPUs those of 768 or more make three shares, r = 6 and 13 two
+        # c = 7 forks at the 10 strata r = 5..14 of 261 to 1875 classes: with
+        # three CPUs those of 384 or more make three shares, r = 5 and 14 two
         if c == 6:
             self._small_shares(monkeypatch)
         usable_cpus(monkeypatch, cpus)
@@ -582,11 +604,22 @@ class TestForkedGeneration:
         assert_reaped()
         assert len(forks) == 1
 
+    def test_default_share_forks_from_256_items(self, forks, classes_by_c, graphs_by_c):
+        # two shares of the default _MIN_SHARE need 256 items, so every
+        # stratum up to c = 6 (108 parents at most) and the fold of the
+        # 72-graph c = 5 census stay in this process
+        assert rank3.genconn._processes(255) == 1
+        assert rank3.genconn._processes(256) == 2
+        for c in range(1, 7):
+            assert list(rank3.genconn._classes(c)) == classes_by_c[c]
+        assert rank3.count_lattices(5, 12, graphs_by_c[5]) == rank3.count_lattices(5, 12)
+        assert forks == []
+
     def test_stays_in_process(self, monkeypatch, classes_by_c):
         calls = []
         monkeypatch.setattr(os, "fork", lambda: calls.append(1))
         usable_cpus(monkeypatch, 2)
-        # every stratum at c = 6 is below two shares of 256 parents
+        # every stratum at c = 6 is below two shares of 128 parents
         assert list(rank3.genconn._classes(6)) == classes_by_c[6]
         self._small_shares(monkeypatch)
         # one usable CPU
