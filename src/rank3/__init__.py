@@ -8,27 +8,6 @@ cycle-index methods, aggregates exact count tables, and fits the tables'
 eventual quasipolynomial closed forms.
 """
 
-from .bigraph import (
-    BicoloredGraph,
-    ClassViolationError,
-    Graph6Error,
-    PermGroup,
-    SizeMismatchError,
-    UnsupportedSizeError,
-    automorphism_group_on_coatoms,
-    canonical_form,
-    canonicalize,
-    graph6_decode,
-    graph6_encode,
-    validate_connection_graph,
-)
-from .genconn import (
-    brute_force_count,
-    count_r_s,
-    generate_connection_graphs,
-    graph_file_name,
-    write_graph_files,
-)
 from .pipeline import (
     CountTable,
     GraphInputError,
@@ -47,42 +26,40 @@ from .polya import (
 
 __version__ = "0.1.0"
 
-# rank3.quasifit and its public names below load on first access (PEP 562), so
-# a count, which never fits, starts without it and its dataclasses, fractions and json
-_FIT_NAMES = frozenset({
-    "LEADING_TERMS",
-    "FitArityError",
-    "FitRejectedError",
-    "NonIntegerValueError",
-    "Quasipolynomial",
-    "TheoremReport",
-    "default_fit_parameters",
-    "eval_quasipolynomial",
-    "expand_period",
-    "fit_for_coatoms",
-    "fit_quasipolynomial",
-    "p2",
-    "p21",
-    "p3",
-    "quasipolynomial_from_json",
-    "quasipolynomial_to_json",
-    "reference_quasipolynomial",
-    "verify_theorems",
-})
+# name -> the submodule it comes from, for the submodules that load on first
+# access (PEP 562): the graph layer, which only a census and a count of graphs
+# use, and the fitting layer with its dataclasses, fractions and json.  So a
+# count without graphs starts with pipeline and polya alone.
+_LAZY = {
+    **dict.fromkeys(("bigraph", "BicoloredGraph", "ClassViolationError", "Graph6Error",
+                     "PermGroup", "SizeMismatchError", "UnsupportedSizeError",
+                     "automorphism_group_on_coatoms", "canonical_form", "canonicalize",
+                     "graph6_decode", "graph6_encode", "validate_connection_graph"), "bigraph"),
+    **dict.fromkeys(("genconn", "brute_force_count", "count_r_s", "generate_connection_graphs",
+                     "graph_file_name", "write_graph_files"), "genconn"),
+    **dict.fromkeys(("quasifit", "LEADING_TERMS", "FitArityError", "FitRejectedError",
+                     "NonIntegerValueError", "Quasipolynomial", "TheoremReport",
+                     "default_fit_parameters", "eval_quasipolynomial", "expand_period",
+                     "fit_for_coatoms", "fit_quasipolynomial", "p2", "p21", "p3",
+                     "quasipolynomial_from_json", "quasipolynomial_to_json",
+                     "reference_quasipolynomial", "verify_theorems"), "quasifit"),
+}
 
 
 def __getattr__(name):
-    if name != "quasifit" and name not in _FIT_NAMES:
+    home = _LAZY.get(name)
+    if home is None:
         raise AttributeError("module %r has no attribute %r" % (__name__, name))
     # import_module, since a "from . import" here would ask this hook again
     from importlib import import_module
-    quasifit = import_module(".quasifit", __name__)
-    globals().update((n, getattr(quasifit, n)) for n in _FIT_NAMES)
-    return globals()[name]
+    module = import_module("." + home, __name__)
+    value = module if name == home else getattr(module, name)
+    globals()[name] = value
+    return value
 
 
 def __dir__():
-    return sorted(globals().keys() | _FIT_NAMES | {"quasifit"})
+    return sorted(globals().keys() | _LAZY.keys())
 
 
 __all__ = [

@@ -20,6 +20,8 @@ import math
 import operator
 import struct
 
+from .polya import _members, _pairs
+
 Permutation = tuple[int, ...]
 
 
@@ -185,21 +187,6 @@ def validate_connection_graph(graph: BicoloredGraph) -> None:
 # attains it.  Those form a coset p0 Aut: an automorphism s fixes each
 # class setwise, so p0 s attains the minimum too, and q(M) = p0(M) gives
 # p0^-1 q(M) = M.  So the same search also yields the automorphisms.
-
-
-@functools.cache
-def _members(mask: int) -> tuple[int, ...]:
-    """Indices of the set bits of ``mask``, ascending (cached: immutable, and a
-    census on c coatoms has at most 2^c distinct masks)."""
-    return tuple(i for i in range(mask.bit_length()) if mask >> i & 1)
-
-
-@functools.cache
-def _pairs(mask: int) -> int:
-    """One bit per coatom pair that ``mask`` covers, pair (i, k) with k < i at
-    bit i(i-1)/2 + k: two masks share two coatoms iff their pairs meet."""
-    mem = _members(mask)
-    return sum(1 << i * (i - 1) // 2 + k for a, i in enumerate(mem) for k in mem[:a])
 
 
 @functools.cache

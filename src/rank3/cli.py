@@ -4,6 +4,9 @@ Subcommands: generate (graph6 files per connector stratum), count (CSV
 count table), fit (quasipolynomial JSON), eval (one exact value), verify
 (pipeline against the brute-force oracle).  The RANK3_OUT environment
 variable names the default output directory; --out overrides it.
+Each command imports only what it runs: generate, verify and count
+--graphs the graph layer (genconn, bigraph), fit, eval and an error
+rank3.quasifit.
 
 Exit codes: 0 success, 1 a failed internal check, with a traceback (the
 orbit-counting gate's ArithmeticError), 2 bad input, 3 table too short
@@ -14,7 +17,7 @@ import argparse
 import os
 import sys
 
-from . import genconn, pipeline
+from . import pipeline
 
 EXIT_INPUT = 2
 EXIT_ARITY = 3
@@ -39,6 +42,7 @@ def _default_out_dir() -> str:
 
 
 def cmd_generate(args) -> int:
+    from . import genconn
     counts = genconn.write_graph_files(args.out or _default_out_dir(), args.coatoms)
     print(genconn.manifest_text(args.coatoms, counts), end="")
     return 0
@@ -65,7 +69,7 @@ def cmd_fit(args) -> int:
     table = pipeline.read_csv(args.values, c)
     fit = quasifit.fit_for_coatoms(table, c)
     out = args.out or os.path.join(_default_out_dir(), "fit_c%d.json" % c)
-    with genconn.atomic_open(out) as fh:
+    with pipeline.atomic_open(out) as fh:
         json.dump(quasifit.quasipolynomial_to_json(fit, c), fh, indent=2)
         fh.write("\n")
     print("wrote %s" % out)
@@ -83,6 +87,7 @@ def cmd_eval(args) -> int:
 
 
 def cmd_verify(args) -> int:
+    from . import genconn
     n = args.max_total
     if not 2 <= n <= 14:
         raise ValueError("--max-total must be between 2 and 14")

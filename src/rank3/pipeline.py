@@ -10,7 +10,7 @@ prod_i (1 - x^i)^(-m_i), where Q_lambda[k] adds (c!/|Aut g|) times the
 elements of Aut g of type lambda over the graphs with r + s = k (10808
 graphs at c = 7 fold into 15 polynomials).  Both paths below first
 tally these terms per (lambda, r, s), the cells of
-genconn.fixed_family_counts, and _terms sums each lambda's cells into
+polya.fixed_family_counts, and _terms sums each lambda's cells into
 its Q_lambda.  The fold builds one cycle index per distinct automorphism
 group (182 for the 10808 graphs at c = 7).
 
@@ -18,9 +18,12 @@ A count without graphs lists none.  Summed over the labelled families
 instead of the classes, the cell (lambda, r, s) is |C_lambda| times the
 labelled families with r connectors and s uncovered coatoms fixed by
 one permutation of type lambda (Burnside's lemma; |C_lambda| the class
-size), which genconn.fixed_family_counts counts by orbits of
+size), which polya.fixed_family_counts counts by orbits of
 connectors, with no census and no search (ROADMAP.md, "Where it
 stands", gives its times).  Its MemoStats carry the class count alone.
+It loads no module: the graph layer, bigraph and genconn, is imported
+only by _fold_profile and iter_graph_dir, on the first count of graphs
+or read of a census.
 
 Graphs passed in or read are checked and measured (r and s) once each,
 on every usable CPU, by _search, and walked in order by _fold_profile,
@@ -29,10 +32,11 @@ the canonical form that checks the list is isomorph-free; the graphs
 S_c maps onto themselves (bigraph._symmetric) get their sorted masks
 and S_c with no search, so the r = 0 class folds at once at any c.
 _fold_profile maps _search over each chunk through genconn._in_shares,
-which says when it forks (not for the 72 graphs at c = 5).
+which says when it forks (not for the 72 graphs at c = 5); it imports
+the graph layer before the first fork, so no child compiles a module.
 
 Every count of graphs is a gated check: after its fold its cells must
-equal those of genconn.fixed_family_counts, cell by cell, the identity's
+equal those of polya.fixed_family_counts, cell by cell, the identity's
 first.  A class G stands for c!/|Aut G| labelled families, so a missing
 class (a stratum truncated with its manifest line) breaks the
 identity's cells, the labelled families; a group of the right order
@@ -53,21 +57,22 @@ and returns the fold's MemoStats with a slice of the entry's series.
 Repeated counts for one c count its cells once, and a count the series
 already covers is a copy of its first a + 1 terms; a longer one expands
 N / D again, to at least twice the old length, which costs only the
-running sums.  The genconn docstring says what its counts keep.
+running sums.  The polya docstring says what its counts keep.
 """
 
-import csv
+import contextlib
 import functools
 import itertools
 import math
 import os
-from collections import Counter, defaultdict
-from typing import NamedTuple
+from collections import Counter, defaultdict, namedtuple
 
-from .bigraph import (_coatom_search, _group_of_winners, _symmetric, graph6_decode,
-                      validate_connection_graph)
-from .genconn import _in_shares, atomic_open, count_r_s, fixed_family_counts, graph_file_name
-from .polya import cycle_index, expand_rational, one_denominator, symmetric_cycle_index
+# the package, whose hook loads the graph layer, rank3.bigraph and rank3.genconn,
+# on first access (see __init__): only a count of graphs and iter_graph_dir use it
+import rank3
+
+from .polya import (cycle_index, expand_rational, fixed_family_counts, one_denominator,
+                    symmetric_cycle_index)
 
 
 class GraphInputError(ValueError):
@@ -95,21 +100,21 @@ class CountTable:
                 == (other.coatom_count, other.a_max, other.values))
 
 
-class MemoStats(NamedTuple):
+class MemoStats(namedtuple(
+        "MemoStats", "graphs_processed distinct_cycle_indices trivial_action_graphs")):
     """Graphs counted, distinct cycle indices, and graphs with trivial Aut.
 
     A count without graphs lists no graphs: graphs_processed is then its
     class count, and the two census statistics are None.
     """
-    graphs_processed: int
-    distinct_cycle_indices: int | None
-    trivial_action_graphs: int | None
+
+    __slots__ = ()
 
 
 def _check_cells(coatom_count: int, cells, want) -> None:
     """GraphInputError naming the first (cycle type, r, s), and both numbers,
     where a fold's cells (see _fold_profile) differ from ``want``, the
-    cells of genconn.fixed_family_counts: the types in descending order,
+    cells of polya.fixed_family_counts: the types in descending order,
     so the identity's cells, the labelled families, come first."""
     c = coatom_count
     for expo in sorted(want.keys() | cells.keys(), reverse=True):
@@ -140,18 +145,19 @@ def _search(c: int, kept: dict, graph):
     object through kept, one dict per fold, since marshal writes each
     object once: a child's share of 5404 graphs of the c = 7 census sends
     262,365 bytes with it, 871,504 without."""
+    bigraph, genconn = rank3.bigraph, rank3.genconn
     try:
         if graph.coatom_count != c:
             raise ValueError("%d coatoms, expected %d" % (graph.coatom_count, c))
-        validate_connection_graph(graph)
+        bigraph.validate_connection_graph(graph)
     except ValueError as exc:
         return str(exc)
     masks = graph.connector_masks
-    r, s = count_r_s(graph)
-    if _symmetric(c, masks):
+    r, s = genconn.count_r_s(graph)
+    if bigraph._symmetric(c, masks):
         canon, winners = tuple(sorted(masks)), None
     else:
-        canon, winners = _coatom_search(c, masks)
+        canon, winners = bigraph._coatom_search(c, masks)
         winners = tuple(winners)
         winners = kept.setdefault(winners, winners)
     return (None if canon == masks else canon, winners, r, s)
@@ -161,7 +167,7 @@ def _fold_profile(coatom_count: int, graphs) -> tuple:
     """({cycle type: {(r, s): n}}, MemoStats) of graphs passed in or read:
     n adds c!/|G| times the elements of that type in G over the graphs
     with group G, r connectors and s uncovered coatoms, the shape of
-    genconn.fixed_family_counts.  Each distinct winners tuple gets one
+    polya.fixed_family_counts.  Each distinct winners tuple gets one
     group and cycle index, and S_c's slot, the winners None of _search,
     the index polya.symmetric_cycle_index makes from its class sizes.
 
@@ -171,7 +177,9 @@ def _fold_profile(coatom_count: int, graphs) -> tuple:
     masks and raises GraphInputError by 1-based position at the first
     rejected graph or isomorphic copy, so no answer or error depends on a
     child.  If the input raises, the graphs taken before it are walked
-    first, so the first error is the one a graph-by-graph count meets."""
+    first, so the first error is the one a graph-by-graph count meets.
+    The graph layer is imported here, before any child forks."""
+    bigraph, genconn = rank3.bigraph, rank3.genconn
     c = coatom_count
     c_factorial = math.factorial(c)
     search = functools.partial(_search, c, {})
@@ -184,7 +192,7 @@ def _fold_profile(coatom_count: int, graphs) -> tuple:
                 chunk.append(graph)
         except Exception as exc:
             failure = exc
-        for graph, found in zip(chunk, _in_shares(search, chunk)):
+        for graph, found in zip(chunk, genconn._in_shares(search, chunk)):
             k += 1
             if isinstance(found, str):
                 raise GraphInputError("graph %d %r: %s" % (k, graph, found))
@@ -200,7 +208,7 @@ def _fold_profile(coatom_count: int, graphs) -> tuple:
         if len(chunk) < _CHUNK:
             break
     indices = [symmetric_cycle_index(c) if winners is None
-               else cycle_index(_group_of_winners(c, winners)) for winners in slots]
+               else cycle_index(bigraph._group_of_winners(c, winners)) for winners in slots]
     cells, trivial = defaultdict(Counter), 0
     for (slot, r, s), n in profile.items():
         zindex = indices[slot]
@@ -289,6 +297,25 @@ def count_lattices(coatom_count: int, max_atoms: int, graphs=None) -> CountTable
 # -- interchange ---------------------------------------------------------------
 
 
+@contextlib.contextmanager
+def atomic_open(path, mode="w", newline=None):
+    """Open ``path`` + ".tmp" for writing in ``mode`` ("w" text, "wb" bytes).
+
+    On a clean exit the file is closed and renamed over ``path``; on any
+    failure after the open it is removed and ``path`` is left untouched.
+    """
+    tmp = os.fspath(path) + ".tmp"
+    fh = open(tmp, mode, newline=newline)
+    try:
+        with fh:
+            yield fh
+        os.replace(tmp, path)
+    except BaseException:
+        with contextlib.suppress(FileNotFoundError):
+            os.remove(tmp)
+        raise
+
+
 def _ascii_int(text: str) -> int:
     """int(text) where text is ASCII digits alone, as write_csv and
     genconn.manifest_text write a count; any other string int() takes (a
@@ -301,6 +328,7 @@ def _ascii_int(text: str) -> int:
 
 def write_csv(table: CountTable, path) -> None:
     """Write an ``a,R`` table, one row per atom count 0..a_max, atomically."""
+    import csv
     with atomic_open(path, newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(["a", "R"])
@@ -316,6 +344,7 @@ def read_csv(path, coatom_count: int) -> CountTable:
     rows disagree belongs to another coatom count and raises ValueError; a
     table with a_max < 2 cannot be told apart this way.
     """
+    import csv
     with open(path, newline="") as fh:
         reader = csv.reader(fh)
         header = next(reader, None)
@@ -353,6 +382,7 @@ def iter_graph_dir(directory, coatom_count: int):
     truncated along with its manifest line passes here, and the count's
     cell gate rejects it.
     """
+    bigraph, genconn = rank3.bigraph, rank3.genconn
     c = coatom_count
     manifest = os.path.join(directory, "conn_c%d.manifest" % c)
     try:
@@ -362,7 +392,7 @@ def iter_graph_dir(directory, coatom_count: int):
         raise GraphInputError("no manifest %r for %d coatoms" % (manifest, c)) from None
     except ValueError:
         raise GraphInputError("malformed manifest %r" % manifest) from None
-    strata = [graph_file_name(c, r) for r in range(c * (c - 1) // 2 + 1)]
+    strata = [genconn.graph_file_name(c, r) for r in range(c * (c - 1) // 2 + 1)]
     if [name for name, _n in listed] != strata + ["total"]:
         raise GraphInputError("%r must list the %d strata, then total" % (manifest, len(strata)))
     *listed, (_total, total) = listed
@@ -384,7 +414,7 @@ def iter_graph_dir(directory, coatom_count: int):
             raise GraphInputError("%s holds %d graphs, the manifest %d" % (name, len(lines), n))
         for k, line in lines:
             try:
-                graph = graph6_decode(line, c, r)
+                graph = bigraph.graph6_decode(line, c, r)
             except ValueError as exc:
                 raise GraphInputError("%s line %d: %s" % (name, k, exc)) from None
             yield graph

@@ -1,4 +1,5 @@
-"""Counting box fillings up to symmetry via cycle indices.
+"""Counting up to symmetry: box fillings by cycle index, and the labelled
+families each permutation of S_c fixes.
 
 Distributing n unlabelled balls into c boxes, two fillings being equal
 when a permutation group G on the boxes maps one to the other, is counted
@@ -14,19 +15,32 @@ Its division is checked exact, so a bug upstream surfaces as an
 integrality failure, not a rounding one.  As D(0) = 1 that is a check
 on N, which is divided before the passes, so no term of the series is
 divided.  pipeline keeps N and D's exponents per coatom count for the
-process, so a longer series pays only the passes; nothing here is
-cached.
+process, so a longer series pays only the passes; the substitution
+caches nothing.
+
+fixed_family_counts counts, without a census, the labelled families each
+cycle type of S_c fixes, per connector count and uncovered coatoms: by
+Burnside's lemma these are the count's polynomials, so a count without
+graphs needs no census, no search and no module of the graph layer
+(bigraph, genconn), and a count of graphs is a gated check: its fold
+must give the same cells.  It keeps no cells per c (pipeline keeps one
+entry per c); what it keeps for the process, shared by every c, is each
+sub-type's fixed families covering or not (_fixed_families, keyed by the
+cycle type without trailing zero multiplicities, so a sub-type of S_4
+serves S_5 as well: 139 entries up to c = 10), from which a call
+assembles its cells afresh.  The point-elimination memo
+(_linear_families) is freed when each count returns or raises.  A count
+that fails its gate frees the sub-type counts too.  ROADMAP.md, "Where
+it stands", gives its times and peaks.
 """
 
+import functools
 import math
-from collections import Counter
-from itertools import accumulate
-from typing import NamedTuple
-
-from .bigraph import PermGroup
+from collections import Counter, namedtuple
+from itertools import accumulate, product
 
 
-class CycleIndex(NamedTuple):
+class CycleIndex(namedtuple("CycleIndex", "degree order counts")):
     """Cycle index (1/order) * sum of count * t_1^m_1 ... t_c^m_c.
 
     ``counts`` is the sorted tuple of (cycle type, number of elements of
@@ -36,13 +50,12 @@ class CycleIndex(NamedTuple):
     indices have equal fields.
     """
 
-    degree: int
-    order: int
-    counts: tuple
+    __slots__ = ()
 
 
-def cycle_index(group: PermGroup) -> CycleIndex:
-    """Cycle index of ``group``: element counts per cycle type, and |G|."""
+def cycle_index(group) -> CycleIndex:
+    """Cycle index of ``group``, a bigraph.PermGroup: element counts per cycle
+    type, and |G|."""
     degree = group.degree
     if group.order == 0:
         raise ValueError("group must contain at least the identity")
@@ -160,3 +173,349 @@ def group_balls(zindex: CycleIndex, boxes: int, max_balls: int) -> list[int]:
             raise ValueError("exponent tuple %r is no cycle type of degree %d" % (expo, boxes))
     terms = [(expo, [count]) for expo, count in zindex.counts]
     return expand_rational(*one_denominator(terms), zindex.order, max_balls + 1)
+
+
+# -- fixed labelled families ---------------------------------------------------
+#
+# By Burnside's lemma the classes with r connectors and s uncovered
+# coatoms are 1/c! times the sum over sigma in S_c of the labelled
+# families of that kind that sigma fixes (Harary & Palmer, "Graphical
+# Enumeration", 1973, ch. 1-2; Bergeron, Labelle & Leroux, "Combinatorial
+# Species", 1998, ch. 1); the identity fixes all of them, L_c(r, s).
+#
+# A fixed family is a union of sigma-orbits of connectors.  The orbits that
+# touch a point sigma moves are listed, those linear inside themselves
+# kept, and their compatible unions tallied, keyed by the pairs a union
+# holds inside the fixed points F and its connector count.  Two orbits
+# conflict when they hold a common pair, so the tally is the independence
+# polynomial of the conflict graph: the product of its components', each
+# by deleting an orbit of most conflicts (Gutman & Harary, "Generalizations
+# of the matching polynomial", Utilitas Math. 24, 1983; Knuth, TAOCP 4A,
+# 7.1.4).  The connectors on F are then any linear family on F that avoids
+# those pairs: A(H), H the graph of the pairs, counted by eliminating
+# points.  The connectors through a point v are v plus disjoint blocks,
+# H-independent sets of v's non-neighbours, and each choice leaves its
+# blocks as cliques in H on the points left; a v of largest degree keeps
+# the choices few, and the points left are relabelled by degree before
+# each memo lookup.  Swapping two twins among v's non-neighbours (points
+# of one open or one closed neighbourhood in H) is an automorphism of H
+# fixing v, so the choices are taken once per orbit of such swaps, by how
+# many points each block takes of each twin class, and weighted by the
+# orbit's size.
+#
+# That counts the fixed families covering or not.  The coatoms a fixed
+# family leaves bare are a union of sigma's cycles, so the families with
+# s bare come by inclusion-exclusion over the cycles (Stanley, "Enumerative
+# Combinatorics I", 2.1): k_i of the m_i cycles of length i kept bare
+# weigh the covering-or-not families of the other cycles by C(m_i, k_i)
+# [x^s] prod (x^i - 1)^k_i.  The identity's L_c(r, s) is this sum with all
+# c cycles fixed points.
+#
+# A connector is its coatom mask, bit i for coatom i; _members and _pairs
+# read masks for bigraph and genconn as well.
+
+
+@functools.cache
+def _members(mask: int) -> tuple[int, ...]:
+    """Indices of the set bits of ``mask``, ascending (cached: immutable, and a
+    census on c coatoms has at most 2^c distinct masks)."""
+    return tuple(i for i in range(mask.bit_length()) if mask >> i & 1)
+
+
+@functools.cache
+def _pairs(mask: int) -> int:
+    """One bit per coatom pair that ``mask`` covers, pair (i, k) with k < i at
+    bit i(i-1)/2 + k: two masks share two coatoms iff their pairs meet."""
+    mem = _members(mask)
+    return sum(1 << i * (i - 1) // 2 + k for a, i in enumerate(mem) for k in mem[:a])
+
+
+def _twin_classes(adj, free) -> list:
+    """The points of ``free`` in twin classes of H (``adj``, one neighbour mask
+    per point): (points ascending, most of them one block takes) each.
+    Points with one open neighbourhood are pairwise apart, so a block may
+    take all of them; points with one closed neighbourhood are pairwise
+    joined, so a block takes one.  No point has twins of both kinds."""
+    by_open, by_closed = {}, {}
+    for u in _members(free):
+        by_open.setdefault(adj[u], []).append(u)
+    classes = []
+    for points in by_open.values():
+        if len(points) > 1:
+            classes.append((points, len(points)))
+        else:
+            by_closed.setdefault(adj[points[0]] | 1 << points[0], []).append(points[0])
+    return classes + [(points, 1) for points in by_closed.values()]
+
+
+def _by_degree(adj) -> tuple[int, ...]:
+    """The same graph with its points relabelled in ascending degree."""
+    order = sorted(range(len(adj)), key=lambda i: adj[i].bit_count())
+    where = [0] * len(adj)
+    for new, old in enumerate(order):
+        where[old] = new
+    return tuple(sum(1 << where[u] for u in _members(adj[old])) for old in order)
+
+
+@functools.cache
+def _linear_families(adj) -> tuple[int, ...]:
+    """A(H) by connector count r <= n(n-1)/2, n the points of H: the labelled
+    linear families on those points that cover no pair joined in H."""
+    n = len(adj)
+    if n <= 2:
+        # no pair, or one pair that is joined or not
+        return (1, 0 if adj[0] else 1) if n == 2 else (1,)
+    got = [0] * (n * (n - 1) // 2 + 1)
+    v = max(range(n), key=lambda i: adj[i].bit_count())
+    classes = _twin_classes(adj, (1 << n) - 1 & ~adj[v] & ~(1 << v))
+    # every block: (class, points taken) over classes pairwise apart, two
+    # classes being joined in full or not at all
+    apart = [sum(1 << j for j, (other, _most) in enumerate(classes)
+                 if not adj[points[0]] >> other[0] & 1) for points, _most in classes]
+    blocks, stack = [], [((), (1 << len(classes)) - 1)]
+    while stack:
+        block, later = stack.pop()
+        blocks += [block] if block else []
+        for i in _members(later):
+            # -(2 << i) keeps the classes after i
+            stack += [(block + ((i, b),), later & apart[i] & -(2 << i))
+                      for b in range(1, classes[i][1] + 1)]
+    # every choice, its blocks in ascending order: realised by the lowest
+    # points left in their classes, each made a clique of H; t repeats of
+    # one block weigh 1/t!
+    choices = Counter()
+    stack = [(0, 0, tuple(len(points) for points, _most in classes), 1, adj, 0)]
+    while stack:
+        first, t, left, ways, after, k = stack.pop()
+        choices[after, k] += ways
+        for j in range(first, len(blocks)):
+            block = blocks[j]
+            if any(left[i] < b for i, b in block):
+                continue
+            mask, rest, more = 0, list(left), ways
+            for i, b in block:
+                points = classes[i][0]
+                used = len(points) - rest[i]
+                mask |= sum(1 << p for p in points[used:used + b])
+                more *= math.comb(rest[i], b)
+                rest[i] -= b
+            clique = after if not mask & mask - 1 else tuple(
+                m | mask & ~(1 << p) if mask >> p & 1 else m for p, m in enumerate(after))
+            times = t + 1 if j == first else 1
+            stack.append((j, times, tuple(rest), more // times, clique, k + 1))
+    low = (1 << v) - 1
+    for (after, k), ways in choices.items():
+        # point v removed, the points above it moved down by one
+        rest = after[:v] + after[v + 1:]
+        for r, x in enumerate(_linear_families(_by_degree([m & low | m >> 1 & ~low
+                                                           for m in rest]))):
+            got[r + k] += ways * x
+    return tuple(got)
+
+
+def _linear_orbits(perm) -> list:
+    """The orbits under perm (a list of images) of the connectors that touch
+    a point perm moves, only those with no two members sharing two points:
+    (pairs covered, size) each."""
+    image = [1 << p for p in perm]
+    moved = sum(1 << i for i, p in enumerate(perm) if p != i)
+    orbits, seen = [], set()
+    for m in range(1 << len(perm)):
+        if not m & moved or m.bit_count() < 2 or m in seen:
+            continue
+        orbit, x = [], m
+        while x not in orbit:
+            orbit.append(x)
+            x = sum(image[i] for i in _members(x))
+        seen.update(orbit)
+        pairs = list(map(_pairs, orbit))
+        covered = functools.reduce(int.__or__, pairs)
+        if covered == sum(pairs):    # no pair held twice
+            orbits.append((covered, len(orbit)))
+    return orbits
+
+
+# a connected set of at most this many orbits has at most 2^11 + 1 pairwise
+# compatible subsets (a star), so _orbit_unions lists them.  That is kept for
+# the small counts that answer queries: with _LISTED = 1 perfbench's queries
+# wall_s rose 5.2 % (6 of 6 pairs, 2-core VM); c = 9 and 10 were no slower
+_LISTED = 12
+
+
+def _orbit_unions(keys, conflicts) -> dict:
+    """{key: ways} over the sets of pairwise compatible orbits, a set's key
+    the sum of its orbits' keys: the independence polynomial of the
+    conflict graph, conflicts[j] the mask of the orbits that orbit j
+    conflicts with.
+
+    A set's tally is the product of its connected components'.  A
+    connected set of at most _LISTED orbits lists its compatible subsets.
+    A larger one drops its orbit v of most conflicts, adding v's key times
+    the tally of the rest without v's conflicts, and goes on with the rest
+    while that stays connected, larger and untallied.  Each connected
+    set's tally is kept until the call returns, and the sets wait on a
+    list, not on the call stack, so no chain of dropped orbits recurses."""
+    def parts(s):
+        # the connected components of s
+        out = []
+        while s:
+            part = front = s & -s
+            while front:
+                reach = 0
+                while front:
+                    low = front & -front
+                    front ^= low
+                    reach |= conflicts[low.bit_length() - 1]
+                front = reach & s & ~part
+                part |= front
+            out.append(part)
+            s ^= part
+        return out
+
+    def product(key, sets):
+        # the product of the tallies of sets, key added to each of its keys
+        if not sets:
+            return {key: 1}
+        tally = {key + other: ways for other, ways in memo[sets[0]].items()}
+        for s in sets[1:]:
+            got = {}
+            for have, ways in tally.items():
+                for other, more in memo[s].items():
+                    got[have + other] = got.get(have + other, 0) + ways * more
+            tally = got
+        return tally
+
+    memo, plans, whole = {}, {}, parts((1 << len(keys)) - 1)
+    todo = list(whole)
+    while todo:
+        s = todo.pop()
+        if s in memo:
+            continue
+        if s in plans:
+            # back on top, so every part it waited on is tallied
+            chain, split = plans.pop(s)
+            tally = product(0, split)
+            for key, joined in chain:
+                for other, ways in product(key, joined).items():
+                    tally[other] = tally.get(other, 0) + ways
+            memo[s] = tally
+            continue
+        if s.bit_count() <= _LISTED:
+            # its pairwise compatible subsets listed, each by its least orbit
+            tally, stack = {}, [(s, 0)]
+            while stack:
+                cand, key = stack.pop()
+                tally[key] = tally.get(key, 0) + 1
+                while cand:
+                    low = cand & -cand
+                    cand ^= low
+                    j = low.bit_length() - 1
+                    stack.append((cand & ~conflicts[j], key + keys[j]))
+            memo[s] = tally
+            continue
+        chain, rest = [], s
+        while True:
+            most, x = -1, rest
+            while x:
+                low = x & -x
+                x ^= low
+                j = low.bit_length() - 1
+                met = (conflicts[j] & rest).bit_count()
+                if met > most:
+                    most, v = met, j
+            rest &= ~(1 << v)
+            chain.append((keys[v], parts(rest & ~conflicts[v])))
+            split = parts(rest)
+            if len(split) > 1 or split[0] in memo or rest.bit_count() <= _LISTED:
+                break
+        plans[s] = chain, split
+        todo += [s, *split, *(part for _key, joined in chain for part in joined)]
+    return product(0, whole)
+
+
+@functools.cache
+def _fixed_families(expo) -> tuple:
+    """The nonzero (r, n): n labelled linear families with r connectors,
+    covering or not, that one permutation of cycle type expo fixes, its
+    fixed points first.  expo has no trailing zero multiplicity, so one
+    entry serves every coatom count."""
+    perm = []
+    for length, m in enumerate(expo, 1):
+        for start in range(len(perm), len(perm) + m * length, length):
+            perm += [*range(start + 1, start + length), start]
+    fixed = expo[0] if expo else 0
+    top = len(perm) * (len(perm) - 1) // 2 + 1
+    orbits = _linear_orbits(perm)
+    # a union's tally key: its connector count r in the low bits, the pairs
+    # it holds inside the fixed points F above them; compatible orbits hold
+    # disjoint pairs, so a union's key is the sum of its orbits'
+    shift, inside = top.bit_length(), _pairs((1 << fixed) - 1)
+    keys = [(pairs & inside) << shift | size for pairs, size in orbits]
+    conflicts = [0] * len(orbits)
+    for j, (pairs, _size) in enumerate(orbits):
+        for k in range(j):
+            if pairs & orbits[k][0]:
+                conflicts[j] |= 1 << k
+                conflicts[k] |= 1 << j
+    out, on_fixed = [0] * top, {}
+    for key, ways in _orbit_unions(keys, conflicts).items():
+        held, r = divmod(key, 1 << shift)
+        if held not in on_fixed:
+            adj = [sum(1 << k for k in range(fixed) if held & _pairs(1 << i | 1 << k))
+                   for i in range(fixed)]
+            on_fixed[held] = _linear_families(_by_degree(adj))
+        for rf, n in enumerate(on_fixed[held][:top - r]):
+            out[r + rf] += ways * n
+    return tuple((r, n) for r, n in enumerate(out) if n)
+
+
+# bound once, so a failed gate empties this cache even while the name is rebound
+_forget_fixed_families = _fixed_families.cache_clear
+
+
+def fixed_family_counts(coatom_count: int) -> dict:
+    """{cycle type: {(r, s): |C| fix(r, s)}}, nonzero cells only, new on every call.
+
+    For each cycle type (m_1, ..., m_c) of S_c, |C| is its class size and
+    fix(r, s) the labelled families with r connectors and s uncovered
+    coatoms fixed by one permutation of that type; summed over r + s = k
+    this is the Q[k] of pipeline's count, by Burnside's lemma, without a
+    census or a search.  The module docstring says what it keeps for the
+    process.  Each (r, s) must sum, over the types, to c! times its classes
+    (the orbit-counting identity); a cell that does not raises
+    ArithmeticError, and no sub-type's count is kept.
+    """
+    c = coatom_count
+    if c < 1:
+        raise ValueError("coatom count must be positive")
+    out, cells = {}, Counter()
+    try:
+        for expo, size in symmetric_cycle_index(c).counts:
+            tally = Counter()
+            # inclusion-exclusion over the cycles kept bare (see above)
+            for bare in product(*(range(m + 1) for m in expo)):
+                poly = {0: size * math.prod(map(math.comb, expo, bare))}
+                for i, k in enumerate(bare, 1):
+                    for _ in range(k):    # poly times x^i - 1
+                        step = {s: -n for s, n in poly.items()}
+                        for s, n in poly.items():
+                            step[s + i] = step.get(s + i, 0) + n
+                        poly = step
+                rest = [m - k for m, k in zip(expo, bare)]
+                while rest and not rest[-1]:
+                    rest.pop()
+                for r, n in _fixed_families(tuple(rest)):
+                    for s, p in poly.items():
+                        tally[r, s] += n * p
+            out[expo] = {cell: n for cell, n in tally.items() if n}
+            cells.update(out[expo])
+    finally:
+        _linear_families.cache_clear()
+    order = math.factorial(c)
+    for (r, s), n in sorted(cells.items()):
+        if n % order:
+            _forget_fixed_families()
+            raise ArithmeticError("the cycle types' fixed families with %d connectors and %d "
+                                  "uncovered coatoms add up to %d, which %d! does not divide"
+                                  % (r, s, n, c))
+    return out

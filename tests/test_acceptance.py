@@ -133,7 +133,7 @@ class TestCriterion04LargeCoatomSpotCheck:
         assert (searched.graphs_processed, searched.distinct_cycle_indices,
                 searched.trivial_action_graphs) == MEMO_STATS[8]
         labelled = cells[(8,) + (0,) * 7]
-        generated = rank3.genconn.fixed_family_counts(8)
+        generated = rank3.polya.fixed_family_counts(8)
         assert labelled == generated[(8,) + (0,) * 7] and len(labelled) == 85
         assert cells == generated
         values = rank3.polya.expand_rational(*rank3.polya.one_denominator(
@@ -162,7 +162,7 @@ class TestCriterion04LargeCoatomSpotCheck:
         # cells add up to the labelled families L_10, and R(10, a) = R(a, 10)
         # for a <= 9, the latter from the a-coatom counts and published;
         # about 1.5 s on two cores
-        cells = rank3.genconn.fixed_family_counts(10)
+        cells = rank3.polya.fixed_family_counts(10)
         assert cells_sha256(cells) == C10_CELLS_SHA256
         assert sum(cells[(10,) + (0,) * 9].values()) == 125671440998259521
         column = rank3.count_lattices(10, 9).values[1:]
@@ -176,7 +176,7 @@ class TestCriterion04LargeCoatomSpotCheck:
         # published: R(11, a) = R(a, 11) for a <= 9 from the published
         # a-coatom counts, and R(11, 10) = R(10, 11) from the two Burnside
         # counts; about 16 s in one process at a 150 MB peak
-        cells = rank3.genconn.fixed_family_counts(11)
+        cells = rank3.polya.fixed_family_counts(11)
         assert cells_sha256(cells) == C11_CELLS_SHA256
         assert sum(cells[(11,) + (0,) * 10].values()) == 1656590897737324316577
         column = rank3.count_lattices(11, 10).values

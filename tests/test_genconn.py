@@ -19,7 +19,8 @@ import pytest
 
 import rank3
 from rank3.bigraph import _coatom_search, _pairs
-from rank3.genconn import _bit_images, _relabel_can_shrink, fixed_family_counts
+from rank3.genconn import _bit_images, _relabel_can_shrink
+from rank3.polya import fixed_family_counts
 
 from forking import assert_reaped, usable_cpus
 from oracles import extended_by_pool_loop, labelled_connection_families, map_mask
@@ -163,7 +164,7 @@ class TestGeneration:
                 for masks, cell in families:
                     if {map_mask(m, perm) for m in masks} == masks:
                         fixed[expo, cell] += 1
-            counts = rank3.genconn.fixed_family_counts(c)
+            counts = rank3.polya.fixed_family_counts(c)
             assert {(expo, cell): n for expo, cells in counts.items()
                     for cell, n in cells.items()} == fixed
 
@@ -172,7 +173,7 @@ class TestGeneration:
         # times the classes, the census up to c = 6 and its totals to c = 8;
         # the identity's terms are the labelled families of the labelled DFS
         for c in range(1, 9):
-            counts = rank3.genconn.fixed_family_counts(c)
+            counts = rank3.polya.fixed_family_counts(c)
             cells = Counter()
             for by_cell in counts.values():
                 cells.update(by_cell)
@@ -189,7 +190,7 @@ class TestGeneration:
             if c <= 6:
                 assert counts[(c,) + (0,) * (c - 1)] == labeled_cells(c)
         with pytest.raises(ValueError):
-            rank3.genconn.fixed_family_counts(0)
+            rank3.polya.fixed_family_counts(0)
 
     def test_mutating_returned_cells_changes_no_later_answer(self, monkeypatch, graphs_by_c):
         # nothing a caller does to a returned table, outside or in, reaches a
@@ -218,13 +219,13 @@ class TestGeneration:
         # the sub-types' counts are kept for the process and shared by every
         # c: from empty sub-type caches, c = 8 down to 1 gives the cells of
         # c = 1 up to 8
-        genconn = rank3.genconn
+        polya = rank3.polya
         hashes = {}
         for order in range(8, 0, -1), range(1, 9):
-            genconn._fixed_families.cache_clear()
-            genconn._linear_families.cache_clear()
+            polya._fixed_families.cache_clear()
+            polya._linear_families.cache_clear()
             hashes[order.step] = {c: cells_sha256(fixed_family_counts(c)) for c in order}
-            assert genconn._linear_families.cache_info().currsize == 0
+            assert polya._linear_families.cache_info().currsize == 0
         assert hashes[-1] == hashes[1]
 
     def test_point_elimination_against_labelled_dfs(self):
@@ -244,10 +245,10 @@ class TestGeneration:
             joined = sum(1 << i * (i - 1) // 2 + k for i in range(n) for k in range(i)
                          if adj[i] >> k & 1)
             per_r = Counter(r for covered, r in families[n] if not covered & joined)
-            rank3.genconn._linear_families.cache_clear()
-            got = rank3.genconn._linear_families(adj)
+            rank3.polya._linear_families.cache_clear()
+            got = rank3.polya._linear_families(adj)
             assert got == tuple(per_r[r] for r in range(len(got))), adj
-        rank3.genconn._linear_families.cache_clear()
+        rank3.polya._linear_families.cache_clear()
 
     def test_orbit_unions_take_no_stack_per_orbit(self):
         # a conflict path of more orbits than the recursion limit: its
@@ -259,10 +260,10 @@ class TestGeneration:
         fibonacci = [0, 1]
         while len(fibonacci) < n + 3:
             fibonacci.append(fibonacci[-1] + fibonacci[-2])
-        assert rank3.genconn._orbit_unions([0] * n, path) == {0: fibonacci[n + 2]}
+        assert rank3.polya._orbit_unions([0] * n, path) == {0: fibonacci[n + 2]}
         short = 40
-        tally = rank3.genconn._orbit_unions([1] * short, [m & (1 << short) - 1
-                                                          for m in path[:short]])
+        tally = rank3.polya._orbit_unions([1] * short, [m & (1 << short) - 1
+                                                        for m in path[:short]])
         assert tally == {k: math.comb(short - k + 1, k) for k in range(short // 2 + 1)}
 
     @pytest.mark.slow
@@ -272,7 +273,7 @@ class TestGeneration:
         # plans, gave the same cells at a 107 MB peak.  The peak is the new
         # process's VmHWM (kB): its ru_maxrss keeps this process's peak
         # across the fork and exec
-        code = ("import rank3; rank3.genconn.fixed_family_counts(10); "
+        code = ("import rank3; rank3.polya.fixed_family_counts(10); "
                 "print(*[line.split()[1] for line in open('/proc/self/status') "
                 "if line.startswith('VmHWM:')])")
         env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(rank3.__file__)))
@@ -289,7 +290,7 @@ class TestGeneration:
         assert labeled_copies(7, graphs_c7) == identity_cells(7)
 
     @pytest.mark.parametrize("c, searches", [(5, 73), (6, 656), (7, 12780)])
-    def test_extends_only_by_largest_connectors(self, monkeypatch, c, searches):
+    def test_extends_only_by_largest_connectors(self, one_process_run, c, searches):
         # a parent P is extended only by a connector of largest (size,
         # number of other connectors met), and only by the least such mask
         # of each Aut(P)-orbit, so far fewer candidates reach the canonical
@@ -298,60 +299,33 @@ class TestGeneration:
         # a size-only rule still gives the right census but makes 2118
         # searches at c = 6.  Of the candidates that pass, the full connector
         # (r = 1) and the complete-pairs graph are not searched, since S_c
-        # maps them onto themselves: 2 fewer than pass at each c.  One usable
-        # CPU keeps every search in this process, where the count sees it
-        usable_cpus(monkeypatch, 1)
-        calls = []
-        search = rank3.genconn._coatom_search
-
-        def counting(coatoms, masks):
-            calls.append(masks)
-            return search(coatoms, masks)
-
-        monkeypatch.setattr(rank3.genconn, "_coatom_search", counting)
-        assert sum(1 for _ in rank3.generate_connection_graphs(c)) == GRAPH_CENSUS[c]
-        assert len(calls) == searches
+        # maps them onto themselves: 2 fewer than pass at each c
+        run = one_process_run(c)
+        assert len(run.classes) == GRAPH_CENSUS[c]
+        assert len(run.searches) == searches
 
     @pytest.mark.parametrize("c", range(1, 8))
-    def test_each_class_found_once(self, monkeypatch, c):
+    def test_each_class_found_once(self, one_process_run, c):
         # a search is kept only from its class's canonical parent, so the
         # parents' lists hold every class but r = 0 exactly once, with no
-        # dedupe after them; one usable CPU keeps every list in this process
-        usable_cpus(monkeypatch, 1)
-        extended, found = rank3.genconn._extended, []
-
-        def recording(*args):
-            forms = extended(*args)
-            found.extend(forms)
-            return forms
-
-        monkeypatch.setattr(rank3.genconn, "_extended", recording)
-        classes = list(rank3.genconn._classes(c))
+        # dedupe after them
+        run = one_process_run(c)
+        found = [form for _parent, forms in run.extensions for form in forms]
         assert len(found) == GRAPH_CENSUS[c] - 1
         assert len({form for form, _group in found}) == len(found)
-        assert sorted(found) == sorted(classes[1:])
+        assert sorted(found) == sorted(run.classes[1:])
 
     @pytest.mark.parametrize("c, every", [(c, 1) for c in range(1, 7)] + [(7, 50)])
-    def test_scan_matches_the_pool_loop(self, monkeypatch, c, every):
+    def test_scan_matches_the_pool_loop(self, one_process_run, c, every):
         # _extended scans only the masks of its parent's top size or more
         # that share no coatom pair with it: the same list, in the same
         # order, as the loop over the whole pool, for every parent at c <= 6
-        # and every 50th at c = 7.  Each is checked as _classes extends it,
-        # in this process, so a wrong list fails before it grows the census
-        usable_cpus(monkeypatch, 1)
-        extended, parents = rank3.genconn._extended, []
-
-        def checking(coatoms, pools, pairs, parent):
-            found = extended(coatoms, pools, pairs, parent)
-            if len(parents) % every == 0:
-                assert found == extended_by_pool_loop(coatoms, parent)
-            parents.append(parent)
-            return found
-
-        monkeypatch.setattr(rank3.genconn, "_extended", checking)
-        assert sum(1 for _ in rank3.genconn._classes(c)) == GRAPH_CENSUS[c]
+        # and every 50th at c = 7
+        run = one_process_run(c)
+        for parent, found in run.extensions[::every]:
+            assert found == extended_by_pool_loop(c, parent)
         # every class is a parent but the last, of the most connectors
-        assert len(parents) == GRAPH_CENSUS[c] - 1
+        assert len(run.extensions) == GRAPH_CENSUS[c] - 1
 
     def test_kept_groups_are_the_automorphisms(self, graphs_by_c):
         # the group a class keeps is read off the winners of a search on any
@@ -492,11 +466,43 @@ class TestInShares:
 
 
 @pytest.fixture(scope="module")
-def classes_c7_one_process():
+def one_process_run():
+    """run(c): the generator's classes for c coatoms made with one usable CPU,
+    so in this process alone, with the masks of every coatom search and
+    each (parent, list _extended returns), in call order.  Each c is run
+    once per module, so the c = 7 census is built once for every test."""
+    runs = {}
+
+    def run(c):
+        if c not in runs:
+            search, extended = rank3.genconn._coatom_search, rank3.genconn._extended
+            searches, extensions = [], []
+
+            def counting(coatoms, masks):
+                searches.append(masks)
+                return search(coatoms, masks)
+
+            def recording(coatoms, pools, pairs, parent):
+                found = extended(coatoms, pools, pairs, parent)
+                extensions.append((parent, found))
+                return found
+
+            with pytest.MonkeyPatch.context() as patch:
+                usable_cpus(patch, 1)
+                patch.setattr(rank3.genconn, "_coatom_search", counting)
+                patch.setattr(rank3.genconn, "_extended", recording)
+                classes = list(rank3.genconn._classes(c))
+            runs[c] = types.SimpleNamespace(classes=classes, searches=searches,
+                                            extensions=extensions)
+        return runs[c]
+
+    return run
+
+
+@pytest.fixture(scope="module")
+def classes_c7_one_process(one_process_run):
     """The generator's 7-coatom classes with one usable CPU, so made in this process alone."""
-    with pytest.MonkeyPatch.context() as patch:
-        usable_cpus(patch, 1)
-        return list(rank3.genconn._classes(7))
+    return one_process_run(7).classes
 
 
 class TestForkedGeneration:

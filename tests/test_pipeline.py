@@ -171,7 +171,7 @@ class TestCycleTypes:
         # cells, and the generated count as many classes
         for c, graphs in {**graphs_by_c, 7: graphs_c7}.items():
             cells, _stats = rank3.pipeline._fold_profile(c, graphs)
-            assert cells == rank3.genconn.fixed_family_counts(c)
+            assert cells == rank3.polya.fixed_family_counts(c)
             _table, stats = rank3.count_lattices_stats(c, 0)
             assert stats == rank3.MemoStats(len(graphs), None, None)
         assert len(cells) == 15
@@ -187,7 +187,7 @@ class TestCycleTypes:
         assert len(graphs) == {1: 1, 2: 2}.get(c, 4) and all(map(_symmetric, graphs))
         want = {g: rank3.bigraph._coatom_search(c, g.connector_masks)[0] for g in graphs}
         searched = []
-        monkeypatch.setattr(rank3.pipeline, "_coatom_search",
+        monkeypatch.setattr(rank3.bigraph, "_coatom_search",
                             lambda c, masks: searched.append(masks))
         for g in graphs:
             canon, winners, r, s = rank3.pipeline._search(c, {}, g)
@@ -204,14 +204,14 @@ class TestCycleTypes:
 
     def test_bare_class_at_nine_coatoms_unsearched(self, monkeypatch):
         # a search would list all 9! = 362,880 winners
-        monkeypatch.setattr(rank3.pipeline, "_coatom_search",
+        monkeypatch.setattr(rank3.bigraph, "_coatom_search",
                             lambda c, masks: pytest.fail("searched %r" % (masks,)))
         cells, stats = rank3.pipeline._fold_profile(9, [rank3.BicoloredGraph(9)])
         assert cells == {expo: {(0, 9): count}
                          for expo, count in rank3.polya.symmetric_cycle_index(9).counts}
         assert stats == rank3.MemoStats(1, 1, 0)
         # its cells are the r = 0 cells of the count without graphs
-        want = rank3.genconn.fixed_family_counts(9)
+        want = rank3.polya.fixed_family_counts(9)
         assert cells == {expo: {(0, 9): by_cell[0, 9]} for expo, by_cell in want.items()
                          if (0, 9) in by_cell}
 
@@ -220,7 +220,7 @@ class TestCycleTypes:
         # Q at type t_1^m_1 ... t_c^m_c is |C| times the labelled families
         # fixed by one permutation of that type, |C| its conjugacy class size;
         # the identity fixes every labelled family (counted in test_genconn)
-        terms = rank3.pipeline._terms(c, rank3.genconn.fixed_family_counts(c))
+        terms = rank3.pipeline._terms(c, rank3.polya.fixed_family_counts(c))
         for expo, q in terms:
             centraliser = math.prod(i ** m * math.factorial(m) for i, m in enumerate(expo, 1))
             assert all(coeff % (math.factorial(c) // centraliser) == 0 for coeff in q)
@@ -370,7 +370,7 @@ class TestProfileCache:
 def _gate_message(c, graph, got_offset=0):
     """The count's error for a census missing ``graph`` (got_offset added to its cell)."""
     r, s = rank3.count_r_s(graph)
-    exist = rank3.genconn.fixed_family_counts(c)[(c,) + (0,) * (c - 1)][r, s]
+    exist = rank3.polya.fixed_family_counts(c)[(c,) + (0,) * (c - 1)][r, s]
     got = exist - math.factorial(c) // rank3.automorphism_group_on_coatoms(graph).order
     return ("the graphs stand for %d labelled families with %d connectors and %d uncovered "
             "coatoms, but there are %d" % (got + got_offset, r, s, exist))
@@ -406,7 +406,7 @@ class TestCellGate:
     def test_same_order_group_rejected(self, monkeypatch, graphs_by_c):
         # the first group {id, (a b)} is given as {id, (a b)(x y)}: its order,
         # and so every labelled cell, is right, and its cycle types are not
-        group_of_winners = rank3.pipeline._group_of_winners
+        group_of_winners = rank3.bigraph._group_of_winners
         swapped = []
 
         def same_order(c, winners):
@@ -420,7 +420,7 @@ class TestCellGate:
             swapped.append(perm)
             return rank3.PermGroup(c, [range(c), perm])
 
-        monkeypatch.setattr(rank3.pipeline, "_group_of_winners", same_order)
+        monkeypatch.setattr(rank3.bigraph, "_group_of_winners", same_order)
         rank3.pipeline._generated.pop(5, None)
         with pytest.raises(rank3.GraphInputError) as info:
             rank3.count_lattices(5, 60, graphs_by_c[5])
@@ -437,8 +437,8 @@ def fresh_fixed_counts():
     """The sub-type counts behind fixed_family_counts emptied before and after
     the test, so no count cached earlier hides a mutant and no mutant's
     count outlives the test.  Yields the caches."""
-    genconn = rank3.genconn
-    caches = genconn._fixed_families, genconn._linear_families
+    polya = rank3.polya
+    caches = polya._fixed_families, polya._linear_families
     for cache in caches:
         cache.cache_clear()
     yield caches
@@ -472,7 +472,7 @@ class TestOrbitCountingGate:
         # a transposition said to fix one family too many with 4 connectors,
         # covering or not: with no cycle kept bare it enters (4, 0) alone, and
         # its class of 10 puts that cell 10 off
-        fixed = rank3.genconn._fixed_families
+        fixed = rank3.polya._fixed_families
 
         def off_by_one(expo):
             out = dict(fixed(expo))
@@ -480,7 +480,7 @@ class TestOrbitCountingGate:
                 out[4] = out.get(4, 0) + 1
             return tuple(out.items())
 
-        monkeypatch.setattr(rank3.genconn, "_fixed_families", off_by_one)
+        monkeypatch.setattr(rank3.polya, "_fixed_families", off_by_one)
         with pytest.raises(ArithmeticError) as info:
             rank3.count_lattices(5, 10)
         assert str(info.value) == _identity_message(5, graphs_by_c[5], (4, 0), 10)
@@ -493,7 +493,7 @@ class TestOrbitCountingGate:
         # connectors, {0, 3} and {0, 4}: the family of that orbit alone is
         # missing from its 2-connector families covering or not, which enter
         # (2, 0) alone when no cycle is kept bare, once for each of the 10
-        listed = rank3.genconn._linear_orbits
+        listed = rank3.polya._linear_orbits
 
         def drops_one(perm):
             orbits = listed(perm)
@@ -501,7 +501,7 @@ class TestOrbitCountingGate:
                 orbits.remove(next(orbit for orbit in orbits if orbit[1] == 2))
             return orbits
 
-        monkeypatch.setattr(rank3.genconn, "_linear_orbits", drops_one)
+        monkeypatch.setattr(rank3.polya, "_linear_orbits", drops_one)
         with pytest.raises(ArithmeticError) as info:
             rank3.count_lattices(5, 10)
         assert str(info.value) == _identity_message(5, graphs_by_c[5], (2, 0), -10)
@@ -627,14 +627,14 @@ class TestForkedSearch:
         elif failure == "exit-1-after-sending":
             exit_ = os._exit
             monkeypatch.setattr(os, "_exit", lambda status: exit_(1))
-        parent, search, searched = os.getpid(), rank3.pipeline._coatom_search, []
+        parent, search, searched = os.getpid(), rank3.bigraph._coatom_search, []
 
         def counting(c, masks):
             if os.getpid() == parent:
                 searched.append(masks)
             return search(c, masks)
 
-        monkeypatch.setattr(rank3.pipeline, "_coatom_search", counting)
+        monkeypatch.setattr(rank3.bigraph, "_coatom_search", counting)
         assert rank3.count_lattices_stats(6, 200, graphs_by_c[6]) == want
         assert_reaped()
         assert len(forks) == 2
@@ -646,14 +646,14 @@ class TestForkedSearch:
 
     def test_children_reaped_after_interrupt(self, monkeypatch, forks, graphs_by_c):
         # the parent is interrupted in its own share while the child searches
-        parent, search = os.getpid(), rank3.pipeline._coatom_search
+        parent, search = os.getpid(), rank3.bigraph._coatom_search
 
         def interrupted(c, masks):
             if os.getpid() == parent:
                 raise KeyboardInterrupt
             return search(c, masks)
 
-        monkeypatch.setattr(rank3.pipeline, "_coatom_search", interrupted)
+        monkeypatch.setattr(rank3.bigraph, "_coatom_search", interrupted)
         with pytest.raises(KeyboardInterrupt):
             rank3.count_lattices(6, 10, graphs_by_c[6])
         assert_reaped()
@@ -750,7 +750,7 @@ class TestOneLoop:
         """(chunk length, graphs yielded so far) per nonempty chunk dealt
         when _fold_profile folds graphs, taken one by one."""
         yielded, dealt = [0], []
-        in_shares = rank3.pipeline._in_shares
+        in_shares = rank3.genconn._in_shares
 
         def recording(work, chunk):
             dealt.append((len(chunk), yielded[0]))
@@ -761,7 +761,7 @@ class TestOneLoop:
                 yielded[0] = k
                 yield graph
 
-        monkeypatch.setattr(rank3.pipeline, "_in_shares", recording)
+        monkeypatch.setattr(rank3.genconn, "_in_shares", recording)
         rank3.pipeline._fold_profile(7, counting())
         return [deal for deal in dealt if deal[0]]
 

@@ -94,7 +94,7 @@ class TestFitting:
     def test_leading_term_is_labelled_total(self, c):
         # R(c, a) grows as L_c a^(c-1) / (c! (c-1)!), L_c the labelled
         # families: the identity's cells of fixed_family_counts
-        labelled = rank3.genconn.fixed_family_counts(c)[(c,) + (0,) * (c - 1)]
+        labelled = rank3.polya.fixed_family_counts(c)[(c,) + (0,) * (c - 1)]
         total = sum(labelled.values())
         assert rank3.LEADING_TERMS[c][0] == Fraction(total, math.factorial(c) *
                                                      math.factorial(c - 1))
