@@ -50,9 +50,10 @@ def __getattr__(name):
     home = _LAZY.get(name)
     if home is None:
         raise AttributeError("module %r has no attribute %r" % (__name__, name))
-    # import_module, since a "from . import" here would ask this hook again
-    from importlib import import_module
-    module = import_module("." + home, __name__)
+    # with no fromlist __import__ returns the package without asking this hook
+    # again, and binds the submodule on it; -X importtime times this import
+    __import__(__name__ + "." + home)
+    module = globals()[home]
     value = module if name == home else getattr(module, name)
     globals()[name] = value
     return value

@@ -326,13 +326,17 @@ def canonical_form(graph: BicoloredGraph) -> bytes:
     return bytes([63 + graph.coatom_count]) + graph6_encode(canon).rstrip(b"\n")
 
 
-def _group_of_winners(c: int, winners) -> PermGroup:
-    """The automorphisms p0^-1 q for every winner q of _coatom_search, p0 its
-    first winner: the identity first."""
-    inverse = [0] * c
-    for i, image in enumerate(winners[0]):
-        inverse[image] = i
-    return PermGroup(c, [tuple(inverse[image] for image in q) for q in winners])
+def _automorphisms(winners) -> tuple[Permutation, ...]:
+    """The automorphisms of a canonical form other than the identity, read
+    off the winners of the coatom search that produced it: q∘p0⁻¹ for each
+    later winner q, p0 the first, as the tuple of the canonical labels'
+    images.  Empty for a trivial group.  The census keeps this form for
+    each class, and a count of graphs folds it."""
+    if len(winners) == 1:
+        return ()
+    # q∘p0⁻¹ reads q at p0⁻¹(0), p0⁻¹(1), ...
+    image = operator.itemgetter(*sorted(range(len(winners[0])), key=winners[0].__getitem__))
+    return tuple([image(q) for q in winners[1:]])
 
 
 def automorphism_group_on_coatoms(graph: BicoloredGraph) -> PermGroup:
@@ -346,7 +350,9 @@ def automorphism_group_on_coatoms(graph: BicoloredGraph) -> PermGroup:
     every attaining q, the identity first.
     """
     c = graph.coatom_count
-    return _group_of_winners(c, _coatom_search(c, graph.connector_masks)[1])
+    winners = _coatom_search(c, graph.connector_masks)[1]
+    inverse = sorted(range(c), key=winners[0].__getitem__)
+    return PermGroup(c, [tuple(map(inverse.__getitem__, q)) for q in winners])
 
 
 # -- graph6 ------------------------------------------------------------------

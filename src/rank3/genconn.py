@@ -9,7 +9,8 @@ the least mask in each orbit of the class's automorphism group, and a
 search is kept only from the class's canonical parent (the orbit step
 and canonical construction path of McKay, "Isomorph-free exhaustive
 generation", J. Algorithms 26, 1998).  So every isomorphism class past
-r = 0 is found exactly once, with its automorphism group.
+r = 0 is found exactly once, with its automorphism group in the form a
+count of graphs folds (bigraph._automorphisms; None for S_c).
 
 Each parent class is extended on its own, so the parents of a stratum
 are extended through _in_shares, the forked map pipeline._fold_profile
@@ -37,7 +38,8 @@ import os
 import signal
 import threading
 
-from .bigraph import BicoloredGraph, _coatom_search, _from_masks, _symmetric, graph6_encode
+from .bigraph import (BicoloredGraph, _automorphisms, _coatom_search, _from_masks, _symmetric,
+                      graph6_encode)
 from .pipeline import atomic_open
 from .polya import _members, _pairs
 
@@ -48,29 +50,6 @@ def count_r_s(graph: BicoloredGraph) -> tuple[int, int]:
     for m in graph.connector_masks:
         covered |= m
     return len(graph.connector_masks), graph.coatom_count - covered.bit_count()
-
-
-def _bit_images(winners) -> tuple[tuple[int, ...], ...]:
-    """The automorphisms of a canonical form other than the identity, read off
-    the winners of the coatom search that produced it: each is q∘p0⁻¹, p0 the
-    first winner, stored as bit images s[i] = 1 << s(i).  Empty for a trivial
-    group."""
-    p0 = winners[0]
-    images = []
-    for q in winners[1:]:
-        s = [0] * len(q)
-        for i, image in zip(p0, q):
-            s[i] = 1 << image
-        images.append(tuple(s))
-    return tuple(images)
-
-
-@functools.cache
-def _swaps(c: int) -> tuple[tuple[int, ...], ...]:
-    """The transpositions (i i+1) as bit images, kept by the classes S_c maps
-    onto themselves: they leave just the least mask of each size, as S_c would."""
-    unit = [1 << i for i in range(c)]
-    return tuple(tuple(unit[:i] + [unit[i + 1], unit[i]] + unit[i + 2:]) for i in range(c - 1))
 
 
 def _extended(c: int, pools, pairs, parent) -> list:
@@ -89,7 +68,11 @@ def _extended(c: int, pools, pairs, parent) -> list:
     for m in [m for m in pools[top] if not pairs[m] & covered]:
         size = m.bit_count()
         mem = _members(m)
-        if any(sum(map(s.__getitem__, mem)) < m for s in group):
+        if group is None:
+            # S_c leaves the least mask of each size, of the bits 0..size-1
+            if m & (m + 1):
+                continue
+        elif any(sum(1 << s[i] for i in mem) < m for s in group):
             continue
         ties = []
         if size == top:
@@ -100,7 +83,7 @@ def _extended(c: int, pools, pairs, parent) -> list:
         grown = fam + (m,)
         if _symmetric(c, grown):
             # every relabelling wins, and maps m onto every mask of its rank
-            found.append((tuple(sorted(grown)), _swaps(c)))
+            found.append((tuple(sorted(grown)), None))
             continue
         form, winners = _coatom_search(c, grown)
         if ties:
@@ -109,13 +92,14 @@ def _extended(c: int, pools, pairs, parent) -> list:
             least = min(sum(1 << p0[i] for i in _members(x)) for x in ties + [m])
             if all(sum(1 << q[i] for i in mem) != least for q in winners):
                 continue
-        found.append((form, _bit_images(winners)))
+        found.append((form, _automorphisms(winners)))
     return found
 
 
 def _classes(coatom_count: int):
     """Yield (canonical masks, kept group) for one class of connection graphs
-    per isomorphism class, the group as bit images (see _bit_images).
+    per isomorphism class, the group as image tuples (see
+    bigraph._automorphisms), or None for S_c.
 
     Output comes in ascending connector count r.  Stratum r+1 extends each
     class P of stratum r by every mask m that shares no coatom pair with P
@@ -142,7 +126,9 @@ def _classes(coatom_count: int):
     differ by an automorphism of P, of which the orbit filter keeps one.
     The class keeps the group read off that search's winners, but those
     bigraph._symmetric accepts (r = 0, the full connector, all coatom
-    pairs) keep _swaps(c), the last two found with no search or tie test.
+    pairs) keep None, S_c, whose orbit filter keeps only the least mask of
+    each size, m & (m + 1) == 0: the last two are found with no search or
+    tie test.
     Each stratum is sorted once in graph6 byte order, without encoding,
     and its masks seed the next, so two runs give byte-identical output.
 
@@ -161,7 +147,7 @@ def _classes(coatom_count: int):
     # each mask with its c bits reversed, in bytes of one width
     width = (c + 7) // 8
     flipped = {m: int(format(m, "0%db" % c)[::-1], 2).to_bytes(width, "big") for m in pool}
-    level, extend = [((), _swaps(c))], functools.partial(_extended, c, pools, pairs)
+    level, extend = [((), None)], functools.partial(_extended, c, pools, pairs)
     yield level[0]
     for _r in range(1, c * (c - 1) // 2 + 1):
         # for equal c and r, graph6 byte order is the order of the mask

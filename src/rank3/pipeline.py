@@ -10,9 +10,9 @@ prod_i (1 - x^i)^(-m_i), where Q_lambda[k] adds (c!/|Aut g|) times the
 elements of Aut g of type lambda over the graphs with r + s = k (10808
 graphs at c = 7 fold into 15 polynomials).  Both paths below first
 tally these terms per (lambda, r, s), the cells of
-polya.fixed_family_counts, and _terms sums each lambda's cells into
-its Q_lambda.  The fold builds one cycle index per distinct automorphism
-group (182 for the 10808 graphs at c = 7).
+polya.fixed_family_counts, and polya.one_denominator sums each lambda's
+cells into its Q_lambda.  The fold builds one cycle index per distinct
+automorphism group (182 for the 10808 graphs at c = 7).
 
 A count without graphs lists none.  Summed over the labelled families
 instead of the classes, the cell (lambda, r, s) is |C_lambda| times the
@@ -27,10 +27,11 @@ or read of a census.
 
 Graphs passed in or read are checked and measured (r and s) once each,
 on every usable CPU, by _search, and walked in order by _fold_profile,
-the one loop over them.  A graph's coatom search gives its group and
-the canonical form that checks the list is isomorph-free; the graphs
-S_c maps onto themselves (bigraph._symmetric) get their sorted masks
-and S_c with no search, so the r = 0 class folds at once at any c.
+the one loop over them.  A graph's coatom search gives its group,
+in the form the census keeps (bigraph._automorphisms), and the
+canonical form that checks the list is isomorph-free; the graphs S_c
+maps onto themselves (bigraph._symmetric) get their sorted masks and
+S_c with no search, so the r = 0 class folds at once at any c.
 _fold_profile maps _search over each chunk through genconn._in_shares,
 which says when it forks (not for the 72 graphs at c = 5); it imports
 the graph layer before the first fork, so no child compiles a module.
@@ -138,13 +139,14 @@ _CHUNK = 16384
 def _search(c: int, kept: dict, graph):
     """Why graph is rejected, if it does not have c coatoms or fails
     validate_connection_graph, else (canonical masks, or None where they
-    are the graph's own, winners tuple, r, s).
+    are the graph's own, group, r, s), the group as
+    bigraph._automorphisms gives it.
 
     A graph that bigraph._symmetric accepts gets its sorted masks and
-    winners None, S_c's slot, with no search.  Equal winner tuples are one
-    object through kept, one dict per fold, since marshal writes each
-    object once: a child's share of 5404 graphs of the c = 7 census sends
-    262,365 bytes with it, 871,504 without."""
+    group None, S_c's slot, with no search.  Equal groups are one object
+    through kept, one dict per fold, since marshal writes each object
+    once: a child's share of 5404 graphs of the c = 7 census sends
+    256,334 bytes with it, 678,637 without."""
     bigraph, genconn = rank3.bigraph, rank3.genconn
     try:
         if graph.coatom_count != c:
@@ -155,21 +157,22 @@ def _search(c: int, kept: dict, graph):
     masks = graph.connector_masks
     r, s = genconn.count_r_s(graph)
     if bigraph._symmetric(c, masks):
-        canon, winners = tuple(sorted(masks)), None
+        canon, group = tuple(sorted(masks)), None
     else:
         canon, winners = bigraph._coatom_search(c, masks)
-        winners = tuple(winners)
-        winners = kept.setdefault(winners, winners)
-    return (None if canon == masks else canon, winners, r, s)
+        group = bigraph._automorphisms(winners)
+        group = kept.setdefault(group, group)
+    return (None if canon == masks else canon, group, r, s)
 
 
 def _fold_profile(coatom_count: int, graphs) -> tuple:
     """({cycle type: {(r, s): n}}, MemoStats) of graphs passed in or read:
     n adds c!/|G| times the elements of that type in G over the graphs
     with group G, r connectors and s uncovered coatoms, the shape of
-    polya.fixed_family_counts.  Each distinct winners tuple gets one
-    group and cycle index, and S_c's slot, the winners None of _search,
-    the index polya.symmetric_cycle_index makes from its class sizes.
+    polya.fixed_family_counts.  Each distinct group of _search gets one
+    slot and cycle index, the group's elements being the identity and
+    its tuples, and S_c's slot, the group None, the index
+    polya.symmetric_cycle_index makes from its class sizes.
 
     This is the one loop over the graphs.  Each round takes up to _CHUNK
     of them, has genconn._in_shares check, search and measure each by
@@ -196,19 +199,20 @@ def _fold_profile(coatom_count: int, graphs) -> tuple:
             k += 1
             if isinstance(found, str):
                 raise GraphInputError("graph %d %r: %s" % (k, graph, found))
-            canon, winners, r, s = found
+            canon, group, r, s = found
             # the graph's own tuple when it is canonical, so keeping it makes no second copy
             canon = graph.connector_masks if canon is None else canon
             if canon in seen:
                 raise GraphInputError("graph %d is isomorphic to an earlier graph" % k)
             seen.add(canon)
-            profile[slots.setdefault(winners, len(slots)), r, s] += 1
+            profile[slots.setdefault(group, len(slots)), r, s] += 1
         if failure is not None:
             raise failure
         if len(chunk) < _CHUNK:
             break
-    indices = [symmetric_cycle_index(c) if winners is None
-               else cycle_index(bigraph._group_of_winners(c, winners)) for winners in slots]
+    identity = tuple(range(c))
+    indices = [symmetric_cycle_index(c) if group is None
+               else cycle_index(bigraph.PermGroup(c, [identity, *group])) for group in slots]
     cells, trivial = defaultdict(Counter), 0
     for (slot, r, s), n in profile.items():
         zindex = indices[slot]
@@ -218,18 +222,6 @@ def _fold_profile(coatom_count: int, graphs) -> tuple:
             cells[expo][r, s] += copies * count
     return ({expo: dict(by_cell) for expo, by_cell in cells.items()},
             MemoStats(k, len(set(indices)), trivial))
-
-
-def _terms(coatom_count: int, cells) -> tuple:
-    """((cycle type, Q), ...) in type order, as in the module docstring: Q[k]
-    of a type is its cells (see _fold_profile) summed over r + s = k."""
-    terms = []
-    for expo, by_cell in sorted(cells.items()):
-        row = [0] * (coatom_count * (coatom_count + 1) // 2 + 1)    # r + s <= c(c-1)/2 + c
-        for (r, s), n in by_cell.items():
-            row[r + s] += n
-        terms.append((expo, tuple(row)))
-    return tuple(terms)
 
 
 # coatom count -> (cells, N, D's exponents, MemoStats, the longest series substituted so far)
@@ -271,10 +263,10 @@ def count_lattices_stats(coatom_count: int, max_atoms: int, graphs=None,
         want, numerator, exponents, generated, series = _generated[c]
     else:
         want = fixed_family_counts(c)
-        terms = _terms(c, want)
         # the cells of every type add up to c! times the classes
-        generated = MemoStats(sum(sum(q) for _expo, q in terms) // math.factorial(c), None, None)
-        numerator, exponents = one_denominator(terms)
+        classes = sum(sum(by_cell.values()) for by_cell in want.values()) // math.factorial(c)
+        generated = MemoStats(classes, None, None)
+        numerator, exponents = one_denominator(want)
         series = []
     if len(series) <= max_atoms:
         # stored once substituted, so a substitution that raises leaves the entry as it was

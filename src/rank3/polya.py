@@ -6,7 +6,9 @@ when a permutation group G on the boxes maps one to the other, is counted
 by substituting the occupancy series 1 + x + x^2 + ... into the cycle
 index of G, kept as integers: |G| and the number of elements of each
 cycle type.  One substitution serves group_balls and the count tables
-alike: one_denominator puts every cycle type over one denominator
+alike: one_denominator takes a cell table, the shape fixed_family_counts
+returns (group_balls gives each type one cell), sums each type's cells
+into its polynomial and puts every cycle type over one denominator
 D = prod_i (1 - x^i)^M_i, M_i the largest multiplicity of i among the
 types, so the sum is one finite numerator N over D, and expand_rational
 expands it by sum_i M_i running-sum passes instead of one pass per
@@ -109,17 +111,21 @@ def _geometric_mul(coeffs: list[int], stride: int) -> None:
         coeffs[start::stride] = accumulate(coeffs[start::stride])
 
 
-def one_denominator(terms) -> tuple[tuple[int, ...], tuple[int, ...]]:
-    """(N, (M_1, ..., M_c)): the (cycle type, Q) ``terms`` over one denominator.
+def one_denominator(cells) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    """(N, (M_1, ..., M_c)): the cell table ``cells`` over one denominator.
 
-    Each type (m_1, ..., m_c) stands for Q(x) / D_m with D_m = prod_i (1 - x^i)^m_i.
+    ``cells`` is {cycle type: {(r, s): n}}, as fixed_family_counts gives
+    it.  Each type (m_1, ..., m_c) stands for Q(x) / D_m with
+    D_m = prod_i (1 - x^i)^m_i, Q[k] the sum of its cells with r + s = k.
     Over D = prod_i (1 - x^i)^M_i, M_i the largest m_i of any type, their
     sum is N / D with the finite polynomial N = sum of Q * D / D_m.
     """
-    terms = [(expo, list(q)) for expo, q in terms]
-    top = [max(m) for m in zip(*(expo for expo, _q in terms))]
+    top = [max(m) for m in zip(*cells)]
     numerator = []
-    for expo, poly in terms:
+    for expo, by_cell in cells.items():
+        poly = [0] * (max(map(sum, by_cell), default=-1) + 1)
+        for (r, s), n in by_cell.items():
+            poly[r + s] += n
         for i, (most, m) in enumerate(zip(top, expo), 1):
             for _ in range(most - m):    # poly times 1 - x^i
                 poly = [a - b for a, b in zip(poly + [0] * i, [0] * i + poly)]
@@ -171,8 +177,8 @@ def group_balls(zindex: CycleIndex, boxes: int, max_balls: int) -> list[int]:
     for expo, _count in zindex.counts:
         if len(expo) != boxes or sum(i * m for i, m in enumerate(expo, 1)) != boxes:
             raise ValueError("exponent tuple %r is no cycle type of degree %d" % (expo, boxes))
-    terms = [(expo, [count]) for expo, count in zindex.counts]
-    return expand_rational(*one_denominator(terms), zindex.order, max_balls + 1)
+    cells = {expo: {(0, 0): count} for expo, count in zindex.counts}
+    return expand_rational(*one_denominator(cells), zindex.order, max_balls + 1)
 
 
 # -- fixed labelled families ---------------------------------------------------

@@ -3,8 +3,7 @@ families, the generator's candidate scan and the cycle-type substitution."""
 
 from itertools import accumulate
 
-from rank3.bigraph import _coatom_search, _members, _pairs, _symmetric
-from rank3.genconn import _bit_images, _swaps
+from rank3.bigraph import _automorphisms, _coatom_search, _members, _pairs, _symmetric
 
 
 def map_mask(mask, perm):
@@ -31,8 +30,10 @@ def labelled_connection_families(c):
 def extended_by_pool_loop(c, parent):
     """Oracle: genconn._extended's list for parent, a (family, group) class on
     c coatoms, from a loop that walks the whole pool, largest masks first,
-    stops at the first mask smaller than the family's largest and skips each
-    mask that shares a coatom pair with the family."""
+    stops at the first mask smaller than the family's largest, skips each
+    mask that shares a coatom pair with the family and maps each mask by
+    map_mask: under S_c, a group None, a mask is least in its orbit iff it
+    is the least of its size."""
     pool = sorted((m for m in range(1 << c) if m.bit_count() >= 2),
                   key=int.bit_count, reverse=True)
     fam, group = parent
@@ -49,7 +50,9 @@ def extended_by_pool_loop(c, parent):
         if _pairs(m) & covered:
             continue
         mem = _members(m)
-        if any(sum(map(s.__getitem__, mem)) < m for s in group):
+        orbit_least = (m == (1 << size) - 1 if group is None
+                       else all(map_mask(m, s) >= m for s in group))
+        if not orbit_least:
             continue
         ties = []
         if size == top:
@@ -59,7 +62,7 @@ def extended_by_pool_loop(c, parent):
             ties = [x for x, k in kept if k + (x & m != 0) == met]
         grown = fam + (m,)
         if _symmetric(c, grown):
-            found.append((tuple(sorted(grown)), _swaps(c)))
+            found.append((tuple(sorted(grown)), None))
             continue
         form, winners = _coatom_search(c, grown)
         if ties:
@@ -67,7 +70,7 @@ def extended_by_pool_loop(c, parent):
             least = min(sum(1 << p0[i] for i in _members(x)) for x in ties + [m])
             if all(sum(1 << q[i] for i in mem) != least for q in winners):
                 continue
-        found.append((form, _bit_images(winners)))
+        found.append((form, _automorphisms(winners)))
     return found
 
 
@@ -88,19 +91,22 @@ def plain_validate_connection_graph(graph):
                     "connectors %d and %d share more than one coatom" % (k, j))
 
 
-def substitute_per_type(terms, divisor, length):
-    """Oracle: (1/divisor) * sum of Q(x) * prod_i (1 - x^i)^(-m_i) over
-    (cycle type, Q) terms, each type's series expanded over its own
-    denominator by m_i running sums of step i, truncated to ``length`` terms;
-    the division is checked exact."""
+def substitute_per_cell(cells, divisor, length):
+    """Oracle: (1/divisor) * sum of n x^(r+s) prod_i (1 - x^i)^(-m_i) over
+    the cells of a cell table {cycle type: {(r, s): n}}, each cell's series
+    expanded over its type's own denominator by m_i running sums of step i,
+    truncated to ``length`` terms; the division is checked exact."""
     total = [0] * length
-    for expo, coeffs in terms:
-        term = list(coeffs[:length]) + [0] * (length - len(coeffs))
-        for stride, m in enumerate(expo, 1):
-            for _ in range(m):
-                for start in range(stride):
-                    term[start::stride] = accumulate(term[start::stride])
-        total = [t + x for t, x in zip(total, term)]
+    for expo, by_cell in cells.items():
+        for (r, s), n in by_cell.items():
+            term = [0] * length
+            if r + s < length:
+                term[r + s] = n
+            for stride, m in enumerate(expo, 1):
+                for _ in range(m):
+                    for start in range(stride):
+                        term[start::stride] = accumulate(term[start::stride])
+            total = [t + x for t, x in zip(total, term)]
     out = []
     for value in total:
         q, rem = divmod(value, divisor)

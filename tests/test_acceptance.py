@@ -136,8 +136,8 @@ class TestCriterion04LargeCoatomSpotCheck:
         generated = rank3.polya.fixed_family_counts(8)
         assert labelled == generated[(8,) + (0,) * 7] and len(labelled) == 85
         assert cells == generated
-        values = rank3.polya.expand_rational(*rank3.polya.one_denominator(
-            pipeline._terms(8, cells)), math.factorial(8), 1001)
+        values = rank3.polya.expand_rational(*rank3.polya.one_denominator(cells),
+                                             math.factorial(8), 1001)
         for a, want in R_TABLE[8].items():
             assert values[a] == want
         report(4, "census bytes, 85 labelled cells and the generated cells from all %d "

@@ -105,6 +105,18 @@ def test_names_resolve_to_their_submodules():
                   ) == "False True []"
 
 
+def test_first_use_is_listed_by_importtime():
+    # the hook imports the graph layer by __import__, which -X importtime
+    # times, so its first use lists both modules
+    proc = subprocess.run([sys.executable, "-X", "importtime", "-S", "-c",
+                           "import sys\nsys.path.insert(0, %r)\nimport rank3\nrank3.genconn" % SRC],
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    listed = {line.rsplit("|", 1)[-1].strip() for line in proc.stderr.splitlines()
+              if line.startswith("import time:")}
+    assert {"rank3.bigraph", "rank3.genconn"} <= listed
+
+
 def test_dir_and_star_import_give_every_name():
     assert _fresh("import rank3\nlisted = set(dir(rank3))\nns = {}\n"
                   "exec('from rank3 import *', ns)\n"

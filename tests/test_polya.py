@@ -9,10 +9,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import rank3
-from rank3.bigraph import _coatom_search, _group_of_winners
 from rank3.polya import _geometric_mul
 
-from oracles import substitute_per_type
+from oracles import substitute_per_cell
 from reference_values import PATH4_BALLS
 
 
@@ -78,10 +77,9 @@ class TestCycleIndex:
         # its class sizes, with no search; the bare coatoms' search, whose
         # winners are every relabelling, gives the same index
         for c in range(1, 8):
-            winners = _coatom_search(c, ())[1]
-            assert len(winners) == math.factorial(c)
-            assert rank3.cycle_index(_group_of_winners(c, winners)) == \
-                rank3.polya.symmetric_cycle_index(c)
+            group = rank3.automorphism_group_on_coatoms(rank3.BicoloredGraph(c))
+            assert group.order == math.factorial(c)
+            assert rank3.cycle_index(group) == rank3.polya.symmetric_cycle_index(c)
 
     def test_path_graph_group(self):
         g = rank3.BicoloredGraph(4, [{0, 1}, {1, 2}, {2, 3}])
@@ -203,37 +201,40 @@ class TestFunctionCountingSeries:
 
 
 class TestOneDenominator:
-    """expand_rational of one_denominator puts every type over one
-    denominator; the oracle expands each type over its own."""
+    """expand_rational of one_denominator puts every type of a cell table
+    over one denominator; the oracle expands each cell over its type's own."""
 
     @settings(max_examples=300, deadline=None)
     @given(data=st.data())
     def test_equals_per_type_substitution(self, data):
         degree = data.draw(st.integers(1, 5))
         expo = st.tuples(*[st.integers(0, 3)] * degree)
-        terms = data.draw(st.lists(st.tuples(expo, st.lists(st.integers(-40, 40), max_size=12)),
-                                   max_size=6))
-        numerator, _exponents = rank3.polya.one_denominator(terms)
+        # each type's cells up to r + s = 11, several on one r + s
+        by_cell = st.dictionaries(st.tuples(st.integers(0, 6), st.integers(0, 5)),
+                                  st.integers(-40, 40), max_size=12)
+        cells = data.draw(st.dictionaries(expo, by_cell, max_size=6))
+        numerator, _exponents = rank3.polya.one_denominator(cells)
         # lengths on both sides of N's length, where truncating N first matters
         length = data.draw(st.integers(0, len(numerator) + 6))
         divisor = data.draw(st.integers(1, 4))
-        assert outcome(rank3.polya.expand_rational, *rank3.polya.one_denominator(terms),
-                       divisor, length) == outcome(substitute_per_type, terms, divisor, length)
+        assert outcome(rank3.polya.expand_rational, *rank3.polya.one_denominator(cells),
+                       divisor, length) == outcome(substitute_per_cell, cells, divisor, length)
 
     def test_divides_first_up_to_the_first_coefficient_it_cannot(self):
         # N is divided before the running sums when its first ``length``
         # terms are multiples of the divisor: up to the first term that is
         # not, the series equals the oracle's, and from it on the error
         # names the oracle's coefficient
-        terms = [((2, 0), [3, 0, 6]), ((0, 1), [0, 3, 0, 4])]
-        numerator, exponents = rank3.polya.one_denominator(terms)
+        # Q = 3 + 6x^2 over (1 - x)^2 and 3x + 4x^3 over 1 - x^2
+        cells = {(2, 0): {(0, 0): 3, (1, 1): 6}, (0, 1): {(1, 0): 3, (2, 1): 4}}
+        numerator, exponents = rank3.polya.one_denominator(cells)
         first = next(k for k, value in enumerate(numerator) if value % 3)
         assert first > 1
         series = rank3.polya.expand_rational(numerator, exponents, 3, first)
-        assert series == substitute_per_type(terms, 3, first)
+        assert series == substitute_per_cell(cells, 3, first)
         with pytest.raises(ArithmeticError) as info:
             rank3.polya.expand_rational(numerator, exponents, 3, first + 1)
-        assert str(info.value) == outcome(substitute_per_type, terms, 3, first + 1)
+        assert str(info.value) == outcome(substitute_per_cell, cells, 3, first + 1)
         assert str(info.value).startswith("coefficient ")
 
     @settings(max_examples=150, deadline=None)
@@ -243,6 +244,6 @@ class TestOneDenominator:
         generators = data.draw(st.lists(st.permutations(range(degree)), max_size=3))
         z = rank3.cycle_index(generated_group(degree, generators))
         max_balls = data.draw(st.integers(0, 30))
-        terms = [(expo, [count]) for expo, count in z.counts]
+        cells = {expo: {(0, 0): count} for expo, count in z.counts}
         assert rank3.group_balls(z, degree, max_balls) == \
-            substitute_per_type(terms, z.order, max_balls + 1)
+            substitute_per_cell(cells, z.order, max_balls + 1)
