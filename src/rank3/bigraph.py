@@ -347,9 +347,12 @@ def automorphism_group_on_coatoms(graph: BicoloredGraph) -> PermGroup:
     neighbourhood matching and carry no extra freedom worth recording.
     The group is read off the canonical search: with p0 the first
     bijection attaining the minimum, the automorphisms are p0^-1 q for
-    every attaining q, the identity first.
+    every attaining q, the identity first.  The graphs S_c maps onto
+    themselves (_symmetric) get S_c, listed directly, with no search.
     """
     c = graph.coatom_count
+    if _symmetric(c, graph.connector_masks):
+        return PermGroup(c, itertools.permutations(range(c)))
     winners = _coatom_search(c, graph.connector_masks)[1]
     inverse = sorted(range(c), key=winners[0].__getitem__)
     return PermGroup(c, [tuple(map(inverse.__getitem__, q)) for q in winners])

@@ -52,13 +52,14 @@ D = prod_i (1 - x^i)^M_i, M_i the largest m_i of any type, and N / D
 expanded by sum_i M_i running sums.  The polynomials of c are the same
 for every a, and the first n terms of their truncated series do not
 depend on where it is truncated.  So each c has one entry per process:
-its cells, N, D's exponents, its MemoStats and the longest series
-expanded so far.  A count of graphs gates its fold on the entry's cells
-and returns the fold's MemoStats with a slice of the entry's series.
-Repeated counts for one c count its cells once, and a count the series
-already covers is a copy of its first a + 1 terms; a longer one expands
-N / D again, to at least twice the old length, which costs only the
-running sums.  The polya docstring says what its counts keep.
+its cells, N, its MemoStats, the longest series expanded so far and each
+running sum's carries, its last terms.  A count of graphs gates its fold
+on the entry's cells and returns the fold's MemoStats with a slice of
+the entry's series.  Repeated counts for one c count its cells once, and
+a count the series already covers is one lookup and one copy of its
+first a + 1 terms; a longer one continues the series from its carries,
+to at least twice the old length, running the sums over the new terms
+alone.  The polya docstring says what its counts keep.
 """
 
 import contextlib
@@ -72,8 +73,8 @@ from collections import Counter, defaultdict, namedtuple
 # on first access (see __init__): only a count of graphs and iter_graph_dir use it
 import rank3
 
-from .polya import (cycle_index, expand_rational, fixed_family_counts, one_denominator,
-                    symmetric_cycle_index)
+from .polya import (cycle_index, extend_rational, fixed_family_counts, one_denominator,
+                    start_carries, symmetric_cycle_index)
 
 
 class GraphInputError(ValueError):
@@ -83,6 +84,8 @@ class GraphInputError(ValueError):
 
 class CountTable:
     """Exact counts R(c, a) for a = 0..a_max at a fixed coatom count."""
+
+    __slots__ = ("coatom_count", "a_max", "values")
 
     def __init__(self, coatom_count: int, a_max: int, values: list[int] | None = None):
         self.coatom_count, self.a_max = coatom_count, a_max
@@ -224,7 +227,8 @@ def _fold_profile(coatom_count: int, graphs) -> tuple:
             MemoStats(k, len(set(indices)), trivial))
 
 
-# coatom count -> (cells, N, D's exponents, MemoStats, the longest series substituted so far)
+# coatom count -> (cells, N, MemoStats, the carries at the series' end, the longest
+# series substituted so far)
 _generated = {}
 
 
@@ -232,8 +236,10 @@ def count_lattices_stats(coatom_count: int, max_atoms: int, graphs=None,
                          jobs=None) -> tuple[CountTable, MemoStats]:
     """Count table plus the MemoStats of its graphs for one pipeline run.
 
-    Every table is a slice of the coatom count's one entry, made and
-    lengthened as the module docstring says; a cell that breaks the
+    The table is count_lattices's, a slice of the coatom count's one
+    entry, made as the module docstring says: one lookup and one copy
+    where the entry's series covers ``max_atoms``, else the series is
+    continued from its carries first.  A cell that breaks the
     orbit-counting identity raises ArithmeticError.  Without
     ``graphs`` no graph is listed, and the MemoStats hold the class count,
     with distinct_cycle_indices and trivial_action_graphs None.
@@ -252,38 +258,46 @@ def count_lattices_stats(coatom_count: int, max_atoms: int, graphs=None,
     benchmark's traced replay still passes ``jobs=2``; it does not choose
     the split, which follows the usable CPUs alone.
     """
-    if coatom_count < 1:
+    # not >= so that NaN, which no comparison admits, is refused here
+    if not coatom_count >= 1:
         raise ValueError("coatom count must be positive")
-    if max_atoms < 0:
+    if not max_atoms >= 0:
         raise ValueError("maximum atom count must be nonnegative")
     c = coatom_count
     if graphs is not None:
         cells, stats = _fold_profile(c, graphs)
-    if c in _generated:
-        want, numerator, exponents, generated, series = _generated[c]
-    else:
+    entry = _generated.get(c)
+    if entry is None:
         want = fixed_family_counts(c)
         # the cells of every type add up to c! times the classes
         classes = sum(sum(by_cell.values()) for by_cell in want.values()) // math.factorial(c)
-        generated = MemoStats(classes, None, None)
         numerator, exponents = one_denominator(want)
-        series = []
+        entry = want, numerator, MemoStats(classes, None, None), start_carries(exponents), []
+    series = entry[4]
     if len(series) <= max_atoms:
-        # stored once substituted, so a substitution that raises leaves the entry as it was
-        length = max(max_atoms + 1, 2 * len(series))
-        series = expand_rational(numerator, exponents, math.factorial(c), length)
-        _generated[c] = want, numerator, exponents, generated, series
-    table = CountTable(c, max_atoms, series[:max_atoms + 1])
+        # to at least twice the old length, and stored once grown, so a growth
+        # that raises leaves the entry as it was
+        terms, carries = extend_rational(entry[1], entry[3], math.factorial(c),
+                                         range(len(series), max(max_atoms + 1, 2 * len(series))))
+        entry = _generated[c] = (*entry[:3], carries, series + terms)
+    # the entry covers max_atoms now, so count_lattices answers from it
+    table = count_lattices(c, max_atoms)
     if graphs is None:
-        return table, generated
-    _check_cells(c, cells, want)
+        return table, entry[2]
+    _check_cells(c, cells, entry[0])
     return table, stats
 
 
 def count_lattices(coatom_count: int, max_atoms: int, graphs=None) -> CountTable:
-    """Count table R(c, a) for a = 0..max_atoms; see count_lattices_stats."""
-    table, _stats = count_lattices_stats(coatom_count, max_atoms, graphs)
-    return table
+    """Count table R(c, a) for a = 0..max_atoms; see count_lattices_stats.
+
+    Where the entry's series covers max_atoms and no graphs are given,
+    the table is one lookup and one copy, for count_lattices_stats too;
+    any other count is count_lattices_stats's."""
+    entry = _generated.get(coatom_count)
+    if graphs is None and entry is not None and -1 < max_atoms < len(entry[4]):
+        return CountTable(coatom_count, max_atoms, entry[4][:max_atoms + 1])
+    return count_lattices_stats(coatom_count, max_atoms, graphs)[0]
 
 
 # -- interchange ---------------------------------------------------------------

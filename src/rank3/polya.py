@@ -16,9 +16,10 @@ cycle of every type: 10 against 20 for S_5, 27 against 192 for S_10.
 Its division is checked exact, so a bug upstream surfaces as an
 integrality failure, not a rounding one.  As D(0) = 1 that is a check
 on N, which is divided before the passes, so no term of the series is
-divided.  pipeline keeps N and D's exponents per coatom count for the
-process, so a longer series pays only the passes; the substitution
-caches nothing.
+divided.  extend_rational continues a series from the last terms each
+pass wrote, its carries: pipeline keeps N, the series and its carries
+per coatom count for the process, so a longer series pays only the
+passes over its new terms; the substitution caches nothing.
 
 fixed_family_counts counts, without a census, the labelled families each
 cycle type of S_c fixes, per connector count and uncovered coatoms: by
@@ -100,14 +101,15 @@ def symmetric_cycle_index(degree: int) -> CycleIndex:
     return CycleIndex(degree, order, tuple(sorted(counts)))
 
 
-def _geometric_mul(coeffs: list[int], stride: int) -> None:
-    """Multiply a truncated series, in place, by 1 + x^stride + x^(2 stride) + ...
+def _geometric_mul(coeffs: list[int], stride: int, first: int = 0) -> None:
+    """Multiply a truncated series, in place, by 1 + x^stride + x^(2 stride) + ...,
+    from index ``first`` on.
 
     That product is a running sum with step ``stride``, which keeps the
     cycle-index substitution linear in the truncation order instead of
     quadratic.  Each residue class modulo ``stride`` is summed on its own.
     """
-    for start in range(stride):
+    for start in range(first, first + stride):
         coeffs[start::stride] = accumulate(coeffs[start::stride])
 
 
@@ -134,30 +136,54 @@ def one_denominator(cells) -> tuple[tuple[int, ...], tuple[int, ...]]:
     return tuple(numerator), tuple(top)
 
 
+def start_carries(exponents) -> list[list[int]]:
+    """The carries of a series not begun, for extend_rational: i zeros for
+    each of the M_i running-sum passes of stride i, strides ascending."""
+    return [[0] * stride for stride, m in enumerate(exponents, 1) for _ in range(m)]
+
+
 def expand_rational(numerator, exponents, divisor: int, length: int) -> list[int]:
     """The first ``length`` terms of (1/divisor) N / prod_i (1 - x^i)^M_i.
 
     N is ``numerator`` and (M_1, ..., M_c) ``exponents``, as one_denominator
-    gives them.  Each geometric pass at index k reads only indices up to k,
-    so N is truncated to ``length`` first.  The division is checked exact:
-    D(0) = 1, so the first terms of N / D are multiples of the divisor
-    exactly when those of N are, and N is divided before the passes.
-    Otherwise the error names the first term of N / D that is not one.
+    gives them: extend_rational from term 0.
     """
     if length < 0:
         raise ValueError("series length must be nonnegative")
-    head = numerator[:length]
+    return extend_rational(numerator, start_carries(exponents), divisor, range(length))[0]
+
+
+def extend_rational(numerator, carries, divisor: int, terms: range) -> tuple[list[int], list]:
+    """(The terms ``terms`` of (1/divisor) N / D, the carries at terms.stop).
+
+    ``carries`` holds, per running-sum pass of D in start_carries' order,
+    the last i terms the pass of stride i wrote before terms.start.  A
+    pass at index k reads only indices up to k, so the new terms need the
+    new terms of N and the carries alone.  The division is checked exact
+    on the new terms of N: D(0) = 1, so with the earlier terms of N
+    multiples of the divisor, the new terms of N / D are multiples exactly
+    when those of N are, and N is divided before the passes.  Otherwise
+    the error names the first term of N / D that is not one, as a call
+    from term 0 would.
+    """
+    head = numerator[terms.start:terms.stop]
     exact = not any(value % divisor for value in head)
-    if exact:
-        head = [value // divisor for value in head]
-    total = list(head) + [0] * (length - len(head))
-    for stride, m in enumerate(exponents, 1):
-        for _ in range(m):
-            _geometric_mul(total, stride)
+    width = max(map(len, carries), default=0)
+    total = [0] * width
+    total += [value // divisor for value in head] if exact else head
+    total += [0] * (len(terms) - len(head))
+    kept = []
+    for carry in carries:
+        # the pass's own terms before the new ones, undivided if N is not divided
+        stride = len(carry)
+        total[width - stride:width] = carry if exact else [value * divisor for value in carry]
+        _geometric_mul(total, stride, width - stride)
+        kept.append(total[-stride:])
+    del total[:width]
     if not exact:
         value = next(value for value in total if value % divisor)
         raise ArithmeticError("coefficient %d not divisible by %d" % (value, divisor))
-    return total
+    return total, kept
 
 
 def group_balls(zindex: CycleIndex, boxes: int, max_balls: int) -> list[int]:

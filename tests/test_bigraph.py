@@ -483,6 +483,20 @@ class TestAutomorphisms:
                 grp = rank3.automorphism_group_on_coatoms(g)
                 assert grp.elements[0] == tuple(range(c))
 
+    def test_symmetric_graphs_get_s_c_unsearched(self, monkeypatch):
+        # the bare coatoms, the one connector on all six and the fifteen
+        # pairs: S_6, listed without the search and its 720 winners
+        def no_search(c, masks):
+            raise AssertionError("searched %r" % (masks,))
+
+        monkeypatch.setattr(rank3.bigraph, "_coatom_search", no_search)
+        pairs = [{i, k} for i in range(6) for k in range(i)]
+        for neighborhoods in [], [set(range(6))], pairs:
+            grp = rank3.automorphism_group_on_coatoms(rank3.BicoloredGraph(6, neighborhoods))
+            assert grp.order == 720
+            assert grp.elements[0] == tuple(range(6))
+            assert rank3.cycle_index(grp) == rank3.polya.symmetric_cycle_index(6)
+
     def test_permgroup_rejects_non_permutation(self):
         with pytest.raises(ValueError):
             rank3.PermGroup(2, [(0, 0)])

@@ -10,6 +10,8 @@ import types
 from collections import Counter
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import rank3
 
@@ -126,6 +128,11 @@ class TestCounting:
             rank3.count_lattices(0, 5)
         with pytest.raises(ValueError):
             rank3.count_lattices(3, -1)
+        # with the series made, a bad count still misses it and is refused
+        rank3.count_lattices(3, 10)
+        for a in -1, -5, float("nan"):
+            with pytest.raises(ValueError, match="^maximum atom count must be nonnegative$"):
+                rank3.count_lattices(3, a)
 
 
 def plain_fold(c, graphs):
@@ -247,18 +254,32 @@ def generations(monkeypatch):
     rank3.pipeline._generated.clear()
 
 
+def _spy_on_growth(monkeypatch, record):
+    """Patch the count's series growth to pass record each range of terms it computes."""
+    extend = rank3.pipeline.extend_rational
+
+    def counting(numerator, carries, divisor, terms):
+        record(terms)
+        return extend(numerator, carries, divisor, terms)
+
+    monkeypatch.setattr(rank3.pipeline, "extend_rational", counting)
+
+
 @pytest.fixture
 def substitutions(monkeypatch, generations):
-    """The lengths of the substitutions the count makes, in order, from an empty cache."""
+    """The lengths of the series the count's growths leave, in order, from an empty cache."""
     lengths = []
-    expand = rank3.pipeline.expand_rational
-
-    def counting(numerator, exponents, divisor, length):
-        lengths.append(length)
-        return expand(numerator, exponents, divisor, length)
-
-    monkeypatch.setattr(rank3.pipeline, "expand_rational", counting)
+    _spy_on_growth(monkeypatch, lambda terms: lengths.append(terms.stop))
     return lengths
+
+
+@pytest.fixture
+def growths(monkeypatch, generations):
+    """The range of terms each growth of the count's series computes, in order,
+    from an empty cache."""
+    ranges = []
+    _spy_on_growth(monkeypatch, ranges.append)
+    return ranges
 
 
 class TestProfileCache:
@@ -307,7 +328,7 @@ class TestProfileCache:
         assert rank3.count_lattices(3, 8).values == [0, 1, 3, 8, 13, 20, 29, 39, 50]
         assert generations == {3: 2}    # the failed run, then a full one
 
-    def test_series_grows_geometrically(self, substitutions):
+    def test_series_grows_geometrically(self, growths):
         graphs = rank3.generate_connection_graphs(5)
         cells = rank3.pipeline._fold_profile(5, graphs)[0]
         for a in (100, 50, 100, 150, 300, 301, 20):
@@ -315,22 +336,38 @@ class TestProfileCache:
             assert values == rank3.polya.expand_rational(*rank3.polya.one_denominator(cells),
                                                          120, a + 1)
             assert all(values[n] == want for n, want in R_TABLE[5].items() if n <= a)
-        # 150 misses the first 101 terms and doubles them; 300 doubles again
-        assert substitutions == [101, 202, 404]
+        # 150 misses the first 101 terms and doubles them, computing only
+        # the new ones from the carries; 300 doubles again
+        assert growths == [range(0, 101), range(101, 202), range(202, 404)]
 
-    def test_one_shot_count_substitutes_once(self, substitutions):
+    def test_one_shot_count_substitutes_once(self, growths):
         values = rank3.count_lattices(6, 1000).values
         assert all(values[n] == want for n, want in R_TABLE[6].items())
-        assert substitutions == [1001]
+        assert growths == [range(0, 1001)]
+
+    @settings(max_examples=60, deadline=None)
+    @given(c=st.integers(1, 7), sizes=st.lists(st.integers(0, 3000), min_size=1, max_size=7))
+    def test_continued_series_equals_a_fresh_one(self, c, sizes):
+        # each growth computes only its new terms, from the carries the last
+        # one kept; the series it leaves is the one expanded from term 0
+        rank3.pipeline._generated.pop(c, None)
+        for a in sizes:
+            values = rank3.count_lattices(c, a).values
+            cells, numerator, _stats, _carries, series = rank3.pipeline._generated[c]
+            exponents = rank3.polya.one_denominator(cells)[1]
+            for got in series, values:
+                assert got == rank3.polya.expand_rational(numerator, exponents,
+                                                          math.factorial(c), len(got))
+            assert all(values[n] == want for n, want in R_TABLE[c].items() if n <= a)
 
     def test_failed_substitution_leaves_no_entry(self, monkeypatch, substitutions):
-        counting = rank3.pipeline.expand_rational
+        counting = rank3.pipeline.extend_rational
 
         def fails_once(numerator, exponents, divisor, length):
-            monkeypatch.setattr(rank3.pipeline, "expand_rational", counting)
+            monkeypatch.setattr(rank3.pipeline, "extend_rational", counting)
             raise ArithmeticError("substitution interrupted")
 
-        monkeypatch.setattr(rank3.pipeline, "expand_rational", fails_once)
+        monkeypatch.setattr(rank3.pipeline, "extend_rational", fails_once)
         with pytest.raises(ArithmeticError, match="interrupted"):
             rank3.count_lattices(3, 8)
         assert 3 not in rank3.pipeline._generated
@@ -344,7 +381,7 @@ class TestProfileCache:
         def fails(numerator, exponents, divisor, length):
             raise ArithmeticError("substitution interrupted")
 
-        monkeypatch.setattr(rank3.pipeline, "expand_rational", fails)
+        monkeypatch.setattr(rank3.pipeline, "extend_rational", fails)
         with pytest.raises(ArithmeticError, match="interrupted"):
             rank3.count_lattices(4, 31)
         assert rank3.pipeline._generated[4] is entry

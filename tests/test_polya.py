@@ -74,8 +74,8 @@ class TestCycleIndex:
 
     def test_symmetric_winners_take_the_class_sizes(self):
         # the fold gives the graphs S_c maps onto themselves S_c's index from
-        # its class sizes, with no search; the bare coatoms' search, whose
-        # winners are every relabelling, gives the same index
+        # its class sizes, with no search; the group listed for the bare
+        # coatoms, every relabelling, gives the same index
         for c in range(1, 8):
             group = rank3.automorphism_group_on_coatoms(rank3.BicoloredGraph(c))
             assert group.order == math.factorial(c)
@@ -204,21 +204,46 @@ class TestOneDenominator:
     """expand_rational of one_denominator puts every type of a cell table
     over one denominator; the oracle expands each cell over its type's own."""
 
-    @settings(max_examples=300, deadline=None)
-    @given(data=st.data())
-    def test_equals_per_type_substitution(self, data):
+    @staticmethod
+    def draw_cells(data):
         degree = data.draw(st.integers(1, 5))
         expo = st.tuples(*[st.integers(0, 3)] * degree)
         # each type's cells up to r + s = 11, several on one r + s
         by_cell = st.dictionaries(st.tuples(st.integers(0, 6), st.integers(0, 5)),
                                   st.integers(-40, 40), max_size=12)
-        cells = data.draw(st.dictionaries(expo, by_cell, max_size=6))
+        return data.draw(st.dictionaries(expo, by_cell, max_size=6))
+
+    @settings(max_examples=300, deadline=None)
+    @given(data=st.data())
+    def test_equals_per_type_substitution(self, data):
+        cells = self.draw_cells(data)
         numerator, _exponents = rank3.polya.one_denominator(cells)
         # lengths on both sides of N's length, where truncating N first matters
         length = data.draw(st.integers(0, len(numerator) + 6))
         divisor = data.draw(st.integers(1, 4))
         assert outcome(rank3.polya.expand_rational, *rank3.polya.one_denominator(cells),
                        divisor, length) == outcome(substitute_per_cell, cells, divisor, length)
+
+    @settings(max_examples=300, deadline=None)
+    @given(data=st.data())
+    def test_continued_series_equals_one_from_term_0(self, data):
+        # grown in steps from its carries, the series is the one expanded
+        # from term 0, or a step raises the error a call from term 0 raises
+        polya = rank3.polya
+        numerator, exponents = polya.one_denominator(self.draw_cells(data))
+        divisor = data.draw(st.integers(1, 4))
+        stops = sorted(data.draw(st.lists(st.integers(0, len(numerator) + 8), max_size=4)))
+        carries, series = polya.start_carries(exponents), []
+        for stop in stops:
+            want = outcome(polya.expand_rational, numerator, exponents, divisor, stop)
+            got = outcome(polya.extend_rational, numerator, carries, divisor,
+                          range(len(series), stop))
+            if isinstance(want, str):
+                assert got == want
+                break
+            terms, carries = got
+            series += terms
+            assert series == want
 
     def test_divides_first_up_to_the_first_coefficient_it_cannot(self):
         # N is divided before the running sums when its first ``length``
@@ -236,6 +261,12 @@ class TestOneDenominator:
             rank3.polya.expand_rational(numerator, exponents, 3, first + 1)
         assert str(info.value) == outcome(substitute_per_cell, cells, 3, first + 1)
         assert str(info.value).startswith("coefficient ")
+        # continued from the carries at ``first``, the series names the same coefficient
+        carries = rank3.polya.extend_rational(numerator, rank3.polya.start_carries(exponents),
+                                              3, range(first))[1]
+        with pytest.raises(ArithmeticError) as grown:
+            rank3.polya.extend_rational(numerator, carries, 3, range(first, first + 1))
+        assert str(grown.value) == str(info.value)
 
     @settings(max_examples=150, deadline=None)
     @given(data=st.data())
