@@ -1,4 +1,5 @@
-"""Connection graphs: isomorph-free generation, census files, an oracle.
+"""Connection graphs: isomorph-free generation, census files, the fold of
+graphs into cells, an oracle.
 
 Connection graphs on c coatoms are families of connector neighbourhoods:
 distinct coatom subsets of size at least two, any two sharing at most one
@@ -9,20 +10,35 @@ the least mask in each orbit of the class's automorphism group, and a
 search is kept only from the class's canonical parent (the orbit step
 and canonical construction path of McKay, "Isomorph-free exhaustive
 generation", J. Algorithms 26, 1998).  So every isomorphism class past
-r = 0 is found exactly once, with its automorphism group in the form a
-count of graphs folds (bigraph._automorphisms; None for S_c).
+r = 0 is found exactly once, with its automorphism group in the form
+fold_graphs folds (bigraph._automorphisms; None for S_c).
 
 Each parent class is extended on its own, so the parents of a stratum
-are extended through _in_shares, the forked map pipeline._fold_profile
-also uses.  With no class found twice, the classes, kept groups and
-census bytes are those of one process, and no child is alive once the
-stratum's first class is yielded.  Strata below 256 parents, every
-stratum up to c = 6, stay in this process.  ROADMAP.md, "Where it
-stands", gives the census times on one and on two cores.
+are extended through _in_shares, the forked map fold_graphs also uses.
+With no class found twice, the classes, kept groups and census bytes
+are those of one process, and no child is alive once the stratum's
+first class is yielded.  Strata below 256 parents, every stratum up to
+c = 6, stay in this process.  ROADMAP.md, "Where it stands", gives the
+census times on one and on two cores.
+
+Graphs passed in or read are checked and measured (r and s) once each,
+on every usable CPU, by _search, and walked in order by fold_graphs,
+the one loop over them.  A graph's coatom search gives its group, in
+the form the census keeps, and the canonical form that checks the list
+is isomorph-free; the graphs S_c maps onto themselves
+(bigraph._symmetric) get their sorted masks and S_c with no search, so
+the r = 0 class folds at once at any c.  fold_graphs maps _search over
+each chunk through _in_shares, which says when it forks (not for the 72
+graphs at c = 5).  pipeline gates each fold on the cells of
+polya.fixed_family_counts: a class G stands for c!/|Aut G| labelled
+families, so a missing class (a stratum truncated with its manifest
+line) breaks the identity's cells, the labelled families, and a group
+of the right order with the wrong elements breaks another type's.
 
 This module and bigraph are the graph layer: rank3 loads them on first
-use, so a count without graphs (polya.fixed_family_counts) starts
-without them.
+use, for a census or a count of graphs, so a count without graphs
+(polya.fixed_family_counts) starts without them, and no forked child
+compiles a module.
 
 brute_force_count answers the end question (how many rank-3 lattices with
 c coatoms and a atoms) by direct enumeration of atom-neighbourhood
@@ -34,14 +50,16 @@ import contextlib
 import functools
 import itertools
 import marshal
+import math
 import os
 import signal
 import threading
+from collections import Counter, defaultdict
 
-from .bigraph import (BicoloredGraph, _automorphisms, _coatom_search, _from_masks, _symmetric,
-                      graph6_encode)
-from .pipeline import atomic_open
-from .polya import _members, _pairs
+from .bigraph import (BicoloredGraph, PermGroup, _automorphisms, _coatom_search, _from_masks,
+                      _symmetric, graph6_encode, validate_connection_graph)
+from .pipeline import GraphInputError, MemoStats, atomic_open
+from .polya import _members, _pairs, cycle_index, symmetric_cycle_index
 
 
 def count_r_s(graph: BicoloredGraph) -> tuple[int, int]:
@@ -274,6 +292,98 @@ def _in_shares(work, items) -> list:
     for p in sorted(missing):
         found[p::n] = list(map(work, shares[p]))
     return found
+
+
+# graphs taken from the input at a time: the c = 7 census in one round, one
+# fork on two CPUs and no child idle between chunks, for 0.2 MB more than
+# with 4096; a c = 8 --graphs count still streams, in 34 rounds
+_CHUNK = 16384
+
+
+def _search(c: int, kept: dict, graph):
+    """Why graph is rejected, if it does not have c coatoms or fails
+    validate_connection_graph, else (canonical masks, or None where they
+    are the graph's own, group, r, s), the group as
+    bigraph._automorphisms gives it.
+
+    A graph that bigraph._symmetric accepts gets its sorted masks and
+    group None, S_c's slot, with no search.  Equal groups are one object
+    through kept, one dict per fold, since marshal writes each object
+    once: a child's share of 5404 graphs of the c = 7 census sends
+    256,334 bytes with it, 678,637 without."""
+    try:
+        if graph.coatom_count != c:
+            raise ValueError("%d coatoms, expected %d" % (graph.coatom_count, c))
+        validate_connection_graph(graph)
+    except ValueError as exc:
+        return str(exc)
+    masks = graph.connector_masks
+    r, s = count_r_s(graph)
+    if _symmetric(c, masks):
+        canon, group = tuple(sorted(masks)), None
+    else:
+        canon, winners = _coatom_search(c, masks)
+        group = _automorphisms(winners)
+        group = kept.setdefault(group, group)
+    return (None if canon == masks else canon, group, r, s)
+
+
+def fold_graphs(coatom_count: int, graphs) -> tuple:
+    """({cycle type: {(r, s): n}}, MemoStats) of graphs passed in or read:
+    n adds c!/|G| times the elements of that type in G over the graphs
+    with group G, r connectors and s uncovered coatoms, the shape of
+    polya.fixed_family_counts.  Each distinct group of _search gets one
+    slot and cycle index (182 groups for the 10808 graphs at c = 7), the
+    group's elements being the identity and its tuples, and S_c's slot,
+    the group None, the index polya.symmetric_cycle_index makes from its
+    class sizes.
+
+    This is the one loop over the graphs.  Each round takes up to _CHUNK
+    of them, has _in_shares check, search and measure each by _search,
+    then walks the results in order: it dedupes by canonical masks and
+    raises GraphInputError by 1-based position at the first rejected
+    graph or isomorphic copy, so no answer or error depends on a child.
+    If the input raises, the graphs taken before it are walked first, so
+    the first error is the one a graph-by-graph count meets."""
+    c = coatom_count
+    c_factorial = math.factorial(c)
+    search = functools.partial(_search, c, {})
+    it, seen, slots, profile, k = iter(graphs), set(), {}, Counter(), 0
+    while True:
+        chunk, failure = [], None
+        try:
+            # appended one by one, so the graphs taken before a raise are kept
+            for graph in itertools.islice(it, _CHUNK):
+                chunk.append(graph)
+        except Exception as exc:
+            failure = exc
+        for graph, found in zip(chunk, _in_shares(search, chunk)):
+            k += 1
+            if isinstance(found, str):
+                raise GraphInputError("graph %d %r: %s" % (k, graph, found))
+            canon, group, r, s = found
+            # the graph's own tuple when it is canonical, so keeping it makes no second copy
+            canon = graph.connector_masks if canon is None else canon
+            if canon in seen:
+                raise GraphInputError("graph %d is isomorphic to an earlier graph" % k)
+            seen.add(canon)
+            profile[slots.setdefault(group, len(slots)), r, s] += 1
+        if failure is not None:
+            raise failure
+        if len(chunk) < _CHUNK:
+            break
+    identity = tuple(range(c))
+    indices = [symmetric_cycle_index(c) if group is None
+               else cycle_index(PermGroup(c, [identity, *group])) for group in slots]
+    cells, trivial = defaultdict(Counter), 0
+    for (slot, r, s), n in profile.items():
+        zindex = indices[slot]
+        trivial += n if zindex.order == 1 else 0
+        copies = n * (c_factorial // zindex.order)    # an integer by Lagrange
+        for expo, count in zindex.counts:
+            cells[expo][r, s] += copies * count
+    return ({expo: dict(by_cell) for expo, by_cell in cells.items()},
+            MemoStats(k, len(set(indices)), trivial))
 
 
 def write_graph_files(directory, coatom_count: int, graphs=None) -> list[int]:

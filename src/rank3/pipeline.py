@@ -8,11 +8,10 @@ graph g adds x^(r+s) Z_g(A(x), A(x^2), ...) with A(x) = 1/(1 - x).  Swapped
 into a sum over cycle types lambda, R(c, .) is (1/c!) sum Q_lambda(x)
 prod_i (1 - x^i)^(-m_i), where Q_lambda[k] adds (c!/|Aut g|) times the
 elements of Aut g of type lambda over the graphs with r + s = k (10808
-graphs at c = 7 fold into 15 polynomials).  Both paths below first
-tally these terms per (lambda, r, s), the cells of
-polya.fixed_family_counts, and polya.one_denominator sums each lambda's
-cells into its Q_lambda.  The fold builds one cycle index per distinct
-automorphism group (182 for the 10808 graphs at c = 7).
+graphs at c = 7 fold into 15 polynomials).  Both paths, with graphs
+(genconn.fold_graphs) and without, first tally these terms per
+(lambda, r, s), the cells of polya.fixed_family_counts, and
+polya.one_denominator sums each lambda's cells into its Q_lambda.
 
 A count without graphs lists none.  Summed over the labelled families
 instead of the classes, the cell (lambda, r, s) is |C_lambda| times the
@@ -22,29 +21,14 @@ size), which polya.fixed_family_counts counts by orbits of
 connectors, with no census and no search (ROADMAP.md, "Where it
 stands", gives its times).  Its MemoStats carry the class count alone.
 It loads no module: the graph layer, bigraph and genconn, is imported
-only by _fold_profile and iter_graph_dir, on the first count of graphs
-or read of a census.
+only by a count of graphs and by iter_graph_dir.
 
-Graphs passed in or read are checked and measured (r and s) once each,
-on every usable CPU, by _search, and walked in order by _fold_profile,
-the one loop over them.  A graph's coatom search gives its group,
-in the form the census keeps (bigraph._automorphisms), and the
-canonical form that checks the list is isomorph-free; the graphs S_c
-maps onto themselves (bigraph._symmetric) get their sorted masks and
-S_c with no search, so the r = 0 class folds at once at any c.
-_fold_profile maps _search over each chunk through genconn._in_shares,
-which says when it forks (not for the 72 graphs at c = 5); it imports
-the graph layer before the first fork, so no child compiles a module.
-
-Every count of graphs is a gated check: after its fold its cells must
-equal those of polya.fixed_family_counts, cell by cell, the identity's
-first.  A class G stands for c!/|Aut G| labelled families, so a missing
-class (a stratum truncated with its manifest line) breaks the
-identity's cells, the labelled families; a group of the right order
-with the wrong elements breaks another type's.  The cells of
-fixed_family_counts are checked by the orbit-counting identity: in each
-(r, s) the cells of all cycle types add up to c! times the classes, a
-multiple of c!.
+Every count of graphs is a gated check: the cells genconn.fold_graphs
+folds them into, as genconn's docstring says, must equal those of
+polya.fixed_family_counts, cell by cell, the identity's first.  The
+cells of fixed_family_counts are checked by the orbit-counting
+identity: in each (r, s) the cells of all cycle types add up to c!
+times the classes, a multiple of c!.
 
 The table comes from those cells, with or without graphs: the
 polynomials summed into one numerator N over polya's one denominator
@@ -63,18 +47,15 @@ alone.  The polya docstring says what its counts keep.
 """
 
 import contextlib
-import functools
-import itertools
 import math
 import os
-from collections import Counter, defaultdict, namedtuple
+from collections import namedtuple
 
 # the package, whose hook loads the graph layer, rank3.bigraph and rank3.genconn,
 # on first access (see __init__): only a count of graphs and iter_graph_dir use it
 import rank3
 
-from .polya import (cycle_index, extend_rational, fixed_family_counts, one_denominator,
-                    start_carries, symmetric_cycle_index)
+from .polya import extend_rational, fixed_family_counts, one_denominator, start_carries
 
 
 class GraphInputError(ValueError):
@@ -87,9 +68,8 @@ class CountTable:
 
     __slots__ = ("coatom_count", "a_max", "values")
 
-    def __init__(self, coatom_count: int, a_max: int, values: list[int] | None = None):
-        self.coatom_count, self.a_max = coatom_count, a_max
-        self.values = [] if values is None else values
+    def __init__(self, coatom_count: int, a_max: int, values: list[int]):
+        self.coatom_count, self.a_max, self.values = coatom_count, a_max, values
         if len(self.values) != a_max + 1:
             raise ValueError("expected %d values, got %d" % (a_max + 1, len(self.values)))
 
@@ -117,7 +97,7 @@ class MemoStats(namedtuple(
 
 def _check_cells(coatom_count: int, cells, want) -> None:
     """GraphInputError naming the first (cycle type, r, s), and both numbers,
-    where a fold's cells (see _fold_profile) differ from ``want``, the
+    where a fold's cells (see genconn.fold_graphs) differ from ``want``, the
     cells of polya.fixed_family_counts: the types in descending order,
     so the identity's cells, the labelled families, come first."""
     c = coatom_count
@@ -133,100 +113,6 @@ def _check_cells(coatom_count: int, cells, want) -> None:
                                       % (got, what, *cell, exist))
 
 
-# graphs taken from the input at a time: the c = 7 census in one round, one
-# fork on two CPUs and no child idle between chunks, for 0.2 MB more than
-# with 4096; a c = 8 --graphs count still streams, in 34 rounds
-_CHUNK = 16384
-
-
-def _search(c: int, kept: dict, graph):
-    """Why graph is rejected, if it does not have c coatoms or fails
-    validate_connection_graph, else (canonical masks, or None where they
-    are the graph's own, group, r, s), the group as
-    bigraph._automorphisms gives it.
-
-    A graph that bigraph._symmetric accepts gets its sorted masks and
-    group None, S_c's slot, with no search.  Equal groups are one object
-    through kept, one dict per fold, since marshal writes each object
-    once: a child's share of 5404 graphs of the c = 7 census sends
-    256,334 bytes with it, 678,637 without."""
-    bigraph, genconn = rank3.bigraph, rank3.genconn
-    try:
-        if graph.coatom_count != c:
-            raise ValueError("%d coatoms, expected %d" % (graph.coatom_count, c))
-        bigraph.validate_connection_graph(graph)
-    except ValueError as exc:
-        return str(exc)
-    masks = graph.connector_masks
-    r, s = genconn.count_r_s(graph)
-    if bigraph._symmetric(c, masks):
-        canon, group = tuple(sorted(masks)), None
-    else:
-        canon, winners = bigraph._coatom_search(c, masks)
-        group = bigraph._automorphisms(winners)
-        group = kept.setdefault(group, group)
-    return (None if canon == masks else canon, group, r, s)
-
-
-def _fold_profile(coatom_count: int, graphs) -> tuple:
-    """({cycle type: {(r, s): n}}, MemoStats) of graphs passed in or read:
-    n adds c!/|G| times the elements of that type in G over the graphs
-    with group G, r connectors and s uncovered coatoms, the shape of
-    polya.fixed_family_counts.  Each distinct group of _search gets one
-    slot and cycle index, the group's elements being the identity and
-    its tuples, and S_c's slot, the group None, the index
-    polya.symmetric_cycle_index makes from its class sizes.
-
-    This is the one loop over the graphs.  Each round takes up to _CHUNK
-    of them, has genconn._in_shares check, search and measure each by
-    _search, then walks the results in order: it dedupes by canonical
-    masks and raises GraphInputError by 1-based position at the first
-    rejected graph or isomorphic copy, so no answer or error depends on a
-    child.  If the input raises, the graphs taken before it are walked
-    first, so the first error is the one a graph-by-graph count meets.
-    The graph layer is imported here, before any child forks."""
-    bigraph, genconn = rank3.bigraph, rank3.genconn
-    c = coatom_count
-    c_factorial = math.factorial(c)
-    search = functools.partial(_search, c, {})
-    it, seen, slots, profile, k = iter(graphs), set(), {}, Counter(), 0
-    while True:
-        chunk, failure = [], None
-        try:
-            # appended one by one, so the graphs taken before a raise are kept
-            for graph in itertools.islice(it, _CHUNK):
-                chunk.append(graph)
-        except Exception as exc:
-            failure = exc
-        for graph, found in zip(chunk, genconn._in_shares(search, chunk)):
-            k += 1
-            if isinstance(found, str):
-                raise GraphInputError("graph %d %r: %s" % (k, graph, found))
-            canon, group, r, s = found
-            # the graph's own tuple when it is canonical, so keeping it makes no second copy
-            canon = graph.connector_masks if canon is None else canon
-            if canon in seen:
-                raise GraphInputError("graph %d is isomorphic to an earlier graph" % k)
-            seen.add(canon)
-            profile[slots.setdefault(group, len(slots)), r, s] += 1
-        if failure is not None:
-            raise failure
-        if len(chunk) < _CHUNK:
-            break
-    identity = tuple(range(c))
-    indices = [symmetric_cycle_index(c) if group is None
-               else cycle_index(bigraph.PermGroup(c, [identity, *group])) for group in slots]
-    cells, trivial = defaultdict(Counter), 0
-    for (slot, r, s), n in profile.items():
-        zindex = indices[slot]
-        trivial += n if zindex.order == 1 else 0
-        copies = n * (c_factorial // zindex.order)    # an integer by Lagrange
-        for expo, count in zindex.counts:
-            cells[expo][r, s] += copies * count
-    return ({expo: dict(by_cell) for expo, by_cell in cells.items()},
-            MemoStats(k, len(set(indices)), trivial))
-
-
 # coatom count -> (cells, N, MemoStats, the carries at the series' end, the longest
 # series substituted so far)
 _generated = {}
@@ -236,22 +122,22 @@ def count_lattices_stats(coatom_count: int, max_atoms: int, graphs=None,
                          jobs=None) -> tuple[CountTable, MemoStats]:
     """Count table plus the MemoStats of its graphs for one pipeline run.
 
-    The table is count_lattices's, a slice of the coatom count's one
-    entry, made as the module docstring says: one lookup and one copy
-    where the entry's series covers ``max_atoms``, else the series is
-    continued from its carries first.  A cell that breaks the
-    orbit-counting identity raises ArithmeticError.  Without
-    ``graphs`` no graph is listed, and the MemoStats hold the class count,
-    with distinct_cycle_indices and trivial_action_graphs None.
+    The table is a slice of the coatom count's one entry, made as the
+    module docstring says: one lookup and one copy where the entry's
+    series covers ``max_atoms``, else the series is continued from its
+    carries first.  A cell that breaks the orbit-counting identity raises
+    ArithmeticError.  Without ``graphs`` no graph is listed, and the
+    MemoStats hold the class count, with distinct_cycle_indices and
+    trivial_action_graphs None.
 
     ``graphs`` is any iterable of connection graphs forming a complete
     isomorph-free list for ``coatom_count``; a count of them is a gated
-    check.  _fold_profile checks, searches and folds them with the result
-    and error of a count in one process, and no child outlives the call:
-    a wrong coatom count, a failed validate_connection_graph or an
-    isomorph of an earlier graph raises GraphInputError naming its 1-based
-    position, and so does the first cell that misses the entry's.  The
-    MemoStats are then the fold's.
+    check.  genconn.fold_graphs checks, searches and folds them with the
+    result and error of a count in one process, and no child outlives the
+    call: a wrong coatom count, a failed validate_connection_graph or an
+    isomorph of an earlier graph raises GraphInputError naming its
+    1-based position, and so does the first cell that misses the entry's.
+    The MemoStats are then the fold's.
 
     The returned table and its values are new on every call; the entry is
     never handed out.  ``jobs`` is accepted and ignored, because the
@@ -265,7 +151,7 @@ def count_lattices_stats(coatom_count: int, max_atoms: int, graphs=None,
         raise ValueError("maximum atom count must be nonnegative")
     c = coatom_count
     if graphs is not None:
-        cells, stats = _fold_profile(c, graphs)
+        cells, stats = rank3.genconn.fold_graphs(c, graphs)
     entry = _generated.get(c)
     if entry is None:
         want = fixed_family_counts(c)
@@ -280,8 +166,7 @@ def count_lattices_stats(coatom_count: int, max_atoms: int, graphs=None,
         terms, carries = extend_rational(entry[1], entry[3], math.factorial(c),
                                          range(len(series), max(max_atoms + 1, 2 * len(series))))
         entry = _generated[c] = (*entry[:3], carries, series + terms)
-    # the entry covers max_atoms now, so count_lattices answers from it
-    table = count_lattices(c, max_atoms)
+    table = CountTable(c, max_atoms, entry[4][:max_atoms + 1])
     if graphs is None:
         return table, entry[2]
     _check_cells(c, cells, entry[0])
@@ -292,8 +177,8 @@ def count_lattices(coatom_count: int, max_atoms: int, graphs=None) -> CountTable
     """Count table R(c, a) for a = 0..max_atoms; see count_lattices_stats.
 
     Where the entry's series covers max_atoms and no graphs are given,
-    the table is one lookup and one copy, for count_lattices_stats too;
-    any other count is count_lattices_stats's."""
+    the table is one lookup and one copy; any other count is
+    count_lattices_stats's."""
     entry = _generated.get(coatom_count)
     if graphs is None and entry is not None and -1 < max_atoms < len(entry[4]):
         return CountTable(coatom_count, max_atoms, entry[4][:max_atoms + 1])

@@ -12,7 +12,7 @@ import time
 import pytest
 
 import rank3
-from rank3 import cli, pipeline
+from rank3 import cli
 
 from reference_values import (
     GRAPH_CENSUS,
@@ -129,7 +129,7 @@ class TestCriterion04LargeCoatomSpotCheck:
         # searching every graph gives the MemoStats, all 85 labelled cells (the
         # identity's) and the generated path's (cycle type, r, s) cells, so
         # its published column
-        cells, searched = pipeline._fold_profile(8, graphs)
+        cells, searched = rank3.genconn.fold_graphs(8, graphs)
         assert (searched.graphs_processed, searched.distinct_cycle_indices,
                 searched.trivial_action_graphs) == MEMO_STATS[8]
         labelled = cells[(8,) + (0,) * 7]

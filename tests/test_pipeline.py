@@ -59,6 +59,25 @@ class TestCounting:
             assert (stats.graphs_processed, stats.distinct_cycle_indices,
                     stats.trivial_action_graphs) == MEMO_STATS[c]
 
+    def test_stats_take_no_table_from_count_lattices(self, monkeypatch, graphs_by_c):
+        # count_lattices_stats slices the entry it holds, so it answers with
+        # count_lattices broken: an entry made, read and grown, with and
+        # without graphs
+        want = {c: rank3.count_lattices(c, 60).values for c in (4, 5)}
+
+        def broken(*args, **kwargs):
+            raise AssertionError("count_lattices called")
+
+        monkeypatch.setattr(rank3.pipeline, "count_lattices", broken)
+        for c in 4, 5:
+            for graphs, memo in (None, (len(graphs_by_c[c]), None, None)), \
+                                (graphs_by_c[c], MEMO_STATS[c]):
+                rank3.pipeline._generated.pop(c, None)
+                for a in 30, 20, 60:
+                    table, stats = rank3.count_lattices_stats(c, a, graphs)
+                    assert table == rank3.CountTable(c, a, want[c][:a + 1])
+                    assert tuple(stats) == memo
+
     def test_trivial_action_graphs(self, graphs_by_c):
         for c in range(1, 7):
             _, stats = rank3.count_lattices_stats(c, 3, graphs_by_c[c])
@@ -111,7 +130,7 @@ class TestCounting:
         (5, 7, lambda graphs: _rotated(graphs[6])),
         # after all 592 graphs of c = 6
         (6, 592, lambda graphs: _rotated(graphs[6])),
-        # the S_c-invariant graphs, which _search gives no search: the one
+        # the S_c-invariant graphs, which genconn._search gives no search: the one
         # connector on all c coatoms twice, and all pairs in another order
         (5, 72, lambda graphs: rank3.BicoloredGraph(5, [0b11111])),
         (6, 592, lambda graphs: rank3.BicoloredGraph(6, graphs[-1].connector_masks[::-1])),
@@ -157,7 +176,7 @@ class TestCycleTypes:
             for graph in graphs_by_c[c]:
                 shift = sum(rank3.count_r_s(graph))
                 zindex = rank3.cycle_index(rank3.automorphism_group_on_coatoms(graph))
-                cells, _stats = rank3.pipeline._fold_profile(c, [graph])
+                cells, _stats = rank3.genconn.fold_graphs(c, [graph])
                 series = rank3.polya.expand_rational(*rank3.polya.one_denominator(cells),
                                                      math.factorial(c), 41)
                 assert series == [0] * shift + rank3.group_balls(zindex, c, 40 - shift)
@@ -166,7 +185,7 @@ class TestCycleTypes:
         # the fold shares one cycle index among the graphs with the same
         # group; the oracle builds both afresh for every graph
         for c, graphs in {**graphs_by_c, 7: graphs_c7}.items():
-            cells, stats = rank3.pipeline._fold_profile(c, graphs)
+            cells, stats = rank3.genconn.fold_graphs(c, graphs)
             folded = Counter()
             for expo, by_cell in cells.items():
                 for (r, s), n in by_cell.items():
@@ -178,7 +197,7 @@ class TestCycleTypes:
         # Burnside, with no census; searching the census gives the same
         # cells, and the generated count as many classes
         for c, graphs in {**graphs_by_c, 7: graphs_c7}.items():
-            cells, _stats = rank3.pipeline._fold_profile(c, graphs)
+            cells, _stats = rank3.genconn.fold_graphs(c, graphs)
             assert cells == rank3.polya.fixed_family_counts(c)
             _table, stats = rank3.count_lattices_stats(c, 0)
             assert stats == rank3.MemoStats(len(graphs), None, None)
@@ -195,14 +214,14 @@ class TestCycleTypes:
         assert len(graphs) == {1: 1, 2: 2}.get(c, 4) and all(map(_symmetric, graphs))
         want = {g: rank3.bigraph._coatom_search(c, g.connector_masks)[0] for g in graphs}
         searched = []
-        monkeypatch.setattr(rank3.bigraph, "_coatom_search",
+        monkeypatch.setattr(rank3.genconn, "_coatom_search",
                             lambda c, masks: searched.append(masks))
         for g in graphs:
-            canon, group, r, s = rank3.pipeline._search(c, {}, g)
+            canon, group, r, s = rank3.genconn._search(c, {}, g)
             assert (g.connector_masks if canon is None else canon) == want[g]
             assert group is None
             assert (r, s) == rank3.count_r_s(g)
-        cells, stats = rank3.pipeline._fold_profile(
+        cells, stats = rank3.genconn.fold_graphs(
             c, [rank3.BicoloredGraph(c, fam) for fam in families])
         assert searched == []
         cell_of = [rank3.count_r_s(rank3.BicoloredGraph(c, fam)) for fam in families]
@@ -212,9 +231,9 @@ class TestCycleTypes:
 
     def test_bare_class_at_nine_coatoms_unsearched(self, monkeypatch):
         # a search would list all 9! = 362,880 winners
-        monkeypatch.setattr(rank3.bigraph, "_coatom_search",
+        monkeypatch.setattr(rank3.genconn, "_coatom_search",
                             lambda c, masks: pytest.fail("searched %r" % (masks,)))
-        cells, stats = rank3.pipeline._fold_profile(9, [rank3.BicoloredGraph(9)])
+        cells, stats = rank3.genconn.fold_graphs(9, [rank3.BicoloredGraph(9)])
         assert cells == {expo: {(0, 9): count}
                          for expo, count in rank3.polya.symmetric_cycle_index(9).counts}
         assert stats == rank3.MemoStats(1, 1, 0)
@@ -330,7 +349,7 @@ class TestProfileCache:
 
     def test_series_grows_geometrically(self, growths):
         graphs = rank3.generate_connection_graphs(5)
-        cells = rank3.pipeline._fold_profile(5, graphs)[0]
+        cells = rank3.genconn.fold_graphs(5, graphs)[0]
         for a in (100, 50, 100, 150, 300, 301, 20):
             values = rank3.count_lattices(5, a).values
             assert values == rank3.polya.expand_rational(*rank3.polya.one_denominator(cells),
@@ -444,7 +463,7 @@ class TestCellGate:
     def test_same_order_group_rejected(self, monkeypatch, graphs_by_c):
         # the first group {id, (a b)} is given as {id, (a b)(x y)}: its order,
         # and so every labelled cell, is right, and its cycle types are not
-        automorphisms = rank3.bigraph._automorphisms
+        automorphisms = rank3.genconn._automorphisms
         swapped = []
 
         def same_order(winners):
@@ -459,7 +478,7 @@ class TestCellGate:
             swapped.append(perm)
             return (tuple(perm),)
 
-        monkeypatch.setattr(rank3.bigraph, "_automorphisms", same_order)
+        monkeypatch.setattr(rank3.genconn, "_automorphisms", same_order)
         rank3.pipeline._generated.pop(5, None)
         with pytest.raises(rank3.GraphInputError) as info:
             rank3.count_lattices(5, 60, graphs_by_c[5])
@@ -576,16 +595,16 @@ class TestForkedSearch:
     def test_forked_fold_equals_in_process(self, monkeypatch, forks, graphs_by_c, graphs_c7,
                                            c, cpus, shuffled, children):
         # chunks of 4096, so the c = 7 census is searched in three rounds of forks
-        monkeypatch.setattr(rank3.pipeline, "_CHUNK", 4096)
+        monkeypatch.setattr(rank3.genconn, "_CHUNK", 4096)
         graphs = list(graphs_c7 if c == 7 else graphs_by_c[c])
         if shuffled:
             random.Random(11).shuffle(graphs)
         usable_cpus(monkeypatch, cpus)
-        forked = rank3.pipeline._fold_profile(c, graphs)
+        forked = rank3.genconn.fold_graphs(c, graphs)
         assert_reaped()
         assert len(forks) == children    # one child per extra CPU and chunk
         usable_cpus(monkeypatch, 1)
-        assert rank3.pipeline._fold_profile(c, graphs) == forked
+        assert rank3.genconn.fold_graphs(c, graphs) == forked
         assert len(forks) == children
 
     @pytest.mark.parametrize("index", [100, 101], ids=["parent-share", "child-share"])
@@ -636,14 +655,14 @@ class TestForkedSearch:
     @staticmethod
     def _failing_children(monkeypatch, fail):
         """Make every child call fail() before it searches."""
-        parent, search = os.getpid(), rank3.pipeline._search
+        parent, search = os.getpid(), rank3.genconn._search
 
         def failing(c, kept, graph):
             if os.getpid() != parent:
                 fail()
             return search(c, kept, graph)
 
-        monkeypatch.setattr(rank3.pipeline, "_search", failing)
+        monkeypatch.setattr(rank3.genconn, "_search", failing)
 
     @pytest.mark.parametrize("failure", [None, "sigkill", "exit-1", "truncated",
                                          "exit-1-after-sending"])
@@ -666,14 +685,14 @@ class TestForkedSearch:
         elif failure == "exit-1-after-sending":
             exit_ = os._exit
             monkeypatch.setattr(os, "_exit", lambda status: exit_(1))
-        parent, search, searched = os.getpid(), rank3.bigraph._coatom_search, []
+        parent, search, searched = os.getpid(), rank3.genconn._coatom_search, []
 
         def counting(c, masks):
             if os.getpid() == parent:
                 searched.append(masks)
             return search(c, masks)
 
-        monkeypatch.setattr(rank3.bigraph, "_coatom_search", counting)
+        monkeypatch.setattr(rank3.genconn, "_coatom_search", counting)
         assert rank3.count_lattices_stats(6, 200, graphs_by_c[6]) == want
         assert_reaped()
         assert len(forks) == 2
@@ -685,14 +704,14 @@ class TestForkedSearch:
 
     def test_children_reaped_after_interrupt(self, monkeypatch, forks, graphs_by_c):
         # the parent is interrupted in its own share while the child searches
-        parent, search = os.getpid(), rank3.bigraph._coatom_search
+        parent, search = os.getpid(), rank3.genconn._coatom_search
 
         def interrupted(c, masks):
             if os.getpid() == parent:
                 raise KeyboardInterrupt
             return search(c, masks)
 
-        monkeypatch.setattr(rank3.bigraph, "_coatom_search", interrupted)
+        monkeypatch.setattr(rank3.genconn, "_coatom_search", interrupted)
         with pytest.raises(KeyboardInterrupt):
             rank3.count_lattices(6, 10, graphs_by_c[6])
         assert_reaped()
@@ -737,23 +756,23 @@ def _failing_after(graphs, n):
 
 
 class TestOneLoop:
-    """_fold_profile takes, searches, checks and folds the graphs chunk by
-    chunk.  With chunks of 148 and shares of at least 16, the 592 c = 6
-    graphs make four chunks on two CPUs, each searched in two shares, one
-    of them in a forked child."""
+    """genconn.fold_graphs takes, searches, checks and folds the graphs
+    chunk by chunk.  With chunks of 148 and shares of at least 16, the 592
+    c = 6 graphs make four chunks on two CPUs, each searched in two
+    shares, one of them in a forked child."""
 
     @pytest.fixture
     def small_chunks(self, monkeypatch, forks):
-        monkeypatch.setattr(rank3.pipeline, "_CHUNK", 148)
+        monkeypatch.setattr(rank3.genconn, "_CHUNK", 148)
         monkeypatch.setattr(rank3.genconn, "_MIN_SHARE", 16)
         return forks
 
     def test_four_chunks_fold_as_in_process(self, monkeypatch, small_chunks, graphs_by_c):
-        forked = rank3.pipeline._fold_profile(6, iter(graphs_by_c[6]))
+        forked = rank3.genconn.fold_graphs(6, iter(graphs_by_c[6]))
         assert_reaped()
         assert len(small_chunks) == 4
         usable_cpus(monkeypatch, 1)
-        assert rank3.pipeline._fold_profile(6, graphs_by_c[6]) == forked
+        assert rank3.genconn.fold_graphs(6, graphs_by_c[6]) == forked
         assert len(small_chunks) == 4
 
     def test_raise_at_a_chunk_boundary(self, small_chunks, graphs_by_c):
@@ -787,7 +806,7 @@ class TestOneLoop:
     @staticmethod
     def _deals(monkeypatch, graphs):
         """(chunk length, graphs yielded so far) per nonempty chunk dealt
-        when _fold_profile folds graphs, taken one by one."""
+        when genconn.fold_graphs folds graphs, taken one by one."""
         yielded, dealt = [0], []
         in_shares = rank3.genconn._in_shares
 
@@ -801,13 +820,13 @@ class TestOneLoop:
                 yield graph
 
         monkeypatch.setattr(rank3.genconn, "_in_shares", recording)
-        rank3.pipeline._fold_profile(7, counting())
+        rank3.genconn.fold_graphs(7, counting())
         return [deal for deal in dealt if deal[0]]
 
     def test_pulls_at_most_one_chunk_ahead(self, monkeypatch, graphs_c7):
         # a streamed c = 8 --graphs count reads 552,251 graphs, so its memory
         # rests on the loop holding one chunk at a time
-        monkeypatch.setattr(rank3.pipeline, "_CHUNK", 4096)
+        monkeypatch.setattr(rank3.genconn, "_CHUNK", 4096)
         assert self._deals(monkeypatch, graphs_c7) == [(4096, 4096), (4096, 8192),
                                                        (2616, 10808)]
 
@@ -822,6 +841,8 @@ class TestCountTable:
     def test_length_checked(self):
         with pytest.raises(ValueError, match=r"^expected 6 values, got 3$"):
             rank3.CountTable(3, 5, [0, 1, 2])
+        with pytest.raises(TypeError):    # values has no default
+            rank3.CountTable(3, 5)
 
     def test_table_record(self):
         table = rank3.CountTable(3, 2, [0, 1, 3])
