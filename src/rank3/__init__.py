@@ -27,7 +27,7 @@ from .polya import (
 __version__ = "0.1.0"
 
 # name -> the submodule it comes from, for the submodules that load on first
-# access (PEP 562): the graph layer, which only a census and a count of graphs
+# access (PEP 562): the graph layer, which only a census and a check of graphs
 # use, and the fitting layer with its dataclasses, fractions and json.  So a
 # count without graphs starts with pipeline and polya alone.
 _LAZY = {

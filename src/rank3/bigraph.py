@@ -331,7 +331,7 @@ def _automorphisms(winners) -> tuple[Permutation, ...]:
     off the winners of the coatom search that produced it: q∘p0⁻¹ for each
     later winner q, p0 the first, as the tuple of the canonical labels'
     images.  Empty for a trivial group.  The census keeps this form for
-    each class, and a count of graphs folds it."""
+    each class, and genconn.fold_graphs folds it."""
     if len(winners) == 1:
         return ()
     # q∘p0⁻¹ reads q at p0⁻¹(0), p0⁻¹(1), ...

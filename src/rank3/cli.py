@@ -56,7 +56,7 @@ def cmd_count(args) -> int:
     pipeline.write_csv(table, out)
     print("wrote %s" % out)
     line = "graphs=%d" % stats.graphs_processed
-    if stats.distinct_cycle_indices is not None:    # a count of graphs, not a generated one
+    if stats.distinct_cycle_indices is not None:    # genconn.check_graphs's stats
         line += " cycle_indices=%d trivial=%d" % (stats.distinct_cycle_indices,
                                                   stats.trivial_action_graphs)
     print(line)

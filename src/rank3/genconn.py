@@ -1,5 +1,5 @@
 """Connection graphs: isomorph-free generation, census files, the fold of
-graphs into cells, an oracle.
+graphs into cells and its check, an oracle.
 
 Connection graphs on c coatoms are families of connector neighbourhoods:
 distinct coatom subsets of size at least two, any two sharing at most one
@@ -29,16 +29,17 @@ is isomorph-free; the graphs S_c maps onto themselves
 (bigraph._symmetric) get their sorted masks and S_c with no search, so
 the r = 0 class folds at once at any c.  fold_graphs maps _search over
 each chunk through _in_shares, which says when it forks (not for the 72
-graphs at c = 5).  pipeline gates each fold on the cells of
+graphs at c = 5).  check_graphs gates the fold on the cells of
 polya.fixed_family_counts: a class G stands for c!/|Aut G| labelled
 families, so a missing class (a stratum truncated with its manifest
 line) breaks the identity's cells, the labelled families, and a group
 of the right order with the wrong elements breaks another type's.
 
 This module and bigraph are the graph layer: rank3 loads them on first
-use, for a census or a count of graphs, so a count without graphs
-(polya.fixed_family_counts) starts without them, and no forked child
-compiles a module.
+use, for a census or a check of graphs, so a count, from
+polya.fixed_family_counts, starts without them, and no forked child
+compiles a module.  bigraph's names are looked up on the module at each
+call, so a patch of one reaches this module whenever it is made.
 
 brute_force_count answers the end question (how many rank-3 lattices with
 c coatoms and a atoms) by direct enumeration of atom-neighbourhood
@@ -56,13 +57,12 @@ import signal
 import threading
 from collections import Counter, defaultdict
 
-from .bigraph import (BicoloredGraph, PermGroup, _automorphisms, _coatom_search, _from_masks,
-                      _symmetric, graph6_encode, validate_connection_graph)
+from . import bigraph
 from .pipeline import GraphInputError, MemoStats, atomic_open
-from .polya import _members, _pairs, cycle_index, symmetric_cycle_index
+from .polya import _members, _pairs, cycle_index, fixed_family_counts, symmetric_cycle_index
 
 
-def count_r_s(graph: BicoloredGraph) -> tuple[int, int]:
+def count_r_s(graph: bigraph.BicoloredGraph) -> tuple[int, int]:
     """Connector count r and number s of coatoms covering no connector."""
     covered = 0
     for m in graph.connector_masks:
@@ -99,18 +99,18 @@ def _extended(c: int, pools, pairs, parent) -> list:
                 continue
             ties = [x for x, k in kept if k + (x & m != 0) == met]
         grown = fam + (m,)
-        if _symmetric(c, grown):
+        if bigraph._symmetric(c, grown):
             # every relabelling wins, and maps m onto every mask of its rank
             found.append((tuple(sorted(grown)), None))
             continue
-        form, winners = _coatom_search(c, grown)
+        form, winners = bigraph._coatom_search(c, grown)
         if ties:
             # kept only if a winner maps m to the least canonical mask of its rank
             p0 = winners[0]
             least = min(sum(1 << p0[i] for i in _members(x)) for x in ties + [m])
             if all(sum(1 << q[i] for i in mem) != least for q in winners):
                 continue
-        found.append((form, _automorphisms(winners)))
+        found.append((form, bigraph._automorphisms(winners)))
     return found
 
 
@@ -186,7 +186,7 @@ def generate_connection_graphs(coatom_count: int):
     """
     for fam, _group in _classes(coatom_count):
         # a search's canonical masks, a tuple of ints below 2^c
-        yield _from_masks(coatom_count, fam)
+        yield bigraph._from_masks(coatom_count, fam)
 
 
 def graph_file_name(coatom_count: int, connector_count: int) -> str:
@@ -314,16 +314,16 @@ def _search(c: int, kept: dict, graph):
     try:
         if graph.coatom_count != c:
             raise ValueError("%d coatoms, expected %d" % (graph.coatom_count, c))
-        validate_connection_graph(graph)
+        bigraph.validate_connection_graph(graph)
     except ValueError as exc:
         return str(exc)
     masks = graph.connector_masks
     r, s = count_r_s(graph)
-    if _symmetric(c, masks):
+    if bigraph._symmetric(c, masks):
         canon, group = tuple(sorted(masks)), None
     else:
-        canon, winners = _coatom_search(c, masks)
-        group = _automorphisms(winners)
+        canon, winners = bigraph._coatom_search(c, masks)
+        group = bigraph._automorphisms(winners)
         group = kept.setdefault(group, group)
     return (None if canon == masks else canon, group, r, s)
 
@@ -374,7 +374,7 @@ def fold_graphs(coatom_count: int, graphs) -> tuple:
             break
     identity = tuple(range(c))
     indices = [symmetric_cycle_index(c) if group is None
-               else cycle_index(PermGroup(c, [identity, *group])) for group in slots]
+               else cycle_index(bigraph.PermGroup(c, [identity, *group])) for group in slots]
     cells, trivial = defaultdict(Counter), 0
     for (slot, r, s), n in profile.items():
         zindex = indices[slot]
@@ -384,6 +384,33 @@ def fold_graphs(coatom_count: int, graphs) -> tuple:
             cells[expo][r, s] += copies * count
     return ({expo: dict(by_cell) for expo, by_cell in cells.items()},
             MemoStats(k, len(set(indices)), trivial))
+
+
+def check_graphs(coatom_count: int, graphs) -> MemoStats:
+    """The MemoStats of fold_graphs(coatom_count, graphs), once its cells
+    equal those of polya.fixed_family_counts.
+
+    ``graphs`` is any iterable of connection graphs meant as a complete,
+    isomorph-free list for ``coatom_count``.  A wrong coatom count, a
+    failed validate_connection_graph or an isomorph of an earlier graph
+    raises GraphInputError naming its 1-based position, as fold_graphs
+    says.  Then the first (cycle type, r, s) whose cells differ raises
+    it, with both numbers, the types in descending order, so the
+    identity's cells, the labelled families, come first."""
+    c = coatom_count
+    cells, stats = fold_graphs(c, graphs)
+    want = fixed_family_counts(c)
+    for expo in sorted(want.keys() | cells.keys(), reverse=True):
+        got_cells, want_cells = cells.get(expo, {}), want.get(expo, {})
+        for cell in sorted(got_cells.keys() | want_cells.keys()):
+            got, exist = got_cells.get(cell, 0), want_cells.get(cell, 0)
+            if got != exist:
+                what = ("labelled families" if expo[0] == c
+                        else "families fixed by the permutations of cycle type %s" % (expo,))
+                raise GraphInputError("the graphs stand for %d %s with %d connectors and %d "
+                                      "uncovered coatoms, but there are %d"
+                                      % (got, what, *cell, exist))
+    return stats
 
 
 def write_graph_files(directory, coatom_count: int, graphs=None) -> list[int]:
@@ -414,7 +441,7 @@ def write_graph_files(directory, coatom_count: int, graphs=None) -> list[int]:
             if g.coatom_count != c or r > max_r:
                 raise ValueError("graph with %d coatoms and %d connectors does not "
                                  "belong to a census on %d coatoms" % (g.coatom_count, r, c))
-            handles[r].write(graph6_encode(g))
+            handles[r].write(bigraph.graph6_encode(g))
             counts[r] += 1
         manifest.write(manifest_text(c, counts))
     return counts

@@ -1,4 +1,4 @@
-"""End-to-end lattice counting: graphs in, exact count tables out.
+"""End-to-end lattice counting: exact count tables, CSV and the census reader.
 
 Each connection graph contributes the number of ways to distribute the
 leftover atoms (those not forced by its connectors and bare coatoms) into
@@ -8,39 +8,36 @@ graph g adds x^(r+s) Z_g(A(x), A(x^2), ...) with A(x) = 1/(1 - x).  Swapped
 into a sum over cycle types lambda, R(c, .) is (1/c!) sum Q_lambda(x)
 prod_i (1 - x^i)^(-m_i), where Q_lambda[k] adds (c!/|Aut g|) times the
 elements of Aut g of type lambda over the graphs with r + s = k (10808
-graphs at c = 7 fold into 15 polynomials).  Both paths, with graphs
-(genconn.fold_graphs) and without, first tally these terms per
+graphs at c = 7 fold into 15 polynomials).  The fold of graphs
+(genconn.fold_graphs) and the count alike tally these terms per
 (lambda, r, s), the cells of polya.fixed_family_counts, and
 polya.one_denominator sums each lambda's cells into its Q_lambda.
 
-A count without graphs lists none.  Summed over the labelled families
-instead of the classes, the cell (lambda, r, s) is |C_lambda| times the
+A count lists no graphs.  Summed over the labelled families instead
+of the classes, the cell (lambda, r, s) is |C_lambda| times the
 labelled families with r connectors and s uncovered coatoms fixed by
 one permutation of type lambda (Burnside's lemma; |C_lambda| the class
-size), which polya.fixed_family_counts counts by orbits of
-connectors, with no census and no search (ROADMAP.md, "Where it
-stands", gives its times).  Its MemoStats carry the class count alone.
+size), which polya.fixed_family_counts counts by orbits of connectors,
+with no census and no search (ROADMAP.md, "Where it stands", gives its
+times).  Its MemoStats carry the class count alone.
 It loads no module: the graph layer, bigraph and genconn, is imported
-only by a count of graphs and by iter_graph_dir.
+only by a check of graphs and by iter_graph_dir.
 
-Every count of graphs is a gated check: the cells genconn.fold_graphs
-folds them into, as genconn's docstring says, must equal those of
-polya.fixed_family_counts, cell by cell, the identity's first.  The
-cells of fixed_family_counts are checked by the orbit-counting
-identity: in each (r, s) the cells of all cycle types add up to c!
-times the classes, a multiple of c!.
+A list of graphs is checked, not counted: genconn.check_graphs folds
+it, and its cells must equal those of polya.fixed_family_counts, cell
+by cell, the identity's first.  The cells of fixed_family_counts are
+checked by the orbit-counting identity: in each (r, s) the cells of
+all cycle types add up to c! times the classes, a multiple of c!.
 
-The table comes from those cells, with or without graphs: the
-polynomials summed into one numerator N over polya's one denominator
-D = prod_i (1 - x^i)^M_i, M_i the largest m_i of any type, and N / D
-expanded by sum_i M_i running sums.  The polynomials of c are the same
-for every a, and the first n terms of their truncated series do not
-depend on where it is truncated.  So each c has one entry per process:
-its cells, N, its MemoStats, the longest series expanded so far and each
-running sum's carries, its last terms.  A count of graphs gates its fold
-on the entry's cells and returns the fold's MemoStats with a slice of
-the entry's series.  Repeated counts for one c count its cells once, and
-a count the series already covers is one lookup and one copy of its
+The table comes from those cells alone: the polynomials summed into
+one numerator N over polya's one denominator D = prod_i (1 - x^i)^M_i,
+M_i the largest m_i of any type, and N / D expanded by sum_i M_i
+running sums.  The polynomials of c are the same for every a, and the
+first n terms of their truncated series do not depend on where it is
+truncated.  So each c has one entry per process: N, its MemoStats, the
+longest series expanded so far and each running sum's carries, its
+last terms.  Repeated counts for one c count its cells once, and a
+count the series already covers is one lookup and one copy of its
 first a + 1 terms; a longer one continues the series from its carries,
 to at least twice the old length, running the sums over the new terms
 alone.  The polya docstring says what its counts keep.
@@ -48,11 +45,12 @@ alone.  The polya docstring says what its counts keep.
 
 import contextlib
 import math
+import operator
 import os
 from collections import namedtuple
 
 # the package, whose hook loads the graph layer, rank3.bigraph and rank3.genconn,
-# on first access (see __init__): only a count of graphs and iter_graph_dir use it
+# on first access (see __init__): only a check of graphs and iter_graph_dir use it
 import rank3
 
 from .polya import extend_rational, fixed_family_counts, one_denominator, start_carries
@@ -95,25 +93,7 @@ class MemoStats(namedtuple(
     __slots__ = ()
 
 
-def _check_cells(coatom_count: int, cells, want) -> None:
-    """GraphInputError naming the first (cycle type, r, s), and both numbers,
-    where a fold's cells (see genconn.fold_graphs) differ from ``want``, the
-    cells of polya.fixed_family_counts: the types in descending order,
-    so the identity's cells, the labelled families, come first."""
-    c = coatom_count
-    for expo in sorted(want.keys() | cells.keys(), reverse=True):
-        got_cells, want_cells = cells.get(expo, {}), want.get(expo, {})
-        for cell in sorted(got_cells.keys() | want_cells.keys()):
-            got, exist = got_cells.get(cell, 0), want_cells.get(cell, 0)
-            if got != exist:
-                what = ("labelled families" if expo[0] == c
-                        else "families fixed by the permutations of cycle type %s" % (expo,))
-                raise GraphInputError("the graphs stand for %d %s with %d connectors and %d "
-                                      "uncovered coatoms, but there are %d"
-                                      % (got, what, *cell, exist))
-
-
-# coatom count -> (cells, N, MemoStats, the carries at the series' end, the longest
+# coatom count -> (N, MemoStats, the carries at the series' end, the longest
 # series substituted so far)
 _generated = {}
 
@@ -126,18 +106,14 @@ def count_lattices_stats(coatom_count: int, max_atoms: int, graphs=None,
     module docstring says: one lookup and one copy where the entry's
     series covers ``max_atoms``, else the series is continued from its
     carries first.  A cell that breaks the orbit-counting identity raises
-    ArithmeticError.  Without ``graphs`` no graph is listed, and the
-    MemoStats hold the class count, with distinct_cycle_indices and
-    trivial_action_graphs None.
+    ArithmeticError, and a coatom count that is not an integer TypeError.
+    Without ``graphs`` no graph is listed, and the MemoStats hold the
+    class count, with distinct_cycle_indices and trivial_action_graphs
+    None.
 
-    ``graphs`` is any iterable of connection graphs forming a complete
-    isomorph-free list for ``coatom_count``; a count of them is a gated
-    check.  genconn.fold_graphs checks, searches and folds them with the
-    result and error of a count in one process, and no child outlives the
-    call: a wrong coatom count, a failed validate_connection_graph or an
-    isomorph of an earlier graph raises GraphInputError naming its
-    1-based position, and so does the first cell that misses the entry's.
-    The MemoStats are then the fold's.
+    With ``graphs`` the MemoStats are those of
+    genconn.check_graphs(coatom_count, graphs), which gates the graphs
+    once the entry is made and the table sliced.
 
     The returned table and its values are new on every call; the entry is
     never handed out.  ``jobs`` is accepted and ignored, because the
@@ -149,40 +125,35 @@ def count_lattices_stats(coatom_count: int, max_atoms: int, graphs=None,
         raise ValueError("coatom count must be positive")
     if not max_atoms >= 0:
         raise ValueError("maximum atom count must be nonnegative")
-    c = coatom_count
-    if graphs is not None:
-        cells, stats = rank3.genconn.fold_graphs(c, graphs)
+    # TypeError for 3.0 before the entry of 3 is looked up, as with no entry
+    c = operator.index(coatom_count)
     entry = _generated.get(c)
     if entry is None:
-        want = fixed_family_counts(c)
+        cells = fixed_family_counts(c)
         # the cells of every type add up to c! times the classes
-        classes = sum(sum(by_cell.values()) for by_cell in want.values()) // math.factorial(c)
-        numerator, exponents = one_denominator(want)
-        entry = want, numerator, MemoStats(classes, None, None), start_carries(exponents), []
-    series = entry[4]
+        classes = sum(sum(by_cell.values()) for by_cell in cells.values()) // math.factorial(c)
+        numerator, exponents = one_denominator(cells)
+        entry = numerator, MemoStats(classes, None, None), start_carries(exponents), []
+    series = entry[3]
     if len(series) <= max_atoms:
         # to at least twice the old length, and stored once grown, so a growth
         # that raises leaves the entry as it was
-        terms, carries = extend_rational(entry[1], entry[3], math.factorial(c),
+        terms, carries = extend_rational(entry[0], entry[2], math.factorial(c),
                                          range(len(series), max(max_atoms + 1, 2 * len(series))))
-        entry = _generated[c] = (*entry[:3], carries, series + terms)
-    table = CountTable(c, max_atoms, entry[4][:max_atoms + 1])
-    if graphs is None:
-        return table, entry[2]
-    _check_cells(c, cells, entry[0])
-    return table, stats
+        entry = _generated[c] = (*entry[:2], carries, series + terms)
+    table = CountTable(c, max_atoms, entry[3][:max_atoms + 1])
+    return table, entry[1] if graphs is None else rank3.genconn.check_graphs(c, graphs)
 
 
-def count_lattices(coatom_count: int, max_atoms: int, graphs=None) -> CountTable:
+def count_lattices(coatom_count: int, max_atoms: int) -> CountTable:
     """Count table R(c, a) for a = 0..max_atoms; see count_lattices_stats.
 
-    Where the entry's series covers max_atoms and no graphs are given,
-    the table is one lookup and one copy; any other count is
-    count_lattices_stats's."""
+    Where the entry's series covers max_atoms, the table is one lookup and
+    one copy; any other count is count_lattices_stats's."""
     entry = _generated.get(coatom_count)
-    if graphs is None and entry is not None and -1 < max_atoms < len(entry[4]):
-        return CountTable(coatom_count, max_atoms, entry[4][:max_atoms + 1])
-    return count_lattices_stats(coatom_count, max_atoms, graphs)[0]
+    if entry is not None and coatom_count.__class__ is int and -1 < max_atoms < len(entry[3]):
+        return CountTable(coatom_count, max_atoms, entry[3][:max_atoms + 1])
+    return count_lattices_stats(coatom_count, max_atoms)[0]
 
 
 # -- interchange ---------------------------------------------------------------

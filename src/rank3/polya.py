@@ -25,8 +25,8 @@ fixed_family_counts counts, without a census, the labelled families each
 cycle type of S_c fixes, per connector count and uncovered coatoms: by
 Burnside's lemma these are the count's polynomials, so a count without
 graphs needs no census, no search and no module of the graph layer
-(bigraph, genconn), and a count of graphs is a gated check: its fold
-must give the same cells.  It keeps no cells per c (pipeline keeps one
+(bigraph, genconn), and genconn.check_graphs gates a list of graphs on
+them: its fold must give the same cells.  It keeps no cells per c (pipeline keeps one
 entry per c); what it keeps for the process, shared by every c, is each
 sub-type's fixed families covering or not (_fixed_families, keyed by the
 cycle type without trailing zero multiplicities, so a sub-type of S_4

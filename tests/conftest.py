@@ -49,14 +49,14 @@ def c7_build_seconds(classes_c7):
 @pytest.fixture(scope="session")
 def tables_to_1000(graphs_by_c):
     """Count tables up to 1000 atoms for 2..6 coatoms."""
-    return {c: rank3.count_lattices(c, 1000, graphs_by_c[c])
+    return {c: rank3.count_lattices_stats(c, 1000, graphs_by_c[c])[0]
             for c in range(2, 7)}
 
 
 @pytest.fixture(scope="session")
 def table_c7(graphs_c7):
     """Count table up to 2960 atoms for 7 coatoms, the length its fit needs."""
-    return rank3.count_lattices(7, 2960, graphs_c7)
+    return rank3.count_lattices_stats(7, 2960, graphs_c7)[0]
 
 
 @pytest.fixture(scope="session")

@@ -354,8 +354,8 @@ class TestVerify:
         # R(2, 3) is right, but its dual R(3, 2) is one too large
         count = rank3.pipeline.count_lattices
 
-        def off_by_one(c, max_atoms, graphs=None):
-            table = count(c, max_atoms, graphs)
+        def off_by_one(c, max_atoms):
+            table = count(c, max_atoms)
             if c == 3:
                 table.values[2] += 1
             return table

@@ -208,7 +208,7 @@ class TestGeneration:
             assert cells_sha256(fixed_family_counts(c)) == want
             table = rank3.count_lattices(c, 30)
             assert all(table.values[a] == v for a, v in R_TABLE[c].items() if a <= 30)
-            assert rank3.count_lattices(c, 30, graphs_by_c[c]) == table
+            assert rank3.count_lattices_stats(c, 30, graphs_by_c[c])[0] == table
 
     def test_nine_coatom_cells(self):
         # every (cycle type, r, s) cell at c = 9, shared through the cache with
@@ -472,7 +472,7 @@ def one_process_run():
 
     def run(c):
         if c not in runs:
-            search, extended = rank3.genconn._coatom_search, rank3.genconn._extended
+            search, extended = rank3.bigraph._coatom_search, rank3.genconn._extended
             searches, extensions = [], []
 
             def counting(coatoms, masks):
@@ -486,7 +486,7 @@ def one_process_run():
 
             with pytest.MonkeyPatch.context() as patch:
                 usable_cpus(patch, 1)
-                patch.setattr(rank3.genconn, "_coatom_search", counting)
+                patch.setattr(rank3.bigraph, "_coatom_search", counting)
                 patch.setattr(rank3.genconn, "_extended", recording)
                 classes = list(rank3.genconn._classes(c))
             runs[c] = types.SimpleNamespace(classes=classes, searches=searches,
@@ -615,7 +615,7 @@ class TestForkedGeneration:
         assert rank3.genconn._processes(256) == 2
         for c in range(1, 7):
             assert list(rank3.genconn._classes(c)) == classes_by_c[c]
-        assert rank3.count_lattices(5, 12, graphs_by_c[5]) == rank3.count_lattices(5, 12)
+        assert rank3.count_lattices_stats(5, 12, graphs_by_c[5])[0] == rank3.count_lattices(5, 12)
         assert forks == []
 
     def test_stays_in_process(self, monkeypatch, classes_by_c):
@@ -644,6 +644,27 @@ class TestForkedGeneration:
         monkeypatch.delattr(os, "fork")
         assert list(rank3.genconn._classes(6)) == classes_by_c[6]
         assert_reaped()
+
+
+def test_bigraph_patched_after_import_reaches_census_and_fold(monkeypatch, classes_by_c,
+                                                              graphs_by_c):
+    # genconn looks bigraph's names up at each call, so a patch made after
+    # genconn is imported reaches the census and the fold alike
+    assert "rank3.genconn" in sys.modules
+    searched = []
+
+    def counting(c, masks):
+        searched.append(masks)
+        return _coatom_search(c, masks)
+
+    monkeypatch.setattr(rank3.bigraph, "_coatom_search", counting)
+    # the 72 classes at c = 5 take 73 searches
+    assert list(rank3.genconn._classes(5)) == classes_by_c[5]
+    assert len(searched) == 73
+    searched.clear()
+    rank3.genconn.fold_graphs(5, graphs_by_c[5])
+    assert searched == [g.connector_masks for g in graphs_by_c[5]
+                        if not rank3.bigraph._symmetric(5, g.connector_masks)]
 
 
 class TestCountRS:

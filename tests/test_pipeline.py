@@ -88,8 +88,8 @@ class TestCounting:
     def test_graph_order_irrelevant(self, graphs_by_c):
         shuffled = list(graphs_by_c[5])
         random.Random(7).shuffle(shuffled)
-        assert rank3.count_lattices(5, 40, shuffled).values == \
-            rank3.count_lattices(5, 40, graphs_by_c[5]).values
+        assert rank3.count_lattices_stats(5, 40, shuffled)[0].values == \
+            rank3.count_lattices_stats(5, 40, graphs_by_c[5])[0].values
 
     def test_coatom_atom_symmetry(self, tables_to_1000):
         for c in range(2, 7):
@@ -106,7 +106,7 @@ class TestCounting:
     def test_mixed_coatom_counts_rejected(self, graphs_by_c):
         graphs = graphs_by_c[3] + graphs_by_c[4]
         with pytest.raises(rank3.GraphInputError):
-            rank3.count_lattices(3, 5, graphs)
+            rank3.genconn.check_graphs(3, graphs)
 
     @pytest.mark.parametrize("c, graphs, position, reason", [
         (2, lambda census: [rank3.BicoloredGraph(2), rank3.BicoloredGraph(2, [3]),
@@ -122,7 +122,7 @@ class TestCounting:
         # counted or left to fail on an index
         graphs = graphs(graphs_by_c)
         with pytest.raises(rank3.GraphInputError) as info:
-            rank3.count_lattices(c, 6, graphs)
+            rank3.genconn.check_graphs(c, graphs)
         assert str(info.value) == "graph %d %r: %s" % (position, graphs[-1], reason)
 
     @pytest.mark.parametrize("c, position, copy", [
@@ -140,7 +140,7 @@ class TestCounting:
         graphs.insert(position, copy(graphs))
         number = position + 1
         with pytest.raises(rank3.GraphInputError, match="graph %d is isomorphic" % number):
-            rank3.count_lattices(c, 10, graphs)
+            rank3.genconn.check_graphs(c, graphs)
 
     def test_bad_arguments(self):
         with pytest.raises(ValueError):
@@ -152,6 +152,23 @@ class TestCounting:
         for a in -1, -5, float("nan"):
             with pytest.raises(ValueError, match="^maximum atom count must be nonnegative$"):
                 rank3.count_lattices(3, a)
+
+    def test_non_integer_coatom_count_refused(self, generations):
+        # alike before the entry of 3 is made and after, inside its series
+        # and past it
+        for _ in "no entry", "entry":
+            for count in rank3.count_lattices, rank3.count_lattices_stats:
+                for a in 2, 20:
+                    with pytest.raises(TypeError, match="^'float' object cannot be "
+                                                        "interpreted as an integer$"):
+                        count(3.0, a)
+            assert rank3.count_lattices(3, 8).values == [0, 1, 3, 8, 13, 20, 29, 39, 50]
+        assert generations == {3: 1}
+
+    def test_takes_no_graphs(self, graphs_by_c):
+        # genconn.check_graphs checks a list of graphs; a count takes none
+        with pytest.raises(TypeError):
+            rank3.count_lattices(5, 10, graphs_by_c[5])
 
 
 def plain_fold(c, graphs):
@@ -214,7 +231,7 @@ class TestCycleTypes:
         assert len(graphs) == {1: 1, 2: 2}.get(c, 4) and all(map(_symmetric, graphs))
         want = {g: rank3.bigraph._coatom_search(c, g.connector_masks)[0] for g in graphs}
         searched = []
-        monkeypatch.setattr(rank3.genconn, "_coatom_search",
+        monkeypatch.setattr(rank3.bigraph, "_coatom_search",
                             lambda c, masks: searched.append(masks))
         for g in graphs:
             canon, group, r, s = rank3.genconn._search(c, {}, g)
@@ -231,7 +248,7 @@ class TestCycleTypes:
 
     def test_bare_class_at_nine_coatoms_unsearched(self, monkeypatch):
         # a search would list all 9! = 362,880 winners
-        monkeypatch.setattr(rank3.genconn, "_coatom_search",
+        monkeypatch.setattr(rank3.bigraph, "_coatom_search",
                             lambda c, masks: pytest.fail("searched %r" % (masks,)))
         cells, stats = rank3.genconn.fold_graphs(9, [rank3.BicoloredGraph(9)])
         assert cells == {expo: {(0, 9): count}
@@ -372,8 +389,8 @@ class TestProfileCache:
         rank3.pipeline._generated.pop(c, None)
         for a in sizes:
             values = rank3.count_lattices(c, a).values
-            cells, numerator, _stats, _carries, series = rank3.pipeline._generated[c]
-            exponents = rank3.polya.one_denominator(cells)[1]
+            numerator, _stats, _carries, series = rank3.pipeline._generated[c]
+            exponents = rank3.polya.one_denominator(rank3.polya.fixed_family_counts(c))[1]
             for got in series, values:
                 assert got == rank3.polya.expand_rational(numerator, exponents,
                                                           math.factorial(c), len(got))
@@ -407,8 +424,8 @@ class TestProfileCache:
         assert rank3.count_lattices(4, 30).values == want
 
     def test_explicit_graphs_share_the_entry(self, graphs_by_c, generations, substitutions):
-        # a count of graphs gates its fold on the entry's cells and slices
-        # the entry's series, extending it like any longer request; in
+        # a count given graphs slices the entry's series, extending it like
+        # any longer request, then gates their fold (check_graphs); in
         # either order the two counts make one entry and one substitution
         # per length
         counts = [(40, None), (100, graphs_by_c[5])]
@@ -417,7 +434,7 @@ class TestProfileCache:
             generations.clear()
             substitutions.clear()
             for a, graphs in order:
-                values = rank3.count_lattices(5, a, graphs).values
+                values = rank3.count_lattices_stats(5, a, graphs)[0].values
                 assert all(values[n] == want for n, want in R_TABLE[5].items() if n <= a)
             assert substitutions == lengths
             assert generations == {5: 1}
@@ -440,12 +457,12 @@ def _counts_after_failed_cell_gate(c, graphs):
     assert c in rank3.pipeline._generated
     table = rank3.count_lattices(c, 10)
     assert table.values[1:] == [R_TABLE[c][a] for a in range(1, 11)]
-    assert rank3.count_lattices(c, 10, graphs) == table
+    assert rank3.count_lattices_stats(c, 10, graphs)[0] == table
 
 
 class TestCellGate:
-    """A count of graphs must fold to the cells of fixed_family_counts, the
-    identity's first."""
+    """A list of graphs must fold to the cells of fixed_family_counts, the
+    identity's first (genconn.check_graphs)."""
 
     @pytest.mark.parametrize("c, position", [(4, 0), (5, 40), (6, 591)],
                              ids=["empty-graph", "interior", "complete-graph"])
@@ -454,16 +471,20 @@ class TestCellGate:
         # labelled sum of the dropped graph's cell can tell
         graphs = list(graphs_by_c[c])
         dropped = graphs.pop(position)
-        rank3.pipeline._generated.pop(c, None)
         with pytest.raises(rank3.GraphInputError) as info:
-            rank3.count_lattices(c, 10, graphs)
+            rank3.genconn.check_graphs(c, graphs)
         assert str(info.value) == _gate_message(c, dropped)
+        # a count of them makes its entry, then meets the same gate
+        rank3.pipeline._generated.pop(c, None)
+        with pytest.raises(rank3.GraphInputError) as counted:
+            rank3.count_lattices_stats(c, 10, graphs)
+        assert str(counted.value) == str(info.value)
         _counts_after_failed_cell_gate(c, graphs_by_c[c])
 
     def test_same_order_group_rejected(self, monkeypatch, graphs_by_c):
         # the first group {id, (a b)} is given as {id, (a b)(x y)}: its order,
         # and so every labelled cell, is right, and its cycle types are not
-        automorphisms = rank3.genconn._automorphisms
+        automorphisms = rank3.bigraph._automorphisms
         swapped = []
 
         def same_order(winners):
@@ -478,14 +499,19 @@ class TestCellGate:
             swapped.append(perm)
             return (tuple(perm),)
 
-        monkeypatch.setattr(rank3.genconn, "_automorphisms", same_order)
-        rank3.pipeline._generated.pop(5, None)
+        monkeypatch.setattr(rank3.bigraph, "_automorphisms", same_order)
         with pytest.raises(rank3.GraphInputError) as info:
-            rank3.count_lattices(5, 60, graphs_by_c[5])
+            rank3.genconn.check_graphs(5, graphs_by_c[5])
         assert swapped == [[1, 0, 2, 4, 3]]    # (3 4) given as (0 1)(3 4)
         assert str(info.value) == (
             "the graphs stand for 30 families fixed by the permutations of cycle type "
             "(3, 1, 0, 0, 0) with 2 connectors and 1 uncovered coatoms, but there are 90")
+        # a count of them, swapped again, makes its entry, then meets the same gate
+        swapped.clear()
+        rank3.pipeline._generated.pop(5, None)
+        with pytest.raises(rank3.GraphInputError) as counted:
+            rank3.count_lattices_stats(5, 60, graphs_by_c[5])
+        assert str(counted.value) == str(info.value)
         monkeypatch.undo()
         _counts_after_failed_cell_gate(5, graphs_by_c[5])
 
@@ -572,7 +598,7 @@ class TestOrbitCountingGate:
     # in the cell of s = |U|: the Burnside count of those triples, whose
     # cells c! divides too.  The cells against the labelled DFS and the
     # census (tests/test_genconn.py) catch it, and so does the cell gate
-    # of every count of graphs.
+    # of genconn.check_graphs.
 
 
 def _error(c, graphs):
@@ -644,12 +670,12 @@ class TestForkedSearch:
         graphs = list(graphs_by_c[6])
         graphs[50], graphs[101] = _rotated(graphs[49]), None
         with pytest.raises(Exception) as forked:
-            rank3.count_lattices(6, 10, graphs)
+            rank3.genconn.check_graphs(6, graphs)
         assert_reaped()
         assert len(forks) == 1
         usable_cpus(monkeypatch, 1)
         with pytest.raises(Exception) as here:
-            rank3.count_lattices(6, 10, graphs)
+            rank3.genconn.check_graphs(6, graphs)
         assert type(forked.value) is type(here.value) is AttributeError
 
     @staticmethod
@@ -685,14 +711,14 @@ class TestForkedSearch:
         elif failure == "exit-1-after-sending":
             exit_ = os._exit
             monkeypatch.setattr(os, "_exit", lambda status: exit_(1))
-        parent, search, searched = os.getpid(), rank3.genconn._coatom_search, []
+        parent, search, searched = os.getpid(), rank3.bigraph._coatom_search, []
 
         def counting(c, masks):
             if os.getpid() == parent:
                 searched.append(masks)
             return search(c, masks)
 
-        monkeypatch.setattr(rank3.genconn, "_coatom_search", counting)
+        monkeypatch.setattr(rank3.bigraph, "_coatom_search", counting)
         assert rank3.count_lattices_stats(6, 200, graphs_by_c[6]) == want
         assert_reaped()
         assert len(forks) == 2
@@ -704,16 +730,16 @@ class TestForkedSearch:
 
     def test_children_reaped_after_interrupt(self, monkeypatch, forks, graphs_by_c):
         # the parent is interrupted in its own share while the child searches
-        parent, search = os.getpid(), rank3.genconn._coatom_search
+        parent, search = os.getpid(), rank3.bigraph._coatom_search
 
         def interrupted(c, masks):
             if os.getpid() == parent:
                 raise KeyboardInterrupt
             return search(c, masks)
 
-        monkeypatch.setattr(rank3.genconn, "_coatom_search", interrupted)
+        monkeypatch.setattr(rank3.bigraph, "_coatom_search", interrupted)
         with pytest.raises(KeyboardInterrupt):
-            rank3.count_lattices(6, 10, graphs_by_c[6])
+            rank3.genconn.check_graphs(6, graphs_by_c[6])
         assert_reaped()
         assert len(forks) == 1
 
@@ -723,7 +749,7 @@ class TestForkedSearch:
         usable_cpus(monkeypatch, 2)
         want = rank3.count_lattices(5, 100)
         # 72 graphs are below two shares of 256
-        assert rank3.count_lattices(5, 100, graphs_by_c[5]) == want
+        assert rank3.count_lattices_stats(5, 100, graphs_by_c[5])[0] == want
         # one usable CPU
         usable_cpus(monkeypatch, 1)
         rank3.count_lattices_stats(6, 10, graphs_by_c[6])
@@ -778,7 +804,7 @@ class TestOneLoop:
     def test_raise_at_a_chunk_boundary(self, small_chunks, graphs_by_c):
         graphs = list(graphs_by_c[6])
         with pytest.raises(ReadFailure, match="after 296 graphs"):
-            rank3.count_lattices(6, 10, _failing_after(graphs, 296))
+            rank3.genconn.check_graphs(6, _failing_after(graphs, 296))
         assert_reaped()
         assert len(small_chunks) == 2
         # graph 201, in the second chunk, copies graph 200 relabelled
@@ -799,7 +825,7 @@ class TestOneLoop:
             assert _error(4, graphs) == ("the graphs stand for 0 labelled families with "
                                          "0 connectors and 4 uncovered coatoms, but there are 1")
         with pytest.raises(ReadFailure, match="after 0 graphs"):
-            rank3.count_lattices(4, 10, _failing_after([], 0))
+            rank3.genconn.check_graphs(4, _failing_after([], 0))
         assert_reaped()
         assert small_chunks == []
 
@@ -985,18 +1011,18 @@ class TestGraphDir:
         lines[0] = lines[0][:1] + b"!" + lines[0][2:]
         r9.write_bytes(b"".join(lines))
         with pytest.raises(rank3.GraphInputError, match="conn_c6_r9.g6 line 1: byte b'!' "):
-            rank3.count_lattices(6, 10, rank3.iter_graph_dir(tmp_path, 6))
+            rank3.genconn.check_graphs(6, rank3.iter_graph_dir(tmp_path, 6))
         lines = r2.read_bytes().splitlines(keepends=True)
         lines[1] = rank3.graph6_encode(_rotated(rank3.graph6_decode(lines[0], 6, 2)))
         r2.write_bytes(b"".join(lines))
         with pytest.raises(rank3.GraphInputError) as info:
-            rank3.count_lattices(6, 10, rank3.iter_graph_dir(tmp_path, 6))
+            rank3.genconn.check_graphs(6, rank3.iter_graph_dir(tmp_path, 6))
         assert str(info.value) == "graph 8 is isomorphic to an earlier graph"
         assert_reaped()
         assert len(forks) == 2 * children
 
     def test_feeds_pipeline(self, tmp_path, graphs_by_c):
         rank3.write_graph_files(tmp_path, 5, graphs_by_c[5])
-        table = rank3.count_lattices(5, 12, rank3.iter_graph_dir(tmp_path, 5))
+        table = rank3.count_lattices_stats(5, 12, rank3.iter_graph_dir(tmp_path, 5))[0]
         for a in range(1, 13):
             assert table.values[a] == R_TABLE[5][a]
