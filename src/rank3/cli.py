@@ -4,9 +4,11 @@ Subcommands: generate (graph6 files per connector stratum), count (CSV
 count table), fit (quasipolynomial JSON), eval (one exact value), verify
 (pipeline against the brute-force oracle).  The RANK3_OUT environment
 variable names the default output directory; --out overrides it.
-Each command imports only what it runs: generate, verify and count
---graphs the graph layer (genconn, bigraph), fit, eval and an error
-rank3.quasifit.
+count --graphs checks the graphs it reads before it counts, so a wrong
+or missing directory is named at once, even where the count is long.
+Each command imports only what it runs, through the package's hook:
+generate, verify and count --graphs the graph layer (genconn, bigraph),
+fit, eval and an error rank3.quasifit.
 
 Exit codes: 0 success, 1 a failed internal check, with a traceback (the
 orbit-counting gate's ArithmeticError), 2 bad input, 3 table too short
@@ -16,6 +18,8 @@ for a fit, 4 fit rejected by the table, 5 verification mismatch.
 import argparse
 import os
 import sys
+
+import rank3
 
 from . import pipeline
 
@@ -30,28 +34,24 @@ EXIT_MISMATCH = 5
 _DIRECT_LIMIT = 8
 
 
-def _quasifit():
-    """rank3.quasifit, imported only once fit, eval or an error needs it, so that
-    count, generate and verify start without it."""
-    from . import quasifit
-    return quasifit
-
-
 def _default_out_dir() -> str:
     return os.environ.get("RANK3_OUT", ".")
 
 
 def cmd_generate(args) -> int:
-    from . import genconn
-    counts = genconn.write_graph_files(args.out or _default_out_dir(), args.coatoms)
-    print(genconn.manifest_text(args.coatoms, counts), end="")
+    counts = rank3.genconn.write_graph_files(args.out or _default_out_dir(), args.coatoms)
+    print(rank3.genconn.manifest_text(args.coatoms, counts), end="")
     return 0
 
 
 def cmd_count(args) -> int:
-    c = args.coatoms
-    graphs = pipeline.iter_graph_dir(args.graphs, c) if args.graphs else None
-    table, stats = pipeline.count_lattices_stats(c, args.max_atoms, graphs)
+    c, a = args.coatoms, args.max_atoms
+    # the graphs are checked before the count, so a wrong directory is named at
+    # once; bad arguments are left to the count, whose errors come first
+    checked = (rank3.genconn.check_graphs(c, pipeline.iter_graph_dir(args.graphs, c))
+               if args.graphs and c >= 1 and a >= 0 else None)
+    table, stats = pipeline.count_lattices_stats(c, a)
+    stats = stats if checked is None else checked
     out = args.out or os.path.join(_default_out_dir(), "counts_c%d.csv" % c)
     pipeline.write_csv(table, out)
     print("wrote %s" % out)
@@ -65,12 +65,12 @@ def cmd_count(args) -> int:
 
 def cmd_fit(args) -> int:
     import json
-    quasifit, c = _quasifit(), args.coatoms
+    c = args.coatoms
     table = pipeline.read_csv(args.values, c)
-    fit = quasifit.fit_for_coatoms(table, c)
+    fit = rank3.quasifit.fit_for_coatoms(table, c)
     out = args.out or os.path.join(_default_out_dir(), "fit_c%d.json" % c)
     with pipeline.atomic_open(out) as fh:
-        json.dump(quasifit.quasipolynomial_to_json(fit, c), fh, indent=2)
+        json.dump(rank3.quasifit.quasipolynomial_to_json(fit, c), fh, indent=2)
         fh.write("\n")
     print("wrote %s" % out)
     print("period=%d degree=%d n0_guaranteed=%d n0_observed=%d"
@@ -79,15 +79,13 @@ def cmd_fit(args) -> int:
 
 
 def cmd_eval(args) -> int:
-    quasifit = _quasifit()
     with open(args.quasipoly) as fh:
-        _c, fit = quasifit.quasipolynomial_from_json(fh.read())
-    print(quasifit.eval_quasipolynomial(fit, args.atoms))
+        _c, fit = rank3.quasifit.quasipolynomial_from_json(fh.read())
+    print(rank3.quasifit.eval_quasipolynomial(fit, args.atoms))
     return 0
 
 
 def cmd_verify(args) -> int:
-    from . import genconn
     n = args.max_total
     if not 2 <= n <= 14:
         raise ValueError("--max-total must be between 2 and 14")
@@ -96,7 +94,7 @@ def cmd_verify(args) -> int:
         for a in range(1, n - c + 1):
             values = [pipeline.count_lattices(x, n - x).values[y]
                       for x, y in ((c, a), (a, c)) if x <= _DIRECT_LIMIT]
-            got = genconn.brute_force_count(c, a)
+            got = rank3.genconn.brute_force_count(c, a)
             ok = all(v == got for v in values)
             print("c=%-2d a=%-2d pipeline=%-12d oracle=%-12d %s"
                   % (c, a, values[0], got, "ok" if ok else "MISMATCH"))
@@ -150,13 +148,13 @@ def main(argv=None) -> int:
     # each except clause's class is looked up only once an exception reaches it
     try:
         return args.func(args)
-    except _quasifit().FitArityError as exc:
+    except rank3.quasifit.FitArityError as exc:
         print("error: %s" % exc, file=sys.stderr)
         return EXIT_ARITY
-    except _quasifit().FitRejectedError as exc:
+    except rank3.quasifit.FitRejectedError as exc:
         print("error: %s" % exc, file=sys.stderr)
         return EXIT_REJECTED
-    except (ValueError, OSError, _quasifit().NonIntegerValueError) as exc:
+    except (ValueError, OSError, rank3.quasifit.NonIntegerValueError) as exc:
         print("error: %s" % exc, file=sys.stderr)
         return EXIT_INPUT
 

@@ -113,12 +113,14 @@ def count_lattices_stats(coatom_count: int, max_atoms: int, graphs=None,
 
     With ``graphs`` the MemoStats are those of
     genconn.check_graphs(coatom_count, graphs), which gates the graphs
-    once the entry is made and the table sliced.
+    once the entry is made and the table sliced.  ``graphs`` and ``jobs``
+    now serve only the benchmark's ``table`` round, until it times the
+    production path (ROADMAP.md): ``rank3 count --graphs`` calls
+    check_graphs itself, before it counts.  ``jobs``, which the traced
+    replay passes as 2, is ignored: the split follows the usable CPUs.
 
     The returned table and its values are new on every call; the entry is
-    never handed out.  ``jobs`` is accepted and ignored, because the
-    benchmark's traced replay still passes ``jobs=2``; it does not choose
-    the split, which follows the usable CPUs alone.
+    never handed out.
     """
     # not >= so that NaN, which no comparison admits, is refused here
     if not coatom_count >= 1:

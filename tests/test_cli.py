@@ -86,6 +86,29 @@ class TestCount:
         assert code == cli.EXIT_INPUT
         assert "error" in capsys.readouterr().err
 
+    def test_graph_directory_checked_before_the_count(self, tmp_path, capsys, monkeypatch):
+        # a count at c = 10 takes seconds; the missing directory is named first,
+        # so no entry for 10 is made
+        monkeypatch.delitem(rank3.pipeline._generated, 10, raising=False)
+        out = tmp_path / "c10.csv"
+        code = run_cli("count", "--coatoms", 10, "--max-atoms", 10,
+                       "--graphs", tmp_path / "missing", "--out", out)
+        assert code == cli.EXIT_INPUT
+        assert capsys.readouterr().err.startswith("error: no manifest ")
+        assert 10 not in rank3.pipeline._generated
+        assert not out.exists()
+
+    @pytest.mark.parametrize("coatoms, max_atoms, text", [
+        (0, 5, "coatom count must be positive"),
+        (3, -1, "maximum atom count must be nonnegative"),
+    ])
+    def test_bad_arguments_named_before_the_graphs(self, tmp_path, capsys,
+                                                   coatoms, max_atoms, text):
+        code = run_cli("count", "--coatoms", coatoms, "--max-atoms", max_atoms,
+                       "--graphs", tmp_path / "missing", "--out", tmp_path / "x.csv")
+        assert code == cli.EXIT_INPUT
+        assert capsys.readouterr().err == "error: %s\n" % text
+
 
 def _drop_last_line(directory):
     path = directory / "conn_c5_r4.g6"
