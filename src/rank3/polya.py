@@ -10,9 +10,11 @@ alike: one_denominator takes a cell table, the shape fixed_family_counts
 returns (group_balls gives each type one cell), sums each type's cells
 into its polynomial and puts every cycle type over one denominator
 D = prod_i (1 - x^i)^M_i, M_i the largest multiplicity of i among the
-types, so the sum is one finite numerator N over D, and expand_rational
-expands it by sum_i M_i running-sum passes instead of one pass per
-cycle of every type: 10 against 20 for S_5, 27 against 192 for S_10.
+types (each polynomial packed into one integer, so that its product by
+D / D_m is one integer product), so the sum is one finite numerator N
+over D, and expand_rational expands it by sum_i M_i running-sum passes
+instead of one pass per cycle of every type: 10 against 20 for S_5, 27
+against 192 for S_10.
 Its division is checked exact, so a bug upstream surfaces as an
 integrality failure, not a rounding one.  As D(0) = 1 that is a check
 on N, which is divided before the passes, so no term of the series is
@@ -31,16 +33,21 @@ entry per c); what it keeps for the process, shared by every c, is each
 sub-type's fixed families covering or not (_fixed_families, keyed by the
 cycle type without trailing zero multiplicities, so a sub-type of S_4
 serves S_5 as well: 139 entries up to c = 10), from which a call
-assembles its cells afresh.  The point-elimination memo
-(_linear_families) is freed when each count returns or raises.  A count
-that fails its gate frees the sub-type counts too.  ROADMAP.md, "Where
-it stands", gives its times and peaks.
+assembles its cells afresh, in one flat list per type.  The
+point-elimination memo (_linear_families) is freed when each count
+returns or raises.  A count that fails its gate frees the sub-type
+counts too.  ROADMAP.md, "Where it stands", gives its times and peaks.
+
+Every count imports this module, and where Python caches no bytecode
+(PYTHONDONTWRITEBYTECODE=1) every process compiles it again, about 4.5
+ms on a 2-core VM: each line added here shows in a cold start.
 """
 
 import functools
 import math
+import operator
 from collections import Counter, namedtuple
-from itertools import accumulate, product
+from itertools import accumulate, compress, product
 
 
 class CycleIndex(namedtuple("CycleIndex", "degree order counts")):
@@ -123,16 +130,22 @@ def one_denominator(cells) -> tuple[tuple[int, ...], tuple[int, ...]]:
     sum is N / D with the finite polynomial N = sum of Q * D / D_m.
     """
     top = [max(m) for m in zip(*cells)]
-    numerator = []
+    # every polynomial packed into one integer, term k at bit k * width, so
+    # that the products by D / D_m are integer products (Kronecker
+    # substitution): a term of N is below the cells' absolute sum times
+    # 2^sum(M_i), so width bits hold it with its sign
+    width = sum(abs(n) for by_cell in cells.values() for n in by_cell.values()).bit_length()
+    width += sum(top) + 1
+    packed = length = 0
     for expo, by_cell in cells.items():
-        poly = [0] * (max(map(sum, by_cell), default=-1) + 1)
-        for (r, s), n in by_cell.items():
-            poly[r + s] += n
-        for i, (most, m) in enumerate(zip(top, expo), 1):
-            for _ in range(most - m):    # poly times 1 - x^i
-                poly = [a - b for a, b in zip(poly + [0] * i, [0] * i + poly)]
-        numerator += [0] * (len(poly) - len(numerator))
-        numerator[:len(poly)] = [a + b for a, b in zip(numerator, poly)]
+        gap = [(i, most - m) for i, (most, m) in enumerate(zip(top, expo), 1)]
+        length = max(length, max(map(sum, by_cell), default=-1) + 1 + sum(i * k for i, k in gap))
+        packed += (sum(n << (r + s) * width for (r, s), n in by_cell.items())
+                   * math.prod((1 - (1 << i * width)) ** k for i, k in gap))
+    numerator, half = [], 1 << width - 1
+    for _ in range(length):
+        numerator.append((packed + half & (1 << width) - 1) - half)
+        packed = (packed - numerator[-1]) >> width
     return tuple(numerator), tuple(top)
 
 
@@ -216,7 +229,8 @@ def group_balls(zindex: CycleIndex, boxes: int, max_balls: int) -> list[int]:
 # Species", 1998, ch. 1); the identity fixes all of them, L_c(r, s).
 #
 # A fixed family is a union of sigma-orbits of connectors.  The orbits that
-# touch a point sigma moves are listed, those linear inside themselves
+# touch a point sigma moves are listed, walked through a table of every
+# mask's image (none for the identity), those linear inside themselves
 # kept, and their compatible unions tallied, keyed by the pairs a union
 # holds inside the fixed points F and its connector count.  Two orbits
 # conflict when they hold a common pair, so the tally is the independence
@@ -224,8 +238,8 @@ def group_balls(zindex: CycleIndex, boxes: int, max_balls: int) -> list[int]:
 # by deleting an orbit of most conflicts (Gutman & Harary, "Generalizations
 # of the matching polynomial", Utilitas Math. 24, 1983; Knuth, TAOCP 4A,
 # 7.1.4).  The connectors on F are then any linear family on F that avoids
-# those pairs: A(H), H the graph of the pairs, counted by eliminating
-# points.  The connectors through a point v are v plus disjoint blocks,
+# those pairs: A(H), H the graph of the pairs, in closed form on at most
+# _CLOSED points, else counted by eliminating points.  The connectors through a point v are v plus disjoint blocks,
 # H-independent sets of v's non-neighbours, and each choice leaves its
 # blocks as cliques in H on the points left; a v of largest degree keeps
 # the choices few, and the points left are relabelled by degree before
@@ -240,8 +254,8 @@ def group_balls(zindex: CycleIndex, boxes: int, max_balls: int) -> list[int]:
 # s bare come by inclusion-exclusion over the cycles (Stanley, "Enumerative
 # Combinatorics I", 2.1): k_i of the m_i cycles of length i kept bare
 # weigh the covering-or-not families of the other cycles by C(m_i, k_i)
-# [x^s] prod (x^i - 1)^k_i.  The identity's L_c(r, s) is this sum with all
-# c cycles fixed points.
+# [x^s] prod (x^i - 1)^k_i, each (x^i - 1)^k expanded once per count.  The
+# identity's L_c(r, s) is this sum with all c cycles fixed points.
 #
 # A connector is its coatom mask, bit i for coatom i; _members and _pairs
 # read masks for bigraph and genconn as well.
@@ -280,13 +294,20 @@ def _twin_classes(adj, free) -> list:
     return classes + [(points, 1) for points in by_closed.values()]
 
 
+# _linear_families counts a graph on at most this many points in closed form
+_CLOSED = 4
+
+
 def _by_degree(adj) -> tuple[int, ...]:
-    """The same graph with its points relabelled in ascending degree."""
-    order = sorted(range(len(adj)), key=lambda i: adj[i].bit_count())
-    where = [0] * len(adj)
+    """The same graph with its points relabelled in ascending degree, for
+    _linear_families' memo; a graph it counts in closed form as it is."""
+    if len(adj) <= _CLOSED:
+        return tuple(adj)
+    order = sorted(range(len(adj)), key=[m.bit_count() for m in adj].__getitem__)
+    bit = [0] * len(adj)
     for new, old in enumerate(order):
-        where[old] = new
-    return tuple(sum(1 << where[u] for u in _members(adj[old])) for old in order)
+        bit[old] = 1 << new
+    return tuple(sum(map(bit.__getitem__, _members(adj[old]))) for old in order)
 
 
 @functools.cache
@@ -294,16 +315,32 @@ def _linear_families(adj) -> tuple[int, ...]:
     """A(H) by connector count r <= n(n-1)/2, n the points of H: the labelled
     linear families on those points that cover no pair joined in H."""
     n = len(adj)
-    if n <= 2:
-        # no pair, or one pair that is joined or not
-        return (1, 0 if adj[0] else 1) if n == 2 else (1,)
+    degree = [m.bit_count() for m in adj]
+    if n <= _CLOSED:
+        # a set of the pairs H leaves, or one connector of three or more
+        # points that covers no joined pair: all n points alone, or on four
+        # points the three but some d, with any pairs through d
+        joined = sum(degree) // 2
+        got = [math.comb(n * (n - 1) // 2 - joined, r) for r in range(n * (n - 1) // 2 + 1)]
+        if n >= 3 and not joined:
+            got[1] += 1
+        for d in degree:
+            if n == 4 and d == joined:
+                for r in range(4 - d):
+                    got[r + 1] += math.comb(3 - d, r)
+        return tuple(got)
     got = [0] * (n * (n - 1) // 2 + 1)
-    v = max(range(n), key=lambda i: adj[i].bit_count())
-    classes = _twin_classes(adj, (1 << n) - 1 & ~adj[v] & ~(1 << v))
+    v = degree.index(max(degree))
+    # H without v, the points above it moved down by one: v's non-neighbours
+    # have no edge to v, so their twin classes are the same in it
+    low = (1 << v) - 1
+    rest = tuple(m & low | m >> 1 & ~low for m in adj[:v] + adj[v + 1:])
+    free = (1 << n - 1) - 1 & ~(adj[v] & low | adj[v] >> 1 & ~low)
+    classes = _twin_classes(rest, free)
     # every block: (class, points taken) over classes pairwise apart, two
     # classes being joined in full or not at all
     apart = [sum(1 << j for j, (other, _most) in enumerate(classes)
-                 if not adj[points[0]] >> other[0] & 1) for points, _most in classes]
+                 if not rest[points[0]] >> other[0] & 1) for points, _most in classes]
     blocks, stack = [], [((), (1 << len(classes)) - 1)]
     while stack:
         block, later = stack.pop()
@@ -313,57 +350,61 @@ def _linear_families(adj) -> tuple[int, ...]:
             stack += [(block + ((i, b),), later & apart[i] & -(2 << i))
                       for b in range(1, classes[i][1] + 1)]
     # every choice, its blocks in ascending order: realised by the lowest
-    # points left in their classes, each made a clique of H; t repeats of
-    # one block weigh 1/t!
-    choices = Counter()
-    stack = [(0, 0, tuple(len(points) for points, _most in classes), 1, adj, 0)]
+    # points left in their classes, each made a clique of H - v; t repeats
+    # of one block weigh 1/t!
+    bits = [[1 << p for p in points] for points, _most in classes]
+    choices = {}
+    stack = [(0, 0, tuple(map(len, bits)), 1, rest, 0)]
     while stack:
         first, t, left, ways, after, k = stack.pop()
-        choices[after, k] += ways
+        choices[after, k] = choices.get((after, k), 0) + ways
         for j in range(first, len(blocks)):
             block = blocks[j]
             if any(left[i] < b for i, b in block):
                 continue
-            mask, rest, more = 0, list(left), ways
+            mask, left_now, more = 0, list(left), ways
             for i, b in block:
-                points = classes[i][0]
-                used = len(points) - rest[i]
-                mask |= sum(1 << p for p in points[used:used + b])
-                more *= math.comb(rest[i], b)
-                rest[i] -= b
-            clique = after if not mask & mask - 1 else tuple(
-                m | mask & ~(1 << p) if mask >> p & 1 else m for p, m in enumerate(after))
+                used = len(bits[i]) - left_now[i]
+                mask |= sum(bits[i][used:used + b])
+                more *= math.comb(left_now[i], b)
+                left_now[i] -= b
+            clique = after
+            if mask & mask - 1:
+                clique = list(after)
+                for p in _members(mask):
+                    clique[p] |= mask ^ 1 << p
+                clique = tuple(clique)
             times = t + 1 if j == first else 1
-            stack.append((j, times, tuple(rest), more // times, clique, k + 1))
-    low = (1 << v) - 1
+            stack.append((j, times, tuple(left_now), more // times, clique, k + 1))
     for (after, k), ways in choices.items():
-        # point v removed, the points above it moved down by one
-        rest = after[:v] + after[v + 1:]
-        for r, x in enumerate(_linear_families(_by_degree([m & low | m >> 1 & ~low
-                                                           for m in rest]))):
-            got[r + k] += ways * x
+        for r, x in enumerate(_linear_families(_by_degree(after)), k):
+            got[r] += ways * x
     return tuple(got)
 
 
 def _linear_orbits(perm) -> list:
     """The orbits under perm (a list of images) of the connectors that touch
     a point perm moves, only those with no two members sharing two points:
-    (pairs covered, size) each."""
-    image = [1 << p for p in perm]
+    (pairs covered, size) each, in the order of their least masks."""
     moved = sum(1 << i for i, p in enumerate(perm) if p != i)
-    orbits, seen = [], set()
-    for m in range(1 << len(perm)):
-        if not m & moved or m.bit_count() < 2 or m in seen:
+    if not moved:
+        return []
+    # every mask's image, the masks with point i those without it plus i's image
+    image = [0]
+    for p in perm:
+        image += [x | 1 << p for x in image]
+    orbits, seen = [], bytearray(len(image))
+    for m in range(len(image)):
+        if not m & moved or m.bit_count() < 2 or seen[m]:
             continue
-        orbit, x = [], m
-        while x not in orbit:
-            orbit.append(x)
-            x = sum(image[i] for i in _members(x))
-        seen.update(orbit)
-        pairs = list(map(_pairs, orbit))
+        pairs, x = [], m
+        while not seen[x]:
+            seen[x] = 1
+            pairs.append(_pairs(x))
+            x = image[x]
         covered = functools.reduce(int.__or__, pairs)
         if covered == sum(pairs):    # no pair held twice
-            orbits.append((covered, len(orbit)))
+            orbits.append((covered, len(pairs)))
     return orbits
 
 
@@ -481,7 +522,10 @@ def _fixed_families(expo) -> tuple:
     # a union's tally key: its connector count r in the low bits, the pairs
     # it holds inside the fixed points F above them; compatible orbits hold
     # disjoint pairs, so a union's key is the sum of its orbits'
-    shift, inside = top.bit_length(), _pairs((1 << fixed) - 1)
+    # the pairs inside F are bits 0 .. fixed(fixed - 1)/2 - 1, pair (i, k)
+    # at bit i(i - 1)/2 + k
+    ends = [(i, k) for i in range(fixed) for k in range(i)]
+    shift, inside = top.bit_length(), (1 << len(ends)) - 1
     keys = [(pairs & inside) << shift | size for pairs, size in orbits]
     conflicts = [0] * len(orbits)
     for j, (pairs, _size) in enumerate(orbits):
@@ -491,13 +535,18 @@ def _fixed_families(expo) -> tuple:
                 conflicts[k] |= 1 << j
     out, on_fixed = [0] * top, {}
     for key, ways in _orbit_unions(keys, conflicts).items():
-        held, r = divmod(key, 1 << shift)
-        if held not in on_fixed:
-            adj = [sum(1 << k for k in range(fixed) if held & _pairs(1 << i | 1 << k))
-                   for i in range(fixed)]
-            on_fixed[held] = _linear_families(_by_degree(adj))
-        for rf, n in enumerate(on_fixed[held][:top - r]):
-            out[r + rf] += ways * n
+        held, r = key >> shift, key & (1 << shift) - 1
+        families = on_fixed.get(held)
+        if families is None:
+            adj, x = [0] * fixed, held
+            while x:
+                i, k = ends[(x & -x).bit_length() - 1]
+                x &= x - 1
+                adj[i] |= 1 << k
+                adj[k] |= 1 << i
+            families = on_fixed[held] = _linear_families(_by_degree(adj))
+        for rf, n in enumerate(families[:top - r], r):
+            out[rf] += ways * n
     return tuple((r, n) for r, n in enumerate(out) if n)
 
 
@@ -520,34 +569,43 @@ def fixed_family_counts(coatom_count: int) -> dict:
     c = coatom_count
     if c < 1:
         raise ValueError("coatom count must be positive")
-    out, cells = {}, Counter()
+    # (x^i - 1)^k = sum_j C(k, j) (-1)^(k - j) x^(ij) for i k <= c, as
+    # (s, coefficient) pairs: powers[i - 1][k]
+    powers = [[[(i * j, (-1) ** (k - j) * math.comb(k, j)) for j in range(k + 1)]
+               for k in range(c // i + 1)] for i in range(1, c + 1)]
+    # a type's cells in one flat list, cell (r, s) at r(c + 1) + s
+    width = c + 1
+    names = [divmod(j, width) for j in range(width * (c * (c - 1) // 2 + 1))]
+    out, cells = {}, [0] * len(names)
     try:
         for expo, size in symmetric_cycle_index(c).counts:
-            tally = Counter()
-            # inclusion-exclusion over the cycles kept bare (see above)
-            for bare in product(*(range(m + 1) for m in expo)):
-                poly = {0: size * math.prod(map(math.comb, expo, bare))}
-                for i, k in enumerate(bare, 1):
-                    for _ in range(k):    # poly times x^i - 1
-                        step = {s: -n for s, n in poly.items()}
-                        for s, n in poly.items():
-                            step[s + i] = step.get(s + i, 0) + n
-                        poly = step
-                rest = [m - k for m, k in zip(expo, bare)]
+            tally = [0] * len(names)
+            # inclusion-exclusion over the cycles kept bare (see above), k of
+            # the m cycles of each length i + 1 present
+            present = [i for i, m in enumerate(expo) if m]
+            most = [expo[i] for i in present]
+            for bare in product(*(range(m + 1) for m in most)):
+                poly = [(0, size * math.prod(map(math.comb, most, bare)))]
+                rest = list(expo[:present[-1] + 1])
+                for i, k in zip(present, bare):
+                    if k:
+                        rest[i] -= k
+                        poly = [(s + t, n * p) for s, n in poly for t, p in powers[i][k]]
                 while rest and not rest[-1]:
                     rest.pop()
                 for r, n in _fixed_families(tuple(rest)):
-                    for s, p in poly.items():
-                        tally[r, s] += n * p
-            out[expo] = {cell: n for cell, n in tally.items() if n}
-            cells.update(out[expo])
+                    at = r * width
+                    for s, p in poly:
+                        tally[at + s] += n * p
+            out[expo] = dict(compress(zip(names, tally), tally))    # the nonzero cells
+            cells = list(map(operator.add, cells, tally))
     finally:
         _linear_families.cache_clear()
     order = math.factorial(c)
-    for (r, s), n in sorted(cells.items()):
+    for j, n in enumerate(cells):
         if n % order:
             _forget_fixed_families()
             raise ArithmeticError("the cycle types' fixed families with %d connectors and %d "
                                   "uncovered coatoms add up to %d, which %d! does not divide"
-                                  % (r, s, n, c))
+                                  % (*divmod(j, width), n, c))
     return out

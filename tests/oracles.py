@@ -1,6 +1,8 @@
 """Plain oracles shared by the test files: coatom relabelling, the labelled
-families, the generator's candidate scan and the cycle-type substitution."""
+families, the generator's candidate scan, the orbits of connectors and the
+cycle-type substitution."""
 
+import functools
 from itertools import accumulate
 
 from rank3.bigraph import _automorphisms, _coatom_search, _members, _pairs, _symmetric
@@ -25,6 +27,30 @@ def labelled_connection_families(c):
                                               if (x & m).bit_count() <= 1])
 
     return extend((), [m for m in range(1 << c) if m.bit_count() >= 2])
+
+
+def linear_orbits_by_members(perm):
+    """Oracle: polya._linear_orbits(perm), each mask's image summed from its
+    members' images and each orbit walked until it repeats: for every mask
+    in ascending order that touches a point perm moves, has two or more
+    points and is in no orbit listed yet, (pairs covered, size) of its
+    orbit when no two members share two points."""
+    image = [1 << p for p in perm]
+    moved = sum(1 << i for i, p in enumerate(perm) if p != i)
+    orbits, seen = [], set()
+    for m in range(1 << len(perm)):
+        if not m & moved or m.bit_count() < 2 or m in seen:
+            continue
+        orbit, x = [], m
+        while x not in orbit:
+            orbit.append(x)
+            x = sum(image[i] for i in _members(x))
+        seen.update(orbit)
+        pairs = list(map(_pairs, orbit))
+        covered = functools.reduce(int.__or__, pairs)
+        if covered == sum(pairs):
+            orbits.append((covered, len(orbit)))
+    return orbits
 
 
 def extended_by_pool_loop(c, parent):

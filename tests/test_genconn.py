@@ -23,13 +23,26 @@ from rank3.genconn import _relabel_can_shrink
 from rank3.polya import fixed_family_counts
 
 from forking import assert_reaped, usable_cpus
-from oracles import extended_by_pool_loop, labelled_connection_families, map_mask
+from oracles import (extended_by_pool_loop, labelled_connection_families,
+                     linear_orbits_by_members, map_mask)
 from reference_values import GRAPH_CENSUS, PER_R_COUNTS, R_TABLE
 
 
 # sha256 of repr(sorted((cycle type, sorted cells))) of fixed_family_counts(9),
 # recorded from the orbit-union walk that counted bare coatoms per union
 C9_CELLS_SHA256 = "d148c4f2597ab81764289199e58d43dd6ae2e3a16a297d0c8af28c4c1199ff62"
+# the same for c = 1..8, recorded before the cells were assembled in flat lists
+# from orbits listed by a table of mask images
+CELLS_SHA256 = {
+    1: "4b0a36e323329105d2be873ac9c59901be79237c0f1847b5526cff20d070af43",
+    2: "e1ad750dc5f86b6fb1ee52f9513e71b78b1e39c438b8585cbe0bb1fd72abcb44",
+    3: "fd035a7222d95b59f4b90d052c2fcc95434af172855f84e70641243eae3f874e",
+    4: "c4af5182d88c9b0c63998790eea24f288d1283ef583c2a6b6f77471989fa09c0",
+    5: "f6584fdcaf60eacdec94c883fd2acee57b83c135b6fbd2259df848abd073a747",
+    6: "6c8e21b56efc1059e5e56689443335dc951238f4b0b79bb8b3b80d27a2b9f18a",
+    7: "7e8c1bd449ab5243a73467c1b10eacebdfc6accf371a505cea57b18c5ea06b54",
+    8: "c90bbfa807c26dedb3be5fa0d3bb723c3ffb3e92d04b3dcf47762613eeb4b012",
+}
 
 
 def cells_sha256(cells):
@@ -214,6 +227,25 @@ class TestGeneration:
         # every (cycle type, r, s) cell at c = 9, shared through the cache with
         # test_acceptance's published R(9, a)
         assert cells_sha256(fixed_family_counts(9)) == C9_CELLS_SHA256
+
+    def test_cells_to_eight_coatoms(self):
+        # every cell, so that a faster assembly keeps each one, not only the
+        # class counts and the identity's cells checked above
+        assert {c: cells_sha256(fixed_family_counts(c)) for c in CELLS_SHA256} == CELLS_SHA256
+
+    def test_linear_orbits_against_generator_listing(self):
+        # one permutation of every cycle type of S_c, c <= 7, its cycles in
+        # the order _fixed_families builds them and reversed: the same
+        # orbits in the same order as the listing that walks each mask's
+        # members
+        for c in range(1, 8):
+            for expo, _size in rank3.polya.symmetric_cycle_index(c).counts:
+                perm = []
+                for length, m in enumerate(expo, 1):
+                    for start in range(len(perm), len(perm) + m * length, length):
+                        perm += [*range(start + 1, start + length), start]
+                for p in perm, [c - 1 - perm[c - 1 - i] for i in range(c)]:
+                    assert rank3.polya._linear_orbits(p) == linear_orbits_by_members(p), p
 
     def test_cells_do_not_depend_on_count_order(self):
         # the sub-types' counts are kept for the process and shared by every

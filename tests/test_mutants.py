@@ -25,8 +25,8 @@ TESTS = os.path.dirname(os.path.abspath(__file__))
 MUTANTS = {
     "inclusion-exclusion sign of the bare coatoms": (
         "polya.py",
-        "step = {s: -n for s, n in poly.items()}",
-        "step = {s: n for s, n in poly.items()}",
+        "(i * j, (-1) ** (k - j) * math.comb(k, j))",
+        "(i * j, math.comb(k, j))",
         ["test_pipeline.py::TestCycleTypes::test_burnside_structure"]),
     "compatibility of orbit pairs": (
         "polya.py",
@@ -38,6 +38,17 @@ MUTANTS = {
         "total[width - stride:width] = carry if exact else [value * divisor for value in carry]",
         "total[width - stride:width] = [0] * stride",
         ["test_pipeline.py::TestProfileCache"]),
+    "orbit-counting gate": (
+        "polya.py",
+        "        if n % order:",
+        "        if False:",
+        ["test_pipeline.py::TestOrbitCountingGate"]),
+    "exact division of a series": (
+        "polya.py",
+        "    exact = not any(value % divisor for value in head)",
+        "    exact = True",
+        ["test_polya.py::TestOneDenominator::"
+         "test_divides_first_up_to_the_first_coefficient_it_cannot"]),
     "cell gate on graphs": (
         "genconn.py",
         "            if got != exist:",

@@ -531,8 +531,14 @@ def fresh_fixed_counts():
 
 
 def _count_after_failed_gate(monkeypatch, caches):
-    """Nothing cached once the gate raised, and unpatched, the count is right."""
+    """Nothing cached once the gate raised, and unpatched, the count is right:
+    every functools cache of polya is empty but those of the mask helpers
+    _members and _pairs, which hold no count."""
     assert [cache.cache_info().currsize for cache in caches] == [0, 0]
+    polya = rank3.polya
+    held = {name: f.cache_info().currsize for name, f in vars(polya).items()
+            if hasattr(f, "cache_info") and name not in ("_members", "_pairs")}
+    assert "_linear_families" in held and set(held.values()) == {0}, held
     monkeypatch.undo()
     values = rank3.count_lattices(5, 10).values
     assert values[1:] == [R_TABLE[5][a] for a in range(1, 11)]
