@@ -186,7 +186,8 @@ def validate_connection_graph(graph: BicoloredGraph) -> None:
 # least sorted mask tuple, the canonical form, with every relabelling that
 # attains it.  Those form a coset p0 Aut: an automorphism s fixes each
 # class setwise, so p0 s attains the minimum too, and q(M) = p0(M) gives
-# p0^-1 q(M) = M.  So the same search also yields the automorphisms.
+# p0^-1 q(M) = M.  So the same search also yields the automorphisms, and
+# _canonical, its one caller, hands out the form, p0 and the group.
 
 
 @functools.cache
@@ -300,17 +301,35 @@ def _symmetric(c: int, masks) -> bool:
     """Whether masks, any at all, are no connector, the one connector on all
     c coatoms or the c(c-1)/2 coatom pairs once each: graphs S_c maps onto
     themselves, so their sorted masks are canonical and every relabelling
-    wins.  The one test of which graphs skip _coatom_search."""
+    wins."""
     if len(masks) < 2:
         return not masks or masks[0] == (1 << c) - 1
     return (len(masks) == c * (c - 1) // 2
             and set(masks) == {1 << i | 1 << k for i in range(c) for k in range(i)})
 
 
+def _canonical(c: int, masks) -> tuple[tuple[int, ...], Permutation, tuple | None]:
+    """(canonical masks, p0, group) of masks on c coatoms: the least sorted
+    mapped mask tuple, the first relabelling p0 (old label -> new label)
+    attaining it, and the canonical form's automorphisms but the identity,
+    q∘p0⁻¹ for each later winner q as the canonical labels' images (()
+    if trivial).  The graphs _symmetric accepts get their sorted masks,
+    the identity and None, S_c, with no search.  The one caller of
+    _symmetric and _coatom_search."""
+    if _symmetric(c, masks):
+        return tuple(sorted(masks)), tuple(range(c)), None
+    form, (p0, *later) = _coatom_search(c, masks)
+    if later:
+        # q∘p0⁻¹ reads q at p0⁻¹(0), p0⁻¹(1), ...
+        image = operator.itemgetter(*sorted(range(c), key=p0.__getitem__))
+        later = [image(q) for q in later]
+    return form, p0, tuple(later)
+
+
 def canonicalize(graph: BicoloredGraph) -> BicoloredGraph:
     """Isomorphic copy in canonical labelling, connectors sorted by mask."""
-    c, masks = graph.coatom_count, graph.connector_masks
-    return BicoloredGraph(c, sorted(masks) if _symmetric(c, masks) else _coatom_search(c, masks)[0])
+    c = graph.coatom_count
+    return BicoloredGraph(c, _canonical(c, graph.connector_masks)[0])
 
 
 def canonical_form(graph: BicoloredGraph) -> bytes:
@@ -326,36 +345,23 @@ def canonical_form(graph: BicoloredGraph) -> bytes:
     return bytes([63 + graph.coatom_count]) + graph6_encode(canon).rstrip(b"\n")
 
 
-def _automorphisms(winners) -> tuple[Permutation, ...]:
-    """The automorphisms of a canonical form other than the identity, read
-    off the winners of the coatom search that produced it: q∘p0⁻¹ for each
-    later winner q, p0 the first, as the tuple of the canonical labels'
-    images.  Empty for a trivial group.  The census keeps this form for
-    each class, and genconn.fold_graphs folds it."""
-    if len(winners) == 1:
-        return ()
-    # q∘p0⁻¹ reads q at p0⁻¹(0), p0⁻¹(1), ...
-    image = operator.itemgetter(*sorted(range(len(winners[0])), key=winners[0].__getitem__))
-    return tuple([image(q) for q in winners[1:]])
-
-
 def automorphism_group_on_coatoms(graph: BicoloredGraph) -> PermGroup:
     """Coatom permutations that extend to automorphisms of the graph.
 
     A coatom permutation extends iff it maps the multiset of connector
     neighbourhoods onto itself; the connector images are then induced by
     neighbourhood matching and carry no extra freedom worth recording.
-    The group is read off the canonical search: with p0 the first
-    bijection attaining the minimum, the automorphisms are p0^-1 q for
-    every attaining q, the identity first.  The graphs S_c maps onto
-    themselves (_symmetric) get S_c, listed directly, with no search.
+    The group is _canonical's, conjugated back onto the graph's labels:
+    p0⁻¹∘a∘p0 for the identity and each automorphism a of the canonical
+    form, the identity first.  The graphs S_c maps onto themselves get
+    S_c, listed directly, with no search.
     """
     c = graph.coatom_count
-    if _symmetric(c, graph.connector_masks):
+    _form, p0, group = _canonical(c, graph.connector_masks)
+    if group is None:
         return PermGroup(c, itertools.permutations(range(c)))
-    winners = _coatom_search(c, graph.connector_masks)[1]
-    inverse = sorted(range(c), key=winners[0].__getitem__)
-    return PermGroup(c, [tuple(map(inverse.__getitem__, q)) for q in winners])
+    inverse = sorted(range(c), key=p0.__getitem__)
+    return PermGroup(c, ([inverse[a[j]] for j in p0] for a in (range(c), *group)))
 
 
 # -- graph6 ------------------------------------------------------------------
@@ -424,9 +430,10 @@ def graph6_decode(line: bytes, coatom_count: int, connector_count: int) -> Bicol
     """Decode one graph6 line into a graph with the declared colour split.
 
     Raises SizeMismatchError when the vertex count disagrees with
-    coatom_count + connector_count, ClassViolationError when the encoded
-    graph has an edge within one colour class, and Graph6Error for any
-    malformed encoding (bad characters, wrong length, nonzero padding).
+    coatom_count + connector_count, ValueError for a negative count,
+    ClassViolationError when the encoded graph has an edge within one
+    colour class, and Graph6Error for any malformed encoding (bad
+    characters, wrong length, nonzero padding).
     """
     if isinstance(line, str):
         line = line.encode("ascii")
@@ -441,6 +448,8 @@ def graph6_decode(line: bytes, coatom_count: int, connector_count: int) -> Bicol
     if n != coatom_count + connector_count:
         raise SizeMismatchError("encoding has %d vertices, expected %d + %d"
                                 % (n, coatom_count, connector_count))
+    if connector_count < 0:
+        raise ValueError("connector count must be nonnegative")
     nbits = n * (n - 1) // 2
     nbytes = (nbits + 5) // 6
     if len(data) - 1 != nbytes:

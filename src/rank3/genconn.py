@@ -11,7 +11,7 @@ search is kept only from the class's canonical parent (the orbit step
 and canonical construction path of McKay, "Isomorph-free exhaustive
 generation", J. Algorithms 26, 1998).  So every isomorphism class past
 r = 0 is found exactly once, with its automorphism group in the form
-fold_graphs folds (bigraph._automorphisms; None for S_c).
+fold_graphs folds (bigraph._canonical's; None for S_c).
 
 Each parent class is extended on its own, so the parents of a stratum
 are extended through _in_shares, the forked map fold_graphs also uses.
@@ -23,13 +23,12 @@ census times on one and on two cores.
 
 Graphs passed in or read are checked and measured (r and s) once each,
 on every usable CPU, by _search, and walked in order by fold_graphs,
-the one loop over them.  A graph's coatom search gives its group, in
+the one loop over them.  bigraph._canonical gives a graph's group, in
 the form the census keeps, and the canonical form that checks the list
-is isomorph-free; the graphs S_c maps onto themselves
-(bigraph._symmetric) get their sorted masks and S_c with no search, so
-the r = 0 class folds at once at any c.  fold_graphs maps _search over
-each chunk through _in_shares, which says when it forks (not for the 72
-graphs at c = 5).  check_graphs gates the fold on the cells of
+is isomorph-free; the graphs S_c maps onto themselves get their sorted
+masks and S_c with no search, so the r = 0 class folds at once at any
+c.  fold_graphs maps _search over each chunk through _in_shares, which
+says when it forks (not for the 72 graphs at c = 5).  check_graphs gates the fold on the cells of
 polya.fixed_family_counts: a class G stands for c!/|Aut G| labelled
 families, so a missing class (a stratum truncated with its manifest
 line) breaks the identity's cells, the labelled families, and a group
@@ -98,26 +97,23 @@ def _extended(c: int, pools, pairs, parent) -> list:
             if any(k + (x & m != 0) > met for x, k in kept):
                 continue
             ties = [x for x, k in kept if k + (x & m != 0) == met]
-        grown = fam + (m,)
-        if bigraph._symmetric(c, grown):
-            # every relabelling wins, and maps m onto every mask of its rank
-            found.append((tuple(sorted(grown)), None))
-            continue
-        form, winners = bigraph._coatom_search(c, grown)
-        if ties:
-            # kept only if a winner maps m to the least canonical mask of its rank
-            p0 = winners[0]
-            least = min(sum(1 << p0[i] for i in _members(x)) for x in ties + [m])
-            if all(sum(1 << q[i] for i in mem) != least for q in winners):
+        form, p0, automorphisms = bigraph._canonical(c, fam + (m,))
+        if ties and automorphisms is not None:
+            # kept only if p0, or p0 then an automorphism, maps m to the least
+            # canonical mask of its rank; under S_c (None) every relabelling wins
+            image = sum(1 << p0[i] for i in mem)
+            least = min(image, *(sum(1 << p0[i] for i in _members(x)) for x in ties))
+            if image != least and all(sum(1 << a[i] for i in _members(image)) != least
+                                      for a in automorphisms):
                 continue
-        found.append((form, bigraph._automorphisms(winners)))
+        found.append((form, automorphisms))
     return found
 
 
 def _classes(coatom_count: int):
     """Yield (canonical masks, kept group) for one class of connection graphs
     per isomorphism class, the group as image tuples (see
-    bigraph._automorphisms), or None for S_c.
+    bigraph._canonical), or None for S_c.
 
     Output comes in ascending connector count r.  Stratum r+1 extends each
     class P of stratum r by every mask m that shares no coatom pair with P
@@ -138,15 +134,15 @@ def _classes(coatom_count: int):
     Each class comes from exactly one extension, its canonical parent's
     (McKay's canonical construction path).  Every winner of the search of
     G = P + m maps the connectors of m's rank onto the same canonical
-    masks, rank being invariant, and G is kept iff some winner maps m to
-    the least of them, L.  So G is kept only from the class of G minus a
-    connector that a winner maps to L, and two masks of P that give G so
-    differ by an automorphism of P, of which the orbit filter keeps one.
-    The class keeps the group read off that search's winners, but those
-    bigraph._symmetric accepts (r = 0, the full connector, all coatom
-    pairs) keep None, S_c, whose orbit filter keeps only the least mask of
-    each size, m & (m + 1) == 0: the last two are found with no search or
-    tie test.
+    masks, rank being invariant, and G is kept iff some winner (p0, or p0
+    then an automorphism bigraph._canonical gives) maps m to the least of
+    them, L.  So G is kept only from the class of G minus a connector that
+    a winner maps to L, and two masks of P that give G so differ by an
+    automorphism of P, of which the orbit filter keeps one.  The class
+    keeps that group, but the S_c-invariant classes (r = 0, the full
+    connector, all coatom pairs) keep None, S_c, whose orbit filter keeps
+    only the least mask of each size, m & (m + 1) == 0: the last two are
+    found with no search or tie test.
     Each stratum is sorted once in graph6 byte order, without encoding,
     and its masks seed the next, so two runs give byte-identical output.
 
@@ -303,10 +299,8 @@ _CHUNK = 16384
 def _search(c: int, kept: dict, graph):
     """Why graph is rejected, if it does not have c coatoms or fails
     validate_connection_graph, else (canonical masks, or None where they
-    are the graph's own, group, r, s), the group as
-    bigraph._automorphisms gives it.
-
-    A graph that bigraph._symmetric accepts gets its sorted masks and
+    are the graph's own, group, r, s), the form and group of
+    bigraph._canonical, which gives the graphs S_c maps onto themselves
     group None, S_c's slot, with no search.  Equal groups are one object
     through kept, one dict per fold, since marshal writes each object
     once: a child's share of 5404 graphs of the c = 7 census sends
@@ -318,14 +312,8 @@ def _search(c: int, kept: dict, graph):
     except ValueError as exc:
         return str(exc)
     masks = graph.connector_masks
-    r, s = count_r_s(graph)
-    if bigraph._symmetric(c, masks):
-        canon, group = tuple(sorted(masks)), None
-    else:
-        canon, winners = bigraph._coatom_search(c, masks)
-        group = bigraph._automorphisms(winners)
-        group = kept.setdefault(group, group)
-    return (None if canon == masks else canon, group, r, s)
+    canon, _p0, group = bigraph._canonical(c, masks)
+    return (None if canon == masks else canon, kept.setdefault(group, group), *count_r_s(graph))
 
 
 def fold_graphs(coatom_count: int, graphs) -> tuple:

@@ -153,7 +153,7 @@ def count_lattices(coatom_count: int, max_atoms: int) -> CountTable:
     Where the entry's series covers max_atoms, the table is one lookup and
     one copy; any other count is count_lattices_stats's."""
     entry = _generated.get(coatom_count)
-    if entry is not None and coatom_count.__class__ is int and -1 < max_atoms < len(entry[3]):
+    if entry is not None and coatom_count.__class__ is int and 0 <= max_atoms < len(entry[3]):
         return CountTable(coatom_count, max_atoms, entry[3][:max_atoms + 1])
     return count_lattices_stats(coatom_count, max_atoms)[0]
 

@@ -1,11 +1,11 @@
 """Plain oracles shared by the test files: coatom relabelling, the labelled
-families, the generator's candidate scan, the orbits of connectors and the
-cycle-type substitution."""
+families, a search's automorphisms, the generator's candidate scan, the
+orbits of connectors and the cycle-type substitution."""
 
 import functools
 from itertools import accumulate
 
-from rank3.bigraph import _automorphisms, _coatom_search, _members, _pairs, _symmetric
+from rank3.bigraph import _coatom_search, _members, _pairs, _symmetric
 
 
 def map_mask(mask, perm):
@@ -53,13 +53,25 @@ def linear_orbits_by_members(perm):
     return orbits
 
 
+def automorphisms_of_winners(winners):
+    """Oracle: the automorphisms of a canonical form other than the identity,
+    read off the winners of the coatom search that produced it: q∘p0⁻¹ for
+    each later winner q, p0 the first, as the tuple of the canonical labels'
+    images, composed label by label."""
+    p0 = winners[0]
+    inverse = {image: i for i, image in enumerate(p0)}
+    return tuple(tuple(q[inverse[j]] for j in range(len(p0))) for q in winners[1:])
+
+
 def extended_by_pool_loop(c, parent):
     """Oracle: genconn._extended's list for parent, a (family, group) class on
     c coatoms, from a loop that walks the whole pool, largest masks first,
     stops at the first mask smaller than the family's largest, skips each
     mask that shares a coatom pair with the family and maps each mask by
     map_mask: under S_c, a group None, a mask is least in its orbit iff it
-    is the least of its size."""
+    is the least of its size.  The canonical parent is tested on the
+    search's winners themselves: some winner must map the mask to the
+    least canonical mask of its rank."""
     pool = sorted((m for m in range(1 << c) if m.bit_count() >= 2),
                   key=int.bit_count, reverse=True)
     fam, group = parent
@@ -96,7 +108,7 @@ def extended_by_pool_loop(c, parent):
             least = min(sum(1 << p0[i] for i in _members(x)) for x in ties + [m])
             if all(sum(1 << q[i] for i in mem) != least for q in winners):
                 continue
-        found.append((form, _automorphisms(winners)))
+        found.append((form, automorphisms_of_winners(winners)))
     return found
 
 

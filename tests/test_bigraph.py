@@ -119,6 +119,8 @@ def plain_graph6_decode(line, coatom_count, connector_count):
     if n != coatom_count + connector_count:
         raise rank3.SizeMismatchError("encoding has %d vertices, expected %d + %d"
                                       % (n, coatom_count, connector_count))
+    if connector_count < 0:
+        raise ValueError("connector count must be nonnegative")
     nbits = n * (n - 1) // 2
     nbytes = (nbits + 5) // 6
     if len(data) - 1 != nbytes:
@@ -631,6 +633,16 @@ class TestGraph6:
     def test_size_mismatch(self):
         with pytest.raises(rank3.SizeMismatchError):
             rank3.graph6_decode(b"BW\n", 3, 1)
+
+    @pytest.mark.parametrize("line, c, r", [(b"C?\n", 5, -1), (b"BW\n", 5, -2), (b"?\n", 1, -1)],
+                             ids=["bare-coatoms", "one-connector", "no-vertex"])
+    def test_negative_connector_count_rejected(self, line, c, r):
+        # c + r is the line's vertex count, so the size check alone took each
+        # line as a graph on c coatoms with no connector
+        with pytest.raises(ValueError) as info:
+            rank3.graph6_decode(line, c, r)
+        assert type(info.value) is ValueError
+        assert str(info.value) == "connector count must be nonnegative"
 
     def test_class_violation_coatom_edge(self):
         # triangle on 3 vertices has a coatom-coatom edge under any split

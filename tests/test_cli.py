@@ -111,13 +111,17 @@ class TestCount:
 
 
 def _drop_last_line(directory):
+    # the manifest left as written: the reader names the short stratum, not
+    # the cell gate the missing class
     path = directory / "conn_c5_r4.g6"
     path.write_bytes(b"".join(path.read_bytes().splitlines(keepends=True)[:-1]))
+    return "error: conn_c5_r4.g6 holds 14 graphs, the manifest 15\n"
 
 
 def _repeat_first_line(directory):
     path = directory / "conn_c5_r4.g6"
     path.write_bytes(path.read_bytes().splitlines(keepends=True)[0] + path.read_bytes())
+    return "error: conn_c5_r4.g6 holds 16 graphs, the manifest 15\n"
 
 
 def _remove_manifest(directory):
@@ -359,6 +363,18 @@ class TestMalformedInput:
         assert run_cli("eval", "--quasipoly", path, "--atoms", 10) == cli.EXIT_INPUT
         assert "error" in capsys.readouterr().err
 
+
+    def test_eval_rejects_missing_constituent(self, tmp_path, capsys):
+        # the published c = 5 form, period 60, without its last constituent:
+        # read as it is, a = 10^6 is answered from residue 40 and a = 59 ends
+        # in an IndexError
+        data = rank3.quasipolynomial_to_json(rank3.reference_quasipolynomial(5), 5)
+        del data["constituents"][-1]
+        path = tmp_path / "short.json"
+        path.write_text(json.dumps(data))
+        for atoms in 10 ** 6, 59:
+            assert run_cli("eval", "--quasipoly", path, "--atoms", atoms) == cli.EXIT_INPUT
+            assert capsys.readouterr() == ("", "error: expected 60 constituents, got 59\n")
 
 class TestVerify:
     def test_small_run_passes(self, capsys):

@@ -18,13 +18,13 @@ from fractions import Fraction
 import pytest
 
 import rank3
-from rank3.bigraph import _automorphisms, _coatom_search, _pairs
+from rank3.bigraph import _canonical, _coatom_search, _pairs
 from rank3.genconn import _relabel_can_shrink
 from rank3.polya import fixed_family_counts
 
 from forking import assert_reaped, usable_cpus
-from oracles import (extended_by_pool_loop, labelled_connection_families,
-                     linear_orbits_by_members, map_mask)
+from oracles import (automorphisms_of_winners, extended_by_pool_loop,
+                     labelled_connection_families, linear_orbits_by_members, map_mask)
 from reference_values import GRAPH_CENSUS, PER_R_COUNTS, R_TABLE
 
 
@@ -362,9 +362,9 @@ class TestGeneration:
         assert len(run.extensions) == GRAPH_CENSUS[c] - 1
 
     def test_kept_groups_are_the_automorphisms(self, graphs_by_c):
-        # the group a class keeps is read off the winners of a search on any
-        # labelling of it, and acts on the canonical labels; a relabelled,
-        # shuffled copy makes the first winner differ from the identity
+        # the group a class keeps is _canonical's on any labelling of it, and
+        # acts on the canonical labels, which p0 maps the given ones to; a
+        # relabelled, shuffled copy makes p0 differ from the identity
         rng = random.Random(20261019)
         for c, graphs in graphs_by_c.items():
             for g in graphs:
@@ -373,9 +373,14 @@ class TestGeneration:
                 moved = [map_mask(m, perm) for m in g.connector_masks]
                 rng.shuffle(moved)
                 for masks in (g.connector_masks, moved):
-                    form, winners = _coatom_search(c, masks)
+                    form, p0, images = _canonical(c, masks)
                     assert form == g.connector_masks
-                    images = _automorphisms(winners)
+                    assert tuple(sorted(map_mask(m, p0) for m in masks)) == form
+                    if images is None:
+                        # S_c, unsearched, with p0 the identity
+                        assert rank3.bigraph._symmetric(c, masks) and p0 == tuple(range(c))
+                        assert len(want) == math.factorial(c) - 1
+                        continue
                     assert all(len(s) == c for s in images)
                     assert set(images) == want
                     assert len(images) == len(want)
@@ -393,7 +398,7 @@ class TestGeneration:
             assert all(group is seed for group in symmetric)
             for form, group in classes:
                 if not rank3.bigraph._symmetric(c, form):
-                    want = _automorphisms(_coatom_search(c, form)[1])
+                    want = automorphisms_of_winners(_coatom_search(c, form)[1])
                     assert set(group) == set(want) and len(group) == len(want), form
 
     def test_graphs_are_the_classes(self, graphs_by_c, classes_by_c):

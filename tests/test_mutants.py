@@ -54,6 +54,66 @@ MUTANTS = {
         "            if got != exist:",
         "            if False:",
         ["test_pipeline.py::TestCellGate"]),
+    "isomorph check of a list of graphs": (
+        "genconn.py",
+        "            if canon in seen:",
+        "            if False:",
+        ["test_pipeline.py::TestCounting::test_isomorphic_copy_rejected"]),
+    "canonical parent of a census class": (
+        "genconn.py",
+        "        if ties and automorphisms is not None:",
+        "        if False:",
+        ["test_genconn.py::TestGeneration::test_census_counts"]),
+    "graph6 padding": (
+        "bigraph.py",
+        "    if z >> nbits:",
+        "    if False:",
+        ["test_bigraph.py::TestGraph6"]),
+    "graph6 colour classes": (
+        "bigraph.py",
+        "    if stray:",
+        "    if False:",
+        ["test_bigraph.py::TestGraph6"]),
+    "graph6 connector count": (
+        "bigraph.py",
+        "    if connector_count < 0:",
+        "    if False:",
+        ["test_bigraph.py::TestGraph6::test_negative_connector_count_rejected"]),
+    "atom bound of a cached count": (
+        "pipeline.py",
+        "0 <= max_atoms < len(entry[3])",
+        "-1 < max_atoms < len(entry[3])",
+        ["test_pipeline.py::TestCounting::test_bad_atom_count_raises_alike_fresh_and_cached"]),
+    "CSV digits": (
+        "pipeline.py",
+        "    if not (text.isascii() and text.isdigit()):",
+        "    if False:",
+        ["test_pipeline.py::TestCountTable::test_csv_takes_only_what_write_csv_writes"]),
+    "CSV row gaps": (
+        "pipeline.py",
+        "            if a != len(values):",
+        "            if False:",
+        ["test_pipeline.py::TestCountTable::test_csv_gap_checked"]),
+    "manifest total": (
+        "pipeline.py",
+        "    if total != sum(n for _name, n in listed):",
+        "    if False:",
+        ["test_cli.py::TestDamagedCensus"]),
+    "stratum line count": (
+        "pipeline.py",
+        "        if len(lines) != n:",
+        "        if False:",
+        ["test_cli.py::TestDamagedCensus"]),
+    "constituent count of a fit JSON": (
+        "quasifit.py",
+        "    if len(constituents) != period:",
+        "    if False:",
+        ["test_cli.py::TestMalformedInput::test_eval_rejects_missing_constituent"]),
+    "fit's check against its table": (
+        "quasifit.py",
+        "    if failures:",
+        "    if False:",
+        ["test_quasifit.py::TestFitting::test_rejection_reports_index"]),
 }
 
 # the mutated process prints its rank3's path first, then runs pytest

@@ -153,6 +153,17 @@ class TestCounting:
             with pytest.raises(ValueError, match="^maximum atom count must be nonnegative$"):
                 rank3.count_lattices(3, a)
 
+    @pytest.mark.parametrize("a, error", [(-0.5, ValueError), (2.0, TypeError)])
+    def test_bad_atom_count_raises_alike_fresh_and_cached(self, a, error):
+        # the fast path of a count its entry covers raises what a fresh count
+        # raises: ValueError for -0.5, not a TypeError from the slice
+        rank3.pipeline._generated.pop(3, None)
+        for state in "fresh", "cached":
+            with pytest.raises(Exception) as info:
+                rank3.count_lattices(3, a)
+            assert type(info.value) is error, state
+            rank3.count_lattices(3, 10)
+
     def test_non_integer_coatom_count_refused(self, generations):
         # alike before the entry of 3 is made and after, inside its series
         # and past it
@@ -484,22 +495,22 @@ class TestCellGate:
     def test_same_order_group_rejected(self, monkeypatch, graphs_by_c):
         # the first group {id, (a b)} is given as {id, (a b)(x y)}: its order,
         # and so every labelled cell, is right, and its cycle types are not
-        automorphisms = rank3.bigraph._automorphisms
+        canonical = rank3.bigraph._canonical
         swapped = []
 
-        def same_order(winners):
+        def same_order(c, masks):
             # the group as the fold takes it: its elements but the identity
-            group = automorphisms(winners)
+            form, p0, group = canonical(c, masks)
             moved = [i for i, p in enumerate(group[-1]) if p != i] if group else []
-            if swapped or len(group) != 1 or len(moved) != 2:
-                return group
-            x, y = [i for i in range(len(group[-1])) if i not in moved][:2]
+            if swapped or len(moved) != 2 or len(group) != 1:
+                return form, p0, group
+            x, y = [i for i in range(c) if i not in moved][:2]
             perm = list(group[-1])
             perm[x], perm[y] = y, x
             swapped.append(perm)
-            return (tuple(perm),)
+            return form, p0, (tuple(perm),)
 
-        monkeypatch.setattr(rank3.bigraph, "_automorphisms", same_order)
+        monkeypatch.setattr(rank3.bigraph, "_canonical", same_order)
         with pytest.raises(rank3.GraphInputError) as info:
             rank3.genconn.check_graphs(5, graphs_by_c[5])
         assert swapped == [[1, 0, 2, 4, 3]]    # (3 4) given as (0 1)(3 4)
@@ -922,9 +933,11 @@ class TestCountTable:
             rank3.read_csv(path, 3)
 
     def test_csv_gap_checked(self, tmp_path):
+        # the gap comes after R(3, 0..2), which the first rows check, so only
+        # the row check can refuse it
         path = tmp_path / "gap.csv"
-        path.write_text("a,R\n0,0\n2,3\n")
-        with pytest.raises(ValueError):
+        path.write_text("a,R\n0,0\n1,1\n2,3\n4,13\n")
+        with pytest.raises(ValueError, match=r"^rows must run a = 0, 1, \.\.\. without gaps$"):
             rank3.read_csv(path, 3)
 
     @pytest.mark.parametrize("row", ["9,+2916", "9, 2916", "9,2916 ", "9,2_916",
