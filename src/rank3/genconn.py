@@ -275,7 +275,8 @@ def _in_shares(work, items) -> list:
             if status == 0:
                 with contextlib.suppress(EOFError, ValueError, TypeError):
                     results = marshal.loads(data)
-                    if isinstance(results, list) and len(results) == len(shares[p]):
+                    if isinstance(results, list):
+                        # n > 1, so an extended slice: a list of another length raises ValueError
                         found[p::n] = results
                         missing.remove(p)
             del data    # one child's bytes at a time, none once decoded

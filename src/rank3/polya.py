@@ -14,14 +14,15 @@ types (each polynomial packed into one integer, so that its product by
 D / D_m is one integer product), so the sum is one finite numerator N
 over D, and expand_rational expands it by sum_i M_i running-sum passes
 instead of one pass per cycle of every type: 10 against 20 for S_5, 27
-against 192 for S_10.
+against 192 for S_10.  N ends at its last nonzero term.
 Its division is checked exact, so a bug upstream surfaces as an
 integrality failure, not a rounding one.  As D(0) = 1 that is a check
-on N, which is divided before the passes, so no term of the series is
-divided.  extend_rational continues a series from the last terms each
-pass wrote, its carries: pipeline keeps N, the series and its carries
-per coatom count for the process, so a longer series pays only the
-passes over its new terms; the substitution caches nothing.
+on N: its first term the divisor does not divide is also the first of
+N / D, and the error names its index.  N is divided before the passes.
+extend_rational continues a series from the last terms each pass wrote,
+its carries: pipeline keeps N, the series and its carries per coatom
+count for the process, so a longer series pays only the passes over its
+new terms; the substitution caches nothing.
 
 fixed_family_counts counts, without a census, the labelled families each
 cycle type of S_c fixes, per connector count and uncovered coatoms: by
@@ -127,7 +128,8 @@ def one_denominator(cells) -> tuple[tuple[int, ...], tuple[int, ...]]:
     it.  Each type (m_1, ..., m_c) stands for Q(x) / D_m with
     D_m = prod_i (1 - x^i)^m_i, Q[k] the sum of its cells with r + s = k.
     Over D = prod_i (1 - x^i)^M_i, M_i the largest m_i of any type, their
-    sum is N / D with the finite polynomial N = sum of Q * D / D_m.
+    sum is N / D with the finite polynomial N = sum of Q * D / D_m, up to
+    its last nonzero term.
     """
     top = [max(m) for m in zip(*cells)]
     # every polynomial packed into one integer, term k at bit k * width, so
@@ -136,14 +138,13 @@ def one_denominator(cells) -> tuple[tuple[int, ...], tuple[int, ...]]:
     # 2^sum(M_i), so width bits hold it with its sign
     width = sum(abs(n) for by_cell in cells.values() for n in by_cell.values()).bit_length()
     width += sum(top) + 1
-    packed = length = 0
+    packed = 0
     for expo, by_cell in cells.items():
         gap = [(i, most - m) for i, (most, m) in enumerate(zip(top, expo), 1)]
-        length = max(length, max(map(sum, by_cell), default=-1) + 1 + sum(i * k for i, k in gap))
         packed += (sum(n << (r + s) * width for (r, s), n in by_cell.items())
                    * math.prod((1 - (1 << i * width)) ** k for i, k in gap))
     numerator, half = [], 1 << width - 1
-    for _ in range(length):
+    while packed:
         numerator.append((packed + half & (1 << width) - 1) - half)
         packed = (packed - numerator[-1]) >> width
     return tuple(numerator), tuple(top)
@@ -173,29 +174,25 @@ def extend_rational(numerator, carries, divisor: int, terms: range) -> tuple[lis
     the last i terms the pass of stride i wrote before terms.start.  A
     pass at index k reads only indices up to k, so the new terms need the
     new terms of N and the carries alone.  The division is checked exact
-    on the new terms of N: D(0) = 1, so with the earlier terms of N
-    multiples of the divisor, the new terms of N / D are multiples exactly
-    when those of N are, and N is divided before the passes.  Otherwise
-    the error names the first term of N / D that is not one, as a call
-    from term 0 would.
+    on the new terms of N, before the passes: D(0) = 1, so with the
+    earlier terms of N multiples of the divisor, the first new term of N
+    that is not one is the first such term of N / D, and the
+    ArithmeticError names its index, as a call from term 0 would.
     """
     head = numerator[terms.start:terms.stop]
-    exact = not any(value % divisor for value in head)
+    for k, value in enumerate(head, terms.start):
+        if value % divisor:
+            raise ArithmeticError("term %d of N / D not divisible by %d" % (k, divisor))
     width = max(map(len, carries), default=0)
-    total = [0] * width
-    total += [value // divisor for value in head] if exact else head
-    total += [0] * (len(terms) - len(head))
+    total = [0] * width + [value // divisor for value in head] + [0] * (len(terms) - len(head))
     kept = []
     for carry in carries:
-        # the pass's own terms before the new ones, undivided if N is not divided
+        # the pass's own terms before the new ones
         stride = len(carry)
-        total[width - stride:width] = carry if exact else [value * divisor for value in carry]
+        total[width - stride:width] = carry
         _geometric_mul(total, stride, width - stride)
         kept.append(total[-stride:])
     del total[:width]
-    if not exact:
-        value = next(value for value in total if value % divisor)
-        raise ArithmeticError("coefficient %d not divisible by %d" % (value, divisor))
     return total, kept
 
 

@@ -133,7 +133,8 @@ def substitute_per_cell(cells, divisor, length):
     """Oracle: (1/divisor) * sum of n x^(r+s) prod_i (1 - x^i)^(-m_i) over
     the cells of a cell table {cycle type: {(r, s): n}}, each cell's series
     expanded over its type's own denominator by m_i running sums of step i,
-    truncated to ``length`` terms; the division is checked exact."""
+    truncated to ``length`` terms; the division is checked exact, and the
+    error names the first term the divisor does not divide."""
     total = [0] * length
     for expo, by_cell in cells.items():
         for (r, s), n in by_cell.items():
@@ -146,9 +147,9 @@ def substitute_per_cell(cells, divisor, length):
                         term[start::stride] = accumulate(term[start::stride])
             total = [t + x for t, x in zip(total, term)]
     out = []
-    for value in total:
+    for k, value in enumerate(total):
         q, rem = divmod(value, divisor)
         if rem:
-            raise ArithmeticError("coefficient %d not divisible by %d" % (value, divisor))
+            raise ArithmeticError("term %d of N / D not divisible by %d" % (k, divisor))
         out.append(q)
     return out

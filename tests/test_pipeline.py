@@ -147,11 +147,19 @@ class TestCounting:
             rank3.count_lattices(0, 5)
         with pytest.raises(ValueError):
             rank3.count_lattices(3, -1)
+        # NaN coatoms, which no comparison admits, are a ValueError, not the
+        # TypeError operator.index would raise; alike before and after the
+        # series of 3 is made
+        nan_coatoms = "^coatom count must be positive$"
+        with pytest.raises(ValueError, match=nan_coatoms):
+            rank3.count_lattices(float("nan"), 5)
         # with the series made, a bad count still misses it and is refused
         rank3.count_lattices(3, 10)
         for a in -1, -5, float("nan"):
             with pytest.raises(ValueError, match="^maximum atom count must be nonnegative$"):
                 rank3.count_lattices(3, a)
+        with pytest.raises(ValueError, match=nan_coatoms):
+            rank3.count_lattices(float("nan"), 5)
 
     @pytest.mark.parametrize("a, error", [(-0.5, ValueError), (2.0, TypeError)])
     def test_bad_atom_count_raises_alike_fresh_and_cached(self, a, error):

@@ -67,6 +67,12 @@ class TestCycleIndex:
         }
         assert coefficients(z) == expected
 
+    def test_empty_group_rejected(self):
+        # with no element there is no order to divide by: unchecked, the
+        # empty index gave group_balls a series of zeros for 3 boxes
+        with pytest.raises(ValueError, match="^group must contain at least the identity$"):
+            rank3.group_balls(rank3.cycle_index(rank3.PermGroup(3, [])), 3, 5)
+
     def test_symmetric_group_from_class_sizes(self):
         # S_n's cycle index from n!/prod i^m_i m_i!, against all n! permutations
         for n in range(1, 8):
@@ -162,8 +168,13 @@ class TestGroupBalls:
 
     def test_degree_mismatch_rejected(self):
         z = rank3.cycle_index(symmetric_group(2))
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="^cycle index has degree 2, not 3$"):
             rank3.group_balls(z, 3, 4)
+        # a cycle type of 4 boxes in an index of degree 3: the exponent
+        # check takes it, so only the degree check refuses it
+        z = rank3.CycleIndex(3, 1, (((0, 0, 0, 1), 1),))
+        with pytest.raises(ValueError, match="^cycle index has degree 3, not 4$"):
+            rank3.group_balls(z, 4, 5)
 
 
 class TestSeries:
@@ -200,6 +211,14 @@ class TestFunctionCountingSeries:
             rank3.group_balls(z, 1, 3)
 
 
+# (deg N, deg D, n0) of the count's c! sum_a R(c, a) x^a = N / D, deg D =
+# sum_i i M_i, and n0 = max(0, deg N - deg D + 1), from which R(c, a) is one
+# quasipolynomial: ROADMAP item 2's table
+COUNT_DEGREES = {1: (1, 1, 1), 2: (3, 4, 0), 3: (6, 8, 0), 4: (14, 15, 0), 5: (23, 21, 3),
+                 6: (38, 33, 6), 7: (50, 41, 10), 8: (70, 56, 15), 9: (90, 69, 22),
+                 10: (115, 87, 29)}
+
+
 class TestOneDenominator:
     """expand_rational of one_denominator puts every type of a cell table
     over one denominator; the oracle expands each cell over its type's own."""
@@ -218,6 +237,7 @@ class TestOneDenominator:
     def test_equals_per_type_substitution(self, data):
         cells = self.draw_cells(data)
         numerator, _exponents = rank3.polya.one_denominator(cells)
+        assert not numerator or numerator[-1]
         # lengths on both sides of N's length, where truncating N first matters
         length = data.draw(st.integers(0, len(numerator) + 6))
         divisor = data.draw(st.integers(1, 4))
@@ -249,7 +269,7 @@ class TestOneDenominator:
         # N is divided before the running sums when its first ``length``
         # terms are multiples of the divisor: up to the first term that is
         # not, the series equals the oracle's, and from it on the error
-        # names the oracle's coefficient
+        # names the oracle's term
         # Q = 3 + 6x^2 over (1 - x)^2 and 3x + 4x^3 over 1 - x^2
         cells = {(2, 0): {(0, 0): 3, (1, 1): 6}, (0, 1): {(1, 0): 3, (2, 1): 4}}
         numerator, exponents = rank3.polya.one_denominator(cells)
@@ -260,13 +280,26 @@ class TestOneDenominator:
         with pytest.raises(ArithmeticError) as info:
             rank3.polya.expand_rational(numerator, exponents, 3, first + 1)
         assert str(info.value) == outcome(substitute_per_cell, cells, 3, first + 1)
-        assert str(info.value).startswith("coefficient ")
-        # continued from the carries at ``first``, the series names the same coefficient
+        assert str(info.value) == "term %d of N / D not divisible by 3" % first
+        # continued from the carries at ``first``, the series names the same term
         carries = rank3.polya.extend_rational(numerator, rank3.polya.start_carries(exponents),
                                               3, range(first))[1]
         with pytest.raises(ArithmeticError) as grown:
             rank3.polya.extend_rational(numerator, carries, 3, range(first, first + 1))
         assert str(grown.value) == str(info.value)
+
+    def test_zero_numerator_has_no_term(self):
+        # the cells of r + s = 2 cancel, so N = 0 has no term at all
+        assert rank3.polya.one_denominator({(0, 1): {(0, 2): 3, (1, 1): -3}, (2, 0): {}}) == \
+            ((), (2, 1))
+        assert rank3.polya.expand_rational((), (2, 1), 5, 4) == [0, 0, 0, 0]
+
+    @pytest.mark.parametrize("c", [*range(1, 10), pytest.param(10, marks=pytest.mark.slow)])
+    def test_count_numerator_ends_at_its_last_term(self, c):
+        numerator, exponents = rank3.polya.one_denominator(rank3.polya.fixed_family_counts(c))
+        assert numerator[-1]
+        deg_n, deg_d = len(numerator) - 1, sum(i * m for i, m in enumerate(exponents, 1))
+        assert (deg_n, deg_d, max(0, deg_n - deg_d + 1)) == COUNT_DEGREES[c]
 
     @settings(max_examples=150, deadline=None)
     @given(data=st.data())
