@@ -20,7 +20,7 @@ import math
 import operator
 import struct
 
-from .polya import _members, _pairs
+from .polya import _count, _members, _pairs
 
 Permutation = tuple[int, ...]
 
@@ -82,8 +82,7 @@ class BicoloredGraph:
     __slots__ = ("coatom_count", "connector_masks")
 
     def __init__(self, coatom_count: int, neighborhoods=()):
-        if coatom_count < 0:
-            raise ValueError("coatom count must be nonnegative")
+        coatom_count = _count(coatom_count, "coatom count", 0)
         masks = []
         for nb in neighborhoods:
             if isinstance(nb, int):
@@ -430,10 +429,12 @@ def graph6_decode(line: bytes, coatom_count: int, connector_count: int) -> Bicol
     """Decode one graph6 line into a graph with the declared colour split.
 
     Raises SizeMismatchError when the vertex count disagrees with
-    coatom_count + connector_count, ValueError for a negative count,
-    ClassViolationError when the encoded graph has an edge within one
-    colour class, and Graph6Error for any malformed encoding (bad
-    characters, wrong length, nonzero padding).
+    coatom_count + connector_count, ClassViolationError when the encoded
+    graph has an edge within one colour class, and Graph6Error for any
+    malformed encoding (bad characters, wrong length, nonzero padding).
+    Each count goes through polya._count where it is first needed, the
+    connector count after the size, the coatom count after the colour
+    classes: ValueError if negative, TypeError if not an int.
     """
     if isinstance(line, str):
         line = line.encode("ascii")
@@ -446,10 +447,9 @@ def graph6_decode(line: bytes, coatom_count: int, connector_count: int) -> Bicol
     if not 0 <= n <= 62:
         raise Graph6Error("bad graph6 size byte %r" % data[0:1])
     if n != coatom_count + connector_count:
-        raise SizeMismatchError("encoding has %d vertices, expected %d + %d"
+        raise SizeMismatchError("encoding has %d vertices, expected %s + %s"
                                 % (n, coatom_count, connector_count))
-    if connector_count < 0:
-        raise ValueError("connector count must be nonnegative")
+    _count(connector_count, "connector count", 0)
     nbits = n * (n - 1) // 2
     nbytes = (nbits + 5) // 6
     if len(data) - 1 != nbytes:
@@ -462,8 +462,7 @@ def graph6_decode(line: bytes, coatom_count: int, connector_count: int) -> Bicol
         z = z & low | z >> shift & high
     if z >> nbits:
         raise Graph6Error("nonzero padding bits")
-    c = coatom_count
-    allowed, shifts = _connector_rows(max(c, 0), n)
+    allowed, shifts = _connector_rows(max(coatom_count, 0), n)
     stray = z & ~allowed
     if stray:
         # the lowest stray bit is the first pair (u, v) the rows meet
@@ -471,8 +470,7 @@ def graph6_decode(line: bytes, coatom_count: int, connector_count: int) -> Bicol
         v = (1 + math.isqrt(8 * k + 1)) // 2
         raise ClassViolationError("edge (%d, %d) lies inside one colour class"
                                   % (k - v * (v - 1) // 2, v))
-    if c < 0:
-        BicoloredGraph(c)    # raises the constructor's ValueError
+    c = _count(coatom_count, "coatom count", 0)
     full = (1 << c) - 1
     # each row is masked to c bits, so the masks need no check of __init__'s
     return _from_masks(c, tuple([z >> shift & full for shift in shifts]))

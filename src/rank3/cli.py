@@ -22,6 +22,7 @@ import sys
 import rank3
 
 from . import pipeline
+from .polya import _count
 
 EXIT_INPUT = 2
 EXIT_ARITY = 3
@@ -45,11 +46,11 @@ def cmd_generate(args) -> int:
 
 
 def cmd_count(args) -> int:
-    c, a = args.coatoms, args.max_atoms
-    # the graphs are checked before the count, so a wrong directory is named at
-    # once; bad arguments are left to the count, whose errors come first
+    c = _count(args.coatoms, "coatom count", 1)
+    a = _count(args.max_atoms, "maximum atom count", 0)
+    # the graphs are checked before the count, so a wrong directory is named at once
     checked = (rank3.genconn.check_graphs(c, pipeline.iter_graph_dir(args.graphs, c))
-               if args.graphs and c >= 1 and a >= 0 else None)
+               if args.graphs else None)
     table, stats = pipeline.count_lattices_stats(c, a)
     stats = stats if checked is None else checked
     out = args.out or os.path.join(_default_out_dir(), "counts_c%d.csv" % c)

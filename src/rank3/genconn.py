@@ -58,7 +58,8 @@ from collections import Counter, defaultdict
 
 from . import bigraph
 from .pipeline import GraphInputError, MemoStats, atomic_open
-from .polya import _members, _pairs, cycle_index, fixed_family_counts, symmetric_cycle_index
+from .polya import (_count, _members, _pairs, cycle_index, fixed_family_counts,
+                    symmetric_cycle_index)
 
 
 def count_r_s(graph: bigraph.BicoloredGraph) -> tuple[int, int]:
@@ -110,10 +111,11 @@ def _extended(c: int, pools, pairs, parent) -> list:
     return found
 
 
-def _classes(coatom_count: int):
+def _classes(c: int):
     """Yield (canonical masks, kept group) for one class of connection graphs
     per isomorphism class, the group as image tuples (see
-    bigraph._canonical), or None for S_c.
+    bigraph._canonical), or None for S_c; c is an int >= 1, as
+    generate_connection_graphs checks.
 
     Output comes in ascending connector count r.  Stratum r+1 extends each
     class P of stratum r by every mask m that shares no coatom pair with P
@@ -149,9 +151,6 @@ def _classes(coatom_count: int):
     The parents of a stratum are extended by _extended through _in_shares
     (see the module docstring), and their lists joined.
     """
-    c = coatom_count
-    if c < 1:
-        raise ValueError("coatom count must be positive")
     # largest masks first, so pools[k], the masks of k or more coatoms, is
     # a head of the pool; pairs[m] has one bit per coatom pair that m covers
     pool = sorted((m for m in range(1 << c) if m.bit_count() >= 2),
@@ -180,14 +179,16 @@ def generate_connection_graphs(coatom_count: int):
     canonical labelling and each stratum in graph6 byte order; _classes
     describes the generation.
     """
-    for fam, _group in _classes(coatom_count):
+    c = _count(coatom_count, "coatom count", 1)
+    for fam, _group in _classes(c):
         # a search's canonical masks, a tuple of ints below 2^c
-        yield bigraph._from_masks(coatom_count, fam)
+        yield bigraph._from_masks(c, fam)
 
 
 def graph_file_name(coatom_count: int, connector_count: int) -> str:
     """Name of the graph6 file holding the graphs with c coatoms and r connectors."""
-    return "conn_c%d_r%d.g6" % (coatom_count, connector_count)
+    return "conn_c%d_r%d.g6" % (_count(coatom_count, "coatom count", 1),
+                                _count(connector_count, "connector count", 0))
 
 
 def manifest_text(coatom_count: int, counts) -> str:
@@ -334,7 +335,7 @@ def fold_graphs(coatom_count: int, graphs) -> tuple:
     graph or isomorphic copy, so no answer or error depends on a child.
     If the input raises, the graphs taken before it are walked first, so
     the first error is the one a graph-by-graph count meets."""
-    c = coatom_count
+    c = _count(coatom_count, "coatom count", 1)
     c_factorial = math.factorial(c)
     search = functools.partial(_search, c, {})
     it, seen, slots, profile, k = iter(graphs), set(), {}, Counter(), 0
@@ -386,7 +387,7 @@ def check_graphs(coatom_count: int, graphs) -> MemoStats:
     says.  Then the first (cycle type, r, s) whose cells differ raises
     it, with both numbers, the types in descending order, so the
     identity's cells, the labelled families, come first."""
-    c = coatom_count
+    c = _count(coatom_count, "coatom count", 1)
     cells, stats = fold_graphs(c, graphs)
     want = fixed_family_counts(c)
     for expo in sorted(want.keys() | cells.keys(), reverse=True):
@@ -414,9 +415,7 @@ def write_graph_files(directory, coatom_count: int, graphs=None) -> list[int]:
     temporary files are removed and the previous census is left
     untouched.  Returns the per-r counts.
     """
-    c = coatom_count
-    if c < 1:
-        raise ValueError("coatom count must be positive")
+    c = _count(coatom_count, "coatom count", 1)
     os.makedirs(directory, exist_ok=True)
     max_r = c * (c - 1) // 2
     counts = [0] * (max_r + 1)
@@ -514,9 +513,7 @@ def brute_force_count(coatom_count: int, atom_count: int) -> int:
     Direct enumeration; intended for cross-checking at small sizes
     (roughly coatom_count + atom_count <= 14).
     """
-    c, a = coatom_count, atom_count
-    if c < 1 or a < 1:
-        raise ValueError("coatom and atom counts must be positive")
+    c, a = _count(coatom_count, "coatom count", 1), _count(atom_count, "atom count", 1)
     full = (1 << c) - 1
     seq: list[int] = []
     bigs: list[int] = []

@@ -45,7 +45,6 @@ alone.  The polya docstring says what its counts keep.
 
 import contextlib
 import math
-import operator
 import os
 from collections import namedtuple
 
@@ -53,7 +52,7 @@ from collections import namedtuple
 # on first access (see __init__): only a check of graphs and iter_graph_dir use it
 import rank3
 
-from .polya import extend_rational, fixed_family_counts, one_denominator, start_carries
+from .polya import _count, extend_rational, fixed_family_counts, one_denominator, start_carries
 
 
 class GraphInputError(ValueError):
@@ -106,7 +105,10 @@ def count_lattices_stats(coatom_count: int, max_atoms: int, graphs=None,
     module docstring says: one lookup and one copy where the entry's
     series covers ``max_atoms``, else the series is continued from its
     carries first.  A cell that breaks the orbit-counting identity raises
-    ArithmeticError, and a coatom count that is not an integer TypeError.
+    ArithmeticError.  Both counts go through polya._count, the coatom
+    count first: a coatom count below 1, a maximum atom count below 0 or
+    NaN raises ValueError, and then a count that is not an int or bool
+    TypeError.
     Without ``graphs`` no graph is listed, and the MemoStats hold the
     class count, with distinct_cycle_indices and trivial_action_graphs
     None.
@@ -122,13 +124,8 @@ def count_lattices_stats(coatom_count: int, max_atoms: int, graphs=None,
     The returned table and its values are new on every call; the entry is
     never handed out.
     """
-    # not >= so that NaN, which no comparison admits, is refused here
-    if not coatom_count >= 1:
-        raise ValueError("coatom count must be positive")
-    if not max_atoms >= 0:
-        raise ValueError("maximum atom count must be nonnegative")
-    # TypeError for 3.0 before the entry of 3 is looked up, as with no entry
-    c = operator.index(coatom_count)
+    c = _count(coatom_count, "coatom count", 1)
+    max_atoms = _count(max_atoms, "maximum atom count", 0)
     entry = _generated.get(c)
     if entry is None:
         cells = fixed_family_counts(c)
@@ -209,6 +206,7 @@ def read_csv(path, coatom_count: int) -> CountTable:
     table with a_max < 2 cannot be told apart this way.
     """
     import csv
+    c = _count(coatom_count, "coatom count", 1)
     with open(path, newline="") as fh:
         reader = csv.reader(fh)
         header = next(reader, None)
@@ -226,11 +224,10 @@ def read_csv(path, coatom_count: int) -> CountTable:
             values.append(v)
     if not values:
         raise ValueError("table has no rows after the header")
-    expected = [0, 1, coatom_count][:len(values)]
+    expected = [0, 1, c][:len(values)]
     if values[:3] != expected:
-        raise ValueError("table starts %r, but R(%d, 0..2) = %r"
-                         % (values[:3], coatom_count, expected))
-    return CountTable(coatom_count, len(values) - 1, values)
+        raise ValueError("table starts %r, but R(%d, 0..2) = %r" % (values[:3], c, expected))
+    return CountTable(c, len(values) - 1, values)
 
 
 def iter_graph_dir(directory, coatom_count: int):
@@ -247,7 +244,7 @@ def iter_graph_dir(directory, coatom_count: int):
     cell gate rejects it.
     """
     bigraph, genconn = rank3.bigraph, rank3.genconn
-    c = coatom_count
+    c = _count(coatom_count, "coatom count", 1)
     manifest = os.path.join(directory, "conn_c%d.manifest" % c)
     try:
         with open(manifest) as fh:

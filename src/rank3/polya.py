@@ -51,6 +51,15 @@ from collections import Counter, namedtuple
 from itertools import accumulate, compress, product
 
 
+def _count(value, name: str, least: int) -> int:
+    """``value`` as a plain int, the one check of every count argument: a
+    value below ``least`` (0 or 1), or NaN, which no comparison admits, is
+    a ValueError, and then any type but int and bool a TypeError."""
+    if not value >= least:
+        raise ValueError("%s must be %s" % (name, "positive" if least else "nonnegative"))
+    return operator.index(value)
+
+
 class CycleIndex(namedtuple("CycleIndex", "degree order counts")):
     """Cycle index (1/order) * sum of count * t_1^m_1 ... t_c^m_c.
 
@@ -100,6 +109,7 @@ def _partitions(n: int, largest: int):
 def symmetric_cycle_index(degree: int) -> CycleIndex:
     """Cycle index of the full symmetric group on ``degree`` points, from the
     class sizes n!/prod i^m_i m_i!, without listing the n! permutations."""
+    degree = _count(degree, "degree", 0)
     order = math.factorial(degree)
     counts = []
     for parts in _partitions(degree, degree):
@@ -162,8 +172,7 @@ def expand_rational(numerator, exponents, divisor: int, length: int) -> list[int
     N is ``numerator`` and (M_1, ..., M_c) ``exponents``, as one_denominator
     gives them: extend_rational from term 0.
     """
-    if length < 0:
-        raise ValueError("series length must be nonnegative")
+    length = _count(length, "series length", 0)
     return extend_rational(numerator, start_carries(exponents), divisor, range(length))[0]
 
 
@@ -206,11 +215,11 @@ def group_balls(zindex: CycleIndex, boxes: int, max_balls: int) -> list[int]:
     at max_balls.  Each cycle type is weighted by its element count, and
     the sum is divided by |G|, asserting exact divisibility.
     """
-    if max_balls < 0:
-        raise ValueError("maximum ball count must be nonnegative")
+    boxes = _count(boxes, "box count", 0)
+    max_balls = _count(max_balls, "maximum ball count", 0)
     if zindex.degree != boxes:
         raise ValueError("cycle index has degree %d, not %d" % (zindex.degree, boxes))
-    for expo, _count in zindex.counts:
+    for expo, _n in zindex.counts:
         if len(expo) != boxes or sum(i * m for i, m in enumerate(expo, 1)) != boxes:
             raise ValueError("exponent tuple %r is no cycle type of degree %d" % (expo, boxes))
     cells = {expo: {(0, 0): count} for expo, count in zindex.counts}
@@ -563,9 +572,7 @@ def fixed_family_counts(coatom_count: int) -> dict:
     (the orbit-counting identity); a cell that does not raises
     ArithmeticError, and no sub-type's count is kept.
     """
-    c = coatom_count
-    if c < 1:
-        raise ValueError("coatom count must be positive")
+    c = _count(coatom_count, "coatom count", 1)
     # (x^i - 1)^k = sum_j C(k, j) (-1)^(k - j) x^(ij) for i k <= c, as
     # (s, coefficient) pairs: powers[i - 1][k]
     powers = [[[(i * j, (-1) ** (k - j) * math.comb(k, j)) for j in range(k + 1)]

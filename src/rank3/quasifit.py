@@ -19,6 +19,8 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from math import lcm
 
+from .polya import _count
+
 
 class FitArityError(ValueError):
     """Table too short to determine the requested fit."""
@@ -91,9 +93,7 @@ class Quasipolynomial:
 
 def default_fit_parameters(coatom_count: int) -> tuple[int, int, int]:
     """(period, degree, threshold) guaranteed to capture R(c, .)."""
-    c = coatom_count
-    if c < 1:
-        raise ValueError("coatom count must be positive")
+    c = _count(coatom_count, "coatom count", 1)
     return lcm(*range(1, c + 1)), c - 1, max(1, c * (c - 1) // 2)
 
 
@@ -167,9 +167,7 @@ def eval_quasipolynomial(quasipoly: Quasipolynomial, atoms: int) -> int:
     """Value of a fitted form at a nonnegative atom count: R(c, atoms) only
     from the fit's observed_threshold (n0_observed in its JSON) on.  The
     c = 7 fit, n0_observed 10, gives 9835 at 5 atoms, where R(7, 5) = 907."""
-    if atoms < 0:
-        raise ValueError("atom count must be nonnegative")
-    return quasipoly.evaluate(atoms)
+    return quasipoly.evaluate(_count(atoms, "atom count", 0))
 
 
 def expand_period(quasipoly: Quasipolynomial, period: int) -> Quasipolynomial:
@@ -234,7 +232,7 @@ LEADING_TERMS = {
 
 def reference_quasipolynomial(coatom_count: int) -> Quasipolynomial:
     """Published closed form of R(c, .) for c = 2..5, at its natural period."""
-    c = coatom_count
+    c = _count(coatom_count, "coatom count", 1)
     if c == 2:
         return Quasipolynomial(1, 1, ((Fraction(0), Fraction(1)),))
     if c == 3:

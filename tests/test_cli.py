@@ -408,6 +408,11 @@ class TestVerify:
     def test_range_checked(self, capsys):
         assert run_cli("verify", "--max-total", 40) == cli.EXIT_INPUT
 
+    def test_range_checked_below(self, capsys):
+        # unchecked, 1 would check no pair and exit 0 at once
+        assert run_cli("verify", "--max-total", 1) == cli.EXIT_INPUT
+        assert capsys.readouterr() == ("", "error: --max-total must be between 2 and 14\n")
+
 
 class TestParser:
     def test_unknown_subcommand_exits(self):
